@@ -54,6 +54,5 @@ from .scenarios import (
     tradeoff_width,
 )
 from .sweep import RegionResult, SweepGrid, SweepPoint, find_region, maximize_qfi, sweep
-from .cli import RunConfig, emit_figure, parse_config, report_bound
 
 __version__ = "0.1.0"

@@ -43,6 +43,11 @@ class UsageError(ValueError):
     """Malformed or inconsistent configuration; message names the bad key."""
 
 
+def _key(name: str) -> str:
+    """Config key of a RunConfig field ("from" is a Python keyword)."""
+    return "from" if name == "from_" else name
+
+
 @dataclass
 class RunConfig:
     """Validated inputs of one CLI invocation.
@@ -75,7 +80,7 @@ class RunConfig:
             value = getattr(self, f.name)
             if value is None:
                 continue
-            out["from" if f.name == "from_" else f.name] = value
+            out[_key(f.name)] = value
         return out
 
 
@@ -142,7 +147,7 @@ def parse_config(argv=None) -> RunConfig:
     if namespace.config:
         merged.update(_load_config_file(namespace.config))
     for f in fields(RunConfig):
-        key = "from" if f.name == "from_" else f.name
+        key = _key(f.name)
         flag_value = getattr(namespace, f.name, None)
         if flag_value is not None:
             merged[key] = flag_value
@@ -152,7 +157,7 @@ def parse_config(argv=None) -> RunConfig:
     for f in fields(RunConfig):
         if f.name == "command":
             continue
-        key = "from" if f.name == "from_" else f.name
+        key = _key(f.name)
         if key in merged:
             kwargs[f.name] = merged[key]
     config = RunConfig(command=merged["command"], **kwargs)
@@ -162,7 +167,7 @@ def parse_config(argv=None) -> RunConfig:
 
 def _require(config: RunConfig, *names: str):
     for name in names:
-        key = "from" if name == "from_" else name
+        key = _key(name)
         if getattr(config, name) is None:
             raise UsageError(f"missing required key '{key}' for command '{config.command}'")
 
@@ -182,6 +187,14 @@ def _validate(config: RunConfig):
         raise UsageError(f"format must be one of {FORMATS}, got '{config.format}'")
     if config.m < 1:
         raise UsageError(f"'m' must be >= 1, got {config.m}")
+    for name in ("t", "from_", "to"):
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"'{_key(name)}' must be finite, got {value}")
+    if config.points is not None and config.points < 2:
+        raise UsageError(f"'points' must be >= 2, got {config.points}")
+    if config.from_ is not None and config.to is not None and config.from_ >= config.to:
+        raise UsageError(f"'from' must be < 'to', got [{config.from_}, {config.to}]")
     command = config.command
     if command == "run":
         _require(config, "kind", "t")

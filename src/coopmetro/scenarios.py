@@ -11,7 +11,7 @@ is the eigenvector of the smaller eigenvalue.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -107,6 +107,9 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidScenarioError(f"unknown scenario kind {self.kind!r}")
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidScenarioError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind in COOP_KINDS and self.b_z == 0.0:
             raise InvalidScenarioError(
                 f"b_z must be nonzero for kind {self.kind!r} (the eigenbasis angle is undefined at b_z = 0)"
@@ -130,6 +133,9 @@ class ScenarioSpec:
             raise InvalidScenarioError(f"n_spins must be 1 or 2, got {self.n_spins}")
 
 
+_FLOAT_FIELDS = tuple(f.name for f in fields(ScenarioSpec) if f.type is float)
+
+
 def spin_count(spec: ScenarioSpec) -> int:
     if spec.kind == "two-spin-coop":
         return 2
@@ -147,13 +153,24 @@ def controlled_hamiltonian(b_z: float, b_x: float) -> np.ndarray:
     return b_z * pauli("z") + b_x * pauli("x")
 
 
-def two_spin_hamiltonian(b_z: float, b_x: float) -> np.ndarray:
-    """H = sigma_z^1 sigma_z^2 + b_z (sigma_z^1 + sigma_z^2) + b_x (sigma_x^1 + sigma_x^2),
-    coupling strength 1."""
+def _two_spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sz, sx, i2 = pauli("z"), pauli("x"), identity(2)
     sz1, sz2 = tensor(sz, i2), tensor(i2, sz)
     sx1, sx2 = tensor(sx, i2), tensor(i2, sx)
-    return sz1 @ sz2 + b_z * (sz1 + sz2) + b_x * (sx1 + sx2)
+    operators = (sz1 @ sz2, sz1 + sz2, sx1 + sx2)
+    for op in operators:
+        op.setflags(write=False)
+    return operators
+
+
+# sigma_z^1 sigma_z^2, sigma_z^1 + sigma_z^2 and sigma_x^1 + sigma_x^2, built once.
+SZZ, SZ_SUM, SX_SUM = _two_spin_operators()
+
+
+def two_spin_hamiltonian(b_z: float, b_x: float) -> np.ndarray:
+    """H = sigma_z^1 sigma_z^2 + b_z (sigma_z^1 + sigma_z^2) + b_x (sigma_x^1 + sigma_x^2),
+    coupling strength 1."""
+    return SZZ + b_z * SZ_SUM + b_x * SX_SUM
 
 
 def _field_basis(b_z: float, b_x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +218,10 @@ def build_model(spec: ScenarioSpec) -> LindbladModel:
         g, e = _field_basis(spec.b_z, spec.b_x)
         omega = 2.0 * math.hypot(spec.b_z, spec.b_x)
         gamma0 = 4.0 * omega**3 * spec.dipole**2 / 3.0
-        occupation = 0.0 if spec.t_e == 0.0 else 1.0 / math.expm1(omega / spec.t_e)
+        # Bose occupation 1/(e^x - 1), written to underflow to 0 instead of
+        # overflowing for x = omega/t_e beyond ~709; t_e = 0 is x = inf.
+        x = math.inf if spec.t_e == 0.0 else omega / spec.t_e
+        occupation = math.exp(-x) / -math.expm1(-x)
         channels = [LindbladChannel(gamma0 * (occupation + 1.0), outer(g, e))]
         if occupation > 0.0:
             channels.append(LindbladChannel(gamma0 * occupation, outer(e, g)))
@@ -210,17 +230,15 @@ def build_model(spec: ScenarioSpec) -> LindbladModel:
             channels=tuple(channels),
         )
     if kind == "two-spin-coop":
-        system = eigh(two_spin_hamiltonian(spec.b_z, spec.b_x))
+        h = two_spin_hamiltonian(spec.b_z, spec.b_x)
+        system = eigh(h)
         energies = system.values
         channels = []
         for i, j in TWO_SPIN_DECAY_PAIRS:
             omega = energies[i - 1] - energies[j - 1]
             rate = 4.0 * omega**3 * spec.dipole**2 / 3.0
             channels.append(LindbladChannel(rate, outer(system.vector(j - 1), system.vector(i - 1))))
-        return LindbladModel(
-            hamiltonian=two_spin_hamiltonian(spec.b_z, spec.b_x),
-            channels=tuple(channels),
-        )
+        return LindbladModel(hamiltonian=h, channels=tuple(channels))
     if kind == "unitary-baseline":
         if spec.n_spins == 1:
             h = spec.b_z * pauli("z")
@@ -258,6 +276,8 @@ def state_family(spec: ScenarioSpec, t: float) -> StateFamily:
 
 def qfi_at(spec: ScenarioSpec, t: float, h: float | None = None) -> QfiResult:
     """QFI with respect to b_z of the propagated probe at time t."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     family = state_family(spec, t)

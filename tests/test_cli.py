@@ -122,6 +122,39 @@ class TestCommands:
         assert main(["run", "--kind", "coop-spont", "--t", "1"]) == 2
         assert "b_z" in capsys.readouterr().err
 
+    def test_infinite_rate_is_usage_error(self, capsys):
+        assert main(["run", "--kind", "std-spont", "--b_z", "0.1", "--gamma", "inf", "--t", "1"]) == 2
+        assert "gamma must be finite" in capsys.readouterr().err
+
+    def test_nan_field_is_usage_error(self, capsys):
+        assert main(["run", "--kind", "two-spin-coop", "--b_z", "nan", "--b_x", "0.1", "--dipole", "10", "--t", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "b_z must be finite" in err and "Hermitian" not in err
+
+    def test_non_finite_time_is_usage_error(self, capsys):
+        assert main(["run", "--kind", "std-spont", "--b_z", "0.1", "--gamma", "0.5", "--t", "nan"]) == 2
+        assert "'t' must be finite" in capsys.readouterr().err
+
+    def test_non_finite_bound_is_usage_error(self, capsys):
+        assert main(["maximize", "--kind", "unitary-baseline", "--b_z", "0.1", "--axis", "t",
+                     "--from", "0", "--to", "inf"]) == 2
+        assert "'to' must be finite" in capsys.readouterr().err
+
+    def test_too_few_points_is_usage_error(self, capsys):
+        assert main(["sweep", "--kind", "unitary-baseline", "--b_z", "0.1", "--axis", "t",
+                     "--from", "0", "--to", "2", "--points", "0"]) == 2
+        assert "'points' must be >= 2" in capsys.readouterr().err
+
+    def test_reversed_bounds_is_usage_error(self, capsys):
+        assert main(["sweep", "--kind", "unitary-baseline", "--b_z", "0.1", "--axis", "t",
+                     "--from", "1", "--to", "0.1", "--points", "5"]) == 2
+        assert "'from' must be < 'to'" in capsys.readouterr().err
+
+    def test_thermal_tiny_temperature_runs(self, capsys):
+        # fig. 4 parameters with omega / t_e ~ 6300, past the exp overflow
+        assert main(["run", "--kind", "coop-thermal", "--b_z", "0.3", "--b_x", "0.1", "--dipole", "2",
+                     "--t_e", "1e-4", "--t", "1"]) == 0
+
     def test_sweep_with_failed_point(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = main(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_hermitian
 from coopmetro.lindblad import (
     InvalidModelError,
     InvalidStateError,
@@ -54,6 +55,39 @@ class TestLiouvillian:
         np.testing.assert_allclose(gen, expected, atol=1e-15)
         np.testing.assert_allclose(sorted(np.diag(gen), key=lambda z: z.imag), [-0.2j, 0, 0, 0.2j], atol=1e-15)
         assert np.max(np.abs(gen - np.diag(np.diag(gen)))) == 0.0
+
+
+def kron_liouvillian(model: LindbladModel) -> np.ndarray:
+    """Textbook Kronecker-product assembly, the reference for `liouvillian`:
+    -i(I⊗H - H^T⊗I) + sum gamma (conj(L)⊗L - (1/2) I⊗L†L - (1/2) (L†L)^T⊗I)."""
+    h = model.hamiltonian
+    ident = np.eye(model.dim, dtype=complex)
+    gen = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
+    for ch in model.channels:
+        jdj = ch.jump.conj().T @ ch.jump
+        gen += ch.rate * (
+            np.kron(ch.jump.conj(), ch.jump) - 0.5 * np.kron(ident, jdj) - 0.5 * np.kron(jdj.T, ident)
+        )
+    return gen
+
+
+class TestLiouvillianReference:
+    @pytest.mark.parametrize("dim", (2, 4))
+    @pytest.mark.parametrize("n_channels", range(5))
+    def test_matches_kron_assembly(self, dim, n_channels):
+        rng = np.random.default_rng(100 * dim + n_channels)
+        for _ in range(10):
+            h = random_hermitian(rng, dim)
+            channels = tuple(
+                LindbladChannel(
+                    rng.uniform(0.0, 20.0), rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                )
+                for _ in range(n_channels)
+            )
+            model = LindbladModel(hamiltonian=h, channels=channels)
+            reference = kron_liouvillian(model)
+            tol = 1e-13 * max(1.0, float(np.max(np.abs(reference))))
+            assert np.max(np.abs(liouvillian(model) - reference)) <= tol
 
 
 class TestModelValidation:
@@ -110,6 +144,12 @@ class TestPropagate:
         spec = ScenarioSpec(kind="std-spont", b_z=0.1, gamma=0.5)
         with pytest.raises(ValueError):
             propagate(build_model(spec), probe_state(spec), -1.0)
+
+    @pytest.mark.parametrize("t", (math.nan, math.inf))
+    def test_non_finite_time_rejected(self, t):
+        spec = ScenarioSpec(kind="std-spont", b_z=0.1, gamma=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            propagate(build_model(spec), probe_state(spec), t)
 
     def test_semigroup_property(self):
         spec = ScenarioSpec(kind="coop-spont", b_z=0.1, b_x=0.1, gamma=0.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import figure_scenarios
-from coopmetro.linalg import eigh, outer
+from coopmetro.linalg import eigh, identity, outer, pauli, tensor
 from coopmetro.scenarios import (
     DegeneracyError,
     InvalidScenarioError,
@@ -44,6 +44,14 @@ class TestSpecValidation:
     def test_negative_rate_rejected(self):
         with pytest.raises(InvalidScenarioError):
             ScenarioSpec(kind="std-spont", b_z=0.1, gamma=-0.5)
+
+    @pytest.mark.parametrize("field", ("b_z", "b_x", "gamma", "eta", "dipole", "t_e"))
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    def test_non_finite_field_rejected(self, field, value):
+        params = dict(b_z=1.0, b_x=0.1, dipole=10.0)
+        params[field] = value
+        with pytest.raises(InvalidScenarioError, match=f"{field} must be finite"):
+            ScenarioSpec(kind="two-spin-coop", **params)
 
     def test_irrelevant_fields_ignored(self):
         # std-spont consults only b_z and gamma
@@ -97,6 +105,32 @@ class TestBuildModel:
         down, up = model.channels
         assert down.rate == pytest.approx(gamma0 * (occupation + 1.0), rel=1e-12)
         assert up.rate == pytest.approx(gamma0 * occupation, rel=1e-12)
+
+    def test_thermal_tiny_temperature_is_zero_temperature(self):
+        # omega / t_e ~ 6300 is far past the exp overflow at ~709: the bath
+        # occupation underflows to 0 and the model is the t_e = 0 one
+        cold = ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=2.0, t_e=1e-4)
+        zero = ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=2.0, t_e=0.0)
+        assert len(build_model(cold).channels) == 1
+        assert build_model(cold).channels[0].rate == build_model(zero).channels[0].rate
+        assert qfi_at(cold, 1.0).value == qfi_at(zero, 1.0).value
+
+    @pytest.mark.parametrize("x", (1e-3, 1.0, 100.0, 700.0))
+    def test_thermal_occupation_across_temperatures(self, x):
+        # omega / t_e = x from the high-temperature limit up to just below
+        # the exp overflow: the occupation is the Bose form 1/(e^x - 1)
+        omega = 2.0 * math.hypot(0.3, 0.1)
+        spec = ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=2.0, t_e=omega / x)
+        down, up = build_model(spec).channels
+        assert up.rate / (down.rate - up.rate) == pytest.approx(1.0 / math.expm1(omega / spec.t_e), rel=1e-12)
+
+    def test_two_spin_hamiltonian_matches_tensor_form(self):
+        sz, sx, i2 = pauli("z"), pauli("x"), identity(2)
+        sz1, sz2 = tensor(sz, i2), tensor(i2, sz)
+        sx1, sx2 = tensor(sx, i2), tensor(i2, sx)
+        for b_z, b_x in ((1.0, 0.1), (0.3, 1e-4), (-0.7, 2.5), (0.0, 0.0)):
+            expected = sz1 @ sz2 + b_z * (sz1 + sz2) + b_x * (sx1 + sx2)
+            np.testing.assert_array_equal(two_spin_hamiltonian(b_z, b_x), expected)
 
     def test_two_spin_channels(self):
         spec = ScenarioSpec(kind="two-spin-coop", b_z=1.0, b_x=0.1, dipole=10.0)
@@ -214,6 +248,11 @@ class TestQfiAt:
             qfi_at(ScenarioSpec(kind="two-spin-coop", b_z=1.0, b_x=0.1, dipole=10.0), 1.0).method
             == "sld-spectral"
         )
+
+    @pytest.mark.parametrize("t", (math.nan, math.inf))
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            qfi_at(ScenarioSpec(kind="coop-spont", **FIG2), t)
 
     def test_records_fd_step(self):
         result = qfi_at(ScenarioSpec(kind="coop-spont", **FIG2), 1.0)

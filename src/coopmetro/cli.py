@@ -12,8 +12,6 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .scenarios import (
     InvalidScenarioError,
     ScenarioSpec,
@@ -267,8 +265,8 @@ def _emit(text: str, out: str | None):
 # figure data
 # ---------------------------------------------------------------------------
 
-_T_GRID = np.linspace(0.05, 5.0, 100)  # step 0.05
-_BZ_GRID = np.linspace(0.5, 1.5, 201)  # step 0.005
+_T_GRID = SweepGrid("t", 0.05, 5.0, 100)  # step 0.05
+_BZ_GRID = SweepGrid("b_z", 0.5, 1.5, 201)  # step 0.005
 
 _FIG2_COOP = ScenarioSpec(kind="coop-spont", b_z=0.1, b_x=0.1, gamma=0.5)
 _FIG2_STD = ScenarioSpec(kind="std-spont", b_z=0.1, gamma=0.5)
@@ -280,15 +278,25 @@ _FIG5_SPEC = ScenarioSpec(kind="two-spin-coop", b_z=1.0, b_x=0.1, dipole=10.0)
 _FIG5_T = 1.0
 
 
+def _figure_sweep(spec: ScenarioSpec, grid: SweepGrid, t: float | None = None) -> list[float]:
+    """QFI values of one figure column; a failed point fails the figure."""
+    values = []
+    for point in sweep(spec, grid, t=t):
+        if point.result is None:
+            raise RuntimeError(f"{spec.kind} point {grid.axis}={point.value} failed: {point.error}")
+        values.append(point.result.value)
+    return values
+
+
 def _time_figure_rows(coop: ScenarioSpec, std: ScenarioSpec, formula_kind: str, rate: float) -> list[dict]:
     rows = []
-    for t in _T_GRID:
+    for t, f_coop, f_std in zip(_T_GRID.values(), _figure_sweep(coop, _T_GRID), _figure_sweep(std, _T_GRID)):
         t = float(t)
         rows.append(
             {
                 "t": t,
-                "f_coop": qfi_at(coop, t).value,
-                "f_std_numeric": qfi_at(std, t).value,
+                "f_coop": f_coop,
+                "f_std_numeric": f_std,
                 "f_std_formula": standard_limit_formulas(formula_kind, rate, t),
                 "f_heisenberg": heisenberg_limit(1, t),
             }
@@ -314,23 +322,15 @@ def figure_rows(figure_id: str) -> tuple[list[str], list[dict]]:
         return header, _time_figure_rows(_FIG4_COOP, _FIG4_STD, "spont", std_rate)
     if figure_id == "fig5":
         header = ["b_z", "f_coop", "f_heisenberg"]
-        points = sweep(_FIG5_SPEC, SweepGrid("b_z", 0.5, 1.5, 201), t=_FIG5_T)
-        rows = []
-        for point in points:
-            if point.result is None:
-                raise RuntimeError(f"fig5 point b_z={point.value} failed: {point.error}")
-            rows.append(
-                {
-                    "b_z": point.value,
-                    "f_coop": point.result.value,
-                    "f_heisenberg": heisenberg_limit(2, _FIG5_T),
-                }
-            )
-        return header, rows
+        f_coop = _figure_sweep(_FIG5_SPEC, _BZ_GRID, t=_FIG5_T)
+        return header, [
+            {"b_z": float(b_z), "f_coop": f, "f_heisenberg": heisenberg_limit(2, _FIG5_T)}
+            for b_z, f in zip(_BZ_GRID.values(), f_coop)
+        ]
     if figure_id == "figA1":
         header = ["b_z", "f_ground_exact", "f_ground_effective"]
         rows = []
-        for b_z in _BZ_GRID:
+        for b_z in _BZ_GRID.values():
             b_z = float(b_z)
             rows.append(
                 {

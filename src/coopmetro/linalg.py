@@ -69,9 +69,10 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Symmetrize (m + m†)/2.  The result is exactly Hermitian entrywise."""
+    """Symmetrize (m + m†)/2 over the last two axes, so a stack (..., d, d)
+    is symmetrized matrix by matrix.  The result is exactly Hermitian entrywise."""
     m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def herm_deviation(m: np.ndarray) -> float:

@@ -28,6 +28,7 @@ __all__ = [
     "NumericalFailureError",
     "LindbladChannel",
     "LindbladModel",
+    "density_matrix_errors",
     "validate_density_matrix",
     "vec",
     "unvec",
@@ -53,23 +54,50 @@ class NumericalFailureError(RuntimeError):
     """Propagation produced a state outside the density-matrix tolerances."""
 
 
+def density_matrix_errors(rho: np.ndarray) -> np.ndarray:
+    """Check a stack (..., d, d) of density matrices in one batched call.
+
+    Returns an object array of shape rho.shape[:-2] holding, per matrix, the
+    message of the first failed invariant (finite entries, Hermiticity 1e-10,
+    unit trace 1e-10, positivity -1e-9), or None where all of them hold.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    flat = rho.reshape(-1, *rho.shape[-2:])
+    finite = np.isfinite(flat).all(axis=(-2, -1))
+    dev = np.abs(flat - flat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    tr = np.trace(flat, axis1=-2, axis2=-1)
+    # Non-finite matrices are replaced by 0 so the eigensolver cannot fail on them.
+    min_eig = np.linalg.eigvalsh(np.where(finite[:, None, None], hermitize(flat), 0.0)).min(axis=-1)
+    ok = (
+        finite
+        & (dev <= DENSITY_HERM_TOL)
+        & (np.abs(tr - 1.0) <= DENSITY_TRACE_TOL)
+        & (min_eig >= DENSITY_EIG_TOL)
+    )
+    errors = np.full(flat.shape[0], None, dtype=object)
+    for i in np.flatnonzero(~ok):
+        if not finite[i]:
+            errors[i] = "density matrix has non-finite entries"
+        elif dev[i] > DENSITY_HERM_TOL:
+            errors[i] = f"density matrix not Hermitian: deviation {dev[i]:.3e}"
+        elif abs(tr[i] - 1.0) > DENSITY_TRACE_TOL:
+            errors[i] = f"density matrix trace {tr[i]:.15g} != 1"
+        else:
+            errors[i] = f"density matrix has eigenvalue {min_eig[i]:.3e} < -1e-9"
+    return errors.reshape(rho.shape[:-2])
+
+
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity (1e-10), unit trace (1e-10) and positivity (-1e-9).
+    """Check one density matrix against the invariants of `density_matrix_errors`.
 
     Returns rho as a complex array; raises InvalidStateError otherwise.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
-    dev = herm_deviation(rho)
-    if dev > DENSITY_HERM_TOL:
-        raise InvalidStateError(f"density matrix not Hermitian: deviation {dev:.3e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise InvalidStateError(f"density matrix trace {tr:.15g} != 1")
-    min_eig = float(np.linalg.eigvalsh(hermitize(rho)).min())
-    if min_eig < DENSITY_EIG_TOL:
-        raise InvalidStateError(f"density matrix has eigenvalue {min_eig:.3e} < -1e-9")
+    error = density_matrix_errors(rho)[()]
+    if error is not None:
+        raise InvalidStateError(error)
     return rho
 
 

@@ -15,9 +15,18 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .lindblad import LindbladChannel, LindbladModel, propagate
-from .linalg import eigh, identity, outer, pauli, tensor
+from .lindblad import (
+    LindbladChannel,
+    LindbladModel,
+    NumericalFailureError,
+    density_matrix_errors,
+    propagate,
+    validate_density_matrix,
+    vec,
+)
+from .linalg import eigh, expm, hermitize, identity, outer, pauli, tensor
 from .qfi import (
     QfiResult,
     StateFamily,
@@ -38,12 +47,12 @@ __all__ = [
     "ScenarioSpec",
     "TradeoffPoint",
     "spin_count",
-    "hilbert_dim",
     "controlled_hamiltonian",
     "two_spin_hamiltonian",
     "build_model",
     "probe_state",
     "state_family",
+    "qfi_grid",
     "qfi_at",
     "analytic_coop_spont_state",
     "analytic_coop_spont_state_deriv",
@@ -142,10 +151,6 @@ def spin_count(spec: ScenarioSpec) -> int:
     if spec.kind == "unitary-baseline":
         return spec.n_spins
     return 1
-
-
-def hilbert_dim(spec: ScenarioSpec) -> int:
-    return 2 ** spin_count(spec)
 
 
 def controlled_hamiltonian(b_z: float, b_x: float) -> np.ndarray:
@@ -264,7 +269,8 @@ def state_family(spec: ScenarioSpec, t: float) -> StateFamily:
 
     b enters the Hamiltonian, the jump operators and (for thermal/two-spin
     kinds) the rates, so each evaluation assembles the full model at its
-    own field value (memoized across repeated values, e.g. time sweeps).
+    own field value.  Propagates one point at a time; `qfi_grid` is the
+    batched route over a time grid.
     """
     probe = probe_state(spec)
 
@@ -274,21 +280,97 @@ def state_family(spec: ScenarioSpec, t: float) -> StateFamily:
     return StateFamily(evaluate=evaluate, b0=spec.b_z)
 
 
+def _fd_step(spec: ScenarioSpec) -> float:
+    """`fd_default_step(b_z)`, capped at |b_z|/2 for the kinds undefined at
+    b_z = 0 so that the difference stencil never reaches it."""
+    step = fd_default_step(spec.b_z)
+    if spec.kind in COOP_KINDS:
+        step = min(step, abs(spec.b_z) / 2.0)
+    return step
+
+
+def _walk(models, rho0: np.ndarray, t0: float, dt: float, n: int) -> np.ndarray:
+    """Hermitized states e^{L_m (t0 + k dt)} rho0 of every model m, k < n,
+    stacked to shape (len(models), n, d, d).
+
+    Two exponentials per model, e^{L t0} and e^{L dt}; the semigroup property
+    e^{L (t + dt)} = e^{L dt} e^{L t} walks the grid with one matvec per step.
+    """
+    d = rho0.shape[0]
+    generators = np.stack([model.liouvillian for model in models])
+    v = np.broadcast_to(vec(rho0)[:, None], (len(models), d * d, 1))
+    if t0 > 0:
+        v = np.stack([expm(g * t0) for g in generators]) @ v
+    out = np.empty((len(models), n, d * d), dtype=complex)
+    out[:, 0] = v[..., 0]
+    if n > 1:
+        step = np.stack([expm(g * dt) for g in generators])
+        for k in range(1, n):
+            v = step @ v
+            out[:, k] = v[..., 0]
+    # vec stacks columns, so a row-major reshape gives the transposed matrix.
+    return hermitize(out.reshape(len(models), n, d, d).swapaxes(-1, -2))
+
+
+def qfi_grid(
+    spec: ScenarioSpec, times: ArrayLike, h: float | None = None
+) -> list[QfiResult | Exception]:
+    """QFI with respect to b_z of the propagated probe at each of the evenly
+    spaced, ascending times.
+
+    Returns one entry per time: a QfiResult, or the exception that failed
+    that point (a negative time, a state that breaks an invariant, a QFI
+    below tolerance), so one bad point does not lose the others.  Errors
+    that concern the whole grid (non-finite or uneven times, an invalid
+    stencil model) are raised.
+
+    The five Richardson stencil models b_z + {-h, -h/2, 0, h/2, h} are
+    exponentiated twice each whatever the number of points (see `_walk`), and
+    their states are checked in one batched call.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.isfinite(times).all():
+        raise ValueError(f"time must be finite, got {times[~np.isfinite(times)][0]}")
+    dt = (times[-1] - times[0]) / (len(times) - 1) if len(times) > 1 else 0.0
+    if len(times) > 1 and not (dt > 0 and np.allclose(np.diff(times), dt, rtol=1e-6, atol=0.0)):
+        raise ValueError("times must be evenly spaced and ascending")
+    first = int(np.searchsorted(times, 0.0))  # the times before it are negative
+    outcomes: list = [ValueError(f"time must be >= 0, got {t}") for t in times[:first]]
+    outcomes += [None] * (len(times) - first)
+    if first == len(times):
+        return outcomes
+    probe = validate_density_matrix(probe_state(spec))
+    step = h if h is not None else _fd_step(spec)
+    b0 = spec.b_z
+    # The same arithmetic as differentiate_state, so its lookups hit these keys.
+    stencil = (b0 - step, b0 - step / 2.0, b0, b0 + step / 2.0, b0 + step)
+    models = [build_model(replace(spec, b_z=b)) for b in stencil]
+    states = _walk(models, probe, float(times[first]), dt, len(times) - first)
+    errors = density_matrix_errors(states)
+    by_field = dict(zip(stencil, states))
+    drho = differentiate_state(StateFamily(evaluate=by_field.__getitem__, b0=b0), step)
+    qfi = qfi_qubit if probe.shape[0] == 2 else qfi_sld
+    for j, k in enumerate(range(first, len(times))):
+        error = next((e for e in errors[:, j] if e is not None), None)
+        if error is not None:
+            outcomes[k] = NumericalFailureError(f"propagation to t={times[k]} lost state invariants: {error}")
+            continue
+        try:
+            result = qfi(states[2, j], drho[j])
+        except ValueError as exc:  # recorded, not raised: keep the other points
+            outcomes[k] = exc
+            continue
+        outcomes[k] = QfiResult(value=result.value, method=result.method, fd_step=step)
+    return outcomes
+
+
 def qfi_at(spec: ScenarioSpec, t: float, h: float | None = None) -> QfiResult:
-    """QFI with respect to b_z of the propagated probe at time t."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    family = state_family(spec, t)
-    step = h if h is not None else fd_default_step(spec.b_z)
-    drho = differentiate_state(family, step)
-    rho = family.evaluate(spec.b_z)
-    if rho.shape[0] == 2:
-        result = qfi_qubit(rho, drho)
-    else:
-        result = qfi_sld(rho, drho)
-    return QfiResult(value=result.value, method=result.method, fd_step=step)
+    """QFI with respect to b_z of the propagated probe at time t: the
+    one-point case of `qfi_grid`."""
+    (outcome,) = qfi_grid(spec, t, h)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------

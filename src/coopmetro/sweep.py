@@ -1,9 +1,11 @@
 """Parameter sweeps, threshold-region detection and QFI maximization.
 
-Grid points are independent and may be evaluated concurrently; results are
-always reported in axis order, so serial and parallel runs are identical.
-The concurrency cap comes from the COOPMETRO_THREADS environment variable
-when not passed explicitly (default: serial).
+A time sweep is one `qfi_grid` call, which walks the grid with the
+semigroup property.  Points of a b_z or b_x sweep are independent and may
+be evaluated concurrently; results are always reported in axis order, so
+serial and parallel runs are identical.  The concurrency cap comes from the
+COOPMETRO_THREADS environment variable when not passed explicitly (default:
+serial).
 """
 
 import math
@@ -13,10 +15,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qfi import QfiResult
-from .scenarios import ScenarioSpec, qfi_at
+from .scenarios import ScenarioSpec, qfi_at, qfi_grid
 
 __all__ = [
     "SweepGrid",
@@ -95,6 +96,12 @@ def _max_workers(explicit: int | None) -> int:
     return 1
 
 
+def _point(value: float, outcome) -> SweepPoint:
+    if isinstance(outcome, Exception):
+        return SweepPoint(value=value, result=None, error=f"{type(outcome).__name__}: {outcome}")
+    return SweepPoint(value=value, result=outcome)
+
+
 def sweep(
     spec: ScenarioSpec,
     grid: SweepGrid,
@@ -103,26 +110,27 @@ def sweep(
 ) -> list[SweepPoint]:
     """One QFI evaluation per grid point, ordered by axis value.
 
-    Per-point failures (e.g. b_z = 0 inside a cooperative grid) are recorded
-    as SweepPoints with a diagnostic instead of aborting the sweep.
+    Per-point failures (e.g. b_z = 0 inside a cooperative grid, or a
+    negative time) are recorded as SweepPoints with a diagnostic instead of
+    aborting the sweep.  `max_workers` only applies to b_z and b_x sweeps.
     """
     if grid.axis != "t" and t is None:
         raise ValueError(f"sweeping over {grid.axis!r} requires the probe time t")
-
-    def evaluate(v: float) -> QfiResult:
-        if grid.axis == "t":
-            return qfi_at(spec, v)
-        return qfi_at(replace(spec, **{grid.axis: v}), t)
-
-    def point(v) -> SweepPoint:
-        v = float(v)
+    workers = _max_workers(max_workers)  # a malformed setting fails every sweep
+    values = [float(v) for v in grid.values()]
+    if grid.axis == "t":
         try:
-            return SweepPoint(value=v, result=evaluate(v))
-        except Exception as exc:  # recorded, not raised: keep the sweep going
-            return SweepPoint(value=v, result=None, error=f"{type(exc).__name__}: {exc}")
+            outcomes = qfi_grid(spec, values)
+        except Exception as exc:  # recorded, not raised: the grid as a whole failed
+            outcomes = [exc] * len(values)
+        return [_point(v, o) for v, o in zip(values, outcomes)]
 
-    values = grid.values()
-    workers = _max_workers(max_workers)
+    def point(v: float) -> SweepPoint:
+        try:
+            return _point(v, qfi_at(replace(spec, **{grid.axis: v}), t))
+        except Exception as exc:  # recorded, not raised: keep the sweep going
+            return _point(v, exc)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(point, values))
@@ -224,6 +232,10 @@ def maximize_qfi(
             return x_ref, v_ref
         return float(xs[k]), float(vals[k])
     if len(bounds) == 2:
+        # Imported here, on first use: scipy.optimize adds ~20 MB of resident
+        # memory to every process that imports the package.
+        from scipy.optimize import minimize
+
         (lo0, hi0), (lo1, hi1) = bounds
         xs = np.linspace(lo0, hi0, coarse)
         ys = np.linspace(lo1, hi1, coarse)

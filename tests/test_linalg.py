@@ -145,6 +145,14 @@ class TestHelpers:
         h = hermitize(m)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
+    def test_hermitize_stack(self):
+        rng = np.random.default_rng(14)
+        stack = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+        h = hermitize(stack)
+        for i in range(3):
+            for j in range(2):
+                np.testing.assert_array_equal(h[i, j], hermitize(stack[i, j]))
+
     def test_projector_normalize(self):
         psi = normalize(np.array([1.0, 1.0j, 0.0]))
         p = projector(psi)

@@ -13,6 +13,7 @@ from coopmetro.lindblad import (
     propagate,
     propagate_rk4,
     unvec,
+    density_matrix_errors,
     validate_density_matrix,
     vec,
 )
@@ -122,6 +123,19 @@ class TestDensityValidation:
     def test_rejects_negative(self):
         with pytest.raises(InvalidStateError):
             validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            validate_density_matrix(np.full((2, 2), np.nan, dtype=complex))
+
+    def test_batched_check_names_each_bad_matrix(self):
+        good = np.full((2, 2), 0.5, dtype=complex)
+        stack = np.array([[good, np.eye(2, dtype=complex)], [good, np.diag([1.5, -0.5]).astype(complex)]])
+        errors = density_matrix_errors(stack)
+        assert errors.shape == (2, 2)
+        assert errors[0, 0] is None and errors[1, 0] is None
+        assert "trace" in errors[0, 1]
+        assert "eigenvalue" in errors[1, 1]
 
 
 class TestPropagate:

@@ -258,6 +258,19 @@ class TestQfiAt:
         result = qfi_at(ScenarioSpec(kind="coop-spont", **FIG2), 1.0)
         assert result.fd_step == pytest.approx(1e-5)
 
+    def test_small_field_stencil_stays_off_zero(self):
+        # The default step 1e-5 would put the stencil across b_z = 0, where
+        # the cooperative kinds are undefined; it is capped at |b_z|/2.
+        result = qfi_at(ScenarioSpec(kind="coop-spont", b_z=5e-6, b_x=0.1, gamma=0.5), 1.0)
+        assert result.fd_step == 2.5e-6
+        assert result.value == pytest.approx(analytic_coop_spont_qfi(5e-6, 0.1, 0.5, 1.0), rel=1e-9)
+
+    def test_small_field_without_control_matches_standard(self):
+        coop = qfi_at(ScenarioSpec(kind="coop-spont", b_z=3e-6, b_x=0.0, gamma=0.5), 1.0)
+        std = qfi_at(ScenarioSpec(kind="std-spont", b_z=3e-6, gamma=0.5), 1.0)
+        assert std.value == pytest.approx(standard_limit_formulas("spont", 0.5, 1.0), rel=1e-9)
+        assert coop.value == pytest.approx(std.value, rel=1e-12)
+
 
 class TestTaylorCoefficients:
     def test_reference_values(self):

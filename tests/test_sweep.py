@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import coopmetro.scenarios as scenarios
 from coopmetro.linalg import eigh
-from coopmetro.qfi import differentiate_pure_state, qfi_pure
+from coopmetro.qfi import differentiate_pure_state, differentiate_state, qfi_pure, qfi_qubit, qfi_sld
 from coopmetro.scenarios import (
     ScenarioSpec,
     analytic_coop_spont_qfi,
     controlled_hamiltonian,
     effective_two_spin_ground_qfi,
+    qfi_at,
+    qfi_grid,
+    state_family,
     tradeoff_width,
 )
 from coopmetro.sweep import SweepGrid, find_region, maximize_qfi, scenario_objective, sweep
@@ -77,6 +82,82 @@ class TestSweep:
         monkeypatch.setenv("COOPMETRO_THREADS", "many")
         with pytest.raises(ValueError):
             sweep(COOP, SweepGrid("t", 0.1, 1.0, 3))
+
+
+# Every kind, with the relative tolerance of the grid walk against pointwise
+# propagation: the two-spin derivative sits at a higher FD noise floor.
+GRID_CASES = [
+    (ScenarioSpec(kind="std-spont", b_z=0.1, gamma=0.5), SweepGrid("t", 0.0, 5.0, 11), 1e-8),
+    (ScenarioSpec(kind="coop-spont", b_z=0.1, b_x=0.1, gamma=0.5), SweepGrid("t", 0.3, 5.0, 8), 1e-8),
+    (ScenarioSpec(kind="std-deph", b_z=0.2, eta=0.4), SweepGrid("t", 0.0, 4.0, 9), 1e-8),
+    (ScenarioSpec(kind="coop-deph", b_z=0.1, b_x=0.1, eta=0.5), SweepGrid("t", 0.0, 5.0, 11), 1e-8),
+    (ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=2.0, t_e=0.1), SweepGrid("t", 0.0, 5.0, 11), 1e-8),
+    (ScenarioSpec(kind="two-spin-coop", b_z=1.0, b_x=0.1, dipole=10.0), SweepGrid("t", 0.0, 1.0, 5), 1e-6),
+    (ScenarioSpec(kind="unitary-baseline", b_z=0.1, n_spins=1), SweepGrid("t", 0.2, 2.0, 7), 1e-8),
+    (ScenarioSpec(kind="unitary-baseline", b_z=0.3, n_spins=2), SweepGrid("t", 0.0, 2.0, 5), 1e-8),
+]
+
+
+def pointwise_qfi(spec: ScenarioSpec, t: float, h: float) -> float:
+    """Reference: one propagation per stencil point, no time grid."""
+    family = state_family(spec, t)
+    rho = family.evaluate(spec.b_z)
+    formula = qfi_qubit if rho.shape[0] == 2 else qfi_sld
+    return formula(rho, differentiate_state(family, h)).value
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("spec, grid, rtol", GRID_CASES, ids=lambda c: getattr(c, "kind", ""))
+    def test_matches_pointwise_propagation(self, spec, grid, rtol):
+        points = sweep(spec, grid)
+        for p in points:
+            assert p.error is None
+            reference = pointwise_qfi(spec, p.value, p.result.fd_step)
+            assert p.result.value == pytest.approx(reference, rel=rtol, abs=1e-12)
+
+    def test_negative_times_fail_alone(self):
+        points = sweep(COOP, SweepGrid("t", -1.0, 1.0, 5))
+        assert [p.error for p in points[:2]] == [
+            "ValueError: time must be >= 0, got -1.0",
+            "ValueError: time must be >= 0, got -0.5",
+        ]
+        for p in points[2:]:
+            assert p.error is None
+            assert p.result.value == pytest.approx(qfi_at(COOP, p.value).value, rel=1e-8, abs=1e-12)
+
+    def test_rejects_uneven_or_descending_times(self):
+        for times in ([0.1, 0.2, 0.5], [1.0, 0.5, 0.0]):
+            with pytest.raises(ValueError, match="evenly spaced"):
+                qfi_grid(COOP, times)
+
+    def test_invariant_failure_fails_only_its_point(self, monkeypatch):
+        grid = SweepGrid("t", 0.5, 2.5, 5)
+        clean = sweep(COOP, grid)
+        walk = scenarios._walk
+
+        def corrupted(*args):
+            states = walk(*args).copy()
+            states[3, 2] *= 1.5  # trace 1.5 for one stencil model at t = 1.5
+            return states
+
+        monkeypatch.setattr(scenarios, "_walk", corrupted)
+        points = sweep(COOP, grid)
+        assert points[2].result is None
+        assert points[2].error.startswith(
+            "NumericalFailureError: propagation to t=1.5 lost state invariants: density matrix trace"
+        )
+        assert points[:2] + points[3:] == clean[:2] + clean[3:]
+
+    @pytest.mark.parametrize("n_points", (3, 60))
+    def test_two_exponentials_per_stencil_model(self, monkeypatch, n_points):
+        calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(m.shape) or expm(m))
+        sweep(COOP, SweepGrid("t", 0.5, 5.0, n_points))
+        assert len(calls) == 10
+        calls.clear()
+        sweep(COOP, SweepGrid("t", 0.0, 5.0, n_points))  # e^{L 0} = I needs no exponential
+        assert len(calls) == 5
 
 
 class TestFindRegion:

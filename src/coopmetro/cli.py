@@ -10,7 +10,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from typing import get_args
 
 from .scenarios import (
     InvalidScenarioError,
@@ -23,18 +24,29 @@ from .scenarios import (
     standard_limit_formulas,
     tradeoff_width,
 )
-from .sweep import SweepGrid, find_region, maximize_qfi, scenario_objective, sweep
+from .sweep import SWEEP_AXES, SweepGrid, find_region, maximize_qfi, scenario_objective, sweep
 
 __all__ = ["UsageError", "RunConfig", "parse_config", "report_bound", "emit_figure", "main"]
 
-COMMANDS = ("run", "sweep", "region", "maximize", "tradeoff", "figure")
+# The keys each command requires; sweep and maximize also require 't'
+# unless they sweep it.
+_REQUIRED = {
+    "run": ("kind", "t"),
+    "sweep": ("kind", "axis", "from_", "to", "points"),
+    "region": ("kind", "from_", "to", "t"),
+    "maximize": ("kind", "axis", "from_", "to"),
+    "tradeoff": ("b_x", "t"),
+    "figure": ("figure", "out"),
+}
+COMMANDS = tuple(_REQUIRED)
 FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "figA1")
 FORMATS = ("csv", "json")
 
-_FLOAT_KEYS = ("b_z", "b_x", "gamma", "eta", "dipole", "t_e", "t", "from", "to")
-_INT_KEYS = ("m", "points", "n_spins")
-_STR_KEYS = ("command", "kind", "axis", "figure", "out", "format")
-_SCENARIO_KEYS = ("kind", "b_z", "b_x", "gamma", "eta", "dipole", "t_e", "n_spins")
+_SCENARIO_KEYS = tuple(f.name for f in fields(ScenarioSpec))
+
+# What a config-file value of each field type must be: its name in messages
+# and the JSON value types accepted (bools excluded).
+_JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", int), str: ("a string", str)}
 
 
 class UsageError(ValueError):
@@ -50,7 +62,10 @@ def _key(name: str) -> str:
 class RunConfig:
     """Validated inputs of one CLI invocation.
 
-    `from_`/`to` are the grid bounds (config key "from" is a Python keyword).
+    Each field declares one CLI key: the config-file key and, except for
+    the positional command, the flag `--<key>`, both of the field's type,
+    with argparse `choices` and `help` from its metadata.  `from_`/`to` are
+    the grid bounds (config key "from" is a Python keyword).
     """
 
     command: str
@@ -64,38 +79,39 @@ class RunConfig:
     n_spins: int | None = None
     t: float | None = None
     m: int = 1
-    axis: str | None = None
+    axis: str | None = field(default=None, metadata={"choices": SWEEP_AXES})
     from_: float | None = None
     to: float | None = None
     points: int | None = None
-    figure: str | None = None
-    out: str | None = None
-    format: str = "csv"
+    figure: str | None = field(default=None, metadata={"choices": FIGURE_IDS})
+    out: str | None = field(default=None, metadata={"help": "output path (default: stdout; required for figure)"})
+    format: str = field(default="csv", metadata={"choices": FORMATS})
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            out[_key(f.name)] = value
-        return out
+        values = {_key(f.name): getattr(self, f.name) for f in fields(self)}
+        return {key: value for key, value in values.items() if value is not None}
 
 
-def _coerce(key: str, value):
-    if key in _FLOAT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise UsageError(f"config key '{key}' must be a number, got {value!r}")
-        return float(value)
-    if key in _INT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise UsageError(f"config key '{key}' must be an integer, got {value!r}")
-        return value
-    if key in _STR_KEYS:
-        if not isinstance(value, str):
-            raise UsageError(f"config key '{key}' must be a string, got {value!r}")
-        return value
-    raise UsageError(f"unknown config key '{key}'")
+# The field name of each config key, the type of each field without its None
+# (float, int or str), and the argparse flag and keywords of each option.
+_NAMES = {_key(f.name): f.name for f in fields(RunConfig)}
+_TYPES = {f.name: next((t for t in get_args(f.type) if t is not type(None)), f.type) for f in fields(RunConfig)}
+_OPTIONS = [
+    (f"--{_key(f.name)}", {"dest": f.name, "type": _TYPES[f.name], **f.metadata})
+    for f in fields(RunConfig)
+    if f.name != "command"
+]
+
+
+def _coerce(key: str, value) -> tuple[str, object]:
+    """(field name, value) of one config-file entry."""
+    if key not in _NAMES:
+        raise UsageError(f"unknown config key '{key}'")
+    name = _NAMES[key]
+    noun, accepted = _JSON_TYPES[_TYPES[name]]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise UsageError(f"config key '{key}' must be {noun}, got {value!r}")
+    return name, _TYPES[name](value)
 
 
 def _load_config_file(path: str) -> dict:
@@ -108,7 +124,7 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"malformed JSON in config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    return {key: _coerce(key, value) for key, value in raw.items()}
+    return dict(_coerce(key, value) for key, value in raw.items())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,64 +134,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", nargs="?", choices=COMMANDS)
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--out", help="output path (default: stdout; required for figure)")
-    parser.add_argument("--format", choices=FORMATS)
-    parser.add_argument("--kind")
-    parser.add_argument("--b_z", type=float)
-    parser.add_argument("--b_x", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--dipole", type=float)
-    parser.add_argument("--t_e", type=float)
-    parser.add_argument("--n_spins", type=int)
-    parser.add_argument("--t", type=float)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--axis", choices=("b_z", "b_x", "t"))
-    parser.add_argument("--from", dest="from_", type=float)
-    parser.add_argument("--to", type=float)
-    parser.add_argument("--points", type=int)
-    parser.add_argument("--figure", choices=FIGURE_IDS)
+    for flag, keywords in _OPTIONS:
+        parser.add_argument(flag, **keywords)
     return parser
 
 
 def parse_config(argv=None) -> RunConfig:
     """Merge config file and flags into a validated RunConfig."""
-    namespace = _build_parser().parse_args(argv)
-    merged: dict = {}
-    if namespace.config:
-        merged.update(_load_config_file(namespace.config))
-    for f in fields(RunConfig):
-        key = _key(f.name)
-        flag_value = getattr(namespace, f.name, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+    flags = vars(_build_parser().parse_args(argv))
+    path = flags.pop("config")
+    merged = _load_config_file(path) if path else {}
+    merged.update((name, value) for name, value in flags.items() if value is not None)
     if "command" not in merged:
         raise UsageError("missing required key 'command'")
-    kwargs = {}
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        key = _key(f.name)
-        if key in merged:
-            kwargs[f.name] = merged[key]
-    config = RunConfig(command=merged["command"], **kwargs)
+    config = RunConfig(**merged)
     _validate(config)
     return config
 
 
-def _require(config: RunConfig, *names: str):
-    for name in names:
-        key = _key(name)
-        if getattr(config, name) is None:
-            raise UsageError(f"missing required key '{key}' for command '{config.command}'")
-
-
 def _scenario(config: RunConfig) -> ScenarioSpec:
-    kwargs = {k: getattr(config, k) for k in _SCENARIO_KEYS if getattr(config, k) is not None}
+    """The ScenarioSpec of the config; a scenario key or a swept axis that
+    its kind does not read is a usage error."""
+    given = {k: getattr(config, k) for k in _SCENARIO_KEYS if getattr(config, k) is not None}
     try:
-        return ScenarioSpec(**kwargs)
+        spec = ScenarioSpec(**given)
     except InvalidScenarioError as exc:
         raise UsageError(str(exc)) from exc
+    for what, name in [("key", k) for k in given if k != "kind"] + [("axis", config.axis)]:
+        if name in _SCENARIO_KEYS and name not in spec.parameters:
+            reads = ", ".join(spec.parameters)
+            raise UsageError(f"{what} '{name}' is not read by kind '{spec.kind}' (it reads {reads})")
+    return spec
 
 
 def _validate(config: RunConfig):
@@ -193,29 +182,16 @@ def _validate(config: RunConfig):
         raise UsageError(f"'points' must be >= 2, got {config.points}")
     if config.from_ is not None and config.to is not None and config.from_ >= config.to:
         raise UsageError(f"'from' must be < 'to', got [{config.from_}, {config.to}]")
-    command = config.command
-    if command == "run":
-        _require(config, "kind", "t")
+    required = _REQUIRED[config.command]
+    if "axis" in required and config.axis != "t":
+        required += ("t",)
+    for name in required:
+        if getattr(config, name) is None:
+            raise UsageError(f"missing required key '{_key(name)}' for command '{config.command}'")
+    if "kind" in required:
         _scenario(config)
-    elif command == "sweep":
-        _require(config, "kind", "axis", "from_", "to", "points")
-        if config.axis != "t":
-            _require(config, "t")
-        _scenario(config)
-    elif command == "region":
-        _require(config, "kind", "from_", "to", "t")
-        _scenario(config)
-    elif command == "maximize":
-        _require(config, "kind", "axis", "from_", "to")
-        if config.axis != "t":
-            _require(config, "t")
-        _scenario(config)
-    elif command == "tradeoff":
-        _require(config, "b_x", "t")
-        if not config.b_x > 0:
-            raise UsageError(f"'b_x' must be > 0 for command 'tradeoff', got {config.b_x}")
-    elif command == "figure":
-        _require(config, "figure", "out")
+    if config.command == "tradeoff" and not config.b_x > 0:
+        raise UsageError(f"'b_x' must be > 0 for command 'tradeoff', got {config.b_x}")
 
 
 def report_bound(f_q: float, m: int = 1) -> float:
@@ -242,8 +218,10 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _render(header: list[str], rows: list[dict], fmt: str) -> str:
+def _render(rows: list[dict], fmt: str) -> str:
+    """CSV (columns in the key order of the first row) or JSON text of the rows."""
     if fmt == "csv":
+        header = list(rows[0])
         lines = [",".join(header)]
         lines.extend(",".join(_format_cell(row.get(col)) for col in header) for row in rows)
         return "\n".join(lines) + "\n"
@@ -307,28 +285,23 @@ def _time_figure_rows(coop: ScenarioSpec, std: ScenarioSpec, formula_kind: str, 
 def figure_rows(figure_id: str) -> tuple[list[str], list[dict]]:
     """Header and rows of one figure's data set."""
     if figure_id == "fig2":
-        header = ["t", "f_coop", "f_std_numeric", "f_std_formula", "f_heisenberg"]
-        return header, _time_figure_rows(_FIG2_COOP, _FIG2_STD, "spont", _FIG2_COOP.gamma)
-    if figure_id == "fig3":
-        header = ["t", "f_coop", "f_std_numeric", "f_std_formula", "f_heisenberg"]
-        return header, _time_figure_rows(_FIG3_COOP, _FIG3_STD, "deph", _FIG3_COOP.eta)
-    if figure_id == "fig4":
-        header = ["t", "f_coop", "f_std_numeric", "f_std_formula", "f_heisenberg"]
+        rows = _time_figure_rows(_FIG2_COOP, _FIG2_STD, "spont", _FIG2_COOP.gamma)
+    elif figure_id == "fig3":
+        rows = _time_figure_rows(_FIG3_COOP, _FIG3_STD, "deph", _FIG3_COOP.eta)
+    elif figure_id == "fig4":
         # At b_x = 0 the thermal model reduces to spontaneous emission whose
         # rate is the b_x = 0 channel rate; the spont closed form applies.
         from .scenarios import build_model
 
         std_rate = build_model(_FIG4_STD).channels[0].rate
-        return header, _time_figure_rows(_FIG4_COOP, _FIG4_STD, "spont", std_rate)
-    if figure_id == "fig5":
-        header = ["b_z", "f_coop", "f_heisenberg"]
+        rows = _time_figure_rows(_FIG4_COOP, _FIG4_STD, "spont", std_rate)
+    elif figure_id == "fig5":
         f_coop = _figure_sweep(_FIG5_SPEC, _BZ_GRID, t=_FIG5_T)
-        return header, [
+        rows = [
             {"b_z": float(b_z), "f_coop": f, "f_heisenberg": heisenberg_limit(2, _FIG5_T)}
             for b_z, f in zip(_BZ_GRID.values(), f_coop)
         ]
-    if figure_id == "figA1":
-        header = ["b_z", "f_ground_exact", "f_ground_effective"]
+    elif figure_id == "figA1":
         rows = []
         for b_z in _BZ_GRID.values():
             b_z = float(b_z)
@@ -339,14 +312,14 @@ def figure_rows(figure_id: str) -> tuple[list[str], list[dict]]:
                     "f_ground_effective": effective_two_spin_ground_qfi(b_z, 0.1),
                 }
             )
-        return header, rows
-    raise ValueError(f"unknown figure id '{figure_id}'; expected one of {FIGURE_IDS}")
+    else:
+        raise ValueError(f"unknown figure id '{figure_id}'; expected one of {FIGURE_IDS}")
+    return list(rows[0]), rows
 
 
 def emit_figure(figure_id: str, out_path: str):
     """Write one figure's CSV data set to out_path."""
-    header, rows = figure_rows(figure_id)
-    _emit(_render(header, rows, "csv"), out_path)
+    _emit(_render(figure_rows(figure_id)[1], "csv"), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +331,6 @@ def _cmd_run(config: RunConfig) -> int:
     spec = _scenario(config)
     result = qfi_at(spec, config.t)
     bound = report_bound(result.value, config.m) if result.value > 0 else None
-    header = ["kind", "b_z", "t", "qfi", "method", "fd_step", "m", "bound"]
     rows = [
         {
             "kind": spec.kind,
@@ -371,7 +343,7 @@ def _cmd_run(config: RunConfig) -> int:
             "bound": bound,
         }
     ]
-    _emit(_render(header, rows, config.format), config.out)
+    _emit(_render(rows, config.format), config.out)
     return 0
 
 
@@ -379,7 +351,6 @@ def _cmd_sweep(config: RunConfig) -> int:
     spec = _scenario(config)
     grid = SweepGrid(config.axis, config.from_, config.to, config.points)
     points = sweep(spec, grid, t=config.t)
-    header = [grid.axis, "qfi", "method", "fd_step", "error"]
     rows = []
     failures = 0
     for point in points:
@@ -396,7 +367,7 @@ def _cmd_sweep(config: RunConfig) -> int:
                     "error": None,
                 }
             )
-    _emit(_render(header, rows, config.format), config.out)
+    _emit(_render(rows, config.format), config.out)
     if failures:
         for point in points:
             if point.error:
@@ -413,7 +384,6 @@ def _cmd_region(config: RunConfig) -> int:
         threshold,
         (config.from_, config.to),
     )
-    header = ["lower", "upper", "width", "threshold", "resolved"]
     rows = [
         {
             "lower": None if not region.resolved else region.lower,
@@ -423,7 +393,7 @@ def _cmd_region(config: RunConfig) -> int:
             "resolved": region.resolved,
         }
     ]
-    _emit(_render(header, rows, config.format), config.out)
+    _emit(_render(rows, config.format), config.out)
     return 0
 
 
@@ -432,18 +402,16 @@ def _cmd_maximize(config: RunConfig) -> int:
     t = config.t if config.t is not None else 0.0
     objective = scenario_objective(spec, t, config.axis)
     argmax, value = maximize_qfi(objective, [(config.from_, config.to)])
-    header = [config.axis, "qfi"]
     rows = [{config.axis: argmax, "qfi": value}]
-    _emit(_render(header, rows, config.format), config.out)
+    _emit(_render(rows, config.format), config.out)
     return 0
 
 
 def _cmd_tradeoff(config: RunConfig) -> int:
     f_max = 1.0 / (2.0 * config.b_x**2)
     width = tradeoff_width(f_max, config.t)
-    header = ["b_x", "t", "f_max", "width"]
     rows = [{"b_x": config.b_x, "t": config.t, "f_max": f_max, "width": width}]
-    _emit(_render(header, rows, config.format), config.out)
+    _emit(_render(rows, config.format), config.out)
     return 0
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "pauli",
     "identity",
     "tensor",
-    "dag",
     "hermitize",
     "herm_deviation",
     "is_hermitian",
@@ -62,10 +61,6 @@ def identity(dim: int) -> np.ndarray:
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; dim(a*b) = dim(a)*dim(b)."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def dag(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

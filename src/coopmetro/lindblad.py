@@ -118,8 +118,7 @@ class LindbladChannel:
 class LindbladModel:
     """Hamiltonian plus channels; immutable after construction.
 
-    The Liouvillian is computed lazily and cached.  For concurrent use,
-    touch `.liouvillian` once before sharing across threads.
+    The Liouvillian is computed on first access and kept with the model.
     """
 
     hamiltonian: np.ndarray

@@ -10,7 +10,7 @@ are error-prone.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "qfi_sld",
     "differentiate_state",
     "differentiate_pure_state",
+    "richardson_stencil",
     "fd_default_step",
 ]
 
@@ -121,24 +122,31 @@ def fd_default_step(b0: float) -> float:
     return 1e-5 * max(1.0, abs(b0))
 
 
-def differentiate_state(family: StateFamily, h: float | None = None) -> np.ndarray:
-    """d rho / db at family.b0 by Richardson-extrapolated central differences.
+def richardson_stencil(b0: float, h: float) -> tuple[tuple[float, ...], Callable[[Sequence], np.ndarray]]:
+    """The Richardson-extrapolated central difference at b0 with step h.
 
-    Combines the step-h and step-h/2 central estimates as (4 D_{h/2} - D_h)/3
-    and symmetrizes the result.
+    Returns the fields b0 - h, b0 + h, b0 - h/2, b0 + h/2 and the function
+    that combines the values there, in that order (a sequence or an array
+    stacked on its first axis), into (4 D_{h/2} - D_h)/3, with
+    D_s = (f(b0 + s) - f(b0 - s)) / 2s.
     """
-    b0 = family.b0
+
+    def derivative(values: Sequence) -> np.ndarray:
+        lo, hi, lo2, hi2 = (np.asarray(v, dtype=complex) for v in values)
+        d_h = (hi - lo) / (2.0 * h)
+        d_h2 = (hi2 - lo2) / (2.0 * (h / 2.0))
+        return (4.0 * d_h2 - d_h) / 3.0
+
+    return (b0 - h, b0 + h, b0 - h / 2.0, b0 + h / 2.0), derivative
+
+
+def differentiate_state(family: StateFamily, h: float | None = None) -> np.ndarray:
+    """d rho / db at family.b0 by Richardson-extrapolated central differences
+    (`richardson_stencil`), symmetrized."""
     if h is None:
-        h = fd_default_step(b0)
-    d_h = _central(family.evaluate, b0, h)
-    d_h2 = _central(family.evaluate, b0, h / 2.0)
-    return hermitize((4.0 * d_h2 - d_h) / 3.0)
-
-
-def _central(f, b0: float, h: float) -> np.ndarray:
-    hi = np.asarray(f(b0 + h), dtype=complex)
-    lo = np.asarray(f(b0 - h), dtype=complex)
-    return (hi - lo) / (2.0 * h)
+        h = fd_default_step(family.b0)
+    stencil, derivative = richardson_stencil(family.b0, h)
+    return hermitize(derivative([family.evaluate(b) for b in stencil]))
 
 
 def differentiate_pure_state(
@@ -153,10 +161,6 @@ def differentiate_pure_state(
     if h is None:
         h = fd_default_step(b0)
     psi0 = normalize(np.asarray(evaluate(b0), dtype=complex))
-
-    def aligned(b):
-        return phase_align(normalize(np.asarray(evaluate(b), dtype=complex)), psi0)
-
-    d_h = _central(aligned, b0, h)
-    d_h2 = _central(aligned, b0, h / 2.0)
-    return psi0, (4.0 * d_h2 - d_h) / 3.0
+    stencil, derivative = richardson_stencil(b0, h)
+    aligned = [phase_align(normalize(np.asarray(evaluate(b), dtype=complex)), psi0) for b in stencil]
+    return psi0, derivative(aligned)

@@ -12,7 +12,7 @@ is the eigenvector of the smaller eigenvalue.
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -31,16 +31,15 @@ from .qfi import (
     QfiResult,
     StateFamily,
     differentiate_pure_state,
-    differentiate_state,
     fd_default_step,
     qfi_pure,
     qfi_qubit,
     qfi_sld,
+    richardson_stencil,
 )
 
 __all__ = [
     "KINDS",
-    "COOP_KINDS",
     "InvalidScenarioError",
     "DegeneracyError",
     "OutOfRegimeError",
@@ -65,22 +64,14 @@ __all__ = [
     "tradeoff_width",
 ]
 
-KINDS = (
-    "std-spont",
-    "coop-spont",
-    "std-deph",
-    "coop-deph",
-    "coop-thermal",
-    "two-spin-coop",
-    "unitary-baseline",
-)
-COOP_KINDS = ("coop-spont", "coop-deph", "coop-thermal", "two-spin-coop")
-
 # Decay pairs (i, j) of the two-spin cool reservoir, 1-based with
 # E_1 < E_2 < E_3 < E_4: the jump |E_j><E_i| de-excites i -> j.
 TWO_SPIN_DECAY_PAIRS = ((4, 3), (4, 2), (3, 2), (3, 1))
 
 GROUND_DEGENERACY_TOL = 1e-9
+
+# Fields that no kind may read with a negative value.
+_NONNEGATIVE = ("b_x", "gamma", "eta", "dipole", "t_e")
 
 
 class InvalidScenarioError(ValueError):
@@ -114,43 +105,38 @@ class ScenarioSpec:
     n_spins: int = 1
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        entry = _KINDS.get(self.kind)
+        if entry is None:
             raise InvalidScenarioError(f"unknown scenario kind {self.kind!r}")
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise InvalidScenarioError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.kind in COOP_KINDS and self.b_z == 0.0:
+        if entry.cooperative and self.b_z == 0.0:
             raise InvalidScenarioError(
                 f"b_z must be nonzero for kind {self.kind!r} (the eigenbasis angle is undefined at b_z = 0)"
             )
-        if self.kind == "two-spin-coop" and not self.b_x > 0.0:
+        if entry.cooperative and entry.spins == 2 and not self.b_x > 0.0:
             raise InvalidScenarioError(
-                "b_x must be > 0 for kind 'two-spin-coop' (levels 2 and 3 are degenerate at b_x = 0)"
+                f"b_x must be > 0 for kind {self.kind!r} (levels 2 and 3 are degenerate at b_x = 0)"
             )
-        if self.kind in ("coop-spont", "coop-deph", "coop-thermal") and self.b_x < 0.0:
-            raise InvalidScenarioError(f"b_x must be >= 0, got {self.b_x}")
-        if self.kind in ("std-spont", "coop-spont") and self.gamma < 0.0:
-            raise InvalidScenarioError(f"gamma must be >= 0, got {self.gamma}")
-        if self.kind in ("std-deph", "coop-deph") and self.eta < 0.0:
-            raise InvalidScenarioError(f"eta must be >= 0, got {self.eta}")
-        if self.kind in ("coop-thermal", "two-spin-coop"):
-            if self.dipole < 0.0:
-                raise InvalidScenarioError(f"dipole must be >= 0, got {self.dipole}")
-            if self.t_e < 0.0:
-                raise InvalidScenarioError(f"t_e must be >= 0, got {self.t_e}")
-        if self.kind == "unitary-baseline" and self.n_spins not in (1, 2):
+        for name in entry.reads:
+            if name in _NONNEGATIVE and getattr(self, name) < 0.0:
+                raise InvalidScenarioError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if entry.spins is None and self.n_spins not in (1, 2):
             raise InvalidScenarioError(f"n_spins must be 1 or 2, got {self.n_spins}")
+
+    @property
+    def parameters(self) -> tuple[str, ...]:
+        """The fields that this kind reads, besides `kind`."""
+        return _KINDS[self.kind].reads
 
 
 _FLOAT_FIELDS = tuple(f.name for f in fields(ScenarioSpec) if f.type is float)
 
 
 def spin_count(spec: ScenarioSpec) -> int:
-    if spec.kind == "two-spin-coop":
-        return 2
-    if spec.kind == "unitary-baseline":
-        return spec.n_spins
-    return 1
+    spins = _KINDS[spec.kind].spins
+    return spec.n_spins if spins is None else spins
 
 
 def controlled_hamiltonian(b_z: float, b_x: float) -> np.ndarray:
@@ -187,80 +173,110 @@ def _field_basis(b_z: float, b_x: float) -> tuple[np.ndarray, np.ndarray]:
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|, decays |1> -> |0>
 
 
-@lru_cache(maxsize=512)
-def build_model(spec: ScenarioSpec) -> LindbladModel:
-    """Assemble the Lindblad model of the given scenario.
+def _std_spont(spec: ScenarioSpec) -> LindbladModel:
+    return LindbladModel(
+        hamiltonian=spec.b_z * pauli("z"),
+        channels=(LindbladChannel(spec.gamma, _LOWER),),
+    )
 
-    Memoized on the (frozen) spec so time sweeps reuse one model instance
-    and its cached Liouvillian; treat the returned model as read-only.
-    """
-    kind = spec.kind
-    if kind == "std-spont":
-        return LindbladModel(
-            hamiltonian=spec.b_z * pauli("z"),
-            channels=(LindbladChannel(spec.gamma, _LOWER),),
-        )
-    if kind == "std-deph":
-        # eta/2 (sigma_z rho sigma_z - rho) is the dissipator of jump sigma_z at rate eta/2.
-        return LindbladModel(
-            hamiltonian=spec.b_z * pauli("z"),
-            channels=(LindbladChannel(spec.eta / 2.0, pauli("z")),),
-        )
-    if kind == "coop-spont":
-        g, e = _field_basis(spec.b_z, spec.b_x)
-        return LindbladModel(
-            hamiltonian=controlled_hamiltonian(spec.b_z, spec.b_x),
-            channels=(LindbladChannel(spec.gamma, outer(g, e)),),
-        )
-    if kind == "coop-deph":
-        delta = math.hypot(spec.b_z, spec.b_x)
-        sigma_n = (spec.b_z * pauli("z") + spec.b_x * pauli("x")) / delta
-        return LindbladModel(
-            hamiltonian=controlled_hamiltonian(spec.b_z, spec.b_x),
-            channels=(LindbladChannel(spec.eta / 2.0, sigma_n),),
-        )
-    if kind == "coop-thermal":
-        g, e = _field_basis(spec.b_z, spec.b_x)
-        omega = 2.0 * math.hypot(spec.b_z, spec.b_x)
-        gamma0 = 4.0 * omega**3 * spec.dipole**2 / 3.0
-        # Bose occupation 1/(e^x - 1), written to underflow to 0 instead of
-        # overflowing for x = omega/t_e beyond ~709; t_e = 0 is x = inf.
-        x = math.inf if spec.t_e == 0.0 else omega / spec.t_e
-        occupation = math.exp(-x) / -math.expm1(-x)
-        channels = [LindbladChannel(gamma0 * (occupation + 1.0), outer(g, e))]
-        if occupation > 0.0:
-            channels.append(LindbladChannel(gamma0 * occupation, outer(e, g)))
-        return LindbladModel(
-            hamiltonian=controlled_hamiltonian(spec.b_z, spec.b_x),
-            channels=tuple(channels),
-        )
-    if kind == "two-spin-coop":
-        h = two_spin_hamiltonian(spec.b_z, spec.b_x)
-        system = eigh(h)
-        energies = system.values
-        channels = []
-        for i, j in TWO_SPIN_DECAY_PAIRS:
-            omega = energies[i - 1] - energies[j - 1]
-            rate = 4.0 * omega**3 * spec.dipole**2 / 3.0
-            channels.append(LindbladChannel(rate, outer(system.vector(j - 1), system.vector(i - 1))))
-        return LindbladModel(hamiltonian=h, channels=tuple(channels))
-    if kind == "unitary-baseline":
-        if spec.n_spins == 1:
-            h = spec.b_z * pauli("z")
-        else:
-            h = two_spin_hamiltonian(spec.b_z, 0.0)
-        return LindbladModel(hamiltonian=h, channels=())
-    raise InvalidScenarioError(f"unknown scenario kind {kind!r}")
+
+def _std_deph(spec: ScenarioSpec) -> LindbladModel:
+    # eta/2 (sigma_z rho sigma_z - rho) is the dissipator of jump sigma_z at rate eta/2.
+    return LindbladModel(
+        hamiltonian=spec.b_z * pauli("z"),
+        channels=(LindbladChannel(spec.eta / 2.0, pauli("z")),),
+    )
+
+
+def _coop_spont(spec: ScenarioSpec) -> LindbladModel:
+    g, e = _field_basis(spec.b_z, spec.b_x)
+    return LindbladModel(
+        hamiltonian=controlled_hamiltonian(spec.b_z, spec.b_x),
+        channels=(LindbladChannel(spec.gamma, outer(g, e)),),
+    )
+
+
+def _coop_deph(spec: ScenarioSpec) -> LindbladModel:
+    delta = math.hypot(spec.b_z, spec.b_x)
+    sigma_n = (spec.b_z * pauli("z") + spec.b_x * pauli("x")) / delta
+    return LindbladModel(
+        hamiltonian=controlled_hamiltonian(spec.b_z, spec.b_x),
+        channels=(LindbladChannel(spec.eta / 2.0, sigma_n),),
+    )
+
+
+def _coop_thermal(spec: ScenarioSpec) -> LindbladModel:
+    g, e = _field_basis(spec.b_z, spec.b_x)
+    omega = 2.0 * math.hypot(spec.b_z, spec.b_x)
+    gamma0 = 4.0 * omega**3 * spec.dipole**2 / 3.0
+    # Bose occupation 1/(e^x - 1), written to underflow to 0 instead of
+    # overflowing for x = omega/t_e beyond ~709; t_e = 0 is x = inf.
+    x = math.inf if spec.t_e == 0.0 else omega / spec.t_e
+    occupation = math.exp(-x) / -math.expm1(-x)
+    channels = [LindbladChannel(gamma0 * (occupation + 1.0), outer(g, e))]
+    if occupation > 0.0:
+        channels.append(LindbladChannel(gamma0 * occupation, outer(e, g)))
+    return LindbladModel(
+        hamiltonian=controlled_hamiltonian(spec.b_z, spec.b_x),
+        channels=tuple(channels),
+    )
+
+
+def _two_spin_coop(spec: ScenarioSpec) -> LindbladModel:
+    h = two_spin_hamiltonian(spec.b_z, spec.b_x)
+    system = eigh(h)
+    energies = system.values
+    channels = []
+    for i, j in TWO_SPIN_DECAY_PAIRS:
+        omega = energies[i - 1] - energies[j - 1]
+        rate = 4.0 * omega**3 * spec.dipole**2 / 3.0
+        channels.append(LindbladChannel(rate, outer(system.vector(j - 1), system.vector(i - 1))))
+    return LindbladModel(hamiltonian=h, channels=tuple(channels))
+
+
+def _unitary_baseline(spec: ScenarioSpec) -> LindbladModel:
+    if spec.n_spins == 1:
+        h = spec.b_z * pauli("z")
+    else:
+        h = two_spin_hamiltonian(spec.b_z, 0.0)
+    return LindbladModel(hamiltonian=h, channels=())
+
+
+class _Kind(NamedTuple):
+    """What one scenario kind reads, what it requires and how its model is built."""
+
+    reads: tuple[str, ...]  # the ScenarioSpec fields it consults, besides kind
+    build: Callable[[ScenarioSpec], LindbladModel]
+    spins: int | None = 1  # None: the spec's n_spins, 1 or 2
+    # Channels in the eigenbasis of the controlled Hamiltonian: b_z = 0 leaves
+    # that basis undefined, so b_z != 0 is required and the default FD step is
+    # capped at |b_z|/2 to keep the stencil off it.  With two spins, levels 2
+    # and 3 are degenerate at b_x = 0, so b_x > 0 is required too.
+    cooperative: bool = False
+
+
+_KINDS = {
+    "std-spont": _Kind(("b_z", "gamma"), _std_spont),
+    "coop-spont": _Kind(("b_z", "b_x", "gamma"), _coop_spont, cooperative=True),
+    "std-deph": _Kind(("b_z", "eta"), _std_deph),
+    "coop-deph": _Kind(("b_z", "b_x", "eta"), _coop_deph, cooperative=True),
+    "coop-thermal": _Kind(("b_z", "b_x", "dipole", "t_e"), _coop_thermal, cooperative=True),
+    "two-spin-coop": _Kind(("b_z", "b_x", "dipole"), _two_spin_coop, spins=2, cooperative=True),
+    "unitary-baseline": _Kind(("b_z", "n_spins"), _unitary_baseline, spins=None),
+}
+KINDS = tuple(_KINDS)
+
+
+def build_model(spec: ScenarioSpec) -> LindbladModel:
+    """Assemble the Lindblad model of the given scenario."""
+    return _KINDS[spec.kind].build(spec)
 
 
 def probe_state(spec: ScenarioSpec) -> np.ndarray:
     """(|0>+|1>)/sqrt(2) for one spin, (|00>+|11>)/sqrt(2) for two."""
-    if spin_count(spec) == 1:
-        return np.full((2, 2), 0.5, dtype=complex)
-    rho = np.zeros((4, 4), dtype=complex)
-    for i in (0, 3):
-        for j in (0, 3):
-            rho[i, j] = 0.5
+    dim = 2 ** spin_count(spec)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[np.ix_((0, -1), (0, -1))] = 0.5
     return rho
 
 
@@ -281,10 +297,10 @@ def state_family(spec: ScenarioSpec, t: float) -> StateFamily:
 
 
 def _fd_step(spec: ScenarioSpec) -> float:
-    """`fd_default_step(b_z)`, capped at |b_z|/2 for the kinds undefined at
-    b_z = 0 so that the difference stencil never reaches it."""
+    """`fd_default_step(b_z)`, capped at |b_z|/2 for the cooperative kinds
+    (undefined at b_z = 0) so that the difference stencil never reaches it."""
     step = fd_default_step(spec.b_z)
-    if spec.kind in COOP_KINDS:
+    if _KINDS[spec.kind].cooperative:
         step = min(step, abs(spec.b_z) / 2.0)
     return step
 
@@ -324,8 +340,8 @@ def qfi_grid(
     that concern the whole grid (non-finite or uneven times, an invalid
     stencil model) are raised.
 
-    The five Richardson stencil models b_z + {-h, -h/2, 0, h/2, h} are
-    exponentiated twice each whatever the number of points (see `_walk`), and
+    The model at b_z and the four Richardson stencil models b_z + {-h, h,
+    -h/2, h/2} are exponentiated twice each whatever the number of points (see `_walk`), and
     their states are checked in one batched call.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -341,14 +357,11 @@ def qfi_grid(
         return outcomes
     probe = validate_density_matrix(probe_state(spec))
     step = h if h is not None else _fd_step(spec)
-    b0 = spec.b_z
-    # The same arithmetic as differentiate_state, so its lookups hit these keys.
-    stencil = (b0 - step, b0 - step / 2.0, b0, b0 + step / 2.0, b0 + step)
-    models = [build_model(replace(spec, b_z=b)) for b in stencil]
+    stencil, derivative = richardson_stencil(spec.b_z, step)
+    models = [build_model(replace(spec, b_z=b)) for b in (spec.b_z, *stencil)]
     states = _walk(models, probe, float(times[first]), dt, len(times) - first)
     errors = density_matrix_errors(states)
-    by_field = dict(zip(stencil, states))
-    drho = differentiate_state(StateFamily(evaluate=by_field.__getitem__, b0=b0), step)
+    drho = hermitize(derivative(states[1:]))
     qfi = qfi_qubit if probe.shape[0] == 2 else qfi_sld
     for j, k in enumerate(range(first, len(times))):
         error = next((e for e in errors[:, j] if e is not None), None)
@@ -356,7 +369,7 @@ def qfi_grid(
             outcomes[k] = NumericalFailureError(f"propagation to t={times[k]} lost state invariants: {error}")
             continue
         try:
-            result = qfi(states[2, j], drho[j])
+            result = qfi(states[0, j], drho[j])
         except ValueError as exc:  # recorded, not raised: keep the other points
             outcomes[k] = exc
             continue

@@ -75,13 +75,19 @@ class RegionResult:
     resolved: bool
 
 
-def scenario_objective(spec: ScenarioSpec, t: float, axis: str = "b_z") -> Callable[[float], float]:
-    """Scalar objective value |-> QFI for sweeps/optimization over one axis."""
+def _qfi_along(spec: ScenarioSpec, t: float | None, axis: str) -> Callable[[float], QfiResult]:
+    """value |-> QfiResult of the scenario with `axis` set to value."""
     if axis == "t":
-        return lambda v: qfi_at(spec, float(v)).value
+        return lambda v: qfi_at(spec, float(v))
     if axis not in ("b_z", "b_x"):
         raise ValueError(f"unknown axis {axis!r}")
-    return lambda v: qfi_at(replace(spec, **{axis: float(v)}), t).value
+    return lambda v: qfi_at(replace(spec, **{axis: float(v)}), t)
+
+
+def scenario_objective(spec: ScenarioSpec, t: float, axis: str = "b_z") -> Callable[[float], float]:
+    """Scalar objective value |-> QFI for sweeps/optimization over one axis."""
+    evaluate = _qfi_along(spec, t, axis)
+    return lambda v: evaluate(v).value
 
 
 def _max_workers(explicit: int | None) -> int:
@@ -125,9 +131,11 @@ def sweep(
             outcomes = [exc] * len(values)
         return [_point(v, o) for v, o in zip(values, outcomes)]
 
+    evaluate = _qfi_along(spec, t, grid.axis)
+
     def point(v: float) -> SweepPoint:
         try:
-            return _point(v, qfi_at(replace(spec, **{grid.axis: v}), t))
+            return _point(v, evaluate(v))
         except Exception as exc:  # recorded, not raised: keep the sweep going
             return _point(v, exc)
 
@@ -137,13 +145,13 @@ def sweep(
     return [point(v) for v in values]
 
 
-def _bisect_crossing(f, lo: float, hi: float, threshold: float, xtol: float) -> float:
-    f_hi = f(hi) - threshold
+def _bisect_crossing(f, lo: float, hi: float, f_hi: float, threshold: float, xtol: float) -> float:
+    """Bisect [lo, hi] to where f crosses the threshold; f_hi is the known f(hi)."""
+    hi_above = f_hi - threshold > 0.0
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid) - threshold
-        if (f_mid > 0.0) == (f_hi > 0.0):
-            hi, f_hi = mid, f_mid
+        if (f(mid) - threshold > 0.0) == hi_above:
+            hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
@@ -181,8 +189,11 @@ def find_region(
     j = peak
     while j < prescan - 1 and above[j + 1]:
         j += 1
-    lower = float(xs[0]) if i == 0 else _bisect_crossing(objective, float(xs[i - 1]), float(xs[i]), threshold, xtol)
-    upper = float(xs[-1]) if j == prescan - 1 else _bisect_crossing(objective, float(xs[j]), float(xs[j + 1]), threshold, xtol)
+    lower, upper = float(xs[0]), float(xs[-1])
+    if i > 0:
+        lower = _bisect_crossing(objective, float(xs[i - 1]), float(xs[i]), vals[i], threshold, xtol)
+    if j < prescan - 1:
+        upper = _bisect_crossing(objective, float(xs[j]), float(xs[j + 1]), vals[j + 1], threshold, xtol)
     return RegionResult(lower=lower, upper=upper, threshold=threshold, resolved=True)
 
 

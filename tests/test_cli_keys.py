@@ -1,0 +1,92 @@
+"""The CLI keys declared by RunConfig, and the scenario keys each kind reads."""
+
+import json
+from dataclasses import fields
+
+import pytest
+
+from coopmetro.cli import RunConfig, main, parse_config
+from coopmetro.scenarios import KINDS, ScenarioSpec
+
+# Valid configurations that together set every RunConfig field.
+CONFIGS = [
+    {"command": "run", "kind": "coop-thermal", "b_z": 0.3, "b_x": 0.1, "dipole": 2.0, "t_e": 0.1,
+     "t": 1.0, "m": 5, "format": "json", "out": "run.json"},
+    {"command": "sweep", "kind": "coop-spont", "b_z": 0.1, "b_x": 0.1, "gamma": 0.5, "t": 1.0,
+     "axis": "b_x", "from": 0.05, "to": 0.5, "points": 3},
+    {"command": "run", "kind": "coop-deph", "b_z": 0.1, "b_x": 0.1, "eta": 0.5, "t": 1.0},
+    {"command": "run", "kind": "unitary-baseline", "b_z": 0.1, "n_spins": 2, "t": 1.0},
+    {"command": "figure", "figure": "fig2", "out": "fig2.csv"},
+]
+
+# Per kind, the scenario parameters it reads, at values it accepts.
+KIND_FLAGS = {
+    "std-spont": {"b_z": 0.1, "gamma": 0.5},
+    "coop-spont": {"b_z": 0.1, "b_x": 0.1, "gamma": 0.5},
+    "std-deph": {"b_z": 0.1, "eta": 0.5},
+    "coop-deph": {"b_z": 0.1, "b_x": 0.1, "eta": 0.5},
+    "coop-thermal": {"b_z": 0.3, "b_x": 0.1, "dipole": 2.0, "t_e": 0.1},
+    "two-spin-coop": {"b_z": 1.0, "b_x": 0.1, "dipole": 10.0},
+    "unitary-baseline": {"b_z": 0.1, "n_spins": 2},
+}
+
+
+def flags(config: dict) -> list[str]:
+    argv = [config["command"]]
+    for key, value in config.items():
+        if key != "command":
+            argv += [f"--{key}", str(value)]
+    return argv
+
+
+def test_configs_cover_every_field():
+    keys = {"from" if f.name == "from_" else f.name for f in fields(RunConfig)}
+    assert set().union(*CONFIGS) == keys
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c['command']}-{c.get('kind', c.get('figure'))}")
+def test_every_key_as_flag_and_config_key(config, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    from_flags = parse_config(flags(config))
+    assert parse_config(["--config", str(path)]) == from_flags
+    parsed = from_flags.to_dict()
+    for key, value in config.items():
+        assert parsed[key] == value and type(parsed[key]) is type(value)
+
+
+def test_kind_flags_match_kind_parameters():
+    assert set(KIND_FLAGS) == set(KINDS)
+    for kind, params in KIND_FLAGS.items():
+        assert set(params) == set(ScenarioSpec(kind=kind, **params).parameters)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_with_exactly_the_read_keys(kind, capsys):
+    assert main(flags({"command": "run", "kind": kind, **KIND_FLAGS[kind], "t": 1.0})) == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unread_key_is_usage_error(kind, capsys):
+    unread = next(f.name for f in fields(ScenarioSpec) if f.name not in ("kind", *KIND_FLAGS[kind]))
+    value = 2 if unread == "n_spins" else 0.1
+    argv = flags({"command": "run", "kind": kind, **KIND_FLAGS[kind], unread: value, "t": 1.0})
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"'{unread}'" in err and f"'{kind}'" in err
+
+
+def test_unread_config_key_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "run", "kind": "std-spont", "b_z": 0.1, "gamma": 0.5,
+                                "dipole": 1.0, "t": 1.0}))
+    assert main(["--config", str(path)]) == 2
+    assert "key 'dipole' is not read by kind 'std-spont'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "maximize"])
+def test_bx_axis_on_kind_without_bx_is_usage_error(command, capsys):
+    argv = [command, "--kind", "std-deph", "--b_z", "0.1", "--eta", "0.5", "--t", "1",
+            "--axis", "b_x", "--from", "0", "--to", "1", "--points", "3"]
+    assert main(argv) == 2
+    assert "axis 'b_x' is not read by kind 'std-deph'" in capsys.readouterr().err

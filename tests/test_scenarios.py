@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import figure_scenarios
 from coopmetro.linalg import eigh, identity, outer, pauli, tensor
 from coopmetro.scenarios import (
+    KINDS,
     DegeneracyError,
     InvalidScenarioError,
     OutOfRegimeError,
@@ -19,6 +21,7 @@ from coopmetro.scenarios import (
     heisenberg_limit,
     probe_state,
     qfi_at,
+    spin_count,
     standard_limit_formulas,
     taylor_coefficients,
     tradeoff_width,
@@ -56,6 +59,34 @@ class TestSpecValidation:
     def test_irrelevant_fields_ignored(self):
         # std-spont consults only b_z and gamma
         ScenarioSpec(kind="std-spont", b_z=0.1, gamma=0.5, eta=-3.0, dipole=-1.0)
+
+
+# Every kind with every field set; a kind reads only its own.
+ALL_FIELDS = dict(b_z=0.7, b_x=0.1, gamma=0.5, eta=0.5, dipole=1.0, t_e=0.1)
+
+
+class TestKindTable:
+    @pytest.mark.parametrize("kind,n_spins", [(kind, 1) for kind in KINDS] + [("unitary-baseline", 2)])
+    def test_model_and_probe_dimensions(self, kind, n_spins):
+        spec = ScenarioSpec(kind=kind, n_spins=n_spins, **ALL_FIELDS)
+        dim = 2 ** spin_count(spec)
+        assert build_model(spec).dim == dim
+        assert probe_state(spec).shape == (dim, dim)
+
+    def test_spin_counts(self):
+        counts = {kind: spin_count(ScenarioSpec(kind=kind, **ALL_FIELDS)) for kind in KINDS}
+        assert counts == {kind: 1 for kind in KINDS} | {"two-spin-coop": 2}
+        assert spin_count(ScenarioSpec(kind="unitary-baseline", n_spins=2)) == 2
+
+    def test_parameters_are_spec_fields(self):
+        names = {f.name for f in fields(ScenarioSpec)} - {"kind"}
+        for kind in KINDS:
+            parameters = ScenarioSpec(kind=kind, **ALL_FIELDS).parameters
+            assert "b_z" in parameters and set(parameters) <= names
+
+    def test_two_spin_ignores_temperature(self):
+        # two-spin-coop does not read t_e, so a negative one is not checked
+        ScenarioSpec(kind="two-spin-coop", b_z=1.0, b_x=0.1, dipole=10.0, t_e=-1.0)
 
 
 class TestBuildModel:

@@ -184,6 +184,18 @@ class TestFindRegion:
         assert region.resolved
         assert region.lower == 0.0 and region.upper == 1.0
 
+    def test_evaluates_no_point_twice(self):
+        calls = []
+
+        def objective(b):
+            calls.append(b)
+            return effective_two_spin_ground_qfi(b, 0.1)
+
+        region = find_region(objective, 16.0, (0.5, 1.5))
+        assert region.resolved
+        assert len(calls) == len(set(calls))
+        assert region.upper - region.lower == pytest.approx(tradeoff_width(50.0, 1.0), abs=1e-3)
+
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
             find_region(lambda x: x, 1.0, (1.0, 0.0))

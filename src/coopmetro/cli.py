@@ -2,20 +2,21 @@
 
 Configuration comes from a JSON file (--config) and/or flags; flags override
 file values.  Commands: run | sweep | region | maximize | tradeoff | figure.
-Figure CSVs are deterministic: fixed grids, values printed with 12
-significant digits, newline-terminated rows.
+Figure data sets are deterministic: fixed grids; in CSV, values printed
+with 12 significant digits and newline-terminated rows.
 """
 
 import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import get_args
 
 from .scenarios import (
     InvalidScenarioError,
     ScenarioSpec,
+    build_model,
     effective_two_spin_ground_qfi,
     exact_two_spin_ground_qfi,
     heisenberg_limit,
@@ -27,20 +28,6 @@ from .scenarios import (
 from .sweep import SWEEP_AXES, SweepGrid, find_region, maximize_qfi, scenario_objective, sweep
 
 __all__ = ["UsageError", "RunConfig", "parse_config", "report_bound", "emit_figure", "main"]
-
-# The keys each command requires; sweep and maximize also require 't'
-# unless they sweep it.
-_REQUIRED = {
-    "run": ("kind", "t"),
-    "sweep": ("kind", "axis", "from_", "to", "points"),
-    "region": ("kind", "from_", "to", "t"),
-    "maximize": ("kind", "axis", "from_", "to"),
-    "tradeoff": ("b_x", "t"),
-    "figure": ("figure", "out"),
-}
-COMMANDS = tuple(_REQUIRED)
-FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "figA1")
-FORMATS = ("csv", "json")
 
 _SCENARIO_KEYS = tuple(f.name for f in fields(ScenarioSpec))
 
@@ -56,6 +43,88 @@ class UsageError(ValueError):
 def _key(name: str) -> str:
     """Config key of a RunConfig field ("from" is a Python keyword)."""
     return "from" if name == "from_" else name
+
+
+# ---------------------------------------------------------------------------
+# figure data
+# ---------------------------------------------------------------------------
+
+_T_GRID = SweepGrid("t", 0.05, 5.0, 100)  # step 0.05
+_BZ_GRID = SweepGrid("b_z", 0.5, 1.5, 201)  # step 0.005
+
+
+def _figure_sweep(spec: ScenarioSpec, grid: SweepGrid, t: float | None = None) -> list[float]:
+    """QFI values of one figure column; a failed point fails the figure."""
+    values = []
+    for point in sweep(spec, grid, t=t):
+        if point.result is None:
+            raise RuntimeError(f"{spec.kind} point {grid.axis}={point.value} failed: {point.error}")
+        values.append(point.result.value)
+    return values
+
+
+def _time_figure_rows(coop: ScenarioSpec, std: ScenarioSpec, formula_kind: str, rate: float) -> list[dict]:
+    """QFI against time of a cooperative scheme and of the standard scheme at
+    the same parameters, numeric and closed form, with the Heisenberg limit."""
+    columns = zip(map(float, _T_GRID.values()), _figure_sweep(coop, _T_GRID), _figure_sweep(std, _T_GRID))
+    return [
+        {
+            "t": t,
+            "f_coop": f_coop,
+            "f_std_numeric": f_std,
+            "f_std_formula": standard_limit_formulas(formula_kind, rate, t),
+            "f_heisenberg": heisenberg_limit(1, t),
+        }
+        for t, f_coop, f_std in columns
+    ]
+
+
+def _fig2() -> list[dict]:
+    coop = ScenarioSpec(kind="coop-spont", b_z=0.1, b_x=0.1, gamma=0.5)
+    return _time_figure_rows(coop, replace(coop, kind="std-spont"), "spont", coop.gamma)
+
+
+def _fig3() -> list[dict]:
+    coop = ScenarioSpec(kind="coop-deph", b_z=0.1, b_x=0.1, eta=0.5)
+    return _time_figure_rows(coop, replace(coop, kind="std-deph"), "deph", coop.eta)
+
+
+def _fig4() -> list[dict]:
+    # At b_x = 0 the thermal model reduces to spontaneous emission whose
+    # rate is the b_x = 0 channel rate; the spont closed form applies.
+    coop = ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=2.0, t_e=0.0)
+    std = replace(coop, b_x=0.0)
+    return _time_figure_rows(coop, std, "spont", build_model(std).channels[0].rate)
+
+
+def _fig5() -> list[dict]:
+    spec = ScenarioSpec(kind="two-spin-coop", b_z=1.0, b_x=0.1, dipole=10.0)
+    t = 1.0
+    columns = zip(map(float, _BZ_GRID.values()), _figure_sweep(spec, _BZ_GRID, t=t))
+    return [{"b_z": b_z, "f_coop": f, "f_heisenberg": heisenberg_limit(2, t)} for b_z, f in columns]
+
+
+def _fig_a1() -> list[dict]:
+    b_x = 0.1
+    return [
+        {
+            "b_z": b_z,
+            "f_ground_exact": exact_two_spin_ground_qfi(b_z, b_x),
+            "f_ground_effective": effective_two_spin_ground_qfi(b_z, b_x),
+        }
+        for b_z in map(float, _BZ_GRID.values())
+    ]
+
+
+_FIGURES = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5, "figA1": _fig_a1}
+FIGURE_IDS = tuple(_FIGURES)
+
+
+def figure_rows(figure_id: str) -> list[dict]:
+    """Rows of one figure's data set."""
+    if figure_id not in _FIGURES:
+        raise ValueError(f"unknown figure id '{figure_id}'; expected one of {FIGURE_IDS}")
+    return _FIGURES[figure_id]()
 
 
 @dataclass
@@ -85,16 +154,16 @@ class RunConfig:
     points: int | None = None
     figure: str | None = field(default=None, metadata={"choices": FIGURE_IDS})
     out: str | None = field(default=None, metadata={"help": "output path (default: stdout; required for figure)"})
-    format: str = field(default="csv", metadata={"choices": FORMATS})
+    format: str = field(default="csv", metadata={"choices": ("csv", "json")})
 
     def to_dict(self) -> dict:
         values = {_key(f.name): getattr(self, f.name) for f in fields(self)}
         return {key: value for key, value in values.items() if value is not None}
 
 
-# The field name of each config key, the type of each field without its None
+# The field of each config key, the type of each field without its None
 # (float, int or str), and the argparse flag and keywords of each option.
-_NAMES = {_key(f.name): f.name for f in fields(RunConfig)}
+_FIELDS = {_key(f.name): f for f in fields(RunConfig)}
 _TYPES = {f.name: next((t for t in get_args(f.type) if t is not type(None)), f.type) for f in fields(RunConfig)}
 _OPTIONS = [
     (f"--{_key(f.name)}", {"dest": f.name, "type": _TYPES[f.name], **f.metadata})
@@ -105,12 +174,15 @@ _OPTIONS = [
 
 def _coerce(key: str, value) -> tuple[str, object]:
     """(field name, value) of one config-file entry."""
-    if key not in _NAMES:
+    if key not in _FIELDS:
         raise UsageError(f"unknown config key '{key}'")
-    name = _NAMES[key]
+    name = _FIELDS[key].name
     noun, accepted = _JSON_TYPES[_TYPES[name]]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise UsageError(f"config key '{key}' must be {noun}, got {value!r}")
+    choices = _FIELDS[key].metadata.get("choices")
+    if choices is not None and value not in choices:
+        raise UsageError(f"config key '{key}' must be one of {', '.join(choices)}, got {value!r}")
     return name, _TYPES[name](value)
 
 
@@ -170,8 +242,6 @@ def _scenario(config: RunConfig) -> ScenarioSpec:
 def _validate(config: RunConfig):
     if config.command not in COMMANDS:
         raise UsageError(f"unknown command '{config.command}'")
-    if config.format not in FORMATS:
-        raise UsageError(f"format must be one of {FORMATS}, got '{config.format}'")
     if config.m < 1:
         raise UsageError(f"'m' must be >= 1, got {config.m}")
     for name in ("t", "from_", "to"):
@@ -182,7 +252,7 @@ def _validate(config: RunConfig):
         raise UsageError(f"'points' must be >= 2, got {config.points}")
     if config.from_ is not None and config.to is not None and config.from_ >= config.to:
         raise UsageError(f"'from' must be < 'to', got [{config.from_}, {config.to}]")
-    required = _REQUIRED[config.command]
+    required, _ = _COMMANDS[config.command]
     if "axis" in required and config.axis != "t":
         required += ("t",)
     for name in required:
@@ -190,6 +260,11 @@ def _validate(config: RunConfig):
             raise UsageError(f"missing required key '{_key(name)}' for command '{config.command}'")
     if "kind" in required:
         _scenario(config)
+    else:
+        for name in _SCENARIO_KEYS:
+            if name not in required and getattr(config, name) is not None:
+                reads = ", ".join(map(_key, required))
+                raise UsageError(f"key '{name}' is not read by command '{config.command}' (it reads {reads})")
     if config.command == "tradeoff" and not config.b_x > 0:
         raise UsageError(f"'b_x' must be > 0 for command 'tradeoff', got {config.b_x}")
 
@@ -239,87 +314,9 @@ def _emit(text: str, out: str | None):
         raise RuntimeError(f"cannot write output file {out}: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# figure data
-# ---------------------------------------------------------------------------
-
-_T_GRID = SweepGrid("t", 0.05, 5.0, 100)  # step 0.05
-_BZ_GRID = SweepGrid("b_z", 0.5, 1.5, 201)  # step 0.005
-
-_FIG2_COOP = ScenarioSpec(kind="coop-spont", b_z=0.1, b_x=0.1, gamma=0.5)
-_FIG2_STD = ScenarioSpec(kind="std-spont", b_z=0.1, gamma=0.5)
-_FIG3_COOP = ScenarioSpec(kind="coop-deph", b_z=0.1, b_x=0.1, eta=0.5)
-_FIG3_STD = ScenarioSpec(kind="std-deph", b_z=0.1, eta=0.5)
-_FIG4_COOP = ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=2.0, t_e=0.0)
-_FIG4_STD = ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.0, dipole=2.0, t_e=0.0)
-_FIG5_SPEC = ScenarioSpec(kind="two-spin-coop", b_z=1.0, b_x=0.1, dipole=10.0)
-_FIG5_T = 1.0
-
-
-def _figure_sweep(spec: ScenarioSpec, grid: SweepGrid, t: float | None = None) -> list[float]:
-    """QFI values of one figure column; a failed point fails the figure."""
-    values = []
-    for point in sweep(spec, grid, t=t):
-        if point.result is None:
-            raise RuntimeError(f"{spec.kind} point {grid.axis}={point.value} failed: {point.error}")
-        values.append(point.result.value)
-    return values
-
-
-def _time_figure_rows(coop: ScenarioSpec, std: ScenarioSpec, formula_kind: str, rate: float) -> list[dict]:
-    rows = []
-    for t, f_coop, f_std in zip(_T_GRID.values(), _figure_sweep(coop, _T_GRID), _figure_sweep(std, _T_GRID)):
-        t = float(t)
-        rows.append(
-            {
-                "t": t,
-                "f_coop": f_coop,
-                "f_std_numeric": f_std,
-                "f_std_formula": standard_limit_formulas(formula_kind, rate, t),
-                "f_heisenberg": heisenberg_limit(1, t),
-            }
-        )
-    return rows
-
-
-def figure_rows(figure_id: str) -> tuple[list[str], list[dict]]:
-    """Header and rows of one figure's data set."""
-    if figure_id == "fig2":
-        rows = _time_figure_rows(_FIG2_COOP, _FIG2_STD, "spont", _FIG2_COOP.gamma)
-    elif figure_id == "fig3":
-        rows = _time_figure_rows(_FIG3_COOP, _FIG3_STD, "deph", _FIG3_COOP.eta)
-    elif figure_id == "fig4":
-        # At b_x = 0 the thermal model reduces to spontaneous emission whose
-        # rate is the b_x = 0 channel rate; the spont closed form applies.
-        from .scenarios import build_model
-
-        std_rate = build_model(_FIG4_STD).channels[0].rate
-        rows = _time_figure_rows(_FIG4_COOP, _FIG4_STD, "spont", std_rate)
-    elif figure_id == "fig5":
-        f_coop = _figure_sweep(_FIG5_SPEC, _BZ_GRID, t=_FIG5_T)
-        rows = [
-            {"b_z": float(b_z), "f_coop": f, "f_heisenberg": heisenberg_limit(2, _FIG5_T)}
-            for b_z, f in zip(_BZ_GRID.values(), f_coop)
-        ]
-    elif figure_id == "figA1":
-        rows = []
-        for b_z in _BZ_GRID.values():
-            b_z = float(b_z)
-            rows.append(
-                {
-                    "b_z": b_z,
-                    "f_ground_exact": exact_two_spin_ground_qfi(b_z, 0.1),
-                    "f_ground_effective": effective_two_spin_ground_qfi(b_z, 0.1),
-                }
-            )
-    else:
-        raise ValueError(f"unknown figure id '{figure_id}'; expected one of {FIGURE_IDS}")
-    return list(rows[0]), rows
-
-
 def emit_figure(figure_id: str, out_path: str):
     """Write one figure's CSV data set to out_path."""
-    _emit(_render(figure_rows(figure_id)[1], "csv"), out_path)
+    _emit(_render(figure_rows(figure_id), "csv"), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -327,56 +324,44 @@ def emit_figure(figure_id: str, out_path: str):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_run(config: RunConfig) -> int:
+def _cmd_run(config: RunConfig) -> tuple[list[dict], int]:
     spec = _scenario(config)
     result = qfi_at(spec, config.t)
     bound = report_bound(result.value, config.m) if result.value > 0 else None
-    rows = [
-        {
-            "kind": spec.kind,
-            "b_z": spec.b_z,
-            "t": config.t,
-            "qfi": result.value,
-            "method": result.method,
-            "fd_step": result.fd_step,
-            "m": config.m,
-            "bound": bound,
-        }
-    ]
-    _emit(_render(rows, config.format), config.out)
-    return 0
+    row = {
+        "kind": spec.kind,
+        "b_z": spec.b_z,
+        "t": config.t,
+        "qfi": result.value,
+        "method": result.method,
+        "fd_step": result.fd_step,
+        "m": config.m,
+        "bound": bound,
+    }
+    return [row], 0
 
 
-def _cmd_sweep(config: RunConfig) -> int:
+def _cmd_sweep(config: RunConfig) -> tuple[list[dict], int]:
     spec = _scenario(config)
     grid = SweepGrid(config.axis, config.from_, config.to, config.points)
     points = sweep(spec, grid, t=config.t)
-    rows = []
-    failures = 0
+    rows = [
+        {
+            grid.axis: point.value,
+            "qfi": point.result and point.result.value,
+            "method": point.result and point.result.method,
+            "fd_step": point.result and point.result.fd_step,
+            "error": point.error,
+        }
+        for point in points
+    ]
     for point in points:
-        if point.result is None:
-            failures += 1
-            rows.append({grid.axis: point.value, "qfi": None, "method": None, "fd_step": None, "error": point.error})
-        else:
-            rows.append(
-                {
-                    grid.axis: point.value,
-                    "qfi": point.result.value,
-                    "method": point.result.method,
-                    "fd_step": point.result.fd_step,
-                    "error": None,
-                }
-            )
-    _emit(_render(rows, config.format), config.out)
-    if failures:
-        for point in points:
-            if point.error:
-                print(f"point {grid.axis}={point.value}: {point.error}", file=sys.stderr)
-        return 1
-    return 0
+        if point.error:
+            print(f"point {grid.axis}={point.value}: {point.error}", file=sys.stderr)
+    return rows, int(any(point.result is None for point in points))
 
 
-def _cmd_region(config: RunConfig) -> int:
+def _cmd_region(config: RunConfig) -> tuple[list[dict], int]:
     spec = _scenario(config)
     threshold = heisenberg_limit(spin_count(spec), config.t)
     region = find_region(
@@ -384,50 +369,40 @@ def _cmd_region(config: RunConfig) -> int:
         threshold,
         (config.from_, config.to),
     )
-    rows = [
-        {
-            "lower": None if not region.resolved else region.lower,
-            "upper": None if not region.resolved else region.upper,
-            "width": None if not region.resolved else region.upper - region.lower,
-            "threshold": region.threshold,
-            "resolved": region.resolved,
-        }
-    ]
-    _emit(_render(rows, config.format), config.out)
-    return 0
+    bounds = (region.lower, region.upper, region.upper - region.lower) if region.resolved else (None, None, None)
+    row = dict(zip(("lower", "upper", "width"), bounds), threshold=region.threshold, resolved=region.resolved)
+    return [row], 0
 
 
-def _cmd_maximize(config: RunConfig) -> int:
+def _cmd_maximize(config: RunConfig) -> tuple[list[dict], int]:
     spec = _scenario(config)
     t = config.t if config.t is not None else 0.0
     objective = scenario_objective(spec, t, config.axis)
     argmax, value = maximize_qfi(objective, [(config.from_, config.to)])
-    rows = [{config.axis: argmax, "qfi": value}]
-    _emit(_render(rows, config.format), config.out)
-    return 0
+    return [{config.axis: argmax, "qfi": value}], 0
 
 
-def _cmd_tradeoff(config: RunConfig) -> int:
+def _cmd_tradeoff(config: RunConfig) -> tuple[list[dict], int]:
     f_max = 1.0 / (2.0 * config.b_x**2)
     width = tradeoff_width(f_max, config.t)
-    rows = [{"b_x": config.b_x, "t": config.t, "f_max": f_max, "width": width}]
-    _emit(_render(rows, config.format), config.out)
-    return 0
+    return [{"b_x": config.b_x, "t": config.t, "f_max": f_max, "width": width}], 0
 
 
-def _cmd_figure(config: RunConfig) -> int:
-    emit_figure(config.figure, config.out)
-    return 0
+def _cmd_figure(config: RunConfig) -> tuple[list[dict], int]:
+    return figure_rows(config.figure), 0
 
 
+# Each command's required keys and handler; sweep and maximize also require
+# 't' unless they sweep it.  A handler returns its rows and its exit code.
 _COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "region": _cmd_region,
-    "maximize": _cmd_maximize,
-    "tradeoff": _cmd_tradeoff,
-    "figure": _cmd_figure,
+    "run": (("kind", "t"), _cmd_run),
+    "sweep": (("kind", "axis", "from_", "to", "points"), _cmd_sweep),
+    "region": (("kind", "from_", "to", "t"), _cmd_region),
+    "maximize": (("kind", "axis", "from_", "to"), _cmd_maximize),
+    "tradeoff": (("b_x", "t"), _cmd_tradeoff),
+    "figure": (("figure", "out"), _cmd_figure),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def main(argv=None) -> int:
@@ -436,8 +411,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    _, handler = _COMMANDS[config.command]
     try:
-        return _COMMANDS[config.command](config)
+        rows, code = handler(config)
+        _emit(_render(rows, config.format), config.out)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -7,27 +7,27 @@ from coopmetro.scenarios import ScenarioSpec
 
 @pytest.fixture(scope="session")
 def fig2_rows():
-    return figure_rows("fig2")[1]
+    return figure_rows("fig2")
 
 
 @pytest.fixture(scope="session")
 def fig3_rows():
-    return figure_rows("fig3")[1]
+    return figure_rows("fig3")
 
 
 @pytest.fixture(scope="session")
 def fig4_rows():
-    return figure_rows("fig4")[1]
+    return figure_rows("fig4")
 
 
 @pytest.fixture(scope="session")
 def fig5_rows():
-    return figure_rows("fig5")[1]
+    return figure_rows("fig5")
 
 
 @pytest.fixture(scope="session")
 def figa1_rows():
-    return figure_rows("figA1")[1]
+    return figure_rows("figA1")
 
 
 def figure_scenarios():

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -196,6 +197,24 @@ class TestCommands:
         assert float(cells[1]) == 0.3
         assert cells[4] == "true"
 
+    def test_region_unresolved(self, capsys):
+        # at t = 5 the cooperative scheme stays below 4t^2 = 100 across the
+        # whole bracket, so there is no region and its bounds are empty
+        rc = main(
+            ["region", "--kind", "coop-spont", "--b_z", "0.1", "--b_x", "0.1", "--gamma", "0.5",
+             "--t", "5", "--from", "0.05", "--to", "0.3"]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == "lower,upper,width,threshold,resolved\n,,,100,false\n"
+
+    @pytest.mark.parametrize("argv, header", [
+        (["maximize", "--kind", "unitary-baseline", "--b_z", "0.1", "--axis", "t", "--from", "0", "--to", "2"], "t,qfi"),
+        (["tradeoff", "--b_x", "0.1", "--t", "1"], "b_x,t,f_max,width"),
+    ], ids=["maximize", "tradeoff"])
+    def test_csv_header(self, argv, header, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.split("\n")[0] == header
+
     def test_maximize_command(self, tmp_path):
         out = tmp_path / "max.json"
         rc = main(
@@ -245,6 +264,18 @@ class TestFigures:
         first = a.read_text().split("\n")
         assert first[0] == "b_z,f_ground_exact,f_ground_effective"
         assert a.read_text().endswith("\n")
+
+    def test_figure_json_matches_csv(self, tmp_path):
+        csv_out, json_out = tmp_path / "figA1.csv", tmp_path / "figA1.json"
+        assert main(["figure", "--figure", "figA1", "--out", str(csv_out)]) == 0
+        assert main(["figure", "--figure", "figA1", "--format", "json", "--out", str(json_out)]) == 0
+        with open(csv_out, newline="", encoding="utf-8") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        json_rows = json.loads(json_out.read_text())
+        assert [list(row) for row in json_rows] == [list(row) for row in csv_rows]
+        for json_row, csv_row in zip(json_rows, csv_rows):
+            # the CSV keeps 12 significant digits
+            assert json_row == {key: pytest.approx(float(value), rel=1e-11) for key, value in csv_row.items()}
 
     def test_unknown_figure(self):
         with pytest.raises(ValueError):

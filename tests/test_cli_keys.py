@@ -90,3 +90,22 @@ def test_bx_axis_on_kind_without_bx_is_usage_error(command, capsys):
             "--axis", "b_x", "--from", "0", "--to", "1", "--points", "3"]
     assert main(argv) == 2
     assert "axis 'b_x' is not read by kind 'std-deph'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if "choices" in f.metadata])
+def test_config_value_outside_choices_is_usage_error(key, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**next(c for c in CONFIGS if key in c), key: "foo"}))
+    assert main(["--config", str(path)]) == 2
+    assert f"config key '{key}' must be one of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, argv, key", [
+    ("tradeoff", ["--b_x", "0.1", "--t", "1", "--dipole", "5"], "dipole"),
+    ("figure", ["--figure", "figA1", "--b_z", "3"], "b_z"),
+], ids=["tradeoff", "figure"])
+def test_scenario_key_of_command_without_kind_is_usage_error(command, argv, key, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([command, *argv, "--out", str(out)]) == 2
+    assert f"key '{key}' is not read by command '{command}'" in capsys.readouterr().err
+    assert not out.exists()

@@ -220,7 +220,7 @@ def parse_config(argv=None) -> RunConfig:
     if "command" not in merged:
         raise UsageError("missing required key 'command'")
     config = RunConfig(**merged)
-    _validate(config)
+    _validate(config, set(merged))
     return config
 
 
@@ -239,7 +239,8 @@ def _scenario(config: RunConfig) -> ScenarioSpec:
     return spec
 
 
-def _validate(config: RunConfig):
+def _validate(config: RunConfig, given: set[str]):
+    """Check a config whose keys `given` were set by a flag or the config file."""
     if config.command not in COMMANDS:
         raise UsageError(f"unknown command '{config.command}'")
     if config.m < 1:
@@ -252,7 +253,7 @@ def _validate(config: RunConfig):
         raise UsageError(f"'points' must be >= 2, got {config.points}")
     if config.from_ is not None and config.to is not None and config.from_ >= config.to:
         raise UsageError(f"'from' must be < 'to', got [{config.from_}, {config.to}]")
-    required, _ = _COMMANDS[config.command]
+    required, optional, _ = _COMMANDS[config.command]
     if "axis" in required and config.axis != "t":
         required += ("t",)
     for name in required:
@@ -260,11 +261,12 @@ def _validate(config: RunConfig):
             raise UsageError(f"missing required key '{_key(name)}' for command '{config.command}'")
     if "kind" in required:
         _scenario(config)
-    else:
-        for name in _SCENARIO_KEYS:
-            if name not in required and getattr(config, name) is not None:
-                reads = ", ".join(map(_key, required))
-                raise UsageError(f"key '{name}' is not read by command '{config.command}' (it reads {reads})")
+    # The scenario keys of a command that builds a scenario are its kind's to read.
+    reads = ("command", *required, *optional, *(_SCENARIO_KEYS if "kind" in required else ()))
+    unread = [f.name for f in fields(config) if f.name in given and f.name not in reads]
+    if unread:
+        listed = ", ".join(map(_key, required + optional))
+        raise UsageError(f"key '{_key(unread[0])}' is not read by command '{config.command}' (it reads {listed})")
     if config.command == "tradeoff" and not config.b_x > 0:
         raise UsageError(f"'b_x' must be > 0 for command 'tradeoff', got {config.b_x}")
 
@@ -376,8 +378,7 @@ def _cmd_region(config: RunConfig) -> tuple[list[dict], int]:
 
 def _cmd_maximize(config: RunConfig) -> tuple[list[dict], int]:
     spec = _scenario(config)
-    t = config.t if config.t is not None else 0.0
-    objective = scenario_objective(spec, t, config.axis)
+    objective = scenario_objective(spec, config.t, config.axis)
     argmax, value = maximize_qfi(objective, [(config.from_, config.to)])
     return [{config.axis: argmax, "qfi": value}], 0
 
@@ -392,15 +393,18 @@ def _cmd_figure(config: RunConfig) -> tuple[list[dict], int]:
     return figure_rows(config.figure), 0
 
 
-# Each command's required keys and handler; sweep and maximize also require
-# 't' unless they sweep it.  A handler returns its rows and its exit code.
+# Each command's required keys, its optional keys and its handler; sweep and
+# maximize also require 't' unless they sweep it, and do not read it if they
+# do.  Any other key is a usage error.  A handler returns its rows and its
+# exit code.
+_OUTPUT = ("format", "out")
 _COMMANDS = {
-    "run": (("kind", "t"), _cmd_run),
-    "sweep": (("kind", "axis", "from_", "to", "points"), _cmd_sweep),
-    "region": (("kind", "from_", "to", "t"), _cmd_region),
-    "maximize": (("kind", "axis", "from_", "to"), _cmd_maximize),
-    "tradeoff": (("b_x", "t"), _cmd_tradeoff),
-    "figure": (("figure", "out"), _cmd_figure),
+    "run": (("kind", "t"), ("m", *_OUTPUT), _cmd_run),
+    "sweep": (("kind", "axis", "from_", "to", "points"), _OUTPUT, _cmd_sweep),
+    "region": (("kind", "from_", "to", "t"), _OUTPUT, _cmd_region),
+    "maximize": (("kind", "axis", "from_", "to"), _OUTPUT, _cmd_maximize),
+    "tradeoff": (("b_x", "t"), _OUTPUT, _cmd_tradeoff),
+    "figure": (("figure", "out"), ("format",), _cmd_figure),
 }
 COMMANDS = tuple(_COMMANDS)
 
@@ -411,7 +415,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    _, handler = _COMMANDS[config.command]
+    *_, handler = _COMMANDS[config.command]
     try:
         rows, code = handler(config)
         _emit(_render(rows, config.format), config.out)

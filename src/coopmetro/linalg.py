@@ -3,6 +3,9 @@
 All operators, states and superoperators are plain complex numpy arrays
 (row-major, square).  Superoperators go up to dimension 16.  Everything here
 is a pure function over immutable inputs; nothing mutates its arguments.
+`hermitize`, `herm_deviation`, `eigh` and `outer` also take stacks
+(..., d, d) of matrices (or (..., d) of vectors) and act on each one, with
+the same bits as one at a time.
 
 Basis convention: sigma_z |0> = +|0>, sigma_z |1> = -|1>.  With this choice
 (sigma_x + i*sigma_y)/2 = |0><1|.
@@ -71,8 +74,9 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def herm_deviation(m: np.ndarray) -> float:
+    """max |m - m†| of a matrix, or the largest over the matrices of a stack."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.abs(m - m.conj().mT).max())
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
@@ -81,7 +85,8 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
 
 @dataclass(frozen=True)
 class HermitianEigensystem:
-    """Eigenvalues (ascending) and unitary eigenvector matrix (columns).
+    """Eigenvalues (ascending) and unitary eigenvector matrix (columns), or
+    one of each per matrix of a stack: values (..., d), vectors (..., d, d).
 
     Phase gauge: the first component of each eigenvector whose magnitude
     exceeds 1e-12 is real and positive.  Within a degenerate cluster
@@ -94,21 +99,26 @@ class HermitianEigensystem:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def vector(self, k: int) -> np.ndarray:
-        return self.vectors[:, k].copy()
+        """Eigenvector k, or the stack of eigenvectors k."""
+        return self.vectors[..., k].copy()
 
 
 def _fix_gauge(vectors: np.ndarray) -> np.ndarray:
-    v = vectors.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nonzero = np.flatnonzero(np.abs(col) > GAUGE_TOL)
-        if nonzero.size:
-            lead = col[nonzero[0]]
-            v[:, k] = col * (lead.conjugate() / abs(lead))
-    return v
+    """Rotate each column of a matrix or stack so that its first component
+    above GAUGE_TOL in magnitude is real and positive; a column without one
+    is left as it is."""
+    d = vectors.shape[-1]
+    flat = vectors.reshape(-1, d, d)
+    above = np.abs(flat) > GAUGE_TOL
+    matrices, columns = np.arange(len(flat))[:, None], np.arange(d)
+    lead = flat[matrices, above.argmax(axis=1), columns]
+    lead[~above.any(axis=1)] = 1.0
+    # The scalar abs of each lead: numpy's array abs can round the last bit differently.
+    size = np.array([abs(x) for x in lead.flat]).reshape(lead.shape)
+    return (flat * (lead.conj() / size)[:, None, :]).reshape(vectors.shape)
 
 
 def _order_degenerate(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -129,13 +139,15 @@ def _order_degenerate(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def eigh(h: np.ndarray, tol: float = HERM_TOL) -> HermitianEigensystem:
-    """Eigendecomposition of a Hermitian matrix with a deterministic gauge.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
+    (..., d, d) in one LAPACK call, with a deterministic gauge.
 
-    Raises NonHermitianError if max |h - h†| exceeds tol.  Eigenvalues are
-    returned ascending; the decomposition satisfies h @ V = V @ diag(w).
+    Raises NonHermitianError if max |h - h†| of a matrix exceeds tol.
+    Eigenvalues are returned ascending; the decomposition satisfies
+    h @ V = V @ diag(w).
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     deviation = herm_deviation(h)
     if deviation > tol:
@@ -143,9 +155,11 @@ def eigh(h: np.ndarray, tol: float = HERM_TOL) -> HermitianEigensystem:
             f"matrix is not Hermitian: max |h - h†| = {deviation:.3e} > {tol:.1e}"
         )
     values, vectors = np.linalg.eigh(hermitize(h))
-    vectors = _order_degenerate(values, vectors)
-    vectors = _fix_gauge(vectors)
-    return HermitianEigensystem(values=values, vectors=vectors)
+    close = values[..., 1:] - values[..., :-1] < DEGENERACY_TOL
+    if close.any():
+        for index in map(tuple, np.argwhere(close.any(axis=-1))):  # () for one matrix
+            vectors[index] = _order_degenerate(values[index], vectors[index])
+    return HermitianEigensystem(values=values, vectors=_fix_gauge(vectors))
 
 
 def expm(m: np.ndarray) -> np.ndarray:
@@ -161,8 +175,9 @@ def ket(dim: int, index: int) -> np.ndarray:
 
 
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a><b| for state vectors a, b."""
-    return np.outer(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex).conj())
+    """|a><b| for state vectors a, b, or for each pair of two stacks (..., d)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a[..., :, None] * b.conj()[..., None, :]
 
 
 def projector(psi: np.ndarray) -> np.ndarray:

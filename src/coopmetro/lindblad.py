@@ -12,6 +12,12 @@ Vectorization is column-stacking: vec(rho) stacks columns, so
 vec(A rho B) = (B^T ⊗ A) vec(rho).  With (K†)^T = conj(K) and
 (L†)^T = conj(L) the Liouvillian is therefore
 -i (I ⊗ K) + i (conj(K) ⊗ I) + sum_i gamma_i (conj(L_i) ⊗ L_i).
+
+A model may also be a stack of models of one shape: a Hamiltonian stack
+(..., d, d) and, per channel, a rate or a rate stack (...) and a jump stack
+(..., d, d) or one jump (d, d) shared by the stack.  Its Liouvillian is
+then the stack (..., d², d²), each matrix bit for bit the Liouvillian of
+that model alone.
 """
 
 import math
@@ -103,20 +109,23 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LindbladChannel:
-    """One dissipative channel: nonnegative rate and jump operator."""
+    """One dissipative channel: nonnegative rate and jump operator, or the
+    rates (...) and jump operators of a stack of models."""
 
-    rate: float
+    rate: float | np.ndarray
     jump: np.ndarray
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise InvalidModelError(f"channel rate must be >= 0, got {self.rate}")
+        negative = self.rate < 0
+        if negative.any() if isinstance(negative, np.ndarray) else negative:
+            raise InvalidModelError(f"channel rate must be >= 0, got {np.min(self.rate)}")
         object.__setattr__(self, "jump", np.asarray(self.jump, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
 class LindbladModel:
-    """Hamiltonian plus channels; immutable after construction.
+    """Hamiltonian plus channels, or a stack of them (see the module
+    docstring); immutable after construction.
 
     The Liouvillian is computed on first access and kept with the model.
     """
@@ -126,7 +135,7 @@ class LindbladModel:
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
             raise InvalidModelError(f"Hamiltonian must be square, got shape {h.shape}")
         if not is_hermitian(h):
             raise InvalidModelError(
@@ -134,7 +143,7 @@ class LindbladModel:
             )
         channels = tuple(self.channels)
         for ch in channels:
-            if ch.jump.shape != h.shape:
+            if ch.jump.shape not in (h.shape, h.shape[-2:]):
                 raise InvalidModelError(
                     f"jump operator shape {ch.jump.shape} does not match Hamiltonian {h.shape}"
                 )
@@ -143,7 +152,7 @@ class LindbladModel:
 
     @property
     def dim(self) -> int:
-        return self.hamiltonian.shape[0]
+        return self.hamiltonian.shape[-1]
 
     @cached_property
     def liouvillian(self) -> np.ndarray:
@@ -160,22 +169,27 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two d x d matrices, by broadcasting: for d <= 4 it
-    costs a fraction of the general-purpose numpy routine."""
-    d = a.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+    """Kronecker product of two d x d matrices, or of each pair of two stacks
+    broadcast over their leading axes, by broadcasting: for d <= 4 it costs a
+    fraction of the general-purpose numpy routine."""
+    d = a.shape[-1]
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(*product.shape[:-4], d * d, d * d)
 
 
 def liouvillian(model: LindbladModel) -> np.ndarray:
-    """dim² x dim² generator acting on column-stacked states."""
+    """dim² x dim² generator acting on column-stacked states, or the stack
+    of them of a stacked model."""
     d = model.dim
     ident = np.eye(d, dtype=complex)
+    # A rate stack scales its models' matrices; a scalar rate all of them.
+    rates = [ch.rate[..., None, None] if isinstance(ch.rate, np.ndarray) else ch.rate for ch in model.channels]
     k = model.hamiltonian.copy()
-    for ch in model.channels:
-        k -= 0.5j * ch.rate * (ch.jump.conj().T @ ch.jump)
+    for rate, ch in zip(rates, model.channels):
+        k -= 0.5j * rate * (ch.jump.conj().mT @ ch.jump)
     gen = 1j * _kron(k.conj(), ident) - 1j * _kron(ident, k)
-    for ch in model.channels:
-        gen += ch.rate * _kron(ch.jump.conj(), ch.jump)
+    for rate, ch in zip(rates, model.channels):
+        gen += rate * _kron(ch.jump.conj(), ch.jump)
     return gen
 
 

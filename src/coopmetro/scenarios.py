@@ -8,6 +8,15 @@ the controlled Hamiltonian, carry b_z dependence as well.
 Angle convention: theta = atan2(b_x, b_z), so b_z = Delta cos(theta) and
 b_x = Delta sin(theta) with Delta = sqrt(b_z^2 + b_x^2).  Ground state |g>
 is the eigenvector of the smaller eigenvalue.
+
+Each kind's model builder is written once, over stacks of field values:
+given b_z and b_x as floats it builds one model (`build_model`), given them
+as arrays it builds the stack of models over their broadcast shape.  Only
+the matrix work is vectorised.  The scalar coefficients (level gaps,
+rates, the Bose occupation) are computed element by element with the
+scalar expressions of one model, because numpy's array routines (power,
+hypot, exp) can round the last bit differently, and a stack must equal its
+models built one at a time bit for bit.
 """
 
 import math
@@ -139,9 +148,26 @@ def spin_count(spec: ScenarioSpec) -> int:
     return spec.n_spins if spins is None else spins
 
 
-def controlled_hamiltonian(b_z: float, b_x: float) -> np.ndarray:
-    """Single-spin H = b_z sigma_z + b_x sigma_x."""
-    return b_z * pauli("z") + b_x * pauli("x")
+def _scale(c: ArrayLike, m: np.ndarray) -> np.ndarray:
+    """c * m, or the stack of c_i * m over the entries of an array c."""
+    return c[..., None, None] * m if isinstance(c, np.ndarray) else c * m
+
+
+def _each(expression: Callable[..., tuple], *fields: ArrayLike) -> tuple:
+    """The values of expression(*scalars) at each element of the broadcast
+    fields, one array of their shape per value (scalars for scalar fields):
+    scalar arithmetic, element by element."""
+    if all(getattr(f, "ndim", 0) == 0 for f in fields):
+        return expression(*fields)
+    shape = np.broadcast_shapes(*(np.shape(f) for f in fields))
+    scalars = zip(*(np.broadcast_to(f, shape).ravel() for f in fields))
+    values = np.array([expression(*x) for x in scalars], dtype=float).reshape(*shape, -1)
+    return tuple(np.moveaxis(values, -1, 0))
+
+
+def controlled_hamiltonian(b_z: ArrayLike, b_x: ArrayLike) -> np.ndarray:
+    """Single-spin H = b_z sigma_z + b_x sigma_x, or its stack over arrays of fields."""
+    return _scale(b_z, pauli("z")) + _scale(b_x, pauli("x"))
 
 
 def _two_spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,87 +184,98 @@ def _two_spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 SZZ, SZ_SUM, SX_SUM = _two_spin_operators()
 
 
-def two_spin_hamiltonian(b_z: float, b_x: float) -> np.ndarray:
+def two_spin_hamiltonian(b_z: ArrayLike, b_x: ArrayLike) -> np.ndarray:
     """H = sigma_z^1 sigma_z^2 + b_z (sigma_z^1 + sigma_z^2) + b_x (sigma_x^1 + sigma_x^2),
-    coupling strength 1."""
-    return SZZ + b_z * SZ_SUM + b_x * SX_SUM
+    coupling strength 1; or its stack over arrays of fields."""
+    return SZZ + _scale(b_z, SZ_SUM) + _scale(b_x, SX_SUM)
 
 
-def _field_basis(b_z: float, b_x: float) -> tuple[np.ndarray, np.ndarray]:
-    """(|g>, |e>) of the controlled single-spin Hamiltonian, ascending order."""
-    system = eigh(controlled_hamiltonian(b_z, b_x))
+def _field_basis(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|g>, |e>) of a controlled single-spin Hamiltonian (or stacks of them), ascending order."""
+    system = eigh(h)
     return system.vector(0), system.vector(1)
 
 
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|, decays |1> -> |0>
 
+# The model builders: the model of `spec` at fields b_z and b_x, or the
+# stack of them over the broadcast shape of arrays b_z and b_x.
 
-def _std_spont(spec: ScenarioSpec) -> LindbladModel:
+
+def _std_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
     return LindbladModel(
-        hamiltonian=spec.b_z * pauli("z"),
+        hamiltonian=_scale(b_z, pauli("z")),
         channels=(LindbladChannel(spec.gamma, _LOWER),),
     )
 
 
-def _std_deph(spec: ScenarioSpec) -> LindbladModel:
+def _std_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
     # eta/2 (sigma_z rho sigma_z - rho) is the dissipator of jump sigma_z at rate eta/2.
     return LindbladModel(
-        hamiltonian=spec.b_z * pauli("z"),
+        hamiltonian=_scale(b_z, pauli("z")),
         channels=(LindbladChannel(spec.eta / 2.0, pauli("z")),),
     )
 
 
-def _coop_spont(spec: ScenarioSpec) -> LindbladModel:
-    g, e = _field_basis(spec.b_z, spec.b_x)
-    return LindbladModel(
-        hamiltonian=controlled_hamiltonian(spec.b_z, spec.b_x),
-        channels=(LindbladChannel(spec.gamma, outer(g, e)),),
-    )
+def _coop_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
+    h = controlled_hamiltonian(b_z, b_x)
+    g, e = _field_basis(h)
+    return LindbladModel(hamiltonian=h, channels=(LindbladChannel(spec.gamma, outer(g, e)),))
 
 
-def _coop_deph(spec: ScenarioSpec) -> LindbladModel:
-    delta = math.hypot(spec.b_z, spec.b_x)
-    sigma_n = (spec.b_z * pauli("z") + spec.b_x * pauli("x")) / delta
-    return LindbladModel(
-        hamiltonian=controlled_hamiltonian(spec.b_z, spec.b_x),
-        channels=(LindbladChannel(spec.eta / 2.0, sigma_n),),
-    )
+def _coop_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
+    h = controlled_hamiltonian(b_z, b_x)
+    (delta,) = _each(lambda b_z, b_x: (math.hypot(b_z, b_x),), b_z, b_x)
+    sigma_n = h / np.asarray(delta)[..., None, None]
+    return LindbladModel(hamiltonian=h, channels=(LindbladChannel(spec.eta / 2.0, sigma_n),))
 
 
-def _coop_thermal(spec: ScenarioSpec) -> LindbladModel:
-    g, e = _field_basis(spec.b_z, spec.b_x)
-    omega = 2.0 * math.hypot(spec.b_z, spec.b_x)
+def _thermal_rates(spec: ScenarioSpec, b_z: float, b_x: float) -> tuple[float, float]:
+    """Decay and absorption rates of the thermal channel at one field."""
+    omega = 2.0 * math.hypot(b_z, b_x)
     gamma0 = 4.0 * omega**3 * spec.dipole**2 / 3.0
     # Bose occupation 1/(e^x - 1), written to underflow to 0 instead of
     # overflowing for x = omega/t_e beyond ~709; t_e = 0 is x = inf.
     x = math.inf if spec.t_e == 0.0 else omega / spec.t_e
     occupation = math.exp(-x) / -math.expm1(-x)
-    channels = [LindbladChannel(gamma0 * (occupation + 1.0), outer(g, e))]
-    if occupation > 0.0:
-        channels.append(LindbladChannel(gamma0 * occupation, outer(e, g)))
-    return LindbladModel(
-        hamiltonian=controlled_hamiltonian(spec.b_z, spec.b_x),
-        channels=tuple(channels),
-    )
+    return gamma0 * (occupation + 1.0), gamma0 * occupation
 
 
-def _two_spin_coop(spec: ScenarioSpec) -> LindbladModel:
-    h = two_spin_hamiltonian(spec.b_z, spec.b_x)
-    system = eigh(h)
-    energies = system.values
-    channels = []
-    for i, j in TWO_SPIN_DECAY_PAIRS:
-        omega = energies[i - 1] - energies[j - 1]
-        rate = 4.0 * omega**3 * spec.dipole**2 / 3.0
-        channels.append(LindbladChannel(rate, outer(system.vector(j - 1), system.vector(i - 1))))
+def _coop_thermal(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
+    h = controlled_hamiltonian(b_z, b_x)
+    g, e = _field_basis(h)
+    down, up = _each(lambda b_z, b_x: _thermal_rates(spec, b_z, b_x), b_z, b_x)
+    channels = [LindbladChannel(down, outer(g, e))]
+    # No absorption channel where the occupation underflows to 0; in a stack
+    # that has it elsewhere, its rate there is 0, which adds exact zeros.
+    absorbs = up > 0.0
+    if absorbs.any() if isinstance(absorbs, np.ndarray) else absorbs:
+        channels.append(LindbladChannel(up, outer(e, g)))
     return LindbladModel(hamiltonian=h, channels=tuple(channels))
 
 
-def _unitary_baseline(spec: ScenarioSpec) -> LindbladModel:
+def _two_spin_coop(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
+    h = two_spin_hamiltonian(b_z, b_x)
+    system = eigh(h)
+
+    def rates(*energies: float) -> tuple[float, ...]:
+        # 4 omega^3 |d|^2 / 3 of each decay pair, omega its level gap
+        return tuple(4.0 * (energies[i - 1] - energies[j - 1]) ** 3 * spec.dipole**2 / 3.0
+                     for i, j in TWO_SPIN_DECAY_PAIRS)
+
+    levels = [system.values[..., k] for k in range(4)]
+    channels = (
+        LindbladChannel(rate, outer(system.vector(j - 1), system.vector(i - 1)))
+        for rate, (i, j) in zip(_each(rates, *levels), TWO_SPIN_DECAY_PAIRS)
+    )
+    return LindbladModel(hamiltonian=h, channels=tuple(channels))
+
+
+def _unitary_baseline(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
     if spec.n_spins == 1:
-        h = spec.b_z * pauli("z")
+        h = _scale(b_z, pauli("z"))
     else:
-        h = two_spin_hamiltonian(spec.b_z, 0.0)
+        h = two_spin_hamiltonian(b_z, 0.0)
     return LindbladModel(hamiltonian=h, channels=())
 
 
@@ -246,7 +283,9 @@ class _Kind(NamedTuple):
     """What one scenario kind reads, what it requires and how its model is built."""
 
     reads: tuple[str, ...]  # the ScenarioSpec fields it consults, besides kind
-    build: Callable[[ScenarioSpec], LindbladModel]
+    # The model of a spec at fields b_z and b_x (floats), or the stack of
+    # models over the shape of arrays b_z and b_x.
+    build: Callable[[ScenarioSpec, ArrayLike, ArrayLike], LindbladModel]
     spins: int | None = 1  # None: the spec's n_spins, 1 or 2
     # Channels in the eigenbasis of the controlled Hamiltonian: b_z = 0 leaves
     # that basis undefined, so b_z != 0 is required and the default FD step is
@@ -268,8 +307,9 @@ KINDS = tuple(_KINDS)
 
 
 def build_model(spec: ScenarioSpec) -> LindbladModel:
-    """Assemble the Lindblad model of the given scenario."""
-    return _KINDS[spec.kind].build(spec)
+    """Assemble the Lindblad model of the given scenario: the one-model case
+    of the kind's stacked builder."""
+    return _KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
 
 
 def probe_state(spec: ScenarioSpec) -> np.ndarray:
@@ -305,6 +345,14 @@ def _fd_step(spec: ScenarioSpec) -> float:
     return step
 
 
+def _states(v: np.ndarray, d: int) -> np.ndarray:
+    """Hermitized density matrices (..., d, d) of column-stacked states (..., d²).
+
+    vec stacks columns, so a row-major reshape gives the transposed matrix.
+    """
+    return hermitize(v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2))
+
+
 def _walk(models, rho0: np.ndarray, t0: float, dt: float, n: int) -> np.ndarray:
     """Hermitized states e^{L_m (t0 + k dt)} rho0 of every model m, k < n,
     stacked to shape (len(models), n, d, d).
@@ -324,27 +372,24 @@ def _walk(models, rho0: np.ndarray, t0: float, dt: float, n: int) -> np.ndarray:
         for k in range(1, n):
             v = step @ v
             out[:, k] = v[..., 0]
-    # vec stacks columns, so a row-major reshape gives the transposed matrix.
-    return hermitize(out.reshape(len(models), n, d, d).swapaxes(-1, -2))
+    return _states(out, d)
 
 
-def qfi_grid(
-    spec: ScenarioSpec, times: ArrayLike, h: float | None = None
-) -> list[QfiResult | Exception]:
-    """QFI with respect to b_z of the propagated probe at each of the evenly
-    spaced, ascending times.
+def _score(rho: np.ndarray, drho: np.ndarray, errors, t: float, step: float) -> QfiResult | Exception:
+    """The outcome of one grid point from its state, its state derivative and
+    the state-check errors of its five stencil models (centre first)."""
+    error = next((e for e in errors if e is not None), None)
+    if error is not None:
+        return NumericalFailureError(f"propagation to t={t} lost state invariants: {error}")
+    qfi = qfi_qubit if rho.shape[0] == 2 else qfi_sld
+    try:
+        result = qfi(rho, drho)
+    except ValueError as exc:  # recorded, not raised: keep the other points
+        return exc
+    return QfiResult(value=result.value, method=result.method, fd_step=step)
 
-    Returns one entry per time: a QfiResult, or the exception that failed
-    that point (a negative time, a state that breaks an invariant, a QFI
-    below tolerance), so one bad point does not lose the others.  Errors
-    that concern the whole grid (non-finite or uneven times, an invalid
-    stencil model) are raised.
 
-    The model at b_z and the four Richardson stencil models b_z + {-h, h,
-    -h/2, h/2} are exponentiated twice each whatever the number of points (see `_walk`), and
-    their states are checked in one batched call.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+def _time_grid(spec: ScenarioSpec, times: np.ndarray, h: float | None) -> list:
     if not np.isfinite(times).all():
         raise ValueError(f"time must be finite, got {times[~np.isfinite(times)][0]}")
     dt = (times[-1] - times[0]) / (len(times) - 1) if len(times) > 1 else 0.0
@@ -352,7 +397,6 @@ def qfi_grid(
         raise ValueError("times must be evenly spaced and ascending")
     first = int(np.searchsorted(times, 0.0))  # the times before it are negative
     outcomes: list = [ValueError(f"time must be >= 0, got {t}") for t in times[:first]]
-    outcomes += [None] * (len(times) - first)
     if first == len(times):
         return outcomes
     probe = validate_density_matrix(probe_state(spec))
@@ -362,19 +406,100 @@ def qfi_grid(
     states = _walk(models, probe, float(times[first]), dt, len(times) - first)
     errors = density_matrix_errors(states)
     drho = hermitize(derivative(states[1:]))
-    qfi = qfi_qubit if probe.shape[0] == 2 else qfi_sld
-    for j, k in enumerate(range(first, len(times))):
-        error = next((e for e in errors[:, j] if e is not None), None)
-        if error is not None:
-            outcomes[k] = NumericalFailureError(f"propagation to t={times[k]} lost state invariants: {error}")
-            continue
-        try:
-            result = qfi(states[0, j], drho[j])
-        except ValueError as exc:  # recorded, not raised: keep the other points
-            outcomes[k] = exc
-            continue
-        outcomes[k] = QfiResult(value=result.value, method=result.method, fd_step=step)
+    for j, t in enumerate(times[first:]):
+        outcomes.append(_score(states[0, j], drho[j], errors[:, j], t, step))
     return outcomes
+
+
+# Points of a field grid per stacked build, exponential and state check
+# (40 stencil models): bounds the working memory of a long grid.
+_CHUNK = 8
+
+
+def _one_field_point(spec: ScenarioSpec, axis: str, value: float, t: float, h: float | None):
+    """qfi_at at one point of a field grid, or the exception it raises."""
+    try:
+        return qfi_at(replace(spec, **{axis: value}), t, h)
+    except Exception as exc:  # recorded, not raised: keep the other points
+        return exc
+
+
+def _field_chunk(spec: ScenarioSpec, points: list, probe: np.ndarray, t: float) -> list:
+    """The outcomes of field-grid points (centre spec, FD step) that passed
+    qfi_at's checks: one stacked build of their five stencil models each,
+    one expm call, one matvec and one state check."""
+    stencils = [richardson_stencil(centre.b_z, step) for centre, step in points]
+    b_z = np.array([(centre.b_z, *fields) for (centre, _), (fields, _) in zip(points, stencils)]).T
+    b_x = np.array([centre.b_x for centre, _ in points])
+    generators = _KINDS[spec.kind].build(spec, b_z, b_x).liouvillian
+    v = vec(probe)[:, None]
+    if t > 0:
+        v = expm(generators * t) @ v
+    states = _states(np.broadcast_to(v[..., 0], generators.shape[:-1]), probe.shape[0])
+    errors = density_matrix_errors(states)
+    return [
+        _score(states[0, j], hermitize(derivative(states[1:, j])), errors[:, j], t, step)
+        for j, ((_, step), (_, derivative)) in enumerate(zip(points, stencils))
+    ]
+
+
+def _field_grid(spec: ScenarioSpec, axis: str, values: list[float], t: float, h: float | None) -> list:
+    outcomes: list = [None] * len(values)
+    ready = []  # (index, centre spec, FD step) of the points that pass qfi_at's checks
+    for k, value in enumerate(values):
+        try:
+            centre = replace(spec, **{axis: value})
+            step = h if h is not None else _fd_step(centre)
+            for b in richardson_stencil(centre.b_z, step)[0]:
+                replace(centre, b_z=b)
+        except InvalidScenarioError:
+            centre = None
+        if centre is not None and math.isfinite(t) and t >= 0:
+            ready.append((k, centre, step))
+        else:  # qfi_at raises here: record its error
+            outcomes[k] = _one_field_point(spec, axis, value, t, h)
+    if ready:
+        probe = validate_density_matrix(probe_state(spec))
+    for start in range(0, len(ready), _CHUNK):
+        chunk = ready[start:start + _CHUNK]
+        try:
+            scored = _field_chunk(spec, [(centre, step) for _, centre, step in chunk], probe, t)
+        except Exception:  # a model that fails to build or propagate: each point raises its own error
+            scored = [_one_field_point(spec, axis, values[k], t, h) for k, _, _ in chunk]
+        for (k, _, _), outcome in zip(chunk, scored):
+            outcomes[k] = outcome
+    return outcomes
+
+
+def qfi_grid(
+    spec: ScenarioSpec, values: ArrayLike, h: float | None = None, *, axis: str = "t", t: float | None = None
+) -> list[QfiResult | Exception]:
+    """QFI with respect to b_z of the propagated probe at each value of a
+    grid over one axis: evenly spaced, ascending probe times (axis "t"), or
+    values of the field b_z or b_x at probe time t.
+
+    Returns one entry per value: a QfiResult, or the exception that failed
+    that point, so one bad point does not lose the others.  On a time grid
+    that is a negative time, a state that breaks an invariant or a QFI below
+    tolerance; errors that concern the whole time grid (non-finite or uneven
+    times, an invalid stencil model) are raised.  On a field grid it is any
+    exception that `qfi_at` raises at that point.
+
+    A time grid exponentiates the model at b_z and the four Richardson
+    stencil models b_z + {-h, h, -h/2, h/2} twice each whatever the number
+    of points (see `_walk`), and checks their states in one batched call.  A
+    field grid builds the stencil models of _CHUNK points at a time as one
+    stack, with one expm call and one state check per chunk.  Either gives,
+    bit for bit, what `qfi_at` gives at each point.
+    """
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if axis == "t":
+        return _time_grid(spec, values, h)
+    if axis not in ("b_z", "b_x"):
+        raise ValueError(f"grid axis must be 't', 'b_z' or 'b_x', got {axis!r}")
+    if t is None:
+        raise ValueError(f"a grid over {axis!r} requires the probe time t")
+    return _field_grid(spec, axis, values.tolist(), float(t), h)
 
 
 def qfi_at(spec: ScenarioSpec, t: float, h: float | None = None) -> QfiResult:

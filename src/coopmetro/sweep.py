@@ -1,16 +1,12 @@
 """Parameter sweeps, threshold-region detection and QFI maximization.
 
-A time sweep is one `qfi_grid` call, which walks the grid with the
-semigroup property.  Points of a b_z or b_x sweep are independent and may
-be evaluated concurrently; results are always reported in axis order, so
-serial and parallel runs are identical.  The concurrency cap comes from the
-COOPMETRO_THREADS environment variable when not passed explicitly (default:
-serial).
+Every sweep is one `qfi_grid` call: a time sweep walks its grid with the
+semigroup property, and a b_z or b_x sweep builds, exponentiates and checks
+the stencil models of its points as stacks.  The region prescan and the
+1-D coarse scan of the maximizer evaluate a field objective the same way.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -75,31 +71,42 @@ class RegionResult:
     resolved: bool
 
 
-def _qfi_along(spec: ScenarioSpec, t: float | None, axis: str) -> Callable[[float], QfiResult]:
-    """value |-> QfiResult of the scenario with `axis` set to value."""
+class _FieldObjective:
+    """value |-> QFI of the scenario with the field `axis` set to value at
+    probe time t; `grid` evaluates many values in one `qfi_grid` call."""
+
+    def __init__(self, spec: ScenarioSpec, t: float, axis: str):
+        self.spec, self.t, self.axis = spec, t, axis
+
+    def __call__(self, value: float) -> float:
+        return qfi_at(replace(self.spec, **{self.axis: float(value)}), self.t).value
+
+    def grid(self, values: np.ndarray) -> np.ndarray:
+        """The objective at each value; raises the exception of the first
+        failed point, as calling it value by value would."""
+        outcomes = qfi_grid(self.spec, values, axis=self.axis, t=self.t)
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        return np.array([outcome.value for outcome in outcomes])
+
+
+def scenario_objective(spec: ScenarioSpec, t: float | None, axis: str = "b_z") -> Callable[[float], float]:
+    """Scalar objective value |-> QFI for sweeps/optimization over one axis
+    (t is unused when the axis is t)."""
     if axis == "t":
-        return lambda v: qfi_at(spec, float(v))
+        return lambda v: qfi_at(spec, float(v)).value
     if axis not in ("b_z", "b_x"):
         raise ValueError(f"unknown axis {axis!r}")
-    return lambda v: qfi_at(replace(spec, **{axis: float(v)}), t)
+    return _FieldObjective(spec, t, axis)
 
 
-def scenario_objective(spec: ScenarioSpec, t: float, axis: str = "b_z") -> Callable[[float], float]:
-    """Scalar objective value |-> QFI for sweeps/optimization over one axis."""
-    evaluate = _qfi_along(spec, t, axis)
-    return lambda v: evaluate(v).value
-
-
-def _max_workers(explicit: int | None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("COOPMETRO_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"COOPMETRO_THREADS must be a positive integer, got {env!r}") from None
-    return 1
+def _scan(objective: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """The objective at each grid value: one grid evaluation for a field
+    objective, one call per value otherwise."""
+    if isinstance(objective, _FieldObjective):
+        return objective.grid(xs)
+    return np.array([objective(float(x)) for x in xs])
 
 
 def _point(value: float, outcome) -> SweepPoint:
@@ -108,41 +115,23 @@ def _point(value: float, outcome) -> SweepPoint:
     return SweepPoint(value=value, result=outcome)
 
 
-def sweep(
-    spec: ScenarioSpec,
-    grid: SweepGrid,
-    t: float | None = None,
-    max_workers: int | None = None,
-) -> list[SweepPoint]:
-    """One QFI evaluation per grid point, ordered by axis value.
+def sweep(spec: ScenarioSpec, grid: SweepGrid, t: float | None = None) -> list[SweepPoint]:
+    """One QFI evaluation per grid point, ordered by axis value, from one
+    `qfi_grid` call.
 
     Per-point failures (e.g. b_z = 0 inside a cooperative grid, or a
     negative time) are recorded as SweepPoints with a diagnostic instead of
-    aborting the sweep.  `max_workers` only applies to b_z and b_x sweeps.
+    aborting the sweep; so is a failure of a time grid as a whole, on every
+    point.
     """
     if grid.axis != "t" and t is None:
         raise ValueError(f"sweeping over {grid.axis!r} requires the probe time t")
-    workers = _max_workers(max_workers)  # a malformed setting fails every sweep
     values = [float(v) for v in grid.values()]
-    if grid.axis == "t":
-        try:
-            outcomes = qfi_grid(spec, values)
-        except Exception as exc:  # recorded, not raised: the grid as a whole failed
-            outcomes = [exc] * len(values)
-        return [_point(v, o) for v, o in zip(values, outcomes)]
-
-    evaluate = _qfi_along(spec, t, grid.axis)
-
-    def point(v: float) -> SweepPoint:
-        try:
-            return _point(v, evaluate(v))
-        except Exception as exc:  # recorded, not raised: keep the sweep going
-            return _point(v, exc)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(point, values))
-    return [point(v) for v in values]
+    try:
+        outcomes = qfi_grid(spec, values, axis=grid.axis, t=t)
+    except Exception as exc:  # recorded, not raised: the grid as a whole failed
+        outcomes = [exc] * len(values)
+    return [_point(v, o) for v, o in zip(values, outcomes)]
 
 
 def _bisect_crossing(f, lo: float, hi: float, f_hi: float, threshold: float, xtol: float) -> float:
@@ -167,7 +156,8 @@ def find_region(
     """Locate the contiguous region around the objective's maximum where it
     meets the threshold.
 
-    A prescan grid over the bracket finds the block of above-threshold
+    A prescan grid over the bracket (one grid evaluation for a field
+    objective of `scenario_objective`) finds the block of above-threshold
     points containing the maximum; each edge crossing is then bisected to
     |delta| <= xtol.  Returns resolved=False (NaN endpoints) when no prescan
     point reaches the threshold.
@@ -178,7 +168,7 @@ def find_region(
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
     xs = np.linspace(lo, hi, prescan)
-    vals = np.array([objective(float(x)) for x in xs])
+    vals = _scan(objective, xs)
     above = vals >= threshold
     if not above.any():
         return RegionResult(lower=math.nan, upper=math.nan, threshold=threshold, resolved=False)
@@ -220,7 +210,8 @@ def maximize_qfi(
     coarse: int = 33,
     xtol: float = 1e-6,
 ):
-    """Maximize over 1 or 2 bounded parameters: coarse grid scan, then
+    """Maximize over 1 or 2 bounded parameters: coarse grid scan (one grid
+    evaluation for a field objective of `scenario_objective`), then
     golden-section (1D) or Nelder-Mead (2D) refinement.
 
     Returns (argmax, value); argmax is a float in 1D, a 2-tuple in 2D.  The
@@ -234,7 +225,7 @@ def maximize_qfi(
     if len(bounds) == 1:
         (lo, hi), = bounds
         xs = np.linspace(lo, hi, coarse)
-        vals = np.array([objective(float(x)) for x in xs])
+        vals = _scan(objective, xs)
         k = int(np.argmax(vals))
         cell_lo = float(xs[max(k - 1, 0)])
         cell_hi = float(xs[min(k + 1, coarse - 1)])

@@ -109,3 +109,28 @@ def test_scenario_key_of_command_without_kind_is_usage_error(command, argv, key,
     assert main([command, *argv, "--out", str(out)]) == 2
     assert f"key '{key}' is not read by command '{command}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Per command, the flags of a valid call and a key that the command does not
+# read (t is not read by a sweep or a maximization over t itself).
+UNREAD_COMMAND_KEYS = {
+    "run": (["--kind", "std-spont", "--b_z", "0.1", "--gamma", "0.5", "--t", "1"], "from", "0"),
+    "sweep": (["--kind", "std-spont", "--b_z", "0.1", "--gamma", "0.5", "--axis", "t",
+               "--from", "0", "--to", "1", "--points", "3"], "t", "1"),
+    "region": (["--kind", "unitary-baseline", "--b_z", "0.1", "--t", "0.5", "--from", "0.1", "--to", "1"], "m", "3"),
+    "maximize": (["--kind", "unitary-baseline", "--b_z", "0.1", "--axis", "t", "--from", "0.1", "--to", "1"], "t", "1"),
+    "tradeoff": (["--b_x", "0.1", "--t", "1"], "points", "7"),
+    "figure": (["--figure", "fig2"], "axis", "b_z"),
+}
+
+
+@pytest.mark.parametrize("command", UNREAD_COMMAND_KEYS)
+def test_key_the_command_does_not_read_is_usage_error(command, tmp_path, capsys):
+    argv, key, value = UNREAD_COMMAND_KEYS[command]
+    out = tmp_path / "out.csv"
+    argv = [command, *argv, "--out", str(out)]
+    assert main(argv) == 0
+    out.unlink()
+    assert main([*argv, f"--{key}", value]) == 2
+    assert f"key '{key}' is not read by command '{command}'" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,9 +1,10 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import coopmetro.scenarios as scenarios
 from conftest import figure_scenarios
 from coopmetro.linalg import eigh, identity, outer, pauli, tensor
 from coopmetro.scenarios import (
@@ -187,6 +188,41 @@ class TestBuildModel:
     def test_unitary_baseline_has_no_channels(self):
         model = build_model(ScenarioSpec(kind="unitary-baseline", b_z=0.1, n_spins=1))
         assert model.channels == ()
+
+
+# Every kind (both unitary-baseline sizes), the thermal one at zero and at
+# finite temperature, with every field it reads set.
+STACK_SPECS = [
+    ScenarioSpec(kind=kind, n_spins=n_spins, **{**ALL_FIELDS, "t_e": t_e})
+    for kind, n_spins, t_e in [(kind, 1, 0.1) for kind in KINDS]
+    + [("unitary-baseline", 2, 0.1), ("coop-thermal", 1, 0.0)]
+]
+
+
+class TestStackedBuilders:
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda s: f"{s.kind}-{s.n_spins}-{s.t_e}")
+    def test_stack_equals_models_built_alone(self, spec):
+        # Enough fields that numpy's array hypot, power or exp, which round the
+        # last bit differently from Python's on a few percent of inputs, would show.
+        rng = np.random.default_rng(11)
+        b_z = rng.uniform(0.5, 1.5, (5, 100))
+        b_x = rng.uniform(0.05, 0.3, 100)
+        stack = scenarios._KINDS[spec.kind].build(spec, b_z, b_x)
+        generators = stack.liouvillian
+        for index in np.ndindex(b_z.shape):
+            alone = build_model(replace(spec, b_z=float(b_z[index]), b_x=float(b_x[index[1]])))
+            np.testing.assert_array_equal(stack.hamiltonian[index], alone.hamiltonian)
+            np.testing.assert_array_equal(generators[index], alone.liouvillian)
+            assert len(stack.channels) == len(alone.channels)
+            for stacked, channel in zip(stack.channels, alone.channels):
+                assert np.broadcast_to(stacked.rate, b_z.shape)[index] == channel.rate
+                np.testing.assert_array_equal(np.broadcast_to(stacked.jump, stack.hamiltonian.shape)[index], channel.jump)
+
+    def test_one_model_is_the_scalar_case(self):
+        spec = ScenarioSpec(kind="two-spin-coop", b_z=1.0, b_x=0.1, dipole=10.0)
+        model = build_model(spec)
+        assert model.hamiltonian.shape == (4, 4) and model.liouvillian.shape == (16, 16)
+        assert all(np.ndim(ch.rate) == 0 and ch.jump.shape == (4, 4) for ch in model.channels)
 
 
 class TestProbeState:

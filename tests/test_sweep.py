@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import coopmetro.scenarios as scenarios
 from coopmetro.linalg import eigh
 from coopmetro.qfi import differentiate_pure_state, differentiate_state, qfi_pure, qfi_qubit, qfi_sld
 from coopmetro.scenarios import (
+    InvalidScenarioError,
     ScenarioSpec,
     analytic_coop_spont_qfi,
     controlled_hamiltonian,
@@ -65,23 +67,9 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(COOP, SweepGrid("b_z", 0.05, 0.2, 3))
 
-    def test_parallel_serial_equivalence(self, monkeypatch):
-        grid = SweepGrid("t", 0.1, 2.0, 7)
-        serial = sweep(COOP, grid, max_workers=1)
-        parallel = sweep(COOP, grid, max_workers=4)
-        assert serial == parallel
-        monkeypatch.setenv("COOPMETRO_THREADS", "3")
-        from_env = sweep(COOP, grid)
-        assert from_env == serial
-
     def test_deterministic(self):
         grid = SweepGrid("t", 0.1, 1.0, 4)
         assert sweep(COOP, grid) == sweep(COOP, grid)
-
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv("COOPMETRO_THREADS", "many")
-        with pytest.raises(ValueError):
-            sweep(COOP, SweepGrid("t", 0.1, 1.0, 3))
 
 
 # Every kind, with the relative tolerance of the grid walk against pointwise
@@ -158,6 +146,88 @@ class TestTimeGrid:
         calls.clear()
         sweep(COOP, SweepGrid("t", 0.0, 5.0, n_points))  # e^{L 0} = I needs no exponential
         assert len(calls) == 5
+
+
+# Every kind (both unitary-baseline sizes), swept over each field it reads
+# on a grid longer than one chunk.
+FIELD_SPECS = [
+    ScenarioSpec(kind="std-spont", b_z=0.1, gamma=0.5),
+    COOP,
+    ScenarioSpec(kind="std-deph", b_z=0.2, eta=0.4),
+    ScenarioSpec(kind="coop-deph", b_z=0.1, b_x=0.1, eta=0.5),
+    ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=2.0, t_e=0.1),
+    ScenarioSpec(kind="two-spin-coop", b_z=1.0, b_x=0.1, dipole=10.0),
+    UNITARY,
+    ScenarioSpec(kind="unitary-baseline", b_z=0.3, n_spins=2),
+]
+FIELD_CASES = [(spec, axis) for spec in FIELD_SPECS for axis in ("b_z", "b_x") if axis in spec.parameters]
+TWO_SPIN = FIELD_SPECS[5]
+
+
+class TestFieldGrid:
+    @pytest.mark.parametrize("spec, axis", FIELD_CASES, ids=lambda c: getattr(c, "kind", c))
+    def test_equals_qfi_at_bit_for_bit(self, spec, axis):
+        values = np.linspace(0.05, 1.2, 11)
+        expected = [qfi_at(replace(spec, **{axis: float(v)}), 1.3) for v in values]
+        assert qfi_grid(spec, values, axis=axis, t=1.3) == expected
+
+    def test_cooperative_grid_through_zero(self):
+        points = sweep(COOP, SweepGrid("b_z", -0.1, 0.1, 5), t=0.5)
+        assert points[2].error == (
+            "InvalidScenarioError: b_z must be nonzero for kind 'coop-spont' "
+            "(the eigenbasis angle is undefined at b_z = 0)"
+        )
+        for p in points[:2] + points[3:]:
+            assert p.result == qfi_at(replace(COOP, b_z=p.value), 0.5)
+
+    def test_negative_time_fails_every_point_alone(self):
+        points = sweep(COOP, SweepGrid("b_z", 0.1, 0.2, 3), t=-1.0)
+        assert [p.error for p in points] == ["ValueError: time must be >= 0, got -1.0"] * 3
+
+    def test_invariant_failure_fails_only_its_point(self, monkeypatch):
+        grid = SweepGrid("b_z", 0.5, 1.5, 21)
+        clean = sweep(TWO_SPIN, grid, t=1.0)
+        states = scenarios._states
+        calls = []
+
+        def corrupted(v, d):
+            out = states(v, d)
+            if not calls:  # the first chunk only
+                calls.append(v.shape)
+                out = out.copy()
+                out[2, 3] *= 1.5  # trace 1.5 for one stencil model of point 3
+            return out
+
+        monkeypatch.setattr(scenarios, "_states", corrupted)
+        points = sweep(TWO_SPIN, grid, t=1.0)
+        assert points[3].result is None
+        assert points[3].error.startswith(
+            "NumericalFailureError: propagation to t=1.0 lost state invariants: density matrix trace"
+        )
+        assert points[:3] + points[4:] == clean[:3] + clean[4:]
+
+    def test_one_exponential_call_per_chunk(self, monkeypatch):
+        calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(m.shape) or expm(m))
+        sweep(TWO_SPIN, SweepGrid("b_z", 0.5, 1.5, 21), t=1.0)
+        assert len(calls) == math.ceil(21 / scenarios._CHUNK) < 105
+        assert sum(shape[0] * shape[1] for shape in calls) == 5 * 21  # five stencil models per point
+
+    def test_region_prescan_equals_plain_callable(self):
+        objective = scenario_objective(TWO_SPIN, 1.0, "b_z")
+        region = find_region(objective, 16.0, (0.5, 1.5))
+        assert region.resolved
+        assert region == find_region(lambda b: objective(b), 16.0, (0.5, 1.5))
+
+    def test_maximize_coarse_scan_equals_plain_callable(self):
+        objective = scenario_objective(TWO_SPIN, 1.0, "b_z")
+        assert maximize_qfi(objective, [(0.5, 1.5)]) == maximize_qfi(lambda b: objective(b), [(0.5, 1.5)])
+
+    def test_prescan_raises_the_first_failure(self):
+        objective = scenario_objective(COOP, 0.5, "b_z")
+        with pytest.raises(InvalidScenarioError, match="b_z must be nonzero"):
+            find_region(objective, 1.0, (-0.1, 0.1), prescan=5)
 
 
 class TestFindRegion:

@@ -99,21 +99,46 @@ def qfi_qubit(rho: np.ndarray, drho: np.ndarray) -> QfiResult:
     return QfiResult(value=_clamp(value), method=METHOD_QUBIT)
 
 
+def _recorded(formula: Callable, *args):
+    """formula(*args), or the ValueError it raises: recorded, not raised, so
+    that one bad state of a stack does not lose the others."""
+    try:
+        return formula(*args)
+    except ValueError as exc:
+        return exc
+
+
+def _sld_outcomes(rho: np.ndarray, drho: np.ndarray) -> list:
+    """`qfi_sld` at each state of a stack (n, d, d) with its derivative, or
+    the ValueError of a derivative that fails its check: one batched eigh
+    and one stacked product V† drho V, then the pair mask and the masked
+    sum state by state."""
+    rho = hermitize(np.asarray(rho, dtype=complex))
+    drho = np.asarray(drho, dtype=complex)
+    outcomes = [_recorded(_check_derivative, d) for d in drho]
+    ok = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, ValueError)]
+    if not ok:
+        return outcomes
+    system = eigh(rho[ok])
+    weights = np.abs(system.vectors.conj().mT @ drho[ok] @ system.vectors) ** 2
+    denoms = system.values[:, :, None] + system.values[:, None, :]
+    for k, weight, denom in zip(ok, weights, denoms):
+        mask = denom > SLD_SPECTRAL_EPS
+        value = 2.0 * float(np.sum(weight[mask] / denom[mask]))
+        outcomes[k] = QfiResult(value=_clamp(value), method=METHOD_SLD)
+    return outcomes
+
+
 def qfi_sld(rho: np.ndarray, drho: np.ndarray) -> QfiResult:
-    """Spectral SLD formula, any dimension.
+    """Spectral SLD formula, any dimension: the one-state case of `_sld_outcomes`.
 
     Diagonalize rho = sum_k lam_k |k><k| and sum
     2 |<i|drho|j>|^2 / (lam_i + lam_j) over pairs with lam_i + lam_j > 1e-12.
     """
-    rho = hermitize(np.asarray(rho, dtype=complex))
-    drho = _check_derivative(drho)
-    system = eigh(rho)
-    lam = system.values
-    m = system.vectors.conj().T @ drho @ system.vectors
-    denom = lam[:, None] + lam[None, :]
-    mask = denom > SLD_SPECTRAL_EPS
-    value = 2.0 * float(np.sum((np.abs(m) ** 2)[mask] / denom[mask]))
-    return QfiResult(value=_clamp(value), method=METHOD_SLD)
+    (outcome,) = _sld_outcomes(np.asarray(rho)[None], np.asarray(drho)[None])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def fd_default_step(b0: float) -> float:

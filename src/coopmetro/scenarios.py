@@ -38,12 +38,13 @@ from .lindblad import (
 from .linalg import eigh, expm, hermitize, identity, outer, pauli, tensor
 from .qfi import (
     QfiResult,
+    _recorded,
+    _sld_outcomes,
     StateFamily,
     differentiate_pure_state,
     fd_default_step,
     qfi_pure,
     qfi_qubit,
-    qfi_sld,
     richardson_stencil,
 )
 
@@ -117,13 +118,10 @@ class ScenarioSpec:
         entry = _KINDS.get(self.kind)
         if entry is None:
             raise InvalidScenarioError(f"unknown scenario kind {self.kind!r}")
+        _check_b_z(self.kind, self.b_z)
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise InvalidScenarioError(f"{name} must be finite, got {getattr(self, name)}")
-        if entry.cooperative and self.b_z == 0.0:
-            raise InvalidScenarioError(
-                f"b_z must be nonzero for kind {self.kind!r} (the eigenbasis angle is undefined at b_z = 0)"
-            )
         if entry.cooperative and entry.spins == 2 and not self.b_x > 0.0:
             raise InvalidScenarioError(
                 f"b_x must be > 0 for kind {self.kind!r} (levels 2 and 3 are degenerate at b_x = 0)"
@@ -140,7 +138,20 @@ class ScenarioSpec:
         return _KINDS[self.kind].reads
 
 
-_FLOAT_FIELDS = tuple(f.name for f in fields(ScenarioSpec) if f.type is float)
+# The float fields besides b_z, whose rules `_check_b_z` states.
+_FLOAT_FIELDS = tuple(f.name for f in fields(ScenarioSpec) if f.type is float and f.name != "b_z")
+
+
+def _check_b_z(kind: str, *values: float) -> None:
+    """Check values of b_z for a spec of this kind, its own or its stencil
+    fields: each must be finite, and nonzero for a cooperative kind."""
+    for b_z in values:
+        if not math.isfinite(b_z):
+            raise InvalidScenarioError(f"b_z must be finite, got {b_z}")
+        if _KINDS[kind].cooperative and b_z == 0.0:
+            raise InvalidScenarioError(
+                f"b_z must be nonzero for kind {kind!r} (the eigenbasis angle is undefined at b_z = 0)"
+            )
 
 
 def spin_count(spec: ScenarioSpec) -> int:
@@ -353,40 +364,46 @@ def _states(v: np.ndarray, d: int) -> np.ndarray:
     return hermitize(v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2))
 
 
-def _walk(models, rho0: np.ndarray, t0: float, dt: float, n: int) -> np.ndarray:
-    """Hermitized states e^{L_m (t0 + k dt)} rho0 of every model m, k < n,
-    stacked to shape (len(models), n, d, d).
+def _walk(generators: np.ndarray, rho0: np.ndarray, t0: float, dt: float, n: int) -> np.ndarray:
+    """Hermitized states e^{L (t0 + k dt)} rho0, k < n, of every Liouvillian
+    L of a stack (..., d², d²), stacked to shape (..., n, d, d).
 
-    Two exponentials per model, e^{L t0} and e^{L dt}; the semigroup property
-    e^{L (t + dt)} = e^{L dt} e^{L t} walks the grid with one matvec per step.
+    Two exponential calls on the stack, e^{L t0} and e^{L dt}; the semigroup
+    property e^{L (t + dt)} = e^{L dt} e^{L t} walks the grid with one
+    matvec per step.
     """
     d = rho0.shape[0]
-    generators = np.stack([model.liouvillian for model in models])
-    v = np.broadcast_to(vec(rho0)[:, None], (len(models), d * d, 1))
+    v = np.broadcast_to(vec(rho0)[:, None], (*generators.shape[:-1], 1))
     if t0 > 0:
-        v = np.stack([expm(g * t0) for g in generators]) @ v
-    out = np.empty((len(models), n, d * d), dtype=complex)
-    out[:, 0] = v[..., 0]
+        v = expm(generators * t0) @ v
+    out = np.empty((*generators.shape[:-2], n, d * d), dtype=complex)
+    out[..., 0, :] = v[..., 0]
     if n > 1:
-        step = np.stack([expm(g * dt) for g in generators])
+        step = expm(generators * dt)
         for k in range(1, n):
             v = step @ v
-            out[:, k] = v[..., 0]
+            out[..., k, :] = v[..., 0]
     return _states(out, d)
 
 
-def _score(rho: np.ndarray, drho: np.ndarray, errors, t: float, step: float) -> QfiResult | Exception:
-    """The outcome of one grid point from its state, its state derivative and
-    the state-check errors of its five stencil models (centre first)."""
-    error = next((e for e in errors if e is not None), None)
-    if error is not None:
-        return NumericalFailureError(f"propagation to t={t} lost state invariants: {error}")
-    qfi = qfi_qubit if rho.shape[0] == 2 else qfi_sld
-    try:
-        result = qfi(rho, drho)
-    except ValueError as exc:  # recorded, not raised: keep the other points
-        return exc
-    return QfiResult(value=result.value, method=result.method, fd_step=step)
+def _scores(states: np.ndarray, drho: np.ndarray, times, steps) -> list:
+    """The outcomes of grid points from the states (5, n, d, d) of their five
+    stencil models (centre first), their state derivatives (n, d, d), times
+    and FD steps: one state check, then the qubit closed form point by
+    point, or the SLD formula on the stack of larger states."""
+    errors = [next((e for e in point if e is not None), None) for point in density_matrix_errors(states).T]
+    ok = [j for j, error in enumerate(errors) if error is None]
+    if drho.shape[-1] == 2:
+        results = [_recorded(qfi_qubit, states[0, j], drho[j]) for j in ok]
+    else:
+        results = _sld_outcomes(states[0, ok], drho[ok])
+    outcomes: list = [
+        None if error is None else NumericalFailureError(f"propagation to t={t} lost state invariants: {error}")
+        for t, error in zip(times, errors)
+    ]
+    for j, result in zip(ok, results):
+        outcomes[j] = result if isinstance(result, Exception) else replace(result, fd_step=steps[j])
+    return outcomes
 
 
 def _time_grid(spec: ScenarioSpec, times: np.ndarray, h: float | None) -> list:
@@ -402,13 +419,10 @@ def _time_grid(spec: ScenarioSpec, times: np.ndarray, h: float | None) -> list:
     probe = validate_density_matrix(probe_state(spec))
     step = h if h is not None else _fd_step(spec)
     stencil, derivative = richardson_stencil(spec.b_z, step)
-    models = [build_model(replace(spec, b_z=b)) for b in (spec.b_z, *stencil)]
-    states = _walk(models, probe, float(times[first]), dt, len(times) - first)
-    errors = density_matrix_errors(states)
-    drho = hermitize(derivative(states[1:]))
-    for j, t in enumerate(times[first:]):
-        outcomes.append(_score(states[0, j], drho[j], errors[:, j], t, step))
-    return outcomes
+    _check_b_z(spec.kind, *stencil)
+    generators = _KINDS[spec.kind].build(spec, np.array((spec.b_z, *stencil)), spec.b_x).liouvillian
+    states = _walk(generators, probe, float(times[first]), dt, len(times) - first)
+    return outcomes + _scores(states, hermitize(derivative(states[1:])), times[first:], [step] * len(states[0]))
 
 
 # Points of a field grid per stacked build, exponential and state check
@@ -427,20 +441,13 @@ def _one_field_point(spec: ScenarioSpec, axis: str, value: float, t: float, h: f
 def _field_chunk(spec: ScenarioSpec, points: list, probe: np.ndarray, t: float) -> list:
     """The outcomes of field-grid points (centre spec, FD step) that passed
     qfi_at's checks: one stacked build of their five stencil models each,
-    one expm call, one matvec and one state check."""
+    one expm call and one state check."""
     stencils = [richardson_stencil(centre.b_z, step) for centre, step in points]
     b_z = np.array([(centre.b_z, *fields) for (centre, _), (fields, _) in zip(points, stencils)]).T
     b_x = np.array([centre.b_x for centre, _ in points])
-    generators = _KINDS[spec.kind].build(spec, b_z, b_x).liouvillian
-    v = vec(probe)[:, None]
-    if t > 0:
-        v = expm(generators * t) @ v
-    states = _states(np.broadcast_to(v[..., 0], generators.shape[:-1]), probe.shape[0])
-    errors = density_matrix_errors(states)
-    return [
-        _score(states[0, j], hermitize(derivative(states[1:, j])), errors[:, j], t, step)
-        for j, ((_, step), (_, derivative)) in enumerate(zip(points, stencils))
-    ]
+    states = _walk(_KINDS[spec.kind].build(spec, b_z, b_x).liouvillian, probe, t, 0.0, 1)[..., 0, :, :]
+    drho = hermitize(np.stack([derivative(states[1:, j]) for j, (_, derivative) in enumerate(stencils)]))
+    return _scores(states, drho, [t] * len(points), [step for _, step in points])
 
 
 def _field_grid(spec: ScenarioSpec, axis: str, values: list[float], t: float, h: float | None) -> list:
@@ -450,8 +457,7 @@ def _field_grid(spec: ScenarioSpec, axis: str, values: list[float], t: float, h:
         try:
             centre = replace(spec, **{axis: value})
             step = h if h is not None else _fd_step(centre)
-            for b in richardson_stencil(centre.b_z, step)[0]:
-                replace(centre, b_z=b)
+            _check_b_z(spec.kind, *richardson_stencil(centre.b_z, step)[0])
         except InvalidScenarioError:
             centre = None
         if centre is not None and math.isfinite(t) and t >= 0:
@@ -485,9 +491,9 @@ def qfi_grid(
     times, an invalid stencil model) are raised.  On a field grid it is any
     exception that `qfi_at` raises at that point.
 
-    A time grid exponentiates the model at b_z and the four Richardson
-    stencil models b_z + {-h, h, -h/2, h/2} twice each whatever the number
-    of points (see `_walk`), and checks their states in one batched call.  A
+    A time grid builds the model at b_z and its four Richardson stencil
+    models b_z + {-h, h, -h/2, h/2} as one stack, with two expm calls
+    whatever the number of points (see `_walk`) and one state check.  A
     field grid builds the stencil models of _CHUNK points at a time as one
     stack, with one expm call and one state check per chunk.  Either gives,
     bit for bit, what `qfi_at` gives at each point.

@@ -2,8 +2,9 @@
 
 Every sweep is one `qfi_grid` call: a time sweep walks its grid with the
 semigroup property, and a b_z or b_x sweep builds, exponentiates and checks
-the stencil models of its points as stacks.  The region prescan and the
-1-D coarse scan of the maximizer evaluate a field objective the same way.
+the stencil models of its points as stacks.  The region prescan, each step
+of the lockstep region bisection and the 1-D coarse scan of the maximizer
+evaluate a field objective the same way.
 """
 
 import math
@@ -73,22 +74,13 @@ class RegionResult:
 
 class _FieldObjective:
     """value |-> QFI of the scenario with the field `axis` set to value at
-    probe time t; `grid` evaluates many values in one `qfi_grid` call."""
+    probe time t; `_outcomes` evaluates many values in one `qfi_grid` call."""
 
     def __init__(self, spec: ScenarioSpec, t: float, axis: str):
         self.spec, self.t, self.axis = spec, t, axis
 
     def __call__(self, value: float) -> float:
         return qfi_at(replace(self.spec, **{self.axis: float(value)}), self.t).value
-
-    def grid(self, values: np.ndarray) -> np.ndarray:
-        """The objective at each value; raises the exception of the first
-        failed point, as calling it value by value would."""
-        outcomes = qfi_grid(self.spec, values, axis=self.axis, t=self.t)
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        return np.array([outcome.value for outcome in outcomes])
 
 
 def scenario_objective(spec: ScenarioSpec, t: float | None, axis: str = "b_z") -> Callable[[float], float]:
@@ -101,12 +93,28 @@ def scenario_objective(spec: ScenarioSpec, t: float | None, axis: str = "b_z") -
     return _FieldObjective(spec, t, axis)
 
 
-def _scan(objective: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """The objective at each grid value: one grid evaluation for a field
-    objective, one call per value otherwise."""
+def _outcomes(objective: Callable[[float], float], xs):
+    """The objective, or the exception that failed it, at each value: one
+    grid evaluation for a field objective, else one call per value read."""
     if isinstance(objective, _FieldObjective):
-        return objective.grid(xs)
-    return np.array([objective(float(x)) for x in xs])
+        outcomes = qfi_grid(objective.spec, xs, axis=objective.axis, t=objective.t)
+        yield from (o if isinstance(o, Exception) else o.value for o in outcomes)
+        return
+    for x in xs:
+        try:
+            yield objective(float(x))
+        except Exception as exc:  # handed to the caller, which raises it
+            yield exc
+
+
+def _scan(objective: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """The objective at each value; raises the first failure, as calling it value by value would."""
+    values = []
+    for outcome in _outcomes(objective, xs):
+        if isinstance(outcome, Exception):
+            raise outcome
+        values.append(outcome)
+    return np.array(values)
 
 
 def _point(value: float, outcome) -> SweepPoint:
@@ -134,16 +142,29 @@ def sweep(spec: ScenarioSpec, grid: SweepGrid, t: float | None = None) -> list[S
     return [_point(v, o) for v, o in zip(values, outcomes)]
 
 
-def _bisect_crossing(f, lo: float, hi: float, f_hi: float, threshold: float, xtol: float) -> float:
-    """Bisect [lo, hi] to where f crosses the threshold; f_hi is the known f(hi)."""
-    hi_above = f_hi - threshold > 0.0
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if (f(mid) - threshold > 0.0) == hi_above:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def _bisect(objective, edges: list, threshold: float, xtol: float) -> list[float]:
+    """Bisect each edge (lo, hi, objective at hi) to its threshold crossing,
+    all in lockstep: each step evaluates the midpoints of the open edges
+    together (one grid evaluation for a field objective), the midpoints that
+    each would see bisected alone.  As if bisected one after another, an
+    edge that fails stops, and its exception is raised once every edge
+    before it is done."""
+    edges = [[lo, hi, f_hi - threshold > 0.0] for lo, hi, f_hi in edges]
+    failed: dict = {}  # edge index -> its exception, until the edges before it are done
+    while active := [k for k, (lo, hi, _) in enumerate(edges) if hi - lo > xtol and k not in failed]:
+        mids = [0.5 * (edges[k][0] + edges[k][1]) for k in active]
+        for k, mid, outcome in zip(active, mids, _outcomes(objective, mids)):
+            if isinstance(outcome, Exception):
+                if all(hi - lo <= xtol for lo, hi, _ in edges[:k]):
+                    raise outcome
+                failed[k] = outcome
+            elif (outcome - threshold > 0.0) == edges[k][2]:
+                edges[k][1] = mid
+            else:
+                edges[k][0] = mid
+    if failed:
+        raise failed[min(failed)]
+    return [0.5 * (lo + hi) for lo, hi, _ in edges]
 
 
 def find_region(
@@ -158,9 +179,9 @@ def find_region(
 
     A prescan grid over the bracket (one grid evaluation for a field
     objective of `scenario_objective`) finds the block of above-threshold
-    points containing the maximum; each edge crossing is then bisected to
-    |delta| <= xtol.  Returns resolved=False (NaN endpoints) when no prescan
-    point reaches the threshold.
+    points containing the maximum; both edge crossings are then bisected in
+    lockstep to |delta| <= xtol (see `_bisect`).  Returns resolved=False
+    (NaN endpoints) when no prescan point reaches the threshold.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -179,11 +200,14 @@ def find_region(
     j = peak
     while j < prescan - 1 and above[j + 1]:
         j += 1
-    lower, upper = float(xs[0]), float(xs[-1])
+    edges = []  # (lo, hi, objective at hi) of each crossing inside the bracket, the lower first
     if i > 0:
-        lower = _bisect_crossing(objective, float(xs[i - 1]), float(xs[i]), vals[i], threshold, xtol)
+        edges.append((float(xs[i - 1]), float(xs[i]), vals[i]))
     if j < prescan - 1:
-        upper = _bisect_crossing(objective, float(xs[j]), float(xs[j + 1]), vals[j + 1], threshold, xtol)
+        edges.append((float(xs[j]), float(xs[j + 1]), vals[j + 1]))
+    crossings = iter(_bisect(objective, edges, threshold, xtol))
+    lower = next(crossings) if i > 0 else float(xs[0])
+    upper = next(crossings) if j < prescan - 1 else float(xs[-1])
     return RegionResult(lower=lower, upper=upper, threshold=threshold, resolved=True)
 
 

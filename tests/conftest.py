@@ -64,3 +64,13 @@ def random_mixed_qubit(rng: np.random.Generator, max_bloch: float = 0.9) -> np.n
 def random_traceless_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = random_hermitian(rng, dim)
     return m - np.trace(m) / dim * np.eye(dim)
+
+
+def outcome(evaluate):
+    """The value of evaluate(), or the type and text of the exception it
+    raises or returns."""
+    try:
+        value = evaluate()
+    except Exception as exc:
+        value = exc
+    return (type(value), str(value)) if isinstance(value, Exception) else value

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_mixed_qubit, random_traceless_hermitian
-from coopmetro.linalg import eigh, expm, normalize, pauli, projector
+from coopmetro.linalg import eigh, expm, hermitize, normalize, pauli, projector
 from coopmetro.qfi import (
     StateFamily,
+    _sld_outcomes,
     differentiate_pure_state,
     differentiate_state,
     fd_default_step,
@@ -105,6 +106,44 @@ class TestQfiSld:
         rho = projector(psi(b0))
         drho = differentiate_state(StateFamily(lambda b: projector(psi(b)), b0))
         assert qfi_sld(rho, drho).value == pytest.approx(pure, rel=1e-6)
+
+
+def reference_sld(rho: np.ndarray, drho: np.ndarray) -> float:
+    """The spectral SLD sum of one state, written out matrix by matrix."""
+    system = eigh(hermitize(rho))
+    m = system.vectors.conj().T @ drho @ system.vectors
+    denom = system.values[:, None] + system.values[None, :]
+    mask = denom > 1e-12
+    return max(2.0 * float(np.sum((np.abs(m) ** 2)[mask] / denom[mask])), 0.0)
+
+
+def random_state(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestStackedSld:
+    def test_stack_equals_states_alone(self):
+        rng = np.random.default_rng(41)
+        # ranks 1 to 4; a rank-1 state has pairs that the 1e-12 mask drops
+        rho = np.array([random_state(rng, 4, 1 + k % 4) for k in range(40)])
+        drho = np.array([random_traceless_hermitian(rng, 4) for _ in range(40)])
+        outcomes = _sld_outcomes(rho, drho)
+        assert outcomes == [qfi_sld(r, d) for r, d in zip(rho, drho)]
+        assert [o.value for o in outcomes] == [reference_sld(r, d) for r, d in zip(rho, drho)]
+
+    def test_non_hermitian_derivative_fails_only_its_state(self):
+        rng = np.random.default_rng(43)
+        rho = np.array([random_state(rng, 4, 2) for _ in range(5)])
+        drho = np.array([random_traceless_hermitian(rng, 4) for _ in range(5)])
+        drho[2, 0, 1] += 1e-6
+        outcomes = _sld_outcomes(rho, drho)
+        with pytest.raises(ValueError) as alone:
+            qfi_sld(rho[2], drho[2])
+        assert str(alone.value).startswith("state derivative not Hermitian within 1e-8: deviation 1.000e-06")
+        assert (type(outcomes[2]), str(outcomes[2])) == (type(alone.value), str(alone.value))
+        assert outcomes[:2] + outcomes[3:] == [qfi_sld(r, d) for r, d in zip(rho[[0, 1, 3, 4]], drho[[0, 1, 3, 4]])]
 
 
 class TestDifferentiateState:

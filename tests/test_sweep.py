@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -6,8 +7,16 @@ import pytest
 import scipy.linalg
 
 import coopmetro.scenarios as scenarios
+from conftest import outcome
 from coopmetro.linalg import eigh
-from coopmetro.qfi import differentiate_pure_state, differentiate_state, qfi_pure, qfi_qubit, qfi_sld
+from coopmetro.qfi import (
+    differentiate_pure_state,
+    differentiate_state,
+    qfi_pure,
+    qfi_qubit,
+    qfi_sld,
+    richardson_stencil,
+)
 from coopmetro.scenarios import (
     InvalidScenarioError,
     ScenarioSpec,
@@ -21,6 +30,7 @@ from coopmetro.scenarios import (
 )
 from coopmetro.sweep import SweepGrid, find_region, maximize_qfi, scenario_objective, sweep
 
+SWEEP = importlib.import_module("coopmetro.sweep")  # the package attribute is the function
 UNITARY = ScenarioSpec(kind="unitary-baseline", b_z=0.1, n_spins=1)
 COOP = ScenarioSpec(kind="coop-spont", b_z=0.1, b_x=0.1, gamma=0.5)
 
@@ -86,6 +96,15 @@ GRID_CASES = [
 ]
 
 
+# Stencils with a field that breaks the b_z rules: (spec, FD step, message).
+INVALID_STENCILS = [
+    # a cooperative stencil that reaches b_z = 0 exactly
+    (COOP, 0.1, "b_z must be nonzero for kind 'coop-spont'"),
+    # a stencil field that overflows to inf
+    (replace(COOP, b_z=1.5e308), 1e308, "b_z must be finite, got inf"),
+]
+
+
 def pointwise_qfi(spec: ScenarioSpec, t: float, h: float) -> float:
     """Reference: one propagation per stencil point, no time grid."""
     family = state_family(spec, t)
@@ -142,10 +161,36 @@ class TestTimeGrid:
         expm = scipy.linalg.expm
         monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(m.shape) or expm(m))
         sweep(COOP, SweepGrid("t", 0.5, 5.0, n_points))
-        assert len(calls) == 10
+        assert len(calls) == 2
+        assert sum(shape[0] for shape in calls) == 10
         calls.clear()
         sweep(COOP, SweepGrid("t", 0.0, 5.0, n_points))  # e^{L 0} = I needs no exponential
-        assert len(calls) == 5
+        assert len(calls) == 1
+        assert sum(shape[0] for shape in calls) == 5
+
+    @pytest.mark.parametrize("spec", [COOP, GRID_CASES[5][0]], ids=lambda s: s.kind)
+    def test_qfi_at_one_builder_call_and_one_exponential(self, monkeypatch, spec):
+        builds, exponentials = [], []
+        kind = scenarios._KINDS[spec.kind]
+        build = kind.build
+        monkeypatch.setitem(
+            scenarios._KINDS, spec.kind, kind._replace(build=lambda *args: builds.append(args[1]) or build(*args))
+        )
+        monkeypatch.setattr(scenarios, "build_model", None)  # the one-point builder is not used
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda m: exponentials.append(m.shape) or expm(m))
+        qfi_at(spec, 1.0)
+        (b_z,) = builds
+        stencil, _ = richardson_stencil(spec.b_z, scenarios._fd_step(spec))
+        assert b_z.tolist() == [spec.b_z, *stencil]
+        d2 = 4 ** scenarios.spin_count(spec)
+        assert exponentials == [(5, d2, d2)]
+
+    @pytest.mark.parametrize("spec, h, message", INVALID_STENCILS)
+    def test_invalid_stencil_field_raises_as_qfi_at(self, spec, h, message):
+        with pytest.raises(InvalidScenarioError, match=message):
+            qfi_at(spec, 0.5, h)
+        assert outcome(lambda: qfi_grid(spec, [0.5, 1.0], h)) == outcome(lambda: qfi_at(spec, 0.5, h))
 
 
 # Every kind (both unitary-baseline sizes), swept over each field it reads
@@ -179,6 +224,14 @@ class TestFieldGrid:
         )
         for p in points[:2] + points[3:]:
             assert p.result == qfi_at(replace(COOP, b_z=p.value), 0.5)
+
+    @pytest.mark.parametrize("spec, h, message", INVALID_STENCILS)
+    def test_invalid_stencil_field_records_qfi_at_error(self, spec, h, message):
+        with pytest.raises(InvalidScenarioError, match=message):
+            qfi_at(spec, 0.5, h)
+        values = [spec.b_z, 1.01 * spec.b_z]  # the second is valid for b_z = 0.1 only
+        expected = [outcome(lambda: qfi_at(replace(spec, b_z=b), 0.5, h)) for b in values]
+        assert [outcome(lambda: o) for o in qfi_grid(spec, values, h, axis="b_z", t=0.5)] == expected
 
     def test_negative_time_fails_every_point_alone(self):
         points = sweep(COOP, SweepGrid("b_z", 0.1, 0.2, 3), t=-1.0)
@@ -220,6 +273,21 @@ class TestFieldGrid:
         assert region.resolved
         assert region == find_region(lambda b: objective(b), 16.0, (0.5, 1.5))
 
+    def test_region_one_grid_call_per_bisection_step(self, monkeypatch):
+        sizes = []
+        objective = scenario_objective(TWO_SPIN, 1.0, "b_z")
+        (lower, _), (upper, _) = edges_bisected_alone(objective, 16.0, (0.5, 1.5))
+        grid = SWEEP.qfi_grid
+
+        def counted(spec, values, **kwargs):
+            sizes.append(len(values))
+            return grid(spec, values, **kwargs)
+
+        monkeypatch.setattr(SWEEP, "qfi_grid", counted)
+        monkeypatch.setattr(SWEEP, "qfi_at", None)  # no point is evaluated alone
+        assert find_region(objective, 16.0, (0.5, 1.5)).resolved
+        assert sizes == [101] + [2] * min(len(lower), len(upper)) + [1] * abs(len(lower) - len(upper))
+
     def test_maximize_coarse_scan_equals_plain_callable(self):
         objective = scenario_objective(TWO_SPIN, 1.0, "b_z")
         assert maximize_qfi(objective, [(0.5, 1.5)]) == maximize_qfi(lambda b: objective(b), [(0.5, 1.5)])
@@ -230,7 +298,76 @@ class TestFieldGrid:
             find_region(objective, 1.0, (-0.1, 0.1), prescan=5)
 
 
+def edges_bisected_alone(objective, threshold: float, bracket: tuple[float, float], xtol: float = 1e-4):
+    """Reference for find_region on a unimodal objective: (midpoints,
+    crossing) of each edge of its 101-point prescan, the lower first, each
+    edge bisected alone."""
+    xs = np.linspace(*bracket, 101)
+    above = np.flatnonzero([objective(float(x)) >= threshold for x in xs])
+    edges = []
+    for lo, hi in ((xs[above[0] - 1], xs[above[0]]), (xs[above[-1]], xs[above[-1] + 1])):
+        lo, hi = float(lo), float(hi)
+        hi_above = objective(hi) - threshold > 0.0
+        midpoints = []
+        while hi - lo > xtol:
+            midpoints.append(0.5 * (lo + hi))
+            if (objective(midpoints[-1]) - threshold > 0.0) == hi_above:
+                hi = midpoints[-1]
+            else:
+                lo = midpoints[-1]
+        edges.append((midpoints, 0.5 * (lo + hi)))
+    return edges
+
+
+def effective_objective(failures: dict[str, int] | None = None):
+    """The effective two-spin ground QFI at b_x = 0.1 (peak 50 at b_z = 1),
+    recording the midpoints that find_region's bisection evaluates on each
+    edge; raises LookupError(edge) at the failures[edge]-th midpoint of an
+    edge."""
+    failures = failures or {}
+    prescan = []
+    midpoints = {"lower": [], "upper": []}
+
+    def objective(b):
+        if len(prescan) < 101:
+            prescan.append(b)
+        else:
+            edge = "lower" if b < 1.0 else "upper"
+            midpoints[edge].append(b)
+            if len(midpoints[edge]) == failures.get(edge):
+                raise LookupError(edge)
+        return effective_two_spin_ground_qfi(b, 0.1)
+
+    return objective, midpoints
+
+
 class TestFindRegion:
+    def test_lockstep_edges_see_their_midpoints_alone(self):
+        (lower, lower_end), (upper, upper_end) = edges_bisected_alone(effective_objective()[0], 16.0, (0.5, 1.5))
+        objective, midpoints = effective_objective()
+        region = find_region(objective, 16.0, (0.5, 1.5))
+        assert midpoints == {"lower": lower, "upper": upper}
+        assert (region.lower, region.upper) == (lower_end, upper_end)
+
+    def test_lower_edge_failure_raises_at_once(self):
+        objective, midpoints = effective_objective({"lower": 3})
+        with pytest.raises(LookupError, match="lower"):
+            find_region(objective, 16.0, (0.5, 1.5))
+        assert (len(midpoints["lower"]), len(midpoints["upper"])) == (3, 2)
+
+    def test_upper_edge_failure_waits_for_the_lower_edge(self):
+        ((lower, _), _) = edges_bisected_alone(effective_objective()[0], 16.0, (0.5, 1.5))
+        objective, midpoints = effective_objective({"upper": 1})
+        with pytest.raises(LookupError, match="upper"):
+            find_region(objective, 16.0, (0.5, 1.5))
+        assert midpoints == {"lower": lower, "upper": midpoints["upper"][:1]}
+
+    def test_lower_edge_failure_wins(self):
+        objective, midpoints = effective_objective({"lower": 2, "upper": 1})
+        with pytest.raises(LookupError, match="lower"):
+            find_region(objective, 16.0, (0.5, 1.5))
+        assert (len(midpoints["lower"]), len(midpoints["upper"])) == (2, 1)
+
     def test_effective_model_width(self):
         objective = lambda b: effective_two_spin_ground_qfi(b, 0.1)
         region = find_region(objective, 16.0, (0.5, 1.5))

@@ -18,7 +18,6 @@ from .lindblad import (
     validate_density_matrix,
 )
 from .linalg import (
-    HermitianEigensystem,
     NonHermitianError,
     eigh,
     expm,
@@ -40,7 +39,6 @@ from .scenarios import (
     InvalidScenarioError,
     OutOfRegimeError,
     ScenarioSpec,
-    TradeoffPoint,
     analytic_coop_spont_qfi,
     analytic_coop_spont_state,
     build_model,

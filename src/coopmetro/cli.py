@@ -27,7 +27,7 @@ from .scenarios import (
 )
 from .sweep import SWEEP_AXES, SweepGrid, find_region, maximize_qfi, scenario_objective, sweep
 
-__all__ = ["UsageError", "RunConfig", "parse_config", "report_bound", "emit_figure", "main"]
+__all__ = ["UsageError", "RunConfig", "parse_config", "report_bound", "main"]
 
 _SCENARIO_KEYS = tuple(f.name for f in fields(ScenarioSpec))
 
@@ -314,11 +314,6 @@ def _emit(text: str, out: str | None):
             fh.write(text)
     except OSError as exc:
         raise RuntimeError(f"cannot write output file {out}: {exc}") from exc
-
-
-def emit_figure(figure_id: str, out_path: str):
-    """Write one figure's CSV data set to out_path."""
-    _emit(_render(figure_rows(figure_id), "csv"), out_path)
 
 
 # ---------------------------------------------------------------------------

@@ -3,32 +3,26 @@
 All operators, states and superoperators are plain complex numpy arrays
 (row-major, square).  Superoperators go up to dimension 16.  Everything here
 is a pure function over immutable inputs; nothing mutates its arguments.
-`hermitize`, `herm_deviation`, `eigh` and `outer` also take stacks
-(..., d, d) of matrices (or (..., d) of vectors) and act on each one, with
-the same bits as one at a time.
+`tensor`, `hermitize`, `herm_deviation`, `eigh` and `outer` also take
+stacks (..., d, d) of matrices (or (..., d) of vectors) and act on each one,
+with the same bits as one at a time.
 
 Basis convention: sigma_z |0> = +|0>, sigma_z |1> = -|1>.  With this choice
 (sigma_x + i*sigma_y)/2 = |0><1|.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
     "NonHermitianError",
-    "HermitianEigensystem",
     "pauli",
     "identity",
     "tensor",
     "hermitize",
     "herm_deviation",
-    "is_hermitian",
     "eigh",
     "expm",
-    "ket",
-    "projector",
     "outer",
     "normalize",
     "phase_align",
@@ -62,8 +56,12 @@ def identity(dim: int) -> np.ndarray:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dim(a*b) = dim(a)*dim(b)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices, of any sizes, or of each pair of two
+    stacks broadcast over their leading axes: dim(a*b) = dim(a)*dim(b).
+    Written by broadcasting: for d <= 4 it costs a fraction of np.kron."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(*product.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -77,33 +75,6 @@ def herm_deviation(m: np.ndarray) -> float:
     """max |m - m†| of a matrix, or the largest over the matrices of a stack."""
     m = np.asarray(m)
     return float(np.abs(m - m.conj().mT).max())
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return herm_deviation(m) <= tol
-
-
-@dataclass(frozen=True)
-class HermitianEigensystem:
-    """Eigenvalues (ascending) and unitary eigenvector matrix (columns), or
-    one of each per matrix of a stack: values (..., d), vectors (..., d, d).
-
-    Phase gauge: the first component of each eigenvector whose magnitude
-    exceeds 1e-12 is real and positive.  Within a degenerate cluster
-    (eigenvalue gap < 1e-9) columns are ordered by descending magnitude
-    of their first component.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[-1]
-
-    def vector(self, k: int) -> np.ndarray:
-        """Eigenvector k, or the stack of eigenvectors k."""
-        return self.vectors[..., k].copy()
 
 
 def _fix_gauge(vectors: np.ndarray) -> np.ndarray:
@@ -138,28 +109,31 @@ def _order_degenerate(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def eigh(h: np.ndarray, tol: float = HERM_TOL) -> HermitianEigensystem:
-    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
-    (..., d, d) in one LAPACK call, with a deterministic gauge.
+def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, vectors) of a Hermitian matrix, or of each matrix of a stack
+    (..., d, d) in one LAPACK call: ascending values (..., d) and unitary
+    eigenvector columns (..., d, d), h @ vectors = vectors @ diag(values).
 
-    Raises NonHermitianError if max |h - h†| of a matrix exceeds tol.
-    Eigenvalues are returned ascending; the decomposition satisfies
-    h @ V = V @ diag(w).
+    Phase gauge: the first component of each eigenvector whose magnitude
+    exceeds 1e-12 is real and positive.  Within a degenerate cluster
+    (eigenvalue gap < 1e-9) columns are ordered by descending magnitude of
+    their first component.  Raises NonHermitianError if max |h - h†| of a
+    matrix exceeds 1e-10.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     deviation = herm_deviation(h)
-    if deviation > tol:
+    if deviation > HERM_TOL:
         raise NonHermitianError(
-            f"matrix is not Hermitian: max |h - h†| = {deviation:.3e} > {tol:.1e}"
+            f"matrix is not Hermitian: max |h - h†| = {deviation:.3e} > {HERM_TOL:.1e}"
         )
     values, vectors = np.linalg.eigh(hermitize(h))
     close = values[..., 1:] - values[..., :-1] < DEGENERACY_TOL
     if close.any():
         for index in map(tuple, np.argwhere(close.any(axis=-1))):  # () for one matrix
             vectors[index] = _order_degenerate(values[index], vectors[index])
-    return HermitianEigensystem(values=values, vectors=_fix_gauge(vectors))
+    return values, _fix_gauge(vectors)
 
 
 def expm(m: np.ndarray) -> np.ndarray:
@@ -167,21 +141,10 @@ def expm(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(np.asarray(m, dtype=complex))
 
 
-def ket(dim: int, index: int) -> np.ndarray:
-    """Computational basis column vector |index> of the given dimension."""
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a><b| for state vectors a, b, or for each pair of two stacks (..., d)."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     return a[..., :, None] * b.conj()[..., None, :]
-
-
-def projector(psi: np.ndarray) -> np.ndarray:
-    return outer(psi, psi)
 
 
 def normalize(psi: np.ndarray) -> np.ndarray:

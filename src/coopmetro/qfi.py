@@ -9,6 +9,7 @@ jump operators and the rates at once and analytic eigenvector derivatives
 are error-prone.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,6 +58,8 @@ class StateFamily:
 
 def _clamp(value: float) -> float:
     value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"QFI computed as {value}, which is not finite")
     if value < QFI_NEGATIVE_TOL:
         raise ValueError(f"QFI computed as {value:.3e}, below the -1e-9 tolerance")
     return max(value, 0.0)
@@ -119,13 +122,13 @@ def _sld_outcomes(rho: np.ndarray, drho: np.ndarray) -> list:
     ok = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, ValueError)]
     if not ok:
         return outcomes
-    system = eigh(rho[ok])
-    weights = np.abs(system.vectors.conj().mT @ drho[ok] @ system.vectors) ** 2
-    denoms = system.values[:, :, None] + system.values[:, None, :]
+    values, vectors = eigh(rho[ok])
+    weights = np.abs(vectors.conj().mT @ drho[ok] @ vectors) ** 2
+    denoms = values[:, :, None] + values[:, None, :]
     for k, weight, denom in zip(ok, weights, denoms):
         mask = denom > SLD_SPECTRAL_EPS
-        value = 2.0 * float(np.sum(weight[mask] / denom[mask]))
-        outcomes[k] = QfiResult(value=_clamp(value), method=METHOD_SLD)
+        value = _recorded(_clamp, 2.0 * float(np.sum(weight[mask] / denom[mask])))
+        outcomes[k] = value if isinstance(value, ValueError) else QfiResult(value=value, method=METHOD_SLD)
     return outcomes
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "DegeneracyError",
     "OutOfRegimeError",
     "ScenarioSpec",
-    "TradeoffPoint",
     "spin_count",
     "controlled_hamiltonian",
     "two_spin_hamiltonian",
@@ -203,8 +202,8 @@ def two_spin_hamiltonian(b_z: ArrayLike, b_x: ArrayLike) -> np.ndarray:
 
 def _field_basis(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(|g>, |e>) of a controlled single-spin Hamiltonian (or stacks of them), ascending order."""
-    system = eigh(h)
-    return system.vector(0), system.vector(1)
+    _, vectors = eigh(h)
+    return vectors[..., 0], vectors[..., 1]
 
 
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|, decays |1> -> |0>
@@ -267,16 +266,16 @@ def _coop_thermal(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> Lindbla
 
 def _two_spin_coop(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
     h = two_spin_hamiltonian(b_z, b_x)
-    system = eigh(h)
+    values, vectors = eigh(h)
 
     def rates(*energies: float) -> tuple[float, ...]:
         # 4 omega^3 |d|^2 / 3 of each decay pair, omega its level gap
         return tuple(4.0 * (energies[i - 1] - energies[j - 1]) ** 3 * spec.dipole**2 / 3.0
                      for i, j in TWO_SPIN_DECAY_PAIRS)
 
-    levels = [system.values[..., k] for k in range(4)]
+    levels = [values[..., k] for k in range(4)]
     channels = (
-        LindbladChannel(rate, outer(system.vector(j - 1), system.vector(i - 1)))
+        LindbladChannel(rate, outer(vectors[..., j - 1], vectors[..., i - 1]))
         for rate, (i, j) in zip(_each(rates, *levels), TWO_SPIN_DECAY_PAIRS)
     )
     return LindbladModel(hamiltonian=h, channels=tuple(channels))
@@ -659,13 +658,13 @@ def exact_two_spin_ground_qfi(b_z: float, b_x: float, h: float | None = None) ->
         raise InvalidScenarioError(f"b_x must be > 0, got {b_x}")
 
     def ground(b: float) -> np.ndarray:
-        system = eigh(two_spin_hamiltonian(b, b_x))
-        gap = system.values[1] - system.values[0]
+        values, vectors = eigh(two_spin_hamiltonian(b, b_x))
+        gap = values[1] - values[0]
         if gap < GROUND_DEGENERACY_TOL:
             raise DegeneracyError(
                 f"ground level degenerate at b_z={b}: gap {gap:.3e} < 1e-9"
             )
-        return system.vector(0)
+        return vectors[:, 0]
 
     psi0, dpsi = differentiate_pure_state(ground, b_z, h)
     return qfi_pure(psi0, dpsi).value
@@ -682,20 +681,3 @@ def tradeoff_width(f_max: float, t: float) -> float:
         )
     inv_root = 1.0 / math.sqrt(f_max)
     return 2.0 * math.sqrt(inv_root * (1.0 / (4.0 * t) - inv_root))
-
-
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """Peak ground-state QFI, surpassing-region width and probe time."""
-
-    f_max: float
-    width: float
-    t: float
-
-    @classmethod
-    def from_f_max(cls, f_max: float, t: float) -> "TradeoffPoint":
-        return cls(f_max=f_max, width=tradeoff_width(f_max, t), t=t)
-
-    def identity_residual(self) -> float:
-        inv_root = 1.0 / math.sqrt(self.f_max)
-        return abs(self.width**2 / 4.0 - inv_root * (1.0 / (4.0 * self.t) - inv_root))

@@ -142,20 +142,29 @@ def sweep(spec: ScenarioSpec, grid: SweepGrid, t: float | None = None) -> list[S
     return [_point(v, o) for v, o in zip(values, outcomes)]
 
 
+def _check_xtol(xtol: float) -> None:
+    if not (math.isfinite(xtol) and xtol >= 0.0):
+        raise ValueError(f"xtol must be finite and >= 0, got {xtol}")
+
+
 def _bisect(objective, edges: list, threshold: float, xtol: float) -> list[float]:
     """Bisect each edge (lo, hi, objective at hi) to its threshold crossing,
     all in lockstep: each step evaluates the midpoints of the open edges
-    together (one grid evaluation for a field objective), the midpoints that
-    each would see bisected alone.  As if bisected one after another, an
-    edge that fails stops, and its exception is raised once every edge
-    before it is done."""
+    (wider than xtol, with lo < midpoint < hi) together, one grid evaluation
+    for a field objective: the midpoints that each would see bisected alone.
+    As if bisected one after another, an edge that fails stops, and its
+    exception is raised once every edge before it is done."""
+
+    def open_(lo: float, hi: float) -> bool:
+        return hi - lo > xtol and lo < 0.5 * (lo + hi) < hi
+
     edges = [[lo, hi, f_hi - threshold > 0.0] for lo, hi, f_hi in edges]
     failed: dict = {}  # edge index -> its exception, until the edges before it are done
-    while active := [k for k, (lo, hi, _) in enumerate(edges) if hi - lo > xtol and k not in failed]:
+    while active := [k for k, (lo, hi, _) in enumerate(edges) if open_(lo, hi) and k not in failed]:
         mids = [0.5 * (edges[k][0] + edges[k][1]) for k in active]
         for k, mid, outcome in zip(active, mids, _outcomes(objective, mids)):
             if isinstance(outcome, Exception):
-                if all(hi - lo <= xtol for lo, hi, _ in edges[:k]):
+                if not any(open_(lo, hi) for lo, hi, _ in edges[:k]):
                     raise outcome
                 failed[k] = outcome
             elif (outcome - threshold > 0.0) == edges[k][2]:
@@ -180,11 +189,13 @@ def find_region(
     A prescan grid over the bracket (one grid evaluation for a field
     objective of `scenario_objective`) finds the block of above-threshold
     points containing the maximum; both edge crossings are then bisected in
-    lockstep to |delta| <= xtol (see `_bisect`).  Returns resolved=False
-    (NaN endpoints) when no prescan point reaches the threshold.
+    lockstep to |delta| <= xtol (finite, >= 0), or to adjacent floats (see
+    `_bisect`).  Returns resolved=False (NaN endpoints) when no prescan
+    point reaches the threshold.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
+    _check_xtol(xtol)
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
@@ -215,7 +226,7 @@ def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > xtol:
+    while hi - lo > xtol and lo < x1 < hi and lo < x2 < hi:  # a probe on lo or hi no longer narrows it
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INVPHI * (hi - lo)
@@ -241,7 +252,9 @@ def maximize_qfi(
     Returns (argmax, value); argmax is a float in 1D, a 2-tuple in 2D.  The
     returned value is never below the best coarse-grid value, so boundary
     maxima survive refinement exactly.  Deterministic for a fixed objective.
+    xtol must be finite and >= 0; golden section stops there or at adjacent floats.
     """
+    _check_xtol(xtol)
     bounds = [(float(a), float(b)) for a, b in bounds]
     for a, b in bounds:
         if not (math.isfinite(a) and math.isfinite(b) and a < b):

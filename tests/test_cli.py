@@ -7,7 +7,7 @@ import pytest
 from coopmetro.cli import (
     RunConfig,
     UsageError,
-    emit_figure,
+    figure_rows,
     main,
     parse_config,
     report_bound,
@@ -156,6 +156,15 @@ class TestCommands:
         assert main(["run", "--kind", "coop-thermal", "--b_z", "0.3", "--b_x", "0.1", "--dipole", "2",
                      "--t_e", "1e-4", "--t", "1"]) == 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_qfi_is_computation_failure(self, capsys):
+        # The FD step, capped at |b_z|/2, is subnormal here and the difference quotient overflows.
+        assert main(["run", "--kind", "coop-spont", "--b_z", "2.2e-311", "--b_x", "0", "--gamma", "0",
+                     "--t", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: QFI computed as nan, which is not finite" in err
+
     def test_sweep_with_failed_point(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = main(
@@ -258,8 +267,8 @@ class TestFigures:
 
     def test_figure_csv_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_figure("figA1", str(a))
-        emit_figure("figA1", str(b))
+        assert main(["figure", "--figure", "figA1", "--out", str(a)]) == 0
+        assert main(["figure", "--figure", "figA1", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         first = a.read_text().split("\n")
         assert first[0] == "b_z,f_ground_exact,f_ground_effective"
@@ -279,8 +288,8 @@ class TestFigures:
 
     def test_unknown_figure(self):
         with pytest.raises(ValueError):
-            emit_figure("fig9", "/tmp/nope.csv")
+            figure_rows("fig9")
 
-    def test_figure_io_error_names_path(self):
-        with pytest.raises(RuntimeError, match="/nonexistent-dir/x.csv"):
-            emit_figure("figA1", "/nonexistent-dir/x.csv")
+    def test_figure_io_error_names_path(self, capsys):
+        assert main(["figure", "--figure", "figA1", "--out", "/nonexistent-dir/x.csv"]) == 1
+        assert "/nonexistent-dir/x.csv" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """Golden figure gate: every figure data set stays within 1e-7 relative of
 its reference CSV under tests/data/.
 
-The references were written by `emit_figure` with the Kronecker-product
+The references were written by `coopmetro figure` with the Kronecker-product
 Liouvillian assembly (`kron_liouvillian` in test_lindblad.py).  Random
 eigenvector phases alone move fig5 by ~1.5e-8 (rounding noise amplified by
 the finite differences), so the gate sits above that floor rather than at

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mixed_qubit, random_traceless_hermitian
-from coopmetro.linalg import eigh, expm, hermitize, normalize, pauli, projector
+from coopmetro.linalg import eigh, expm, hermitize, normalize, outer, pauli
 from coopmetro.qfi import (
     StateFamily,
     _sld_outcomes,
@@ -26,7 +26,7 @@ from coopmetro.scenarios import (
 
 
 def ground_vector(b_z, b_x):
-    return eigh(controlled_hamiltonian(b_z, b_x)).vector(0)
+    return eigh(controlled_hamiltonian(b_z, b_x))[1][:, 0]
 
 
 class TestQfiPure:
@@ -66,7 +66,7 @@ class TestQfiQubit:
 
     def test_near_pure_fallback_tagged(self):
         psi = normalize(np.array([1.0, 1.0]))
-        rho = projector(psi)
+        rho = outer(psi, psi)
         drho = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
         result = qfi_qubit(rho, drho)
         assert result.method == "sld-spectral"
@@ -103,16 +103,16 @@ class TestQfiSld:
         b0 = 0.4
         psi0, dpsi = differentiate_pure_state(psi, b0)
         pure = qfi_pure(psi0, dpsi).value
-        rho = projector(psi(b0))
-        drho = differentiate_state(StateFamily(lambda b: projector(psi(b)), b0))
+        rho = outer(psi(b0), psi(b0))
+        drho = differentiate_state(StateFamily(lambda b: outer(psi(b), psi(b)), b0))
         assert qfi_sld(rho, drho).value == pytest.approx(pure, rel=1e-6)
 
 
 def reference_sld(rho: np.ndarray, drho: np.ndarray) -> float:
     """The spectral SLD sum of one state, written out matrix by matrix."""
-    system = eigh(hermitize(rho))
-    m = system.vectors.conj().T @ drho @ system.vectors
-    denom = system.values[:, None] + system.values[None, :]
+    values, vectors = eigh(hermitize(rho))
+    m = vectors.conj().T @ drho @ vectors
+    denom = values[:, None] + values[None, :]
     mask = denom > 1e-12
     return max(2.0 * float(np.sum((np.abs(m) ** 2)[mask] / denom[mask])), 0.0)
 
@@ -144,6 +144,40 @@ class TestStackedSld:
         assert str(alone.value).startswith("state derivative not Hermitian within 1e-8: deviation 1.000e-06")
         assert (type(outcomes[2]), str(outcomes[2])) == (type(alone.value), str(alone.value))
         assert outcomes[:2] + outcomes[3:] == [qfi_sld(r, d) for r, d in zip(rho[[0, 1, 3, 4]], drho[[0, 1, 3, 4]])]
+
+
+    def test_non_finite_value_fails_only_its_state(self):
+        rng = np.random.default_rng(47)
+        rho = np.array([random_state(rng, 4, 2) for _ in range(3)])
+        drho = np.array([random_traceless_hermitian(rng, 4) for _ in range(3)])
+        drho[1] *= 1e200
+        with np.errstate(over="ignore"):
+            outcomes = _sld_outcomes(rho, drho)
+        assert isinstance(outcomes[1], ValueError) and "not finite" in str(outcomes[1])
+        assert outcomes[::2] == [qfi_sld(r, d) for r, d in zip(rho[::2], drho[::2])]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteQfi:
+    """Each formula route raises, naming the value, where the QFI is not finite."""
+
+    @pytest.mark.parametrize("bad", [math.nan, 1e200])
+    def test_pure(self, bad):
+        with pytest.raises(ValueError, match="QFI computed as (nan|inf), which is not finite"):
+            qfi_pure(normalize(np.array([1.0, 1.0])), np.array([bad, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, 1e200])
+    def test_qubit(self, bad):
+        drho = np.array([[0.0, bad], [bad, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="QFI computed as (nan|inf), which is not finite"):
+            qfi_qubit(np.diag([0.6, 0.4]).astype(complex), drho)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1e200])
+    def test_sld(self, bad):
+        drho = np.zeros((4, 4), dtype=complex)
+        drho[0, 1] = drho[1, 0] = bad
+        with pytest.raises(ValueError, match="QFI computed as (nan|inf), which is not finite"):
+            qfi_sld(np.eye(4, dtype=complex) / 4, drho)
 
 
 class TestDifferentiateState:

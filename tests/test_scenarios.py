@@ -13,7 +13,6 @@ from coopmetro.scenarios import (
     InvalidScenarioError,
     OutOfRegimeError,
     ScenarioSpec,
-    TradeoffPoint,
     analytic_coop_spont_qfi,
     analytic_coop_spont_state,
     build_model,
@@ -101,8 +100,8 @@ class TestBuildModel:
     def test_coop_spont_jump_in_eigenbasis(self):
         spec = ScenarioSpec(kind="coop-spont", **FIG2)
         model = build_model(spec)
-        system = eigh(model.hamiltonian)
-        g, e = system.vector(0), system.vector(1)
+        _, vectors = eigh(model.hamiltonian)
+        g, e = vectors[:, 0], vectors[:, 1]
         (ch,) = model.channels
         # sigma_-^H maps |e> to |g> and annihilates |g>
         np.testing.assert_allclose(ch.jump @ e, g, atol=1e-12)
@@ -168,21 +167,20 @@ class TestBuildModel:
         spec = ScenarioSpec(kind="two-spin-coop", b_z=1.0, b_x=0.1, dipole=10.0)
         model = build_model(spec)
         assert len(model.channels) == 4
-        system = eigh(model.hamiltonian)
-        energies = system.values
+        energies, vectors = eigh(model.hamiltonian)
         pairs = ((4, 3), (4, 2), (3, 2), (3, 1))
         for (i, j), ch in zip(pairs, model.channels):
             omega = energies[i - 1] - energies[j - 1]
             assert omega > 0
             assert ch.rate == pytest.approx(4.0 * omega**3 * 100.0 / 3.0, rel=1e-12)
             np.testing.assert_allclose(
-                ch.jump, outer(system.vector(j - 1), system.vector(i - 1)), atol=1e-12
+                ch.jump, outer(vectors[:, j - 1], vectors[:, i - 1]), atol=1e-12
             )
 
     def test_two_spin_small_bx_gap_limit(self):
         # diagonal limit: spectrum -> {-1, -1, 0.4, 1.6} at b_z = 0.3, so the
         # (3,1) gap approaches 0.4 - (-1) = 1.4
-        energies = eigh(two_spin_hamiltonian(0.3, 1e-4)).values
+        energies, _ = eigh(two_spin_hamiltonian(0.3, 1e-4))
         assert energies[2] - energies[0] == pytest.approx(1.4, abs=1e-3)
 
     def test_unitary_baseline_has_no_channels(self):
@@ -255,7 +253,7 @@ class TestAnalyticState:
         # to |g><g| is ~cos(theta)/2 e^{-gamma t/2}: 1.1e-7 at gamma*t = 30,
         # below 1e-10 only once gamma*t >= 46
         spec = ScenarioSpec(kind="coop-spont", **FIG2)
-        ground = eigh(build_model(spec).hamiltonian).vector(0)
+        ground = eigh(build_model(spec).hamiltonian)[1][:, 0]
         rho = analytic_coop_spont_state(0.1, 0.1, 0.5, 60.0)  # gamma*t = 30
         assert np.max(np.abs(rho - outer(ground, ground))) <= 1e-6
         rho = analytic_coop_spont_state(0.1, 0.1, 0.5, 100.0)  # gamma*t = 50
@@ -264,8 +262,7 @@ class TestAnalyticState:
     def test_eigenbasis_excited_population(self):
         # <e|rho(t)|e> = (1 + sin(pi/4)) e^{-1/2} / 2 at the fig2 parameters, t = 1
         rho = analytic_coop_spont_state(0.1, 0.1, 0.5, 1.0)
-        system = eigh(build_model(ScenarioSpec(kind="coop-spont", **FIG2)).hamiltonian)
-        e = system.vector(1)
+        e = eigh(build_model(ScenarioSpec(kind="coop-spont", **FIG2)).hamiltonian)[1][:, 1]
         population = (e.conj() @ rho @ e).real
         expected = 0.5 * (1.0 + math.sin(math.pi / 4.0)) * math.exp(-0.5)
         assert population == pytest.approx(expected, rel=1e-12)
@@ -456,8 +453,9 @@ class TestTradeoff:
         for t in (0.5, 1.0, 2.0):
             floor = 16.0 * t * t
             for f_max in np.geomspace(floor * (1.0 + 1e-6), 1e4, 40):
-                point = TradeoffPoint.from_f_max(float(f_max), t)
-                assert point.identity_residual() <= 1e-12
+                width = tradeoff_width(float(f_max), t)
+                inv_root = 1.0 / math.sqrt(f_max)
+                assert abs(width**2 / 4.0 - inv_root * (1.0 / (4.0 * t) - inv_root)) <= 1e-12
 
     def test_monotone_decreasing_in_f_max(self):
         # W^2/4 = u(1/(4T) - u) with u = 1/sqrt(F_max) peaks at F_max = 64 T^2,

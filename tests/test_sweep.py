@@ -73,6 +73,13 @@ class TestSweep:
         assert by_value[0.1].result is not None
         assert by_value[-0.1].result is not None
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_qfi_recorded_per_point(self):
+        # at a subnormal b_z the capped FD step is subnormal and the QFI comes out NaN
+        points = sweep(replace(COOP, b_z=2.2e-311), SweepGrid("b_z", 2.2e-311, 0.1, 3), t=1.0)
+        assert points[0].error == "ValueError: QFI computed as nan, which is not finite"
+        assert [p.result for p in points[1:]] == [qfi_at(replace(COOP, b_z=p.value), 1.0) for p in points[1:]]
+
     def test_requires_time_for_field_axes(self):
         with pytest.raises(ValueError):
             sweep(COOP, SweepGrid("b_z", 0.05, 0.2, 3))
@@ -298,6 +305,19 @@ class TestFieldGrid:
             find_region(objective, 1.0, (-0.1, 0.1), prescan=5)
 
 
+def limited(objective, calls: int = 500):
+    """The objective, raising once called more than `calls` times: a search
+    that does not terminate fails instead of hanging."""
+    count = iter(range(calls))
+
+    def wrapped(*args):
+        if next(count, None) is None:
+            raise RuntimeError(f"objective called more than {calls} times")
+        return objective(*args)
+
+    return wrapped
+
+
 def edges_bisected_alone(objective, threshold: float, bracket: tuple[float, float], xtol: float = 1e-4):
     """Reference for find_region on a unimodal objective: (midpoints,
     crossing) of each edge of its 101-point prescan, the lower first, each
@@ -403,6 +423,20 @@ class TestFindRegion:
         assert len(calls) == len(set(calls))
         assert region.upper - region.lower == pytest.approx(tradeoff_width(50.0, 1.0), abs=1e-3)
 
+    def test_zero_xtol_bisects_to_adjacent_floats(self):
+        objective = lambda b: effective_two_spin_ground_qfi(b, 0.1)
+        region = find_region(limited(objective), 16.0, (0.5, 1.5), xtol=0.0)
+        assert region.upper - region.lower == pytest.approx(tradeoff_width(50.0, 1.0), abs=1e-12)
+        for edge in (region.lower, region.upper):
+            # the threshold is crossed between the edge and one of its neighbouring floats
+            left, here, right = (objective(x) > 16.0 for x in (math.nextafter(edge, -1.0), edge, math.nextafter(edge, 2.0)))
+            assert left != here or here != right
+
+    @pytest.mark.parametrize("xtol", [-1.0, math.nan, math.inf])
+    def test_bad_xtol_rejected(self, xtol):
+        with pytest.raises(ValueError, match="xtol must be finite and >= 0"):
+            find_region(lambda b: effective_two_spin_ground_qfi(b, 0.1), 16.0, (0.5, 1.5), xtol=xtol)
+
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
             find_region(lambda x: x, 1.0, (1.0, 0.0))
@@ -420,7 +454,7 @@ class TestMaximize:
         # ground-state QFI b_x^2/(b_x^2+b_z^2)^2 decreases in b_z > 0
         def objective(b_z):
             def ground(b):
-                return eigh(controlled_hamiltonian(b, 0.1)).vector(0)
+                return eigh(controlled_hamiltonian(b, 0.1))[1][:, 0]
 
             psi0, dpsi = differentiate_pure_state(ground, b_z)
             return qfi_pure(psi0, dpsi).value
@@ -451,6 +485,19 @@ class TestMaximize:
         assert argmax[0] == pytest.approx(1.0, abs=1e-3)
         assert argmax[1] == pytest.approx(0.05, abs=1e-3)
         assert value == pytest.approx(200.0, rel=1e-3)
+
+    def test_zero_xtol_terminates(self):
+        # 1.0 is not on the coarse grid of [0.5, 1.6], so golden section refines the peak
+        objective = lambda b: effective_two_spin_ground_qfi(b, 0.1)
+        argmax, value = maximize_qfi(limited(objective), [(0.5, 1.6)], xtol=0.0)
+        assert argmax == pytest.approx(1.0, abs=1e-6)
+        assert value == pytest.approx(50.0, rel=1e-12)
+
+    @pytest.mark.parametrize("xtol", [-1.0, math.nan, math.inf])
+    def test_bad_xtol_rejected(self, xtol):
+        for bounds in ([(0.5, 1.5)], [(0.5, 1.5), (0.05, 0.3)]):
+            with pytest.raises(ValueError, match="xtol must be finite and >= 0"):
+                maximize_qfi(lambda *x: 0.0, bounds, xtol=xtol)
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):

@@ -331,7 +331,7 @@ def _cmd_run(config: RunConfig) -> tuple[list[dict], int]:
         "t": config.t,
         "qfi": result.value,
         "method": result.method,
-        "fd_step": result.fd_step,
+        "fd_step": None,  # no step: the state derivative is exact
         "m": config.m,
         "bound": bound,
     }
@@ -347,7 +347,7 @@ def _cmd_sweep(config: RunConfig) -> tuple[list[dict], int]:
             grid.axis: point.value,
             "qfi": point.result and point.result.value,
             "method": point.result and point.result.method,
-            "fd_step": point.result and point.result.fd_step,
+            "fd_step": None,
             "error": point.error,
         }
         for point in points

@@ -2,11 +2,13 @@
 
 Three routes are provided and cross-checked against each other in the test
 suite: the pure-state overlap formula, the qubit determinant closed form,
-and the spectral SLD sum valid in any dimension.  Parameter derivatives of
-whole simulation pipelines are taken by Richardson-extrapolated central
-differences, because the parameter typically enters the Hamiltonian, the
-jump operators and the rates at once and analytic eigenvector derivatives
-are error-prone.
+and the spectral SLD sum valid in any dimension.
+
+The scenario pipeline gets its state derivatives exactly, from the
+derivative of the generator (`scenarios.qfi_grid`).  Richardson-extrapolated
+central differences (`richardson_stencil`, `differentiate_state`) stay as
+the independent reference route for arbitrary state families, and
+`differentiate_pure_state` serves the ground-state QFI.
 """
 
 import math
@@ -41,11 +43,10 @@ DERIV_HERM_TOL = 1e-8
 
 @dataclass(frozen=True)
 class QfiResult:
-    """QFI value with the method tag and, if any, the finite-difference step."""
+    """QFI value with the tag of the formula that gave it."""
 
     value: float
     method: str
-    fd_step: float | None = None
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,15 @@ is the eigenvector of the smaller eigenvalue.
 
 Each kind's model builder is written once, over stacks of field values:
 given b_z and b_x as floats it builds one model (`build_model`), given them
-as arrays it builds the stack of models over their broadcast shape.  Only
-the matrix work is vectorised.  The scalar coefficients (level gaps,
-rates, the Bose occupation) are computed element by element with the
-scalar expressions of one model, because numpy's array routines (power,
-hypot, exp) can round the last bit differently, and a stack must equal its
-models built one at a time bit for bit.
+as arrays it builds the stack of models over their broadcast shape.  With
+the model it gives the exact derivatives in b_z of the Hamiltonian, the
+rates and the jump operators, from which the QFI pipeline assembles dL/db_z
+(no finite differences in b_z).  Only the matrix work is vectorised.  The
+scalar coefficients (level gaps, rates, the Bose occupation and their
+derivatives) are computed element by element with the scalar expressions
+of one model, because numpy's array routines (power, hypot, exp) can round
+the last bit differently, and a stack must equal its models built one at a
+time bit for bit.
 """
 
 import math
@@ -31,6 +34,7 @@ from .lindblad import (
     LindbladModel,
     NumericalFailureError,
     density_matrix_errors,
+    liouvillian_derivative,
     propagate,
     validate_density_matrix,
     vec,
@@ -42,10 +46,8 @@ from .qfi import (
     _sld_outcomes,
     StateFamily,
     differentiate_pure_state,
-    fd_default_step,
     qfi_pure,
     qfi_qubit,
-    richardson_stencil,
 )
 
 __all__ = [
@@ -78,6 +80,8 @@ __all__ = [
 TWO_SPIN_DECAY_PAIRS = ((4, 3), (4, 2), (3, 2), (3, 1))
 
 GROUND_DEGENERACY_TOL = 1e-9
+# Below this, <j|dH|k> between two eigenvectors is rounding: see `_eigen_derivative`.
+_COUPLING_TOL = 1e-12
 
 # Fields that no kind may read with a negative value.
 _NONNEGATIVE = ("b_x", "gamma", "eta", "dipole", "t_e")
@@ -117,7 +121,12 @@ class ScenarioSpec:
         entry = _KINDS.get(self.kind)
         if entry is None:
             raise InvalidScenarioError(f"unknown scenario kind {self.kind!r}")
-        _check_b_z(self.kind, self.b_z)
+        if not math.isfinite(self.b_z):
+            raise InvalidScenarioError(f"b_z must be finite, got {self.b_z}")
+        if entry.cooperative and self.b_z == 0.0:
+            raise InvalidScenarioError(
+                f"b_z must be nonzero for kind {self.kind!r} (the eigenbasis angle is undefined at b_z = 0)"
+            )
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise InvalidScenarioError(f"{name} must be finite, got {getattr(self, name)}")
@@ -137,20 +146,8 @@ class ScenarioSpec:
         return _KINDS[self.kind].reads
 
 
-# The float fields besides b_z, whose rules `_check_b_z` states.
+# The float fields besides b_z, whose rules `__post_init__` states first.
 _FLOAT_FIELDS = tuple(f.name for f in fields(ScenarioSpec) if f.type is float and f.name != "b_z")
-
-
-def _check_b_z(kind: str, *values: float) -> None:
-    """Check values of b_z for a spec of this kind, its own or its stencil
-    fields: each must be finite, and nonzero for a cooperative kind."""
-    for b_z in values:
-        if not math.isfinite(b_z):
-            raise InvalidScenarioError(f"b_z must be finite, got {b_z}")
-        if _KINDS[kind].cooperative and b_z == 0.0:
-            raise InvalidScenarioError(
-                f"b_z must be nonzero for kind {kind!r} (the eigenbasis angle is undefined at b_z = 0)"
-            )
 
 
 def spin_count(spec: ScenarioSpec) -> int:
@@ -200,93 +197,155 @@ def two_spin_hamiltonian(b_z: ArrayLike, b_x: ArrayLike) -> np.ndarray:
     return SZZ + _scale(b_z, SZ_SUM) + _scale(b_x, SX_SUM)
 
 
-def _field_basis(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|g>, |e>) of a controlled single-spin Hamiltonian (or stacks of them), ascending order."""
-    _, vectors = eigh(h)
-    return vectors[..., 0], vectors[..., 1]
+def _eigen_derivative(h: np.ndarray, dh: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(values, vectors, d values, d vectors) of a Hamiltonian (or a stack)
+    whose derivative is dh, from one batched `eigh`.
+
+    Hellmann-Feynman gives d lam_k = <k|dH|k>, first-order perturbation
+    theory d v_k = sum_{j != k} v_j <j|dH|k> / (lam_k - lam_j).  This d v_k
+    is orthogonal to v_k; the phase it leaves out cancels in the jump terms
+    of a Liouvillian (conj(J) ⊗ J and J†J).  A pair of levels closer than
+    1e-9 raises DegeneracyError if dH couples them; if it does not (beyond
+    rounding, 1e-12), the pair adds nothing.
+    """
+    values, vectors = eigh(h)
+    coupling = vectors.conj().mT @ dh @ vectors  # <j|dH|k> at [..., j, k]
+    gaps = values[..., None, :] - values[..., :, None]  # lam_k - lam_j at [..., j, k]
+    close = np.abs(gaps) < GROUND_DEGENERACY_TOL
+    coupled = close & (np.abs(coupling) > _COUPLING_TOL) & ~np.eye(h.shape[-1], dtype=bool)
+    if coupled.any():
+        raise DegeneracyError(
+            f"coupled levels degenerate: gap {np.abs(gaps[coupled]).min():.3e} < 1e-9, "
+            "so the b_z derivative is undefined"
+        )
+    inverse = np.where(close, 0.0, 1.0 / np.where(close, 1.0, gaps))
+    return values, vectors, np.diagonal(coupling, axis1=-2, axis2=-1).real, vectors @ (coupling * inverse)
+
+
+def _field_basis(h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(|g>, |e>, d|g>, d|e>) of a controlled single-spin Hamiltonian (or
+    stacks of them): the ascending eigenvectors and their b_z derivatives."""
+    _, vectors, _, d_vectors = _eigen_derivative(h, pauli("z"))
+    return vectors[..., 0], vectors[..., 1], d_vectors[..., 0], d_vectors[..., 1]
+
+
+def _d_outer(a: np.ndarray, da: np.ndarray, b: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """The derivative |da><b| + |a><db| of |a><b|."""
+    return outer(da, b) + outer(a, db)
 
 
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|, decays |1> -> |0>
 
 # The model builders: the model of `spec` at fields b_z and b_x, or the
-# stack of them over the broadcast shape of arrays b_z and b_x.
+# stack of them over the broadcast shape of arrays b_z and b_x, with its
+# derivative in b_z: (model, (dH, per channel (d rate, d jump))), where None
+# is a derivative that is zero (see `lindblad.liouvillian_derivative`).
 
 
-def _std_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
-    return LindbladModel(
+def _std_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
+    model = LindbladModel(
         hamiltonian=_scale(b_z, pauli("z")),
         channels=(LindbladChannel(spec.gamma, _LOWER),),
     )
+    return model, (pauli("z"), ((None, None),))
 
 
-def _std_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
+def _std_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
     # eta/2 (sigma_z rho sigma_z - rho) is the dissipator of jump sigma_z at rate eta/2.
-    return LindbladModel(
+    model = LindbladModel(
         hamiltonian=_scale(b_z, pauli("z")),
         channels=(LindbladChannel(spec.eta / 2.0, pauli("z")),),
     )
+    return model, (pauli("z"), ((None, None),))
 
 
-def _coop_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
+def _coop_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
     h = controlled_hamiltonian(b_z, b_x)
-    g, e = _field_basis(h)
-    return LindbladModel(hamiltonian=h, channels=(LindbladChannel(spec.gamma, outer(g, e)),))
+    g, e, dg, de = _field_basis(h)
+    model = LindbladModel(hamiltonian=h, channels=(LindbladChannel(spec.gamma, outer(g, e)),))
+    return model, (pauli("z"), ((None, _d_outer(g, dg, e, de)),))
 
 
-def _coop_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
+def _coop_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
     h = controlled_hamiltonian(b_z, b_x)
-    (delta,) = _each(lambda b_z, b_x: (math.hypot(b_z, b_x),), b_z, b_x)
-    sigma_n = h / np.asarray(delta)[..., None, None]
-    return LindbladModel(hamiltonian=h, channels=(LindbladChannel(spec.eta / 2.0, sigma_n),))
+    delta, cos = _each(lambda b_z, b_x: (math.hypot(b_z, b_x), b_z / math.hypot(b_z, b_x)), b_z, b_x)
+    delta = np.asarray(delta)[..., None, None]
+    sigma_n = h / delta
+    # d sigma_n = sigma_z / Delta - H b_z / Delta^3, written so that no power of Delta overflows
+    d_sigma_n = (pauli("z") - _scale(cos, sigma_n)) / delta
+    model = LindbladModel(hamiltonian=h, channels=(LindbladChannel(spec.eta / 2.0, sigma_n),))
+    return model, (pauli("z"), ((None, d_sigma_n),))
 
 
-def _thermal_rates(spec: ScenarioSpec, b_z: float, b_x: float) -> tuple[float, float]:
-    """Decay and absorption rates of the thermal channel at one field."""
+def _thermal_rates(spec: ScenarioSpec, b_z: float, b_x: float) -> tuple[float, float, float, float]:
+    """Decay and absorption rates of the thermal channel at one field, and
+    their derivatives in b_z."""
     omega = 2.0 * math.hypot(b_z, b_x)
+    d_omega = 2.0 * (b_z / math.hypot(b_z, b_x))
     gamma0 = 4.0 * omega**3 * spec.dipole**2 / 3.0
+    d_gamma0 = 4.0 * omega**2 * d_omega * spec.dipole**2
     # Bose occupation 1/(e^x - 1), written to underflow to 0 instead of
     # overflowing for x = omega/t_e beyond ~709; t_e = 0 is x = inf.
     x = math.inf if spec.t_e == 0.0 else omega / spec.t_e
     occupation = math.exp(-x) / -math.expm1(-x)
-    return gamma0 * (occupation + 1.0), gamma0 * occupation
+    up = gamma0 * occupation
+    # gamma0 d occupation = -gamma0 n (n + 1) d_omega / t_e, through the
+    # absorption rate gamma0 n, which underflows to 0 with n
+    d_occupation = 0.0 if spec.t_e == 0.0 else -up * (occupation + 1.0) * d_omega / spec.t_e
+    return (
+        gamma0 * (occupation + 1.0),
+        up,
+        d_gamma0 * (occupation + 1.0) + d_occupation,
+        d_gamma0 * occupation + d_occupation,
+    )
 
 
-def _coop_thermal(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
+def _coop_thermal(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
     h = controlled_hamiltonian(b_z, b_x)
-    g, e = _field_basis(h)
-    down, up = _each(lambda b_z, b_x: _thermal_rates(spec, b_z, b_x), b_z, b_x)
+    g, e, dg, de = _field_basis(h)
+    down, up, d_down, d_up = _each(lambda b_z, b_x: _thermal_rates(spec, b_z, b_x), b_z, b_x)
     channels = [LindbladChannel(down, outer(g, e))]
+    d_channels = [(d_down, _d_outer(g, dg, e, de))]
     # No absorption channel where the occupation underflows to 0; in a stack
     # that has it elsewhere, its rate there is 0, which adds exact zeros.
     absorbs = up > 0.0
     if absorbs.any() if isinstance(absorbs, np.ndarray) else absorbs:
         channels.append(LindbladChannel(up, outer(e, g)))
-    return LindbladModel(hamiltonian=h, channels=tuple(channels))
+        d_channels.append((d_up, _d_outer(e, de, g, dg)))
+    return LindbladModel(hamiltonian=h, channels=tuple(channels)), (pauli("z"), tuple(d_channels))
 
 
-def _two_spin_coop(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
+def _two_spin_coop(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
     h = two_spin_hamiltonian(b_z, b_x)
-    values, vectors = eigh(h)
+    values, vectors, d_values, d_vectors = _eigen_derivative(h, SZ_SUM)
 
-    def rates(*energies: float) -> tuple[float, ...]:
-        # 4 omega^3 |d|^2 / 3 of each decay pair, omega its level gap
-        return tuple(4.0 * (energies[i - 1] - energies[j - 1]) ** 3 * spec.dipole**2 / 3.0
-                     for i, j in TWO_SPIN_DECAY_PAIRS)
+    def rates(*levels: float) -> tuple[float, ...]:
+        # 4 omega^3 |d|^2 / 3 of each decay pair, omega its level gap, then
+        # their derivatives 4 omega^2 d omega |d|^2
+        energies, slopes = levels[:4], levels[4:]
+        gaps = [(energies[i - 1] - energies[j - 1], slopes[i - 1] - slopes[j - 1]) for i, j in TWO_SPIN_DECAY_PAIRS]
+        return (
+            *(4.0 * omega**3 * spec.dipole**2 / 3.0 for omega, _ in gaps),
+            *(4.0 * omega**2 * d_omega * spec.dipole**2 for omega, d_omega in gaps),
+        )
 
-    levels = [values[..., k] for k in range(4)]
-    channels = (
-        LindbladChannel(rate, outer(vectors[..., j - 1], vectors[..., i - 1]))
-        for rate, (i, j) in zip(_each(rates, *levels), TWO_SPIN_DECAY_PAIRS)
-    )
-    return LindbladModel(hamiltonian=h, channels=tuple(channels))
+    pairs = len(TWO_SPIN_DECAY_PAIRS)
+    levels = [x[..., k] for x in (values, d_values) for k in range(4)]
+    rate_values = _each(rates, *levels)
+    channels, d_channels = [], []
+    for rate, d_rate, (i, j) in zip(rate_values[:pairs], rate_values[pairs:], TWO_SPIN_DECAY_PAIRS):
+        lower, upper = vectors[..., j - 1], vectors[..., i - 1]
+        channels.append(LindbladChannel(rate, outer(lower, upper)))
+        d_channels.append((d_rate, _d_outer(lower, d_vectors[..., j - 1], upper, d_vectors[..., i - 1])))
+    return LindbladModel(hamiltonian=h, channels=tuple(channels)), (SZ_SUM, tuple(d_channels))
 
 
-def _unitary_baseline(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> LindbladModel:
+def _unitary_baseline(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
     if spec.n_spins == 1:
-        h = _scale(b_z, pauli("z"))
+        h, dh = _scale(b_z, pauli("z")), pauli("z")
     else:
-        h = two_spin_hamiltonian(b_z, 0.0)
-    return LindbladModel(hamiltonian=h, channels=())
+        h, dh = two_spin_hamiltonian(b_z, 0.0), SZ_SUM
+    return LindbladModel(hamiltonian=h, channels=()), (dh, ())
 
 
 class _Kind(NamedTuple):
@@ -294,13 +353,12 @@ class _Kind(NamedTuple):
 
     reads: tuple[str, ...]  # the ScenarioSpec fields it consults, besides kind
     # The model of a spec at fields b_z and b_x (floats), or the stack of
-    # models over the shape of arrays b_z and b_x.
-    build: Callable[[ScenarioSpec, ArrayLike, ArrayLike], LindbladModel]
+    # models over the shape of arrays b_z and b_x, with its b_z derivative.
+    build: Callable[[ScenarioSpec, ArrayLike, ArrayLike], tuple[LindbladModel, tuple]]
     spins: int | None = 1  # None: the spec's n_spins, 1 or 2
-    # Channels in the eigenbasis of the controlled Hamiltonian: b_z = 0 leaves
-    # that basis undefined, so b_z != 0 is required and the default FD step is
-    # capped at |b_z|/2 to keep the stencil off it.  With two spins, levels 2
-    # and 3 are degenerate at b_x = 0, so b_x > 0 is required too.
+    # Channels in the eigenbasis of the controlled Hamiltonian: b_z = 0
+    # leaves that basis undefined, so b_z != 0 is required.  With two spins,
+    # levels 2 and 3 are degenerate at b_x = 0, so b_x > 0 is required too.
     cooperative: bool = False
 
 
@@ -318,8 +376,10 @@ KINDS = tuple(_KINDS)
 
 def build_model(spec: ScenarioSpec) -> LindbladModel:
     """Assemble the Lindblad model of the given scenario: the one-model case
-    of the kind's stacked builder."""
-    return _KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
+    of the kind's stacked builder, which also differentiates it in b_z and so
+    raises DegeneracyError where levels that dH couples lie within 1e-9."""
+    model, _ = _KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
+    return model
 
 
 def probe_state(spec: ScenarioSpec) -> np.ndarray:
@@ -335,8 +395,9 @@ def state_family(spec: ScenarioSpec, t: float) -> StateFamily:
 
     b enters the Hamiltonian, the jump operators and (for thermal/two-spin
     kinds) the rates, so each evaluation assembles the full model at its
-    own field value.  Propagates one point at a time; `qfi_grid` is the
-    batched route over a time grid.
+    own field value.  Propagates one point at a time: the reference route
+    for finite differences of the state (`differentiate_state`), which
+    `qfi_grid` does not take.
     """
     probe = probe_state(spec)
 
@@ -346,66 +407,87 @@ def state_family(spec: ScenarioSpec, t: float) -> StateFamily:
     return StateFamily(evaluate=evaluate, b0=spec.b_z)
 
 
-def _fd_step(spec: ScenarioSpec) -> float:
-    """`fd_default_step(b_z)`, capped at |b_z|/2 for the cooperative kinds
-    (undefined at b_z = 0) so that the difference stencil never reaches it."""
-    step = fd_default_step(spec.b_z)
-    if _KINDS[spec.kind].cooperative:
-        step = min(step, abs(spec.b_z) / 2.0)
-    return step
-
-
 def _states(v: np.ndarray, d: int) -> np.ndarray:
-    """Hermitized density matrices (..., d, d) of column-stacked states (..., d²).
+    """Hermitized matrices (..., d, d) of column-stacked vectors (..., d²).
 
     vec stacks columns, so a row-major reshape gives the transposed matrix.
     """
     return hermitize(v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2))
 
 
-def _walk(generators: np.ndarray, rho0: np.ndarray, t0: float, dt: float, n: int) -> np.ndarray:
-    """Hermitized states e^{L (t0 + k dt)} rho0, k < n, of every Liouvillian
-    L of a stack (..., d², d²), stacked to shape (..., n, d, d).
+def _walk(blocks: np.ndarray, v0: np.ndarray, t0: float, dt: float, n: int) -> np.ndarray:
+    """The vectors e^{B (t0 + k dt)} v0, k < n, of every matrix B of a stack
+    (..., m, m), stacked to shape (..., n, m).
 
-    Two exponential calls on the stack, e^{L t0} and e^{L dt}; the semigroup
-    property e^{L (t + dt)} = e^{L dt} e^{L t} walks the grid with one
+    Two exponential calls on the stack, e^{B t0} and e^{B dt}; the semigroup
+    property e^{B (t + dt)} = e^{B dt} e^{B t} walks the grid with one
     matvec per step.
     """
-    d = rho0.shape[0]
-    v = np.broadcast_to(vec(rho0)[:, None], (*generators.shape[:-1], 1))
+    v = np.broadcast_to(v0[:, None], (*blocks.shape[:-1], 1))
     if t0 > 0:
-        v = expm(generators * t0) @ v
-    out = np.empty((*generators.shape[:-2], n, d * d), dtype=complex)
+        v = expm(blocks * t0) @ v
+    out = np.empty((*blocks.shape[:-2], n, len(v0)), dtype=complex)
     out[..., 0, :] = v[..., 0]
     if n > 1:
-        step = expm(generators * dt)
+        step = expm(blocks * dt)
         for k in range(1, n):
             v = step @ v
             out[..., k, :] = v[..., 0]
-    return _states(out, d)
+    return out
 
 
-def _scores(states: np.ndarray, drho: np.ndarray, times, steps) -> list:
-    """The outcomes of grid points from the states (5, n, d, d) of their five
-    stencil models (centre first), their state derivatives (n, d, d), times
-    and FD steps: one state check, then the qubit closed form point by
-    point, or the SLD formula on the stack of larger states."""
-    errors = [next((e for e in point if e is not None), None) for point in density_matrix_errors(states).T]
+def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.ndarray, t0: float, dt: float, n: int):
+    """(states, d states / d b_z) of the probe at times t0 + k dt, k < n,
+    under the model at fields b_z and b_x, or under each model of a stack:
+    shape (..., n, d, d) each, hermitized.
+
+    One build of the Liouvillian L and its exact derivative dL, then the
+    Van Loan block B = [[L, c dL], [0, L]] walked from [0; vec rho0]: the top
+    half of e^{B t} [0; vec rho0] is c vec d rho(t), the bottom half
+    vec rho(t).  The scale c is a power of two (so c and 1/c are exact)
+    that puts the entries of c dL about 2^-10 below those of L, within
+    [2^-60, 1] so that c dL cannot underflow: B then needs as many squarings
+    as e^{L t}, and rho keeps the accuracy of e^{L t} alone.
+    """
+    model, (dh, d_channels) = _KINDS[spec.kind].build(spec, b_z, b_x)
+    generator, derivative = model.liouvillian, liouvillian_derivative(model, dh, d_channels)
+    m = generator.shape[-1]
+    scale = np.ldexp(1.0, np.clip(_exponent(generator) - _exponent(derivative) - 10, -60, 0))[..., None, None]
+    shape = np.broadcast_shapes(generator.shape, derivative.shape)[:-2]
+    blocks = np.zeros((*shape, 2 * m, 2 * m), dtype=complex)
+    blocks[..., :m, :m] = blocks[..., m:, m:] = generator
+    blocks[..., :m, m:] = derivative * scale
+    v = _walk(blocks, np.concatenate((np.zeros(m, dtype=complex), vec(probe))), t0, dt, n)
+    d = probe.shape[0]
+    return _states(v[..., m:], d), _states(v[..., :m] / scale, d)
+
+
+def _exponent(m: np.ndarray) -> np.ndarray:
+    """The binary exponent of the largest real or imaginary part of the
+    entries of a matrix, or of each matrix of a stack: exact, unlike a norm."""
+    return np.frexp(np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1)))[1]
+
+
+def _scores(states: np.ndarray, drho: np.ndarray, times) -> list:
+    """The outcomes of grid points from their states and state derivatives
+    (n, d, d) and times: one state check, then the qubit closed form point
+    by point, or the SLD formula on the stack of larger states."""
+    errors = density_matrix_errors(states)
     ok = [j for j, error in enumerate(errors) if error is None]
     if drho.shape[-1] == 2:
-        results = [_recorded(qfi_qubit, states[0, j], drho[j]) for j in ok]
+        results = [_recorded(qfi_qubit, states[j], drho[j]) for j in ok]
     else:
-        results = _sld_outcomes(states[0, ok], drho[ok])
+        results = _sld_outcomes(states[ok], drho[ok])
     outcomes: list = [
         None if error is None else NumericalFailureError(f"propagation to t={t} lost state invariants: {error}")
         for t, error in zip(times, errors)
     ]
     for j, result in zip(ok, results):
-        outcomes[j] = result if isinstance(result, Exception) else replace(result, fd_step=steps[j])
+        outcomes[j] = result
     return outcomes
 
 
-def _time_grid(spec: ScenarioSpec, times: np.ndarray, h: float | None) -> list:
+def _time_grid(spec: ScenarioSpec, times: np.ndarray) -> list:
     if not np.isfinite(times).all():
         raise ValueError(f"time must be finite, got {times[~np.isfinite(times)][0]}")
     dt = (times[-1] - times[0]) / (len(times) - 1) if len(times) > 1 else 0.0
@@ -416,68 +498,58 @@ def _time_grid(spec: ScenarioSpec, times: np.ndarray, h: float | None) -> list:
     if first == len(times):
         return outcomes
     probe = validate_density_matrix(probe_state(spec))
-    step = h if h is not None else _fd_step(spec)
-    stencil, derivative = richardson_stencil(spec.b_z, step)
-    _check_b_z(spec.kind, *stencil)
-    generators = _KINDS[spec.kind].build(spec, np.array((spec.b_z, *stencil)), spec.b_x).liouvillian
-    states = _walk(generators, probe, float(times[first]), dt, len(times) - first)
-    return outcomes + _scores(states, hermitize(derivative(states[1:])), times[first:], [step] * len(states[0]))
+    states, drho = _propagated(spec, spec.b_z, spec.b_x, probe, float(times[first]), dt, len(times) - first)
+    return outcomes + _scores(states, drho, times[first:])
 
 
-# Points of a field grid per stacked build, exponential and state check
-# (40 stencil models): bounds the working memory of a long grid.
+# Points of a field grid per stacked build, exponential and state check:
+# bounds the working memory of a long grid.
 _CHUNK = 8
 
 
-def _one_field_point(spec: ScenarioSpec, axis: str, value: float, t: float, h: float | None):
+def _one_field_point(spec: ScenarioSpec, axis: str, value: float, t: float):
     """qfi_at at one point of a field grid, or the exception it raises."""
     try:
-        return qfi_at(replace(spec, **{axis: value}), t, h)
+        return qfi_at(replace(spec, **{axis: value}), t)
     except Exception as exc:  # recorded, not raised: keep the other points
         return exc
 
 
-def _field_chunk(spec: ScenarioSpec, points: list, probe: np.ndarray, t: float) -> list:
-    """The outcomes of field-grid points (centre spec, FD step) that passed
-    qfi_at's checks: one stacked build of their five stencil models each,
-    one expm call and one state check."""
-    stencils = [richardson_stencil(centre.b_z, step) for centre, step in points]
-    b_z = np.array([(centre.b_z, *fields) for (centre, _), (fields, _) in zip(points, stencils)]).T
-    b_x = np.array([centre.b_x for centre, _ in points])
-    states = _walk(_KINDS[spec.kind].build(spec, b_z, b_x).liouvillian, probe, t, 0.0, 1)[..., 0, :, :]
-    drho = hermitize(np.stack([derivative(states[1:, j]) for j, (_, derivative) in enumerate(stencils)]))
-    return _scores(states, drho, [t] * len(points), [step for _, step in points])
+def _field_chunk(spec: ScenarioSpec, points: list[ScenarioSpec], probe: np.ndarray, t: float) -> list:
+    """The outcomes of field-grid points (their specs) that passed qfi_at's
+    checks: one stacked build, one expm call and one state check."""
+    b_z, b_x = (np.array([getattr(point, name) for point in points]) for name in ("b_z", "b_x"))
+    states, drho = _propagated(spec, b_z, b_x, probe, t, 0.0, 1)
+    return _scores(states[:, 0], drho[:, 0], [t] * len(points))
 
 
-def _field_grid(spec: ScenarioSpec, axis: str, values: list[float], t: float, h: float | None) -> list:
+def _field_grid(spec: ScenarioSpec, axis: str, values: list[float], t: float) -> list:
     outcomes: list = [None] * len(values)
-    ready = []  # (index, centre spec, FD step) of the points that pass qfi_at's checks
+    ready = []  # (index, spec) of the points that pass qfi_at's checks
     for k, value in enumerate(values):
         try:
-            centre = replace(spec, **{axis: value})
-            step = h if h is not None else _fd_step(centre)
-            _check_b_z(spec.kind, *richardson_stencil(centre.b_z, step)[0])
+            point = replace(spec, **{axis: value})
         except InvalidScenarioError:
-            centre = None
-        if centre is not None and math.isfinite(t) and t >= 0:
-            ready.append((k, centre, step))
+            point = None
+        if point is not None and math.isfinite(t) and t >= 0:
+            ready.append((k, point))
         else:  # qfi_at raises here: record its error
-            outcomes[k] = _one_field_point(spec, axis, value, t, h)
+            outcomes[k] = _one_field_point(spec, axis, value, t)
     if ready:
         probe = validate_density_matrix(probe_state(spec))
     for start in range(0, len(ready), _CHUNK):
         chunk = ready[start:start + _CHUNK]
         try:
-            scored = _field_chunk(spec, [(centre, step) for _, centre, step in chunk], probe, t)
+            scored = _field_chunk(spec, [point for _, point in chunk], probe, t)
         except Exception:  # a model that fails to build or propagate: each point raises its own error
-            scored = [_one_field_point(spec, axis, values[k], t, h) for k, _, _ in chunk]
-        for (k, _, _), outcome in zip(chunk, scored):
+            scored = [_one_field_point(spec, axis, values[k], t) for k, _ in chunk]
+        for (k, _), outcome in zip(chunk, scored):
             outcomes[k] = outcome
     return outcomes
 
 
 def qfi_grid(
-    spec: ScenarioSpec, values: ArrayLike, h: float | None = None, *, axis: str = "t", t: float | None = None
+    spec: ScenarioSpec, values: ArrayLike, *, axis: str = "t", t: float | None = None
 ) -> list[QfiResult | Exception]:
     """QFI with respect to b_z of the propagated probe at each value of a
     grid over one axis: evenly spaced, ascending probe times (axis "t"), or
@@ -487,30 +559,32 @@ def qfi_grid(
     that point, so one bad point does not lose the others.  On a time grid
     that is a negative time, a state that breaks an invariant or a QFI below
     tolerance; errors that concern the whole time grid (non-finite or uneven
-    times, an invalid stencil model) are raised.  On a field grid it is any
-    exception that `qfi_at` raises at that point.
+    times, a model that cannot be built) are raised.  On a field grid it is
+    any exception that `qfi_at` raises at that point.
 
-    A time grid builds the model at b_z and its four Richardson stencil
-    models b_z + {-h, h, -h/2, h/2} as one stack, with two expm calls
-    whatever the number of points (see `_walk`) and one state check.  A
-    field grid builds the stencil models of _CHUNK points at a time as one
-    stack, with one expm call and one state check per chunk.  Either gives,
-    bit for bit, what `qfi_at` gives at each point.
+    The state derivative is exact, with no b_z step: the kind's builder
+    gives the Liouvillian L and its derivative dL, and the Van Loan block
+    exponential gives rho and d rho together (see `_propagated`).  A time
+    grid builds one model, with two expm calls whatever the number of points
+    (see `_walk`), and one state check.  A field grid builds the models of
+    _CHUNK points at a time as one stack, with one expm call and one state
+    check per chunk.  Either gives, bit for bit, what `qfi_at` gives at each
+    point.
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
     if axis == "t":
-        return _time_grid(spec, values, h)
+        return _time_grid(spec, values)
     if axis not in ("b_z", "b_x"):
         raise ValueError(f"grid axis must be 't', 'b_z' or 'b_x', got {axis!r}")
     if t is None:
         raise ValueError(f"a grid over {axis!r} requires the probe time t")
-    return _field_grid(spec, axis, values.tolist(), float(t), h)
+    return _field_grid(spec, axis, values.tolist(), float(t))
 
 
-def qfi_at(spec: ScenarioSpec, t: float, h: float | None = None) -> QfiResult:
+def qfi_at(spec: ScenarioSpec, t: float) -> QfiResult:
     """QFI with respect to b_z of the propagated probe at time t: the
     one-point case of `qfi_grid`."""
-    (outcome,) = qfi_grid(spec, t, h)
+    (outcome,) = qfi_grid(spec, t)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -556,7 +630,7 @@ def analytic_coop_spont_state(b_z: float, b_x: float, gamma: float, t: float) ->
 def analytic_coop_spont_state_deriv(b_z: float, b_x: float, gamma: float, t: float) -> np.ndarray:
     """d rho / d b_z of the closed-form evolved state, by the chain rule
     through theta(b_z) and Delta(b_z).  Independent oracle for the
-    finite-difference pipeline derivative."""
+    pipeline's state derivative."""
     theta, delta = _angle_delta(b_z, b_x)
     dtheta = -b_x / delta**2
     ddelta = b_z / delta

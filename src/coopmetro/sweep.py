@@ -2,7 +2,7 @@
 
 Every sweep is one `qfi_grid` call: a time sweep walks its grid with the
 semigroup property, and a b_z or b_x sweep builds, exponentiates and checks
-the stencil models of its points as stacks.  The region prescan, each step
+the models of its points as stacks.  The region prescan, each step
 of the lockstep region bisection and the 1-D coarse scan of the maximizer
 evaluate a field objective the same way.
 """

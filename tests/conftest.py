@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import coopmetro.scenarios as scenarios
 from coopmetro.cli import figure_rows
 from coopmetro.scenarios import ScenarioSpec
 
@@ -64,6 +65,21 @@ def random_mixed_qubit(rng: np.random.Generator, max_bloch: float = 0.9) -> np.n
 def random_traceless_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = random_hermitian(rng, dim)
     return m - np.trace(m) / dim * np.eye(dim)
+
+
+@pytest.fixture
+def nan_first_derivative(monkeypatch):
+    """Make the state derivative of the first point of each propagation NaN,
+    so that the QFI formula computes NaN there."""
+    propagated = scenarios._propagated
+
+    def corrupted(*args):
+        states, drho = propagated(*args)
+        drho = drho.copy()
+        drho.reshape(-1, *drho.shape[-2:])[0] = np.nan
+        return states, drho
+
+    monkeypatch.setattr(scenarios, "_propagated", corrupted)
 
 
 def outcome(evaluate):

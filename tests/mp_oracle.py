@@ -1,0 +1,151 @@
+"""40-digit reference QFI values, independent of the library's derivative route.
+
+Each model is written out again in mpmath: the Hamiltonian, its eigenbasis
+(mpmath's eigensolver, ascending), the jump operators and rates of the
+kind, and the column-stacking Liouvillian as a plain Kronecker sum.  The
+state is `mp.expm(L t) vec(rho0)`; its b_z derivative is a central
+difference at b_z +- 1e-15 (truncation ~1e-30, rounding ~1e-25 at 40
+digits); the QFI is the spectral SLD sum over pairs with
+lam_i + lam_j > 1e-25.  No finite-difference step of the library, no
+Liouvillian derivative and no block exponential is used.
+
+Regenerate the table (about 2 s per point):
+
+    python tests/mp_oracle.py > tests/data/oracle.csv
+
+`tests/test_oracle.py` checks the library against the table.
+"""
+
+import csv
+import sys
+
+from mpmath import mp
+
+mp.dps = 40
+STEP = mp.mpf("1e-15")
+SLD_EPS = mp.mpf("1e-25")
+COLUMNS = ("kind", "b_z", "b_x", "eta", "dipole", "t_e", "t", "qfi")
+
+# (kind, b_z, b_x, eta, dipole, t_e, t), as decimal strings
+POINTS = [
+    # fig5 (two-spin-coop, b_x 0.1, dipole 10, t 1): the points whose golden
+    # value the exact derivative moves by more than 5e-8
+    *(("two-spin-coop", b_z, "0.1", "0", "10", "0", "1") for b_z in (
+        "0.5", "0.585", "1.14", "1.145", "1.15", "1.16", "1.165",
+        "1.17", "1.18", "1.215", "1.22", "1.225", "1.24", "1.25",
+    )),
+    # a bench field-sweep point (seed 9928) where the old stencil was 1e-6 off
+    ("two-spin-coop", "1.2613426", "0.055063", "0", "10.094851", "0", "1.163839"),
+    # ground level and singlet 2.7e-10 apart, uncoupled by the b_z derivative
+    ("two-spin-coop", "0.5", "1e-5", "0", "10", "0", "1"),
+    ("coop-thermal", "0.3", "0.1", "0", "2", "0.1", "1.5"),
+    ("coop-deph", "0.1", "0.1", "0.5", "0", "0", "2"),
+]
+
+
+def kron(a, b):
+    n, m = a.rows, b.rows
+    out = mp.matrix(n * m, n * m)
+    for i in range(n):
+        for j in range(n):
+            for k in range(m):
+                for l in range(m):
+                    out[i * m + k, j * m + l] = a[i, j] * b[k, l]
+    return out
+
+
+def dagger(a):
+    return a.transpose_conj()
+
+
+def conj(a):
+    return dagger(a).T
+
+
+def ket_bra(a, b):
+    """|a><b| of two column vectors."""
+    return a * dagger(b)
+
+
+SZ = mp.matrix([[1, 0], [0, -1]])
+SX = mp.matrix([[0, 1], [1, 0]])
+I2 = mp.eye(2)
+
+
+def hamiltonian(kind, b_z, b_x):
+    if kind == "two-spin-coop":
+        return kron(SZ, SZ) + b_z * (kron(SZ, I2) + kron(I2, SZ)) + b_x * (kron(SX, I2) + kron(I2, SX))
+    return b_z * SZ + b_x * SX
+
+
+def channels(kind, h, b_z, b_x, eta, dipole, t_e):
+    """(rate, jump) of each dissipative channel."""
+    values, vectors = mp.eighe(mp.matrix(h))
+    v = [vectors[:, k] for k in range(h.rows)]
+    if kind == "coop-deph":
+        return [(eta / 2, h / mp.sqrt(b_z**2 + b_x**2))]
+    if kind == "coop-thermal":
+        omega = 2 * mp.sqrt(b_z**2 + b_x**2)
+        gamma0 = 4 * omega**3 * dipole**2 / 3
+        n = 0 if t_e == 0 else 1 / mp.expm1(omega / t_e)
+        return [(gamma0 * (n + 1), ket_bra(v[0], v[1])), (gamma0 * n, ket_bra(v[1], v[0]))]
+    if kind == "two-spin-coop":
+        # decay |E_i> -> |E_j>, levels 1-based ascending, at rate 4 omega^3 |d|^2 / 3
+        pairs = ((4, 3), (4, 2), (3, 2), (3, 1))
+        return [
+            (4 * (values[i - 1] - values[j - 1]) ** 3 * dipole**2 / 3, ket_bra(v[j - 1], v[i - 1]))
+            for i, j in pairs
+        ]
+    raise ValueError(f"no oracle for kind {kind!r}")
+
+
+def liouvillian(h, chans):
+    """-i(I ⊗ H) + i(H^T ⊗ I) + sum r (conj(J) ⊗ J - (I ⊗ J†J)/2 - ((J†J)^T ⊗ I)/2)."""
+    d = h.rows
+    ident = mp.eye(d)
+    gen = -1j * kron(ident, h) + 1j * kron(h.T, ident)
+    for rate, jump in chans:
+        jj = dagger(jump) * jump
+        gen += rate * (kron(conj(jump), jump) - kron(ident, jj) / 2 - kron(jj.T, ident) / 2)
+    return gen
+
+
+def state(kind, b_z, b_x, eta, dipole, t_e, t):
+    h = hamiltonian(kind, b_z, b_x)
+    d = h.rows
+    rho0 = mp.matrix(d, d)
+    for i in (0, d - 1):
+        for j in (0, d - 1):
+            rho0[i, j] = mp.mpf(1) / 2
+    v = mp.expm(liouvillian(h, channels(kind, h, b_z, b_x, eta, dipole, t_e)) * t) * mp.matrix(
+        [rho0[i, j] for j in range(d) for i in range(d)]
+    )
+    return mp.matrix([[v[i + j * d] for j in range(d)] for i in range(d)])
+
+
+def qfi(kind, b_z, b_x, eta, dipole, t_e, t):
+    rho = state(kind, b_z, b_x, eta, dipole, t_e, t)
+    hi = state(kind, b_z + STEP, b_x, eta, dipole, t_e, t)
+    lo = state(kind, b_z - STEP, b_x, eta, dipole, t_e, t)
+    drho = (hi - lo) / (2 * STEP)
+    values, vectors = mp.eighe((rho + dagger(rho)) / 2)
+    m = dagger(vectors) * ((drho + dagger(drho)) / 2) * vectors
+    total = mp.mpf(0)
+    for i in range(rho.rows):
+        for j in range(rho.rows):
+            if values[i] + values[j] > SLD_EPS:
+                total += 2 * abs(m[i, j]) ** 2 / (values[i] + values[j])
+    return total
+
+
+def main():
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for point in POINTS:
+        kind, *numbers = point
+        writer.writerow((*point, mp.nstr(qfi(kind, *map(mp.mpf, numbers)), 20)))
+        sys.stdout.flush()
+
+
+if __name__ == "__main__":
+    main()

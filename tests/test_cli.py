@@ -108,6 +108,7 @@ class TestCommands:
         header, row = out.read_text().strip().split("\n")
         assert header == "kind,b_z,t,qfi,method,fd_step,m,bound"
         cells = row.split(",")
+        assert cells[5] == ""  # the derivative is exact: no FD step
         qfi = float(cells[3])
         bound = float(cells[7])
         assert bound == pytest.approx(1.0 / math.sqrt(100 * qfi), rel=1e-10)
@@ -118,6 +119,7 @@ class TestCommands:
         (record,) = json.loads(out.read_text())
         assert record["method"] == "qubit-closed-form"
         assert record["qfi"] > 0
+        assert record["fd_step"] is None
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["run", "--kind", "coop-spont", "--t", "1"]) == 2
@@ -156,10 +158,8 @@ class TestCommands:
         assert main(["run", "--kind", "coop-thermal", "--b_z", "0.3", "--b_x", "0.1", "--dipole", "2",
                      "--t_e", "1e-4", "--t", "1"]) == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_qfi_is_computation_failure(self, capsys):
-        # The FD step, capped at |b_z|/2, is subnormal here and the difference quotient overflows.
-        assert main(["run", "--kind", "coop-spont", "--b_z", "2.2e-311", "--b_x", "0", "--gamma", "0",
+    def test_non_finite_qfi_is_computation_failure(self, capsys, nan_first_derivative):
+        assert main(["run", "--kind", "coop-spont", "--b_z", "0.1", "--b_x", "0.1", "--gamma", "0.5",
                      "--t", "1"]) == 1
         out, err = capsys.readouterr()
         assert out == ""

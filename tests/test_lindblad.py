@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from coopmetro.lindblad import (
     vec,
 )
 from coopmetro.linalg import outer, pauli
-from coopmetro.scenarios import ScenarioSpec, build_model, probe_state
+from coopmetro.qfi import StateFamily, differentiate_state, qfi_sld
+from coopmetro.scenarios import ScenarioSpec, build_model, probe_state, qfi_at
 
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
 
@@ -207,3 +209,25 @@ class TestRk4:
         spec = ScenarioSpec(kind="std-spont", b_z=0.1, gamma=0.5)
         with pytest.raises(ValueError):
             propagate_rk4(build_model(spec), probe_state(spec), 1.0, 0)
+
+    def test_fourth_order(self):
+        # Halving the step divides the error by 2^4 = 16 (2^3 = 8 for a third-order method).
+        spec = ScenarioSpec(kind="coop-spont", b_z=0.1, b_x=0.1, gamma=0.5)
+        model, rho0 = build_model(spec), probe_state(spec)
+        exact = propagate(model, rho0, 5.0)
+        coarse, fine = (np.max(np.abs(propagate_rk4(model, rho0, 5.0, n) - exact)) for n in (20, 40))
+        assert 14.0 < coarse / fine < 18.0
+
+    def test_richardson_derivative_of_a_stiff_state(self):
+        # The bench's reference route: Richardson differences of RK4 states,
+        # here 9,808 steps of a two-spin model with |L| t ~ 2e4.  Rounding that
+        # every step repeats is divided by the 1e-5 step: it must stay small.
+        spec = ScenarioSpec(kind="two-spin-coop", b_z=1.3716638489288124, b_x=0.05839639382636609,
+                            dipole=10.10758812500961)
+        t = 0.675655620602559
+
+        def evaluate(b):
+            return propagate_rk4(build_model(replace(spec, b_z=b)), probe_state(spec), t, 9808)
+
+        value = qfi_sld(evaluate(spec.b_z), differentiate_state(StateFamily(evaluate, spec.b_z))).value
+        assert value == pytest.approx(qfi_at(spec, t).value, rel=1e-9)

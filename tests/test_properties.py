@@ -1,11 +1,19 @@
 """Property tests: the one-point, field-grid and time-grid routes to the QFI
-of one scenario point agree bit for bit, or fail with the same error."""
+of one scenario point agree bit for bit, or fail with the same error; the
+exact b_z derivative of each kind's Liouvillian agrees with Richardson
+differences of Liouvillians built at the stencil fields."""
 
+from dataclasses import replace
+
+import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import coopmetro.scenarios as scenarios
 from conftest import outcome
-from coopmetro.scenarios import KINDS, InvalidScenarioError, ScenarioSpec, qfi_at, qfi_grid
+from coopmetro.lindblad import liouvillian_derivative
+from coopmetro.qfi import fd_default_step, richardson_stencil
+from coopmetro.scenarios import KINDS, InvalidScenarioError, ScenarioSpec, build_model, qfi_at, qfi_grid
 
 
 @st.composite
@@ -32,7 +40,42 @@ def scenario_points(draw):
 def test_one_point_field_grid_and_time_grid_agree(point):
     spec, t = point
     # Compared by repr, which tells floats apart bit for bit and, unlike ==,
-    # finds a NaN QFI (from a subnormal FD step) equal to itself.
+    # finds a NaN QFI equal to itself.
     alone = repr(outcome(lambda: qfi_at(spec, t)))
     assert repr(outcome(lambda: qfi_grid(spec, [spec.b_z], axis="b_z", t=t)[0])) == alone
     assert repr(outcome(lambda: qfi_grid(spec, [t, t + 1.0])[0])) == alone
+
+
+@st.composite
+def generator_points(draw):
+    """A spec of any kind at a field away from b_z = 0; for two spins also
+    b_x much smaller than b_z (down to 1e-3 |b_z|), away from the level
+    crossings at |b_z| = 1 that b_x opens."""
+    kind = draw(st.sampled_from(KINDS))
+    b_z = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from((1.0, -1.0)))
+    if kind == "two-spin-coop":
+        b_x = abs(b_z) * 10.0 ** draw(st.floats(-3.0, 0.0))
+        assume(abs(abs(b_z) - 1.0) > 0.05)
+    else:
+        b_x = draw(st.floats(0.0, 1.0))
+    return ScenarioSpec(
+        kind=kind,
+        b_z=b_z,
+        b_x=b_x,
+        gamma=draw(st.floats(0.0, 2.0)),
+        eta=draw(st.floats(0.0, 2.0)),
+        dipole=draw(st.floats(0.0, 10.0)),
+        t_e=draw(st.floats(0.0, 1.0)),
+        n_spins=draw(st.sampled_from((1, 2))),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(generator_points())
+def test_exact_generator_derivative_matches_richardson(spec):
+    model, tangent = scenarios._KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
+    exact = liouvillian_derivative(model, *tangent)
+    stencil, derivative = richardson_stencil(spec.b_z, fd_default_step(spec.b_z))
+    richardson = derivative([build_model(replace(spec, b_z=b)).liouvillian for b in stencil])
+    scale = np.abs(exact).max()
+    assert np.abs(exact - richardson).max() <= 1e-8 * scale

@@ -6,8 +6,11 @@ import pytest
 
 import coopmetro.scenarios as scenarios
 from conftest import figure_scenarios
+from coopmetro.lindblad import liouvillian_derivative
 from coopmetro.linalg import eigh, identity, outer, pauli, tensor
+from coopmetro.qfi import differentiate_state, qfi_sld
 from coopmetro.scenarios import (
+    GROUND_DEGENERACY_TOL,
     KINDS,
     DegeneracyError,
     InvalidScenarioError,
@@ -23,6 +26,7 @@ from coopmetro.scenarios import (
     qfi_at,
     spin_count,
     standard_limit_formulas,
+    state_family,
     taylor_coefficients,
     tradeoff_width,
     two_spin_hamiltonian,
@@ -205,12 +209,16 @@ class TestStackedBuilders:
         rng = np.random.default_rng(11)
         b_z = rng.uniform(0.5, 1.5, (5, 100))
         b_x = rng.uniform(0.05, 0.3, 100)
-        stack = scenarios._KINDS[spec.kind].build(spec, b_z, b_x)
+        build = scenarios._KINDS[spec.kind].build
+        stack, tangent = build(spec, b_z, b_x)
         generators = stack.liouvillian
+        derivatives = np.broadcast_to(liouvillian_derivative(stack, *tangent), generators.shape)
         for index in np.ndindex(b_z.shape):
             alone = build_model(replace(spec, b_z=float(b_z[index]), b_x=float(b_x[index[1]])))
+            _, alone_tangent = build(spec, float(b_z[index]), float(b_x[index[1]]))
             np.testing.assert_array_equal(stack.hamiltonian[index], alone.hamiltonian)
             np.testing.assert_array_equal(generators[index], alone.liouvillian)
+            np.testing.assert_array_equal(derivatives[index], liouvillian_derivative(alone, *alone_tangent))
             assert len(stack.channels) == len(alone.channels)
             for stacked, channel in zip(stack.channels, alone.channels):
                 assert np.broadcast_to(stacked.rate, b_z.shape)[index] == channel.rate
@@ -318,22 +326,58 @@ class TestQfiAt:
         with pytest.raises(ValueError, match="finite"):
             qfi_at(ScenarioSpec(kind="coop-spont", **FIG2), t)
 
-    def test_records_fd_step(self):
-        result = qfi_at(ScenarioSpec(kind="coop-spont", **FIG2), 1.0)
-        assert result.fd_step == pytest.approx(1e-5)
-
-    def test_small_field_stencil_stays_off_zero(self):
-        # The default step 1e-5 would put the stencil across b_z = 0, where
-        # the cooperative kinds are undefined; it is capped at |b_z|/2.
+    def test_small_field_is_exact(self):
+        # A b_z step of 1e-5 would cross b_z = 0, where the cooperative kinds
+        # are undefined; the exact derivative takes no step.
         result = qfi_at(ScenarioSpec(kind="coop-spont", b_z=5e-6, b_x=0.1, gamma=0.5), 1.0)
-        assert result.fd_step == 2.5e-6
-        assert result.value == pytest.approx(analytic_coop_spont_qfi(5e-6, 0.1, 0.5, 1.0), rel=1e-9)
+        assert result.value == pytest.approx(analytic_coop_spont_qfi(5e-6, 0.1, 0.5, 1.0), rel=1e-12)
 
     def test_small_field_without_control_matches_standard(self):
         coop = qfi_at(ScenarioSpec(kind="coop-spont", b_z=3e-6, b_x=0.0, gamma=0.5), 1.0)
         std = qfi_at(ScenarioSpec(kind="std-spont", b_z=3e-6, gamma=0.5), 1.0)
         assert std.value == pytest.approx(standard_limit_formulas("spont", 0.5, 1.0), rel=1e-9)
         assert coop.value == pytest.approx(std.value, rel=1e-12)
+
+
+class TestExactDerivative:
+    """Inputs where the old five-point b_z stencil failed or was off."""
+
+    @pytest.mark.parametrize("b_z", (1e-300, 1e-8))
+    def test_tiny_cooperative_field_next_to_larger_control(self, b_z):
+        result = qfi_at(ScenarioSpec(kind="coop-spont", b_z=b_z, b_x=0.1, gamma=0.5), 1.0)
+        assert format(result.value, ".12g") == "32.6676338791"
+        assert result.value == pytest.approx(analytic_coop_spont_qfi(b_z, 0.1, 0.5, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("t", (1e4, 1e6))
+    def test_long_times(self, t):
+        # the limit b_x^2 / (b_x^2 + b_z^2)^2 = 25 of the closed form
+        assert qfi_at(ScenarioSpec(kind="coop-spont", **FIG2), t).value == pytest.approx(25.0, rel=1e-9)
+
+    def test_curve_tail_of_a_two_spin_field_sweep(self):
+        spec = ScenarioSpec(kind="two-spin-coop", b_z=1.2613426, b_x=0.055063, dipole=10.094851)
+        assert qfi_at(spec, 1.163839).value == pytest.approx(0.8294410126, rel=1e-8)
+
+    def test_uncoupled_near_degenerate_levels(self):
+        # The ground level and the singlet are 2.7e-10 apart, but sigma_z^1 +
+        # sigma_z^2 does not couple them, so no gap enters a denominator.
+        spec = ScenarioSpec(kind="two-spin-coop", b_z=0.5, b_x=1e-5, dipole=10.0)
+        values, _ = eigh(two_spin_hamiltonian(spec.b_z, spec.b_x))
+        assert values[1] - values[0] < GROUND_DEGENERACY_TOL
+        value = qfi_at(spec, 1.0).value
+        family = state_family(spec, 1.0)
+        richardson = qfi_sld(family.evaluate(spec.b_z), differentiate_state(family)).value
+        assert math.isfinite(value)
+        assert value == pytest.approx(richardson, rel=1e-7)
+
+    def test_coupled_degenerate_levels_raise(self):
+        # gap 2 sqrt(2) 1e-12, and sigma_z couples |g> and |e>
+        with pytest.raises(DegeneracyError, match="gap 2.828e-12 < 1e-9"):
+            qfi_at(ScenarioSpec(kind="coop-spont", b_z=1e-12, b_x=1e-12, gamma=0.5), 1.0)
+
+    def test_exact_unitary_value_at_a_subnormal_field(self):
+        # The old stencil's step, capped at |b_z|/2, was subnormal here and gave NaN.
+        result = qfi_at(ScenarioSpec(kind="coop-spont", b_z=2.2e-311, b_x=0.0, gamma=0.0), 1.0)
+        assert result.value == pytest.approx(heisenberg_limit(1, 1.0), rel=1e-12)
 
 
 class TestTaylorCoefficients:

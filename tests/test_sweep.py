@@ -7,7 +7,6 @@ import pytest
 import scipy.linalg
 
 import coopmetro.scenarios as scenarios
-from conftest import outcome
 from coopmetro.linalg import eigh
 from coopmetro.qfi import (
     differentiate_pure_state,
@@ -15,7 +14,6 @@ from coopmetro.qfi import (
     qfi_pure,
     qfi_qubit,
     qfi_sld,
-    richardson_stencil,
 )
 from coopmetro.scenarios import (
     InvalidScenarioError,
@@ -73,12 +71,13 @@ class TestSweep:
         assert by_value[0.1].result is not None
         assert by_value[-0.1].result is not None
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_qfi_recorded_per_point(self):
-        # at a subnormal b_z the capped FD step is subnormal and the QFI comes out NaN
-        points = sweep(replace(COOP, b_z=2.2e-311), SweepGrid("b_z", 2.2e-311, 0.1, 3), t=1.0)
+    def test_non_finite_qfi_recorded_per_point(self, request):
+        grid = SweepGrid("b_z", 0.1, 0.2, 3)
+        clean = sweep(COOP, grid, t=1.0)
+        request.getfixturevalue("nan_first_derivative")  # the first point's QFI comes out NaN
+        points = sweep(COOP, grid, t=1.0)
         assert points[0].error == "ValueError: QFI computed as nan, which is not finite"
-        assert [p.result for p in points[1:]] == [qfi_at(replace(COOP, b_z=p.value), 1.0) for p in points[1:]]
+        assert points[1:] == clean[1:]
 
     def test_requires_time_for_field_axes(self):
         with pytest.raises(ValueError):
@@ -90,7 +89,8 @@ class TestSweep:
 
 
 # Every kind, with the relative tolerance of the grid walk against pointwise
-# propagation: the two-spin derivative sits at a higher FD noise floor.
+# propagation and finite differences: the two-spin reference sits at a
+# higher FD noise floor.
 GRID_CASES = [
     (ScenarioSpec(kind="std-spont", b_z=0.1, gamma=0.5), SweepGrid("t", 0.0, 5.0, 11), 1e-8),
     (ScenarioSpec(kind="coop-spont", b_z=0.1, b_x=0.1, gamma=0.5), SweepGrid("t", 0.3, 5.0, 8), 1e-8),
@@ -103,21 +103,13 @@ GRID_CASES = [
 ]
 
 
-# Stencils with a field that breaks the b_z rules: (spec, FD step, message).
-INVALID_STENCILS = [
-    # a cooperative stencil that reaches b_z = 0 exactly
-    (COOP, 0.1, "b_z must be nonzero for kind 'coop-spont'"),
-    # a stencil field that overflows to inf
-    (replace(COOP, b_z=1.5e308), 1e308, "b_z must be finite, got inf"),
-]
-
-
-def pointwise_qfi(spec: ScenarioSpec, t: float, h: float) -> float:
-    """Reference: one propagation per stencil point, no time grid."""
+def pointwise_qfi(spec: ScenarioSpec, t: float) -> float:
+    """Reference: Richardson differences of one propagation per stencil
+    point, no time grid and no derivative of the generator."""
     family = state_family(spec, t)
     rho = family.evaluate(spec.b_z)
     formula = qfi_qubit if rho.shape[0] == 2 else qfi_sld
-    return formula(rho, differentiate_state(family, h)).value
+    return formula(rho, differentiate_state(family)).value
 
 
 class TestTimeGrid:
@@ -126,7 +118,7 @@ class TestTimeGrid:
         points = sweep(spec, grid)
         for p in points:
             assert p.error is None
-            reference = pointwise_qfi(spec, p.value, p.result.fd_step)
+            reference = pointwise_qfi(spec, p.value)
             assert p.result.value == pytest.approx(reference, rel=rtol, abs=1e-12)
 
     def test_negative_times_fail_alone(self):
@@ -150,9 +142,9 @@ class TestTimeGrid:
         walk = scenarios._walk
 
         def corrupted(*args):
-            states = walk(*args).copy()
-            states[3, 2] *= 1.5  # trace 1.5 for one stencil model at t = 1.5
-            return states
+            vectors = walk(*args).copy()
+            vectors[2, 4:] *= 1.5  # the state half of the block vector at t = 1.5: trace 1.5
+            return vectors
 
         monkeypatch.setattr(scenarios, "_walk", corrupted)
         points = sweep(COOP, grid)
@@ -163,17 +155,15 @@ class TestTimeGrid:
         assert points[:2] + points[3:] == clean[:2] + clean[3:]
 
     @pytest.mark.parametrize("n_points", (3, 60))
-    def test_two_exponentials_per_stencil_model(self, monkeypatch, n_points):
+    def test_two_exponentials_per_time_grid(self, monkeypatch, n_points):
         calls = []
         expm = scipy.linalg.expm
         monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(m.shape) or expm(m))
         sweep(COOP, SweepGrid("t", 0.5, 5.0, n_points))
-        assert len(calls) == 2
-        assert sum(shape[0] for shape in calls) == 10
+        assert calls == [(8, 8), (8, 8)]  # the block [[L, dL], [0, L]] of one model, 2 d² = 8
         calls.clear()
-        sweep(COOP, SweepGrid("t", 0.0, 5.0, n_points))  # e^{L 0} = I needs no exponential
-        assert len(calls) == 1
-        assert sum(shape[0] for shape in calls) == 5
+        sweep(COOP, SweepGrid("t", 0.0, 5.0, n_points))  # e^{B 0} = I needs no exponential
+        assert calls == [(8, 8)]
 
     @pytest.mark.parametrize("spec", [COOP, GRID_CASES[5][0]], ids=lambda s: s.kind)
     def test_qfi_at_one_builder_call_and_one_exponential(self, monkeypatch, spec):
@@ -187,17 +177,9 @@ class TestTimeGrid:
         expm = scipy.linalg.expm
         monkeypatch.setattr(scipy.linalg, "expm", lambda m: exponentials.append(m.shape) or expm(m))
         qfi_at(spec, 1.0)
-        (b_z,) = builds
-        stencil, _ = richardson_stencil(spec.b_z, scenarios._fd_step(spec))
-        assert b_z.tolist() == [spec.b_z, *stencil]
-        d2 = 4 ** scenarios.spin_count(spec)
-        assert exponentials == [(5, d2, d2)]
-
-    @pytest.mark.parametrize("spec, h, message", INVALID_STENCILS)
-    def test_invalid_stencil_field_raises_as_qfi_at(self, spec, h, message):
-        with pytest.raises(InvalidScenarioError, match=message):
-            qfi_at(spec, 0.5, h)
-        assert outcome(lambda: qfi_grid(spec, [0.5, 1.0], h)) == outcome(lambda: qfi_at(spec, 0.5, h))
+        assert builds == [spec.b_z]  # no stencil fields
+        block = 2 * 4 ** scenarios.spin_count(spec)
+        assert exponentials == [(block, block)]
 
 
 # Every kind (both unitary-baseline sizes), swept over each field it reads
@@ -232,14 +214,6 @@ class TestFieldGrid:
         for p in points[:2] + points[3:]:
             assert p.result == qfi_at(replace(COOP, b_z=p.value), 0.5)
 
-    @pytest.mark.parametrize("spec, h, message", INVALID_STENCILS)
-    def test_invalid_stencil_field_records_qfi_at_error(self, spec, h, message):
-        with pytest.raises(InvalidScenarioError, match=message):
-            qfi_at(spec, 0.5, h)
-        values = [spec.b_z, 1.01 * spec.b_z]  # the second is valid for b_z = 0.1 only
-        expected = [outcome(lambda: qfi_at(replace(spec, b_z=b), 0.5, h)) for b in values]
-        assert [outcome(lambda: o) for o in qfi_grid(spec, values, h, axis="b_z", t=0.5)] == expected
-
     def test_negative_time_fails_every_point_alone(self):
         points = sweep(COOP, SweepGrid("b_z", 0.1, 0.2, 3), t=-1.0)
         assert [p.error for p in points] == ["ValueError: time must be >= 0, got -1.0"] * 3
@@ -252,10 +226,10 @@ class TestFieldGrid:
 
         def corrupted(v, d):
             out = states(v, d)
-            if not calls:  # the first chunk only
+            if not calls:  # the states of the first chunk only
                 calls.append(v.shape)
                 out = out.copy()
-                out[2, 3] *= 1.5  # trace 1.5 for one stencil model of point 3
+                out[3, 0] *= 1.5  # trace 1.5 for point 3
             return out
 
         monkeypatch.setattr(scenarios, "_states", corrupted)
@@ -271,8 +245,9 @@ class TestFieldGrid:
         expm = scipy.linalg.expm
         monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(m.shape) or expm(m))
         sweep(TWO_SPIN, SweepGrid("b_z", 0.5, 1.5, 21), t=1.0)
-        assert len(calls) == math.ceil(21 / scenarios._CHUNK) < 105
-        assert sum(shape[0] * shape[1] for shape in calls) == 5 * 21  # five stencil models per point
+        assert len(calls) == math.ceil(21 / scenarios._CHUNK) < 21
+        assert sum(shape[0] for shape in calls) == 21  # one block [[L, dL], [0, L]] per point
+        assert {shape[1:] for shape in calls} == {(32, 32)}
 
     def test_region_prescan_equals_plain_callable(self):
         objective = scenario_objective(TWO_SPIN, 1.0, "b_z")

@@ -1,7 +1,7 @@
 """Dense complex linear algebra and spin operators for 2- and 4-level systems.
 
 All operators, states and superoperators are plain complex numpy arrays
-(row-major, square).  Superoperators go up to dimension 16.  Everything here
+(row-major, square); `expm` also keeps a real matrix real.  Superoperators go up to dimension 16.  Everything here
 is a pure function over immutable inputs; nothing mutates its arguments.
 `tensor`, `hermitize`, `herm_deviation`, `eigh` and `outer` also take
 stacks (..., d, d) of matrices (or (..., d) of vectors) and act on each one,
@@ -137,8 +137,11 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Padé, via scipy)."""
-    return scipy.linalg.expm(np.asarray(m, dtype=complex))
+    """Matrix exponential (scaling-and-squaring Padé, via scipy) of a matrix
+    or of each matrix of a stack (..., n, n).  A real input stays real, in
+    real arithmetic; any other input is taken as complex."""
+    m = np.asarray(m)
+    return scipy.linalg.expm(np.asarray(m, dtype=float if np.isrealobj(m) else complex))
 
 
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

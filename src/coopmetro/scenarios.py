@@ -14,7 +14,9 @@ given b_z and b_x as floats it builds one model (`build_model`), given them
 as arrays it builds the stack of models over their broadcast shape.  With
 the model it gives the exact derivatives in b_z of the Hamiltonian, the
 rates and the jump operators, from which the QFI pipeline assembles dL/db_z
-(no finite differences in b_z).  Only the matrix work is vectorised.  The
+(no finite differences in b_z).  The probe is propagated in real
+generalized Bloch coordinates (see `_propagated`), where unit trace and
+Hermiticity hold by construction.  Only the matrix work is vectorised.  The
 scalar coefficients (level gaps, rates, the Bose occupation and their
 derivatives) are computed element by element with the scalar expressions
 of one model, because numpy's array routines (power, hypot, exp) can round
@@ -30,16 +32,18 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .lindblad import (
+    _BLOCH,
     LindbladChannel,
     LindbladModel,
     NumericalFailureError,
+    _real_generator,
     density_matrix_errors,
     liouvillian_derivative,
     propagate,
     validate_density_matrix,
     vec,
 )
-from .linalg import eigh, expm, hermitize, identity, outer, pauli, tensor
+from .linalg import eigh, expm, identity, outer, pauli, tensor
 from .qfi import (
     QfiResult,
     _recorded,
@@ -407,12 +411,16 @@ def state_family(spec: ScenarioSpec, t: float) -> StateFamily:
     return StateFamily(evaluate=evaluate, b0=spec.b_z)
 
 
-def _states(v: np.ndarray, d: int) -> np.ndarray:
-    """Hermitized matrices (..., d, d) of column-stacked vectors (..., d²).
+def _states(r: np.ndarray, d: int) -> np.ndarray:
+    """The matrices sum_k r_k G_k (..., d, d) of Bloch coordinates r (..., d²).
 
-    vec stacks columns, so a row-major reshape gives the transposed matrix.
+    Each entry is an elementwise product with the basis summed over its
+    last axis, so every entry takes the same arithmetic whatever the leading
+    shape (a BLAS product may not), and the matrices are Hermitian entry by
+    entry: (i, j) and (j, i) sum the same products, with the imaginary parts
+    negated.
     """
-    return hermitize(v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2))
+    return (r[..., None, None, :] * _BLOCH[d].entries).sum(axis=-1)
 
 
 def _walk(blocks: np.ndarray, v0: np.ndarray, t0: float, dt: float, n: int) -> np.ndarray:
@@ -426,7 +434,7 @@ def _walk(blocks: np.ndarray, v0: np.ndarray, t0: float, dt: float, n: int) -> n
     v = np.broadcast_to(v0[:, None], (*blocks.shape[:-1], 1))
     if t0 > 0:
         v = expm(blocks * t0) @ v
-    out = np.empty((*blocks.shape[:-2], n, len(v0)), dtype=complex)
+    out = np.empty((*blocks.shape[:-2], n, len(v0)), dtype=np.result_type(blocks, v0))
     out[..., 0, :] = v[..., 0]
     if n > 1:
         step = expm(blocks * dt)
@@ -439,33 +447,42 @@ def _walk(blocks: np.ndarray, v0: np.ndarray, t0: float, dt: float, n: int) -> n
 def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.ndarray, t0: float, dt: float, n: int):
     """(states, d states / d b_z) of the probe at times t0 + k dt, k < n,
     under the model at fields b_z and b_x, or under each model of a stack:
-    shape (..., n, d, d) each, hermitized.
+    shape (..., n, d, d) each.
 
-    One build of the Liouvillian L and its exact derivative dL, then the
-    Van Loan block B = [[L, c dL], [0, L]] walked from [0; vec rho0]: the top
-    half of e^{B t} [0; vec rho0] is c vec d rho(t), the bottom half
-    vec rho(t).  The scale c is a power of two (so c and 1/c are exact)
-    that puts the entries of c dL about 2^-10 below those of L, within
-    [2^-60, 1] so that c dL cannot underflow: B then needs as many squarings
-    as e^{L t}, and rho keeps the accuracy of e^{L t} alone.
+    One build of the Liouvillian L and its exact derivative dL, taken to
+    real Bloch coordinates r_k = Tr(G_k rho) as M and dM (see
+    `lindblad._real_generator`).  The real Van Loan block
+    B = [[M, c dM], [0, M]] is walked from [0; r(rho0)]: the top half of
+    e^{B t} [0; r(rho0)] is c dr(t), the bottom half r(t).  The scale c is a
+    power of two (so c and 1/c are exact) that puts the entries of c dM
+    about 2^-10 below those of M, within [2^-60, 1] so that c dM cannot
+    underflow: B then needs as many squarings as e^{M t}, and rho keeps the
+    accuracy of e^{M t} alone.  The trace coordinates are then set exactly,
+    r_0 = 1/sqrt(d) and dr_0 = 0, and `_states` rebuilds the matrices: unit
+    trace (to rounding), a traceless derivative and Hermiticity hold by
+    construction.
     """
     model, (dh, d_channels) = _KINDS[spec.kind].build(spec, b_z, b_x)
-    generator, derivative = model.liouvillian, liouvillian_derivative(model, dh, d_channels)
+    generator = _real_generator(model.liouvillian)
+    derivative = _real_generator(liouvillian_derivative(model, dh, d_channels))
     m = generator.shape[-1]
     scale = np.ldexp(1.0, np.clip(_exponent(generator) - _exponent(derivative) - 10, -60, 0))[..., None, None]
     shape = np.broadcast_shapes(generator.shape, derivative.shape)[:-2]
-    blocks = np.zeros((*shape, 2 * m, 2 * m), dtype=complex)
+    blocks = np.zeros((*shape, 2 * m, 2 * m))
     blocks[..., :m, :m] = blocks[..., m:, m:] = generator
     blocks[..., :m, m:] = derivative * scale
-    v = _walk(blocks, np.concatenate((np.zeros(m, dtype=complex), vec(probe))), t0, dt, n)
     d = probe.shape[0]
+    v0 = np.concatenate((np.zeros(m), (_BLOCH[d].columns.conj().T @ vec(probe)).real))
+    v = _walk(blocks, v0, t0, dt, n)
+    v[..., m] = 1.0 / math.sqrt(d)
+    v[..., 0] = 0.0
     return _states(v[..., m:], d), _states(v[..., :m] / scale, d)
 
 
 def _exponent(m: np.ndarray) -> np.ndarray:
-    """The binary exponent of the largest real or imaginary part of the
-    entries of a matrix, or of each matrix of a stack: exact, unlike a norm."""
-    return np.frexp(np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1)))[1]
+    """The binary exponent of the largest entry of a real matrix, or of each
+    matrix of a stack: exact, unlike a norm."""
+    return np.frexp(np.abs(m).max(axis=(-2, -1)))[1]
 
 
 def _scores(states: np.ndarray, drho: np.ndarray, times) -> list:

@@ -1,4 +1,5 @@
-"""40-digit reference QFI values, independent of the library's derivative route.
+"""40-digit reference QFI values and states, independent of the library's
+derivative and propagation routes.
 
 Each model is written out again in mpmath: the Hamiltonian, its eigenbasis
 (mpmath's eigensolver, ascending), the jump operators and rates of the
@@ -7,13 +8,18 @@ state is `mp.expm(L t) vec(rho0)`; its b_z derivative is a central
 difference at b_z +- 1e-15 (truncation ~1e-30, rounding ~1e-25 at 40
 digits); the QFI is the spectral SLD sum over pairs with
 lam_i + lam_j > 1e-25.  No finite-difference step of the library, no
-Liouvillian derivative and no block exponential is used.
+Liouvillian derivative, no Bloch coordinates and no block exponential is
+used.  At the long-time points (|L t| up to ~1e8) the states agree with a
+100-digit run within 1e-36, so 40 digits are enough there too.
 
-Regenerate the table (about 2 s per point):
+Regenerate the QFI table (about 2 s per point, a minute for the long
+times) and the table of states (every entry of rho, real and imaginary
+parts, at the long-time points):
 
     python tests/mp_oracle.py > tests/data/oracle.csv
+    python tests/mp_oracle.py --states > tests/data/oracle_states.csv
 
-`tests/test_oracle.py` checks the library against the table.
+`tests/test_oracle.py` checks the library against both tables.
 """
 
 import csv
@@ -27,6 +33,11 @@ SLD_EPS = mp.mpf("1e-25")
 COLUMNS = ("kind", "b_z", "b_x", "eta", "dipole", "t_e", "t", "qfi")
 
 # (kind, b_z, b_x, eta, dipole, t_e, t), as decimal strings
+
+# fig5's two-spin-coop parameters at b_z = 1, long after the steady state:
+# rows of both tables
+LONG_TIMES = [("two-spin-coop", "1", "0.1", "0", "10", "0", t) for t in ("1000", "10000")]
+
 POINTS = [
     # fig5 (two-spin-coop, b_x 0.1, dipole 10, t 1): the points whose golden
     # value the exact derivative moves by more than 5e-8
@@ -40,6 +51,7 @@ POINTS = [
     ("two-spin-coop", "0.5", "1e-5", "0", "10", "0", "1"),
     ("coop-thermal", "0.3", "0.1", "0", "2", "0.1", "1.5"),
     ("coop-deph", "0.1", "0.1", "0.5", "0", "0", "2"),
+    *LONG_TIMES,
 ]
 
 
@@ -139,11 +151,18 @@ def qfi(kind, b_z, b_x, eta, dipole, t_e, t):
 
 
 def main():
+    states = sys.argv[1:] == ["--states"]
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    for point in POINTS:
+    writer.writerow((*COLUMNS[:-1], "i", "j", "re", "im") if states else COLUMNS)
+    for point in LONG_TIMES if states else POINTS:
         kind, *numbers = point
-        writer.writerow((*point, mp.nstr(qfi(kind, *map(mp.mpf, numbers)), 20)))
+        if states:
+            rho = state(kind, *map(mp.mpf, numbers))
+            for i in range(rho.rows):
+                for j in range(rho.cols):
+                    writer.writerow((*point, i, j, mp.nstr(mp.re(rho[i, j]), 20), mp.nstr(mp.im(rho[i, j]), 20)))
+        else:
+            writer.writerow((*point, mp.nstr(qfi(kind, *map(mp.mpf, numbers)), 20)))
         sys.stdout.flush()
 
 

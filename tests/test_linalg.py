@@ -159,6 +159,15 @@ class TestExpm:
             b = basis @ np.diag(rng.standard_normal(4) + 1j * rng.standard_normal(4)) @ basis.conj().T
             assert np.max(np.abs(expm(a + b) - expm(a) @ expm(b))) <= 1e-10
 
+    def test_real_input_stays_real(self):
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((3, 5, 5))  # a stack, as the propagation passes it
+        real = expm(m)
+        assert real.dtype == np.float64
+        assert np.abs(real - expm(m.astype(complex))).max() <= 1e-12 * np.abs(real).max()
+        assert expm(np.zeros((2, 2), dtype=int)).dtype == np.float64
+        assert expm(m.astype(complex)).dtype == np.complex128
+
     def test_unitarity(self):
         rng = np.random.default_rng(5)
         for dim in (2, 4):

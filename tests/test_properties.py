@@ -1,7 +1,9 @@
 """Property tests: the one-point, field-grid and time-grid routes to the QFI
 of one scenario point agree bit for bit, or fail with the same error; the
 exact b_z derivative of each kind's Liouvillian agrees with Richardson
-differences of Liouvillians built at the stencil fields."""
+differences of Liouvillians built at the stencil fields; the real Bloch
+generators give back the complex ones, and the states propagated in Bloch
+coordinates agree with `propagate`'s complex route."""
 
 from dataclasses import replace
 
@@ -11,9 +13,9 @@ from hypothesis import strategies as st
 
 import coopmetro.scenarios as scenarios
 from conftest import outcome
-from coopmetro.lindblad import liouvillian_derivative
+from coopmetro.lindblad import _BLOCH, _real_generator, liouvillian_derivative, propagate
 from coopmetro.qfi import fd_default_step, richardson_stencil
-from coopmetro.scenarios import KINDS, InvalidScenarioError, ScenarioSpec, build_model, qfi_at, qfi_grid
+from coopmetro.scenarios import KINDS, InvalidScenarioError, ScenarioSpec, build_model, probe_state, qfi_at, qfi_grid
 
 
 @st.composite
@@ -79,3 +81,22 @@ def test_exact_generator_derivative_matches_richardson(spec):
     richardson = derivative([build_model(replace(spec, b_z=b)).liouvillian for b in stencil])
     scale = np.abs(exact).max()
     assert np.abs(exact - richardson).max() <= 1e-8 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(generator_points())
+def test_real_generators_give_back_the_complex_ones(spec):
+    model, tangent = scenarios._KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
+    for complex_form in (model.liouvillian, liouvillian_derivative(model, *tangent)):
+        u = _BLOCH[model.dim].columns
+        real = _real_generator(complex_form)
+        assert real.dtype == np.float64 and not real[0].any()
+        assert np.abs(u @ real @ u.conj().T - complex_form).max() <= 1e-12 * np.abs(complex_form).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(generator_points(), st.floats(0.0, 6.0))
+def test_bloch_states_match_propagate(spec, t):
+    probe = probe_state(spec)
+    (state,), _ = scenarios._propagated(spec, spec.b_z, spec.b_x, probe, t, 0.0, 1)
+    assert np.abs(state - propagate(build_model(spec), probe, t)).max() <= 1e-10

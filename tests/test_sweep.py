@@ -139,14 +139,17 @@ class TestTimeGrid:
     def test_invariant_failure_fails_only_its_point(self, monkeypatch):
         grid = SweepGrid("t", 0.5, 2.5, 5)
         clean = sweep(COOP, grid)
-        walk = scenarios._walk
+        states = scenarios._states
+        calls = []
 
-        def corrupted(*args):
-            vectors = walk(*args).copy()
-            vectors[2, 4:] *= 1.5  # the state half of the block vector at t = 1.5: trace 1.5
-            return vectors
+        def corrupted(r, d):
+            out = states(r, d)
+            if not calls:  # the rebuilt states, not their derivatives
+                calls.append(r.shape)
+                out[2] *= 1.5  # the state at t = 1.5: trace 1.5
+            return out
 
-        monkeypatch.setattr(scenarios, "_walk", corrupted)
+        monkeypatch.setattr(scenarios, "_states", corrupted)
         points = sweep(COOP, grid)
         assert points[2].result is None
         assert points[2].error.startswith(
@@ -158,12 +161,13 @@ class TestTimeGrid:
     def test_two_exponentials_per_time_grid(self, monkeypatch, n_points):
         calls = []
         expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(m.shape) or expm(m))
+        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
         sweep(COOP, SweepGrid("t", 0.5, 5.0, n_points))
-        assert calls == [(8, 8), (8, 8)]  # the block [[L, dL], [0, L]] of one model, 2 d² = 8
+        real_block = ((8, 8), np.dtype(float))  # the real block [[M, dM], [0, M]] of one model, 2 d² = 8
+        assert calls == [real_block, real_block]
         calls.clear()
         sweep(COOP, SweepGrid("t", 0.0, 5.0, n_points))  # e^{B 0} = I needs no exponential
-        assert calls == [(8, 8)]
+        assert calls == [real_block]
 
     @pytest.mark.parametrize("spec", [COOP, GRID_CASES[5][0]], ids=lambda s: s.kind)
     def test_qfi_at_one_builder_call_and_one_exponential(self, monkeypatch, spec):
@@ -224,11 +228,10 @@ class TestFieldGrid:
         states = scenarios._states
         calls = []
 
-        def corrupted(v, d):
-            out = states(v, d)
-            if not calls:  # the states of the first chunk only
-                calls.append(v.shape)
-                out = out.copy()
+        def corrupted(r, d):
+            out = states(r, d)
+            if not calls:  # the rebuilt states of the first chunk only
+                calls.append(r.shape)
                 out[3, 0] *= 1.5  # trace 1.5 for point 3
             return out
 
@@ -243,11 +246,11 @@ class TestFieldGrid:
     def test_one_exponential_call_per_chunk(self, monkeypatch):
         calls = []
         expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(m.shape) or expm(m))
+        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
         sweep(TWO_SPIN, SweepGrid("b_z", 0.5, 1.5, 21), t=1.0)
         assert len(calls) == math.ceil(21 / scenarios._CHUNK) < 21
-        assert sum(shape[0] for shape in calls) == 21  # one block [[L, dL], [0, L]] per point
-        assert {shape[1:] for shape in calls} == {(32, 32)}
+        assert sum(shape[0] for shape, _ in calls) == 21  # one real block [[M, dM], [0, M]] per point
+        assert {(shape[1:], dtype) for shape, dtype in calls} == {((32, 32), np.dtype(float))}
 
     def test_region_prescan_equals_plain_callable(self):
         objective = scenario_objective(TWO_SPIN, 1.0, "b_z")

@@ -114,12 +114,15 @@ def _recorded(formula: Callable, *args):
 
 def _sld_outcomes(rho: np.ndarray, drho: np.ndarray) -> list:
     """`qfi_sld` at each state of a stack (n, d, d) with its derivative, or
-    the ValueError of a derivative that fails its check: one batched eigh
-    and one stacked product V† drho V, then the pair mask and the masked
-    sum state by state."""
+    the ValueError of a derivative that fails its check: one Hermiticity
+    screen of the derivative stack, one batched eigh and one stacked product
+    V† drho V, then the pair mask and the masked sum state by state."""
     rho = hermitize(np.asarray(rho, dtype=complex))
     drho = np.asarray(drho, dtype=complex)
-    outcomes = [_recorded(_check_derivative, d) for d in drho]
+    # `_check_derivative`'s deviation, for the whole stack; it runs alone
+    # only where that screen fails or is NaN, to give its own outcome.
+    passes = np.abs(drho - drho.conj().mT).max(axis=(-2, -1)) <= DERIV_HERM_TOL
+    outcomes = [None if clean else _recorded(_check_derivative, d) for clean, d in zip(passes, drho)]
     ok = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, ValueError)]
     if not ok:
         return outcomes

@@ -270,13 +270,29 @@ def _coop_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
     return model, (pauli("z"), ((None, _d_outer(g, dg, e, de)),))
 
 
+def _field_axis(b_z: float, b_x: float) -> tuple[float, float, float, float]:
+    """(Delta, cos theta, n_z, n_x) of one field: Delta = |(b_z, b_x)|,
+    cos theta = b_z / Delta and the unit vector n = (b_z, b_x) / Delta.
+    n is taken as b (1 / Delta), which is numpy's complex division H / Delta
+    bit for bit, and, below Delta ~ 5.6e-309, where 1 / Delta overflows, as
+    b / Delta."""
+    delta = math.hypot(b_z, b_x)
+    inverse = 1.0 / delta
+    if math.isinf(inverse):
+        return delta, b_z / delta, b_z / delta, b_x / delta
+    return delta, b_z / delta, b_z * inverse, b_x * inverse
+
+
 def _coop_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
     h = controlled_hamiltonian(b_z, b_x)
-    delta, cos = _each(lambda b_z, b_x: (math.hypot(b_z, b_x), b_z / math.hypot(b_z, b_x)), b_z, b_x)
+    delta, cos, n_z, n_x = _each(_field_axis, b_z, b_x)
     delta = np.asarray(delta)[..., None, None]
-    sigma_n = h / delta
-    # d sigma_n = sigma_z / Delta - H b_z / Delta^3, written so that no power of Delta overflows
-    d_sigma_n = (pauli("z") - _scale(cos, sigma_n)) / delta
+    sigma_n = controlled_hamiltonian(n_z, n_x)  # cos theta sigma_z + sin theta sigma_x
+    # d sigma_n = sigma_z / Delta - H b_z / Delta^3, written so that no power
+    # of Delta overflows.  It overflows itself where 1 / Delta does, and
+    # `_propagated` raises on that non-finite dL.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_sigma_n = (pauli("z") - _scale(cos, sigma_n)) / delta
     model = LindbladModel(hamiltonian=h, channels=(LindbladChannel(spec.eta / 2.0, sigma_n),))
     return model, (pauli("z"), ((None, d_sigma_n),))
 
@@ -386,12 +402,22 @@ def build_model(spec: ScenarioSpec) -> LindbladModel:
     return model
 
 
-def probe_state(spec: ScenarioSpec) -> np.ndarray:
-    """(|0>+|1>)/sqrt(2) for one spin, (|00>+|11>)/sqrt(2) for two."""
-    dim = 2 ** spin_count(spec)
+def _checked_probe(dim: int) -> np.ndarray:
     rho = np.zeros((dim, dim), dtype=complex)
     rho[np.ix_((0, -1), (0, -1))] = 0.5
+    rho = validate_density_matrix(rho)
+    rho.setflags(write=False)
     return rho
+
+
+# The probe of each dimension, validated once at import and read-only: the
+# grids propagate it without checking it again.
+_PROBES = {dim: _checked_probe(dim) for dim in (2, 4)}
+
+
+def probe_state(spec: ScenarioSpec) -> np.ndarray:
+    """(|0>+|1>)/sqrt(2) for one spin, (|00>+|11>)/sqrt(2) for two."""
+    return _PROBES[2 ** spin_count(spec)].copy()
 
 
 def state_family(spec: ScenarioSpec, t: float) -> StateFamily:
@@ -455,18 +481,26 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     B = [[M, c dM], [0, M]] is walked from [0; r(rho0)]: the top half of
     e^{B t} [0; r(rho0)] is c dr(t), the bottom half r(t).  The scale c is a
     power of two (so c and 1/c are exact) that puts the entries of c dM
-    about 2^-10 below those of M, within [2^-60, 1] so that c dM cannot
-    underflow: B then needs as many squarings as e^{M t}, and rho keeps the
-    accuracy of e^{M t} alone.  The trace coordinates are then set exactly,
+    about 2^-10 below those of M: B then needs as many squarings as
+    e^{M t}, and rho keeps the accuracy of e^{M t} alone, however large dM
+    is against M (a tiny cooperative field).  c is at most 1, and at least
+    what keeps the largest entry of c dM a normal float, so that c dM does
+    not lose bits to underflow where M itself is tiny (a subnormal field).
+    A dL with non-finite entries raises NumericalFailureError.  The trace
+    coordinates are then set exactly,
     r_0 = 1/sqrt(d) and dr_0 = 0, and `_states` rebuilds the matrices: unit
     trace (to rounding), a traceless derivative and Hermiticity hold by
     construction.
     """
     model, (dh, d_channels) = _KINDS[spec.kind].build(spec, b_z, b_x)
     generator = _real_generator(model.liouvillian)
-    derivative = _real_generator(liouvillian_derivative(model, dh, d_channels))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite dL is raised below
+        derivative = _real_generator(liouvillian_derivative(model, dh, d_channels))
+    if not np.isfinite(derivative).all():
+        raise NumericalFailureError("the b_z derivative of the Liouvillian has non-finite entries")
     m = generator.shape[-1]
-    scale = np.ldexp(1.0, np.clip(_exponent(generator) - _exponent(derivative) - 10, -60, 0))[..., None, None]
+    d_exponent = _exponent(derivative)
+    scale = np.ldexp(1.0, np.clip(_exponent(generator) - d_exponent - 10, -1021 - d_exponent, 0))[..., None, None]
     shape = np.broadcast_shapes(generator.shape, derivative.shape)[:-2]
     blocks = np.zeros((*shape, 2 * m, 2 * m))
     blocks[..., :m, :m] = blocks[..., m:, m:] = generator
@@ -514,14 +548,20 @@ def _time_grid(spec: ScenarioSpec, times: np.ndarray) -> list:
     outcomes: list = [ValueError(f"time must be >= 0, got {t}") for t in times[:first]]
     if first == len(times):
         return outcomes
-    probe = validate_density_matrix(probe_state(spec))
+    probe = _PROBES[2 ** spin_count(spec)]
     states, drho = _propagated(spec, spec.b_z, spec.b_x, probe, float(times[first]), dt, len(times) - first)
     return outcomes + _scores(states, drho, times[first:])
 
 
-# Points of a field grid per stacked build, exponential and state check:
-# bounds the working memory of a long grid.
-_CHUNK = 8
+# Points of a field grid per stacked build, exponential and state check.
+# Each stack pays one builder call, two generator assemblies, two batched
+# eigh calls, one expm call and one state check, and its working memory
+# grows with its size.  The bench's `searches` workload (a 101-point
+# prescan, then bisection), 8 s runs on a 2-vCPU VM, req/s and peak RSS MB
+# by stack size: 8: 29.4, 64.4; 16: 35.4, 64.5; 32: 36.2, 64.9; 64: 38.8,
+# 67.0; 128 (the whole prescan): 40.9, 68.3.  Past 32, each step buys a few
+# percent of speed for 2 MB.
+_CHUNK = 32
 
 
 def _one_field_point(spec: ScenarioSpec, axis: str, value: float, t: float):
@@ -552,8 +592,7 @@ def _field_grid(spec: ScenarioSpec, axis: str, values: list[float], t: float) ->
             ready.append((k, point))
         else:  # qfi_at raises here: record its error
             outcomes[k] = _one_field_point(spec, axis, value, t)
-    if ready:
-        probe = validate_density_matrix(probe_state(spec))
+    probe = _PROBES[2 ** spin_count(spec)]
     for start in range(0, len(ready), _CHUNK):
         chunk = ready[start:start + _CHUNK]
         try:
@@ -584,9 +623,10 @@ def qfi_grid(
     exponential gives rho and d rho together (see `_propagated`).  A time
     grid builds one model, with two expm calls whatever the number of points
     (see `_walk`), and one state check.  A field grid builds the models of
-    _CHUNK points at a time as one stack, with one expm call and one state
-    check per chunk.  Either gives, bit for bit, what `qfi_at` gives at each
-    point.
+    _CHUNK (32) points at a time as one stack, with one expm call and one
+    state check per stack.  Neither checks the probe again: it is validated
+    once per dimension, at import.  Either gives, bit for bit, what `qfi_at`
+    gives at each point.
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
     if axis == "t":

@@ -165,6 +165,18 @@ class TestCommands:
         assert out == ""
         assert "error: QFI computed as nan, which is not finite" in err
 
+    @pytest.mark.parametrize("b, qfi", [("1e-100", "1.1771960029e+199"), ("1e-150", "1.1771960029e+299")])
+    def test_tiny_cooperative_dephasing_field(self, capsys, b, qfi):
+        assert main(["run", "--kind", "coop-deph", "--b_z", b, "--b_x", b, "--eta", "0.5", "--t", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split(",")[3] == qfi
+
+    def test_subnormal_dephasing_field_names_the_derivative(self, capsys):
+        assert main(["run", "--kind", "coop-deph", "--b_z", "1e-310", "--b_x", "1e-310", "--eta", "0.5",
+                     "--t", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the b_z derivative of the Liouvillian has non-finite entries\n"
+
     def test_sweep_with_failed_point(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = main(

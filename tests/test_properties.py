@@ -1,5 +1,6 @@
 """Property tests: the one-point, field-grid and time-grid routes to the QFI
-of one scenario point agree bit for bit, or fail with the same error; the
+of one scenario point agree bit for bit, or fail with the same error, and so
+do field grids of many points and their points one at a time; the
 exact b_z derivative of each kind's Liouvillian agrees with Richardson
 differences of Liouvillians built at the stencil fields; the real Bloch
 generators give back the complex ones, and the states propagated in Bloch
@@ -46,6 +47,19 @@ def test_one_point_field_grid_and_time_grid_agree(point):
     alone = repr(outcome(lambda: qfi_at(spec, t)))
     assert repr(outcome(lambda: qfi_grid(spec, [spec.b_z], axis="b_z", t=t)[0])) == alone
     assert repr(outcome(lambda: qfi_grid(spec, [t, t + 1.0])[0])) == alone
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.filter_too_much])
+@given(scenario_points(), st.data())
+def test_field_grid_equals_qfi_at_point_by_point(point, data):
+    # Up to 70 points: one stack, or two and three stacks of _CHUNK points.
+    spec, t = point
+    axis = data.draw(st.sampled_from([a for a in ("b_z", "b_x") if a in spec.parameters]))
+    n = data.draw(st.integers(1, 70))
+    values = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    grid = qfi_grid(spec, values, axis=axis, t=t)
+    alone = [outcome(lambda: qfi_at(replace(spec, **{axis: v}), t)) for v in values]
+    assert repr([outcome(lambda: g) for g in grid]) == repr(alone)
 
 
 @st.composite

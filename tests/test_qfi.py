@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import coopmetro.qfi as qfi_module
 from conftest import random_mixed_qubit, random_traceless_hermitian
 from coopmetro.linalg import eigh, expm, hermitize, normalize, outer, pauli
 from coopmetro.qfi import (
@@ -145,6 +146,33 @@ class TestStackedSld:
         assert (type(outcomes[2]), str(outcomes[2])) == (type(alone.value), str(alone.value))
         assert outcomes[:2] + outcomes[3:] == [qfi_sld(r, d) for r, d in zip(rho[[0, 1, 3, 4]], drho[[0, 1, 3, 4]])]
 
+
+    def test_nan_derivative_fails_only_its_state(self):
+        rng = np.random.default_rng(53)
+        rho = np.array([random_state(rng, 4, 2) for _ in range(5)])
+        drho = np.array([random_traceless_hermitian(rng, 4) for _ in range(5)])
+        drho[1, 2, 3] = math.nan
+        with np.errstate(invalid="ignore"):
+            outcomes = _sld_outcomes(rho, drho)
+            with pytest.raises(ValueError) as alone:
+                qfi_sld(rho[1], drho[1])
+        assert str(alone.value) == "QFI computed as nan, which is not finite"
+        assert (type(outcomes[1]), str(outcomes[1])) == (type(alone.value), str(alone.value))
+        assert outcomes[:1] + outcomes[2:] == [qfi_sld(r, d) for r, d in zip(rho[[0, 2, 3, 4]], drho[[0, 2, 3, 4]])]
+
+    def test_derivative_checked_alone_only_where_the_screen_fails(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        rho = np.array([random_state(rng, 4, 2) for _ in range(6)])
+        drho = np.array([random_traceless_hermitian(rng, 4) for _ in range(6)])
+        drho[1, 0, 1] += 1e-6
+        drho[4, 2, 2] = math.nan
+        checked = []
+        check = qfi_module._check_derivative
+        monkeypatch.setattr(qfi_module, "_check_derivative", lambda d: checked.append(d) or check(d))
+        with np.errstate(invalid="ignore"):
+            _sld_outcomes(rho, drho)
+        assert len(checked) == 2
+        assert np.array_equal(checked[0], drho[1]) and np.array_equal(checked[1], drho[4], equal_nan=True)
 
     def test_non_finite_value_fails_only_its_state(self):
         rng = np.random.default_rng(47)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import coopmetro.scenarios as scenarios
 from conftest import figure_scenarios
-from coopmetro.lindblad import liouvillian_derivative
+from coopmetro.lindblad import NumericalFailureError, liouvillian_derivative
 from coopmetro.linalg import eigh, identity, outer, pauli, tensor
 from coopmetro.qfi import differentiate_state, qfi_sld
 from coopmetro.scenarios import (
@@ -373,6 +374,24 @@ class TestExactDerivative:
         # gap 2 sqrt(2) 1e-12, and sigma_z couples |g> and |e>
         with pytest.raises(DegeneracyError, match="gap 2.828e-12 < 1e-9"):
             qfi_at(ScenarioSpec(kind="coop-spont", b_z=1e-12, b_x=1e-12, gamma=0.5), 1.0)
+
+    @pytest.mark.parametrize("b", (1e-20, 1e-50, 1e-100, 1e-150))
+    def test_tiny_cooperative_dephasing_field(self, b):
+        # As b -> 0 at theta = pi/4 only the angle carries b_z, d theta/d b_z =
+        # -1/(2b), and the state is the probe dephased along n: QFI b^2 tends to
+        # F_theta / 4 = ((1 - e)^2 + (1 - e^2)/2) / 4 with e = exp(-eta t).
+        e = math.exp(-0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = qfi_at(ScenarioSpec(kind="coop-deph", b_z=b, b_x=b, eta=0.5), 1.0).value
+        assert value * b * b == pytest.approx(((1.0 - e) ** 2 + (1.0 - e * e) / 2.0) / 4.0, rel=1e-9)
+
+    def test_dephasing_derivative_overflow_is_named(self):
+        # d sigma_n ~ 1/Delta overflows at a subnormal Delta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalFailureError, match="^the b_z derivative of the Liouvillian has non-finite"):
+                qfi_at(ScenarioSpec(kind="coop-deph", b_z=1e-310, b_x=1e-310, eta=0.5), 1.0)
 
     def test_exact_unitary_value_at_a_subnormal_field(self):
         # The old stencil's step, capped at |b_z|/2, was subnormal here and gave NaN.

@@ -252,6 +252,29 @@ class TestFieldGrid:
         assert sum(shape[0] for shape, _ in calls) == 21  # one real block [[M, dM], [0, M]] per point
         assert {(shape[1:], dtype) for shape, dtype in calls} == {((32, 32), np.dtype(float))}
 
+    def test_prescan_sized_grid_exponential_calls(self, monkeypatch):
+        calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
+        qfi_grid(TWO_SPIN, np.linspace(0.5, 1.5, 101), axis="b_z", t=1.0)
+        assert scenarios._CHUNK == 32
+        assert [shape for shape, _ in calls] == [(32, 32, 32)] * 3 + [(5, 32, 32)]
+        assert {dtype for _, dtype in calls} == {np.dtype(float)}
+
+    def test_stack_edges_equal_qfi_at_bit_for_bit(self):
+        values = np.linspace(0.5, 1.5, 101)
+        grid = qfi_grid(TWO_SPIN, values, axis="b_z", t=1.0)
+        for k in (0, 31, 32, 63, 64, 100):
+            assert grid[k] == qfi_at(replace(TWO_SPIN, b_z=float(values[k])), 1.0), k
+
+    def test_grid_does_not_validate_the_probe_again(self, monkeypatch):
+        grids = (lambda: qfi_grid(TWO_SPIN, [0.9, 1.1], axis="b_z", t=1.0), lambda: qfi_grid(TWO_SPIN, [0.5, 1.0]))
+        expected = [grid() for grid in grids]
+        monkeypatch.setattr(scenarios, "validate_density_matrix", None)
+        assert [grid() for grid in grids] == expected
+        assert not scenarios._PROBES[4].flags.writeable
+        assert np.array_equal(scenarios._PROBES[4], scenarios.probe_state(TWO_SPIN))
+
     def test_region_prescan_equals_plain_callable(self):
         objective = scenario_objective(TWO_SPIN, 1.0, "b_z")
         region = find_region(objective, 16.0, (0.5, 1.5))

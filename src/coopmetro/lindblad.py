@@ -12,26 +12,17 @@ Vectorization is column-stacking: vec(rho) stacks columns, so
 vec(A rho B) = (B^T ⊗ A) vec(rho).  With (K†)^T = conj(K) and
 (L†)^T = conj(L) the Liouvillian is therefore
 -i (I ⊗ K) + i (conj(K) ⊗ I) + sum_i gamma_i (conj(L_i) ⊗ L_i).
+`propagate` and `propagate_rk4` work in this complex form, as references
+for the QFI pipeline, which propagates in the Hamiltonian's eigenframe
+(`scenarios._propagated`).
 
-`liouvillian_derivative` differentiates the Liouvillian by the product rule
-through the same assembly, given the derivatives of H, the rates and the
-jumps.
-
-The generator also acts on real coordinates: in an orthonormal Hermitian
+Density matrices also have real coordinates: in an orthonormal Hermitian
 basis G_0 = I/sqrt(d), G_1 .. G_{d²-1} (the traceless generalized Gell-Mann
 matrices) a density matrix is rho = sum_k r_k G_k with real r_k = Tr(G_k rho),
-the generalized Bloch vector, and r_0 = 1/sqrt(d) is its trace.  The
-Liouvillian becomes the real matrix M = Re(U† L U), U the unitary whose
-columns are vec G_k, with a zero first row because the trace is conserved
-(Kimura, Phys. Lett. A 314, 339 (2003); Byrd & Khaneja, PRA 68, 062322
-(2003)).  The QFI pipeline propagates there; `propagate` and
-`propagate_rk4` keep the complex form, as independent references.
-
-A model may also be a stack of models of one shape: a Hamiltonian stack
-(..., d, d) and, per channel, a rate or a rate stack (...) and a jump stack
-(..., d, d) or one jump (d, d) shared by the stack.  Its Liouvillian is
-then the stack (..., d², d²), each matrix bit for bit the Liouvillian of
-that model alone.
+the generalized Bloch vector, and r_0 = 1/sqrt(d) is its trace (Kimura,
+Phys. Lett. A 314, 339 (2003); Byrd & Khaneja, PRA 68, 062322 (2003)).  The
+QFI pipeline hands its states and state derivatives over in them, so that
+unit trace and Hermiticity hold by construction.
 """
 
 import math
@@ -53,7 +44,6 @@ __all__ = [
     "validate_density_matrix",
     "vec",
     "liouvillian",
-    "liouvillian_derivative",
     "propagate",
     "propagate_rk4",
 ]
@@ -124,23 +114,20 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LindbladChannel:
-    """One dissipative channel: nonnegative rate and jump operator, or the
-    rates (...) and jump operators of a stack of models."""
+    """One dissipative channel: nonnegative rate and jump operator."""
 
-    rate: float | np.ndarray
+    rate: float
     jump: np.ndarray
 
     def __post_init__(self):
-        negative = self.rate < 0
-        if negative.any() if isinstance(negative, np.ndarray) else negative:
-            raise InvalidModelError(f"channel rate must be >= 0, got {np.min(self.rate)}")
+        if self.rate < 0:
+            raise InvalidModelError(f"channel rate must be >= 0, got {self.rate}")
         object.__setattr__(self, "jump", np.asarray(self.jump, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
 class LindbladModel:
-    """Hamiltonian plus channels, or a stack of them (see the module
-    docstring); immutable after construction.
+    """Hamiltonian plus channels; immutable after construction.
 
     The Liouvillian is computed on first access and kept with the model.
     """
@@ -150,14 +137,14 @@ class LindbladModel:
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
-        if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise InvalidModelError(f"Hamiltonian must be square, got shape {h.shape}")
         deviation = herm_deviation(h)
         if not deviation <= HERM_TOL:  # a NaN deviation fails too
             raise InvalidModelError(f"Hamiltonian not Hermitian within 1e-10: deviation {deviation:.3e}")
         channels = tuple(self.channels)
         for ch in channels:
-            if ch.jump.shape not in (h.shape, h.shape[-2:]):
+            if ch.jump.shape != h.shape:
                 raise InvalidModelError(
                     f"jump operator shape {ch.jump.shape} does not match Hamiltonian {h.shape}"
                 )
@@ -166,7 +153,7 @@ class LindbladModel:
 
     @property
     def dim(self) -> int:
-        return self.hamiltonian.shape[-1]
+        return self.hamiltonian.shape[0]
 
     @cached_property
     def liouvillian(self) -> np.ndarray:
@@ -214,59 +201,14 @@ _BLOCH = {
 }
 
 
-def _real_generator(generator: np.ndarray) -> np.ndarray:
-    """Re(U† L U) of a Liouvillian L (..., d², d²), or of its derivative: the
-    same map acting on Bloch coordinates, with its first row, the rate of
-    change of the trace, set to exact zeros.  The parts dropped are rounding."""
-    u = _BLOCH[math.isqrt(generator.shape[-1])].columns
-    real = (u.conj().T @ generator @ u).real
-    real[..., 0, :] = 0.0
-    return real
-
-
-def _generator(hamiltonian: np.ndarray, terms: list) -> np.ndarray:
-    """i conj(K) ⊗ I - i I ⊗ K + sum_i r_i conj(A_i) ⊗ B_i with
-    K = H - (i/2) sum_i r_i A_i† B_i, over terms (r_i, A_i, B_i): the
-    Liouvillian for terms (gamma, J, J), and by linearity its derivative
-    (see `liouvillian_derivative`).  Stacks broadcast as in `liouvillian`."""
-    d = hamiltonian.shape[-1]
-    ident = np.eye(d, dtype=complex)
-    # A rate stack scales its models' matrices; a scalar rate all of them.
-    rates = [rate[..., None, None] if isinstance(rate, np.ndarray) else rate for rate, _, _ in terms]
-    k = hamiltonian
-    for rate, (_, a, b) in zip(rates, terms):
-        k = k - 0.5j * rate * (a.conj().mT @ b)
-    gen = 1j * tensor(k.conj(), ident) - 1j * tensor(ident, k)
-    for rate, (_, a, b) in zip(rates, terms):
-        gen = gen + rate * tensor(a.conj(), b)
-    return gen
-
-
 def liouvillian(model: LindbladModel) -> np.ndarray:
-    """dim² x dim² generator acting on column-stacked states, or the stack
-    of them of a stacked model."""
-    return _generator(model.hamiltonian, [(ch.rate, ch.jump, ch.jump) for ch in model.channels])
-
-
-def liouvillian_derivative(model: LindbladModel, d_hamiltonian: np.ndarray, d_channels) -> np.ndarray:
-    """The derivative of the Liouvillian of a model whose Hamiltonian, rates
-    and jumps depend on a parameter b, from their derivatives: d_hamiltonian
-    (the model's shape, or one matrix shared by a stack) and, per channel in
-    order, (d rate, d jump), where None stands for a derivative that is zero.
-
-    By the product rule on `liouvillian`'s assembly, with the same code:
-    i conj(dK) ⊗ I - i I ⊗ dK + sum [dr conj(J) ⊗ J + r (conj(dJ) ⊗ J + conj(J) ⊗ dJ)]
-    with dK = dH - (i/2) sum [dr J†J + r (dJ† J + J† dJ)], over the channels
-    (r, J) with derivatives (dr, dJ).
-    """
-    terms = []
-    for ch, (d_rate, d_jump) in zip(model.channels, d_channels):
-        if d_rate is not None:
-            terms.append((d_rate, ch.jump, ch.jump))
-        if d_jump is not None:
-            d_jump = np.asarray(d_jump, dtype=complex)
-            terms += [(ch.rate, d_jump, ch.jump), (ch.rate, ch.jump, d_jump)]
-    return _generator(np.asarray(d_hamiltonian, dtype=complex), terms)
+    """dim² x dim² generator acting on column-stacked states."""
+    ident = np.eye(model.dim, dtype=complex)
+    k, jumps = _rhs_terms(model)
+    gen = 1j * tensor(k.conj(), ident) - 1j * tensor(ident, k)
+    for rate, jump, _ in jumps:
+        gen = gen + rate * tensor(jump.conj(), jump)
+    return gen
 
 
 def propagate(model: LindbladModel, rho0: np.ndarray, t: float) -> np.ndarray:

@@ -4,8 +4,8 @@ Three routes are provided and cross-checked against each other in the test
 suite: the pure-state overlap formula, the qubit determinant closed form,
 and the spectral SLD sum valid in any dimension.
 
-The scenario pipeline gets its state derivatives exactly, from the
-derivative of the generator (`scenarios.qfi_grid`).  Richardson-extrapolated
+The scenario pipeline gets its state derivatives exactly, by propagating
+the b_z derivative with the state (`scenarios.qfi_grid`).  Richardson-extrapolated
 central differences (`richardson_stencil`, `differentiate_state`) stay as
 the independent reference route for arbitrary state families, and
 `differentiate_pure_state` serves the ground-state QFI.

@@ -10,18 +10,19 @@ b_x = Delta sin(theta) with Delta = sqrt(b_z^2 + b_x^2).  Ground state |g>
 is the eigenvector of the smaller eigenvalue.
 
 Each kind's model builder is written once, over stacks of field values:
-given b_z and b_x as floats it builds one model (`build_model`), given them
-as arrays it builds the stack of models over their broadcast shape.  With
-the model it gives the exact derivatives in b_z of the Hamiltonian, the
-rates and the jump operators, from which the QFI pipeline assembles dL/db_z
-(no finite differences in b_z).  The probe is propagated in real
-generalized Bloch coordinates (see `_propagated`), where unit trace and
-Hermiticity hold by construction.  Only the matrix work is vectorised.  The
-scalar coefficients (level gaps, rates, the Bose occupation and their
-derivatives) are computed element by element with the scalar expressions
-of one model, because numpy's array routines (power, hypot, exp) can round
-the last bit differently, and a stack must equal its models built one at a
-time bit for bit.
+given b_z and b_x as floats it states one model, given them as arrays the
+stack of models over their broadcast shape.  It states the model in the
+eigenframe of its Hamiltonian, with the b_z derivatives of the levels and
+of the frame, and each channel there as a transition between eigenstates
+or a diagonal jump, with its rate and the rate's b_z derivative.
+`build_model` derives the Lindblad model from that statement, and the QFI
+pipeline propagates the probe and its exact b_z derivative in that frame
+(see `_propagated`; no finite differences in b_z).  Only the matrix work is
+vectorised.  The scalar coefficients (level gaps, rates, the Bose
+occupation and their derivatives) are computed element by element with the
+scalar expressions of one model, because numpy's array routines (power,
+hypot, exp) can round the last bit differently, and a stack must equal its
+models built one at a time bit for bit.
 """
 
 import math
@@ -36,12 +37,9 @@ from .lindblad import (
     LindbladChannel,
     LindbladModel,
     NumericalFailureError,
-    _real_generator,
     density_matrix_errors,
-    liouvillian_derivative,
     propagate,
     validate_density_matrix,
-    vec,
 )
 from .linalg import eigh, expm, identity, outer, pauli, tensor
 from .qfi import (
@@ -202,15 +200,16 @@ def two_spin_hamiltonian(b_z: ArrayLike, b_x: ArrayLike) -> np.ndarray:
 
 
 def _eigen_derivative(h: np.ndarray, dh: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(values, vectors, d values, d vectors) of a Hamiltonian (or a stack)
-    whose derivative is dh, from one batched `eigh`.
+    """(values, vectors, d values, V† dV) of a Hamiltonian (or a stack) whose
+    derivative is dh, from one batched `eigh`.
 
     Hellmann-Feynman gives d lam_k = <k|dH|k>, first-order perturbation
-    theory d v_k = sum_{j != k} v_j <j|dH|k> / (lam_k - lam_j).  This d v_k
-    is orthogonal to v_k; the phase it leaves out cancels in the jump terms
-    of a Liouvillian (conj(J) ⊗ J and J†J).  A pair of levels closer than
-    1e-9 raises DegeneracyError if dH couples them; if it does not (beyond
-    rounding, 1e-12), the pair adds nothing.
+    theory d v_k = sum_{j != k} v_j <j|dH|k> / (lam_k - lam_j), so
+    (V† dV)_jk = <j|dH|k> / (lam_k - lam_j) off the diagonal, an
+    anti-Hermitian matrix.  Its zero diagonal leaves out a phase of each
+    v_k, which a jump between eigenstates does not see.  A pair of levels
+    closer than 1e-9 raises DegeneracyError if dH couples them; if it does
+    not (beyond rounding, 1e-12), the pair adds nothing.
     """
     values, vectors = eigh(h)
     coupling = vectors.conj().mT @ dh @ vectors  # <j|dH|k> at [..., j, k]
@@ -223,51 +222,58 @@ def _eigen_derivative(h: np.ndarray, dh: np.ndarray) -> tuple[np.ndarray, ...]:
             "so the b_z derivative is undefined"
         )
     inverse = np.where(close, 0.0, 1.0 / np.where(close, 1.0, gaps))
-    return values, vectors, np.diagonal(coupling, axis1=-2, axis2=-1).real, vectors @ (coupling * inverse)
+    return values, vectors, np.diagonal(coupling, axis1=-2, axis2=-1).real, coupling * inverse
 
 
-def _field_basis(h: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(|g>, |e>, d|g>, d|e>) of a controlled single-spin Hamiltonian (or
-    stacks of them): the ascending eigenvectors and their b_z derivatives."""
-    _, vectors, _, d_vectors = _eigen_derivative(h, pauli("z"))
-    return vectors[..., 0], vectors[..., 1], d_vectors[..., 0], d_vectors[..., 1]
+class _Channel(NamedTuple):
+    """One channel in the eigenframe of the Hamiltonian: the transition
+    |j><i| for jump = (i, j), which decays level i to level j, or the
+    diagonal jump diag(w) for jump = w, a real vector of weights."""
+
+    rate: ArrayLike  # a rate, or the rates (...) of a stack
+    d_rate: ArrayLike  # its b_z derivative
+    jump: tuple[int, int] | np.ndarray
 
 
-def _d_outer(a: np.ndarray, da: np.ndarray, b: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """The derivative |da><b| + |a><db| of |a><b|."""
-    return outer(da, b) + outer(a, db)
+class _Frame(NamedTuple):
+    """The model of one kind at fields b_z and b_x, or the stack of models
+    over their broadcast shape, stated in the eigenframe of its Hamiltonian
+    H = V diag(E) V†, with the b_z derivatives of E and V."""
+
+    hamiltonian: np.ndarray  # H (..., d, d)
+    energies: np.ndarray  # E (..., d)
+    vectors: np.ndarray | None  # V (..., d, d), unitary; None where H is diagonal (V = I)
+    d_energies: np.ndarray  # dE (..., d)
+    rotation: np.ndarray | None  # A = V† dV (..., d, d), anti-Hermitian; None where V = I
+    channels: tuple[_Channel, ...] = ()
 
 
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|, decays |1> -> |0>
-
-# The model builders: the model of `spec` at fields b_z and b_x, or the
-# stack of them over the broadcast shape of arrays b_z and b_x, with its
-# derivative in b_z: (model, (dH, per channel (d rate, d jump))), where None
-# is a derivative that is zero (see `lindblad.liouvillian_derivative`).
-
-
-def _std_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
-    model = LindbladModel(
-        hamiltonian=_scale(b_z, pauli("z")),
-        channels=(LindbladChannel(spec.gamma, _LOWER),),
-    )
-    return model, (pauli("z"), ((None, None),))
+def _diagonal_frame(h: np.ndarray, dh: np.ndarray, channels: tuple = ()) -> _Frame:
+    """The frame of a diagonal Hamiltonian h with diagonal derivative dh:
+    the identity, with no eigensolver."""
+    diagonal = lambda m: np.diagonal(m, axis1=-2, axis2=-1).real
+    return _Frame(h, diagonal(h), None, diagonal(dh), None, channels)
 
 
-def _std_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
-    # eta/2 (sigma_z rho sigma_z - rho) is the dissipator of jump sigma_z at rate eta/2.
-    model = LindbladModel(
-        hamiltonian=_scale(b_z, pauli("z")),
-        channels=(LindbladChannel(spec.eta / 2.0, pauli("z")),),
-    )
-    return model, (pauli("z"), ((None, None),))
+_SIGNS = np.array([-1.0, 1.0])  # the ascending eigenvalues of a Pauli matrix
+
+# The model builders: the frame of `spec` at fields b_z and b_x, or the
+# stack of them over the broadcast shape of arrays b_z and b_x, with the
+# channels in it.  `build_model` and `_propagated` both read this statement.
 
 
-def _coop_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
+def _std_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
+    return _diagonal_frame(_scale(b_z, pauli("z")), pauli("z"), (_Channel(spec.gamma, 0.0, (1, 0)),))  # |0><1|
+
+
+def _std_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
+    # eta/2 (sigma_z rho sigma_z - rho) is the dissipator of jump sigma_z = diag(1, -1) at rate eta/2.
+    return _diagonal_frame(_scale(b_z, pauli("z")), pauli("z"), (_Channel(spec.eta / 2.0, 0.0, -_SIGNS),))
+
+
+def _coop_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     h = controlled_hamiltonian(b_z, b_x)
-    g, e, dg, de = _field_basis(h)
-    model = LindbladModel(hamiltonian=h, channels=(LindbladChannel(spec.gamma, outer(g, e)),))
-    return model, (pauli("z"), ((None, _d_outer(g, dg, e, de)),))
+    return _Frame(h, *_eigen_derivative(h, pauli("z")), (_Channel(spec.gamma, 0.0, (1, 0)),))  # |g><e|
 
 
 def _field_axis(b_z: float, b_x: float) -> tuple[float, float, float, float]:
@@ -283,18 +289,24 @@ def _field_axis(b_z: float, b_x: float) -> tuple[float, float, float, float]:
     return delta, b_z / delta, b_z * inverse, b_x * inverse
 
 
-def _coop_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
+def _coop_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     h = controlled_hamiltonian(b_z, b_x)
     delta, cos, n_z, n_x = _each(_field_axis, b_z, b_x)
-    delta = np.asarray(delta)[..., None, None]
     sigma_n = controlled_hamiltonian(n_z, n_x)  # cos theta sigma_z + sin theta sigma_x
     # d sigma_n = sigma_z / Delta - H b_z / Delta^3, written so that no power
-    # of Delta overflows.  It overflows itself where 1 / Delta does, and
-    # `_propagated` raises on that non-finite dL.
+    # of Delta overflows.  It overflows itself where 1 / Delta does, which
+    # is named here, before any product with it.
     with np.errstate(over="ignore", invalid="ignore"):
-        d_sigma_n = (pauli("z") - _scale(cos, sigma_n)) / delta
-    model = LindbladModel(hamiltonian=h, channels=(LindbladChannel(spec.eta / 2.0, sigma_n),))
-    return model, (pauli("z"), ((None, d_sigma_n),))
+        d_sigma_n = (pauli("z") - _scale(cos, sigma_n)) / np.asarray(delta)[..., None, None]
+    if not np.isfinite(d_sigma_n).all():
+        raise NumericalFailureError("the b_z derivative of the Liouvillian has non-finite entries")
+    # H = Delta sigma_n, so the frame of sigma_n, whose levels -1 and 1 are
+    # 2 apart at any field, is the frame of H with E = Delta (-1, 1) and
+    # dE = cos theta (-1, 1); the frame of H itself would take its gap,
+    # 2 Delta, for a degeneracy at a tiny field.
+    _, vectors, _, rotation = _eigen_derivative(sigma_n, d_sigma_n)
+    energies, d_energies = (np.asarray(x)[..., None] * _SIGNS for x in (delta, cos))
+    return _Frame(h, energies, vectors, d_energies, rotation, (_Channel(spec.eta / 2.0, 0.0, _SIGNS),))
 
 
 def _thermal_rates(spec: ScenarioSpec, b_z: float, b_x: float) -> tuple[float, float, float, float]:
@@ -320,24 +332,22 @@ def _thermal_rates(spec: ScenarioSpec, b_z: float, b_x: float) -> tuple[float, f
     )
 
 
-def _coop_thermal(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
+def _coop_thermal(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     h = controlled_hamiltonian(b_z, b_x)
-    g, e, dg, de = _field_basis(h)
+    frame = _Frame(h, *_eigen_derivative(h, pauli("z")))
     down, up, d_down, d_up = _each(lambda b_z, b_x: _thermal_rates(spec, b_z, b_x), b_z, b_x)
-    channels = [LindbladChannel(down, outer(g, e))]
-    d_channels = [(d_down, _d_outer(g, dg, e, de))]
+    channels = [_Channel(down, d_down, (1, 0))]  # |g><e|
     # No absorption channel where the occupation underflows to 0; in a stack
     # that has it elsewhere, its rate there is 0, which adds exact zeros.
     absorbs = up > 0.0
     if absorbs.any() if isinstance(absorbs, np.ndarray) else absorbs:
-        channels.append(LindbladChannel(up, outer(e, g)))
-        d_channels.append((d_up, _d_outer(e, de, g, dg)))
-    return LindbladModel(hamiltonian=h, channels=tuple(channels)), (pauli("z"), tuple(d_channels))
+        channels.append(_Channel(up, d_up, (0, 1)))  # |e><g|
+    return frame._replace(channels=tuple(channels))
 
 
-def _two_spin_coop(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
+def _two_spin_coop(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     h = two_spin_hamiltonian(b_z, b_x)
-    values, vectors, d_values, d_vectors = _eigen_derivative(h, SZ_SUM)
+    frame = _Frame(h, *_eigen_derivative(h, SZ_SUM))
 
     def rates(*levels: float) -> tuple[float, ...]:
         # 4 omega^3 |d|^2 / 3 of each decay pair, omega its level gap, then
@@ -350,31 +360,28 @@ def _two_spin_coop(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
         )
 
     pairs = len(TWO_SPIN_DECAY_PAIRS)
-    levels = [x[..., k] for x in (values, d_values) for k in range(4)]
+    levels = [x[..., k] for x in (frame.energies, frame.d_energies) for k in range(4)]
     rate_values = _each(rates, *levels)
-    channels, d_channels = [], []
-    for rate, d_rate, (i, j) in zip(rate_values[:pairs], rate_values[pairs:], TWO_SPIN_DECAY_PAIRS):
-        lower, upper = vectors[..., j - 1], vectors[..., i - 1]
-        channels.append(LindbladChannel(rate, outer(lower, upper)))
-        d_channels.append((d_rate, _d_outer(lower, d_vectors[..., j - 1], upper, d_vectors[..., i - 1])))
-    return LindbladModel(hamiltonian=h, channels=tuple(channels)), (SZ_SUM, tuple(d_channels))
+    channels = tuple(
+        _Channel(rate, d_rate, (i - 1, j - 1))
+        for rate, d_rate, (i, j) in zip(rate_values[:pairs], rate_values[pairs:], TWO_SPIN_DECAY_PAIRS)
+    )
+    return frame._replace(channels=channels)
 
 
-def _unitary_baseline(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> tuple:
+def _unitary_baseline(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     if spec.n_spins == 1:
-        h, dh = _scale(b_z, pauli("z")), pauli("z")
-    else:
-        h, dh = two_spin_hamiltonian(b_z, 0.0), SZ_SUM
-    return LindbladModel(hamiltonian=h, channels=()), (dh, ())
+        return _diagonal_frame(_scale(b_z, pauli("z")), pauli("z"))
+    return _diagonal_frame(two_spin_hamiltonian(b_z, 0.0), SZ_SUM)
 
 
 class _Kind(NamedTuple):
     """What one scenario kind reads, what it requires and how its model is built."""
 
     reads: tuple[str, ...]  # the ScenarioSpec fields it consults, besides kind
-    # The model of a spec at fields b_z and b_x (floats), or the stack of
-    # models over the shape of arrays b_z and b_x, with its b_z derivative.
-    build: Callable[[ScenarioSpec, ArrayLike, ArrayLike], tuple[LindbladModel, tuple]]
+    # The frame and channels of a spec at fields b_z and b_x (floats), or
+    # the stack of them over the shape of arrays b_z and b_x.
+    build: Callable[[ScenarioSpec, ArrayLike, ArrayLike], _Frame]
     spins: int | None = 1  # None: the spec's n_spins, 1 or 2
     # Channels in the eigenbasis of the controlled Hamiltonian: b_z = 0
     # leaves that basis undefined, so b_z != 0 is required.  With two spins,
@@ -394,12 +401,26 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 
+def _lab_jump(vectors: np.ndarray | None, jump, d: int) -> np.ndarray:
+    """The jump operator of a frame channel of one model in the computational basis."""
+    v = np.eye(d) if vectors is None else vectors
+    if isinstance(jump, tuple):
+        i, j = jump
+        return outer(v[:, j], v[:, i])
+    return (v * jump) @ v.conj().T
+
+
 def build_model(spec: ScenarioSpec) -> LindbladModel:
-    """Assemble the Lindblad model of the given scenario: the one-model case
-    of the kind's stacked builder, which also differentiates it in b_z and so
-    raises DegeneracyError where levels that dH couples lie within 1e-9."""
-    model, _ = _KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
-    return model
+    """Assemble the Lindblad model of the given scenario from the one-model
+    case of its kind's frame statement, which also differentiates it in b_z
+    and so raises DegeneracyError where levels that dH couples lie within
+    1e-9, and NumericalFailureError where the derivative overflows."""
+    frame = _KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
+    d = frame.energies.shape[-1]
+    return LindbladModel(
+        hamiltonian=frame.hamiltonian,
+        channels=tuple(LindbladChannel(ch.rate, _lab_jump(frame.vectors, ch.jump, d)) for ch in frame.channels),
+    )
 
 
 def _checked_probe(dim: int) -> np.ndarray:
@@ -451,16 +472,16 @@ def _states(r: np.ndarray, d: int) -> np.ndarray:
 
 def _walk(blocks: np.ndarray, v0: np.ndarray, t0: float, dt: float, n: int) -> np.ndarray:
     """The vectors e^{B (t0 + k dt)} v0, k < n, of every matrix B of a stack
-    (..., m, m), stacked to shape (..., n, m).
+    (..., m, m) and its vector v0 (..., m), stacked to shape (..., n, m).
 
     Two exponential calls on the stack, e^{B t0} and e^{B dt}; the semigroup
     property e^{B (t + dt)} = e^{B dt} e^{B t} walks the grid with one
     matvec per step.
     """
-    v = np.broadcast_to(v0[:, None], (*blocks.shape[:-1], 1))
+    v = np.broadcast_to(v0[..., None], (*blocks.shape[:-1], 1))
     if t0 > 0:
         v = expm(blocks * t0) @ v
-    out = np.empty((*blocks.shape[:-2], n, len(v0)), dtype=np.result_type(blocks, v0))
+    out = np.empty((*blocks.shape[:-2], n, blocks.shape[-1]), dtype=np.result_type(blocks, v0))
     out[..., 0, :] = v[..., 0]
     if n > 1:
         step = expm(blocks * dt)
@@ -470,47 +491,107 @@ def _walk(blocks: np.ndarray, v0: np.ndarray, t0: float, dt: float, n: int) -> n
     return out
 
 
+def _frame_rates(frame: _Frame) -> tuple[np.ndarray, ...]:
+    """(W, dW, lam, d lam) of a frame: the rate matrix W (..., d, d) of the
+    populations, dp/dt = W p, and the rate lam_ab (..., d, d) of each
+    coherence, d rho_ab/dt = lam_ab rho_ab (a != b), with their b_z
+    derivatives.  A transition i -> j at rate r moves population from i to
+    j and damps every coherence of level i at r/2; a diagonal jump diag(w)
+    damps coherence ab at r (w_a - w_b)^2 / 2 and leaves the populations.
+    """
+    *shape, d = np.broadcast_shapes(frame.energies.shape, frame.d_energies.shape)
+    w, dw = np.zeros((2, *shape, d, d))
+    decay, d_decay = np.zeros((2, *shape, d, d))
+    for rate, d_rate, jump in frame.channels:
+        if isinstance(jump, tuple):
+            i, j = jump
+            for m, r in ((w, rate), (dw, d_rate)):
+                m[..., j, i] += r
+                m[..., i, i] -= r
+            damped = np.zeros(d)
+            damped[i] = 0.5
+            damping = damped[:, None] + damped[None, :]
+        else:
+            damping = 0.5 * (jump[:, None] - jump[None, :]) ** 2
+        decay += _scale(rate, damping)
+        d_decay += _scale(d_rate, damping)
+    gaps = lambda e: e[..., :, None] - e[..., None, :]  # E_a - E_b at [..., a, b]
+    return w, dw, -(decay + 1j * gaps(frame.energies)), -(d_decay + 1j * gaps(frame.d_energies))
+
+
+def _coordinates(maps: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Re(T vec rho) (..., d²) of maps T (..., d², d²) and matrices
+    rho (..., d, d), entry by entry like `_states`."""
+    flat = rho.mT.reshape(*rho.shape[:-2], 1, rho.shape[-1] ** 2)  # vec(rho), column-stacked
+    return (flat * maps).sum(axis=-1).real
+
+
 def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.ndarray, t0: float, dt: float, n: int):
     """(states, d states / d b_z) of the probe at times t0 + k dt, k < n,
     under the model at fields b_z and b_x, or under each model of a stack:
     shape (..., n, d, d) each.
 
-    One build of the Liouvillian L and its exact derivative dL, taken to
-    real Bloch coordinates r_k = Tr(G_k rho) as M and dM (see
-    `lindblad._real_generator`).  The real Van Loan block
-    B = [[M, c dM], [0, M]] is walked from [0; r(rho0)]: the top half of
-    e^{B t} [0; r(rho0)] is c dr(t), the bottom half r(t).  The scale c is a
-    power of two (so c and 1/c are exact) that puts the entries of c dM
-    about 2^-10 below those of M: B then needs as many squarings as
-    e^{M t}, and rho keeps the accuracy of e^{M t} alone, however large dM
-    is against M (a tiny cooperative field).  c is at most 1, and at least
-    what keeps the largest entry of c dM a normal float, so that c dM does
-    not lose bits to underflow where M itself is tiny (a subnormal field).
-    A dL with non-finite entries raises NumericalFailureError.  The trace
-    coordinates are then set exactly,
-    r_0 = 1/sqrt(d) and dr_0 = 0, and `_states` rebuilds the matrices: unit
-    trace (to rounding), a traceless derivative and Hermiticity hold by
-    construction.
+    The kind's builder states the model in the eigenframe of its
+    Hamiltonian, H = V diag(E) V†, where every channel is a transition
+    between eigenstates or a diagonal jump, so the master equation splits
+    exactly (Breuer & Petruccione, The Theory of Open Quantum Systems, 2002,
+    sec. 3.3): the populations p of rho~ = V† rho V follow dp/dt = W p, and
+    each coherence alone d rho~_ab/dt = lam_ab rho~_ab (`_frame_rates`).
+
+    With A = V† dV, d rho~(0) = rho~(0) A - A rho~(0).  The coherences are
+    e^{lam t} rho~_ab(0) and e^{lam t} (d rho~_ab(0) + t d lam rho~_ab(0)).
+    The populations are walked (`_walk`) in the real Van Loan block
+    B = [[W, 0], [c dW, W]] from [p(0); c dp(0)] to [p(t); c dp(t)].  With
+    c dW below the diagonal, a triangular W (decays go down in energy) does
+    not make B triangular, which scipy's expm takes on a slower path.  The
+    scale c is a power of two (so c and 1/c are exact) that puts the
+    entries of c dW about 2^-10 below those of W, so that B needs as many
+    squarings as e^{W t}; it is at most 1, and at least what keeps c dW
+    normal.  Back in the lab frame, rho = V rho~ V† and
+    d rho = V (d rho~ + A rho~ - rho~ A) V†; at t = 0, where these terms
+    cancel only to rounding, d rho is the exact zero of a probe that does
+    not depend on b_z.  The matrices leave through Bloch coordinates
+    r_k = Tr(G_k rho) with the trace coordinates set exactly, r_0 =
+    1/sqrt(d) and dr_0 = 0, and `_states` rebuilds them: unit trace (to
+    rounding), a traceless derivative and Hermiticity hold by construction.
     """
-    model, (dh, d_channels) = _KINDS[spec.kind].build(spec, b_z, b_x)
-    generator = _real_generator(model.liouvillian)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite dL is raised below
-        derivative = _real_generator(liouvillian_derivative(model, dh, d_channels))
-    if not np.isfinite(derivative).all():
-        raise NumericalFailureError("the b_z derivative of the Liouvillian has non-finite entries")
-    m = generator.shape[-1]
-    d_exponent = _exponent(derivative)
-    scale = np.ldexp(1.0, np.clip(_exponent(generator) - d_exponent - 10, -1021 - d_exponent, 0))[..., None, None]
-    shape = np.broadcast_shapes(generator.shape, derivative.shape)[:-2]
-    blocks = np.zeros((*shape, 2 * m, 2 * m))
-    blocks[..., :m, :m] = blocks[..., m:, m:] = generator
-    blocks[..., :m, m:] = derivative * scale
+    frame = _KINDS[spec.kind].build(spec, b_z, b_x)
     d = probe.shape[0]
-    v0 = np.concatenate((np.zeros(m), (_BLOCH[d].columns.conj().T @ vec(probe)).real))
+    w, dw, lam, d_lam = _frame_rates(frame)
+    vectors, rotation = frame.vectors, frame.rotation
+    rho0 = probe if vectors is None else vectors.conj().mT @ probe @ vectors
+    d_rho0 = np.zeros_like(rho0) if rotation is None else rho0 @ rotation - rotation @ rho0
+    d_exponent = _exponent(dw)
+    scale = np.ldexp(1.0, np.clip(_exponent(w) - d_exponent - 10, -1021 - d_exponent, 0))[..., None]
+    blocks = np.zeros((*w.shape[:-2], 2 * d, 2 * d))
+    blocks[..., :d, :d] = blocks[..., d:, d:] = w
+    blocks[..., d:, :d] = dw * scale[..., None]
+    populations = lambda m: np.diagonal(m, axis1=-2, axis2=-1).real
+    v0 = np.concatenate(np.broadcast_arrays(populations(rho0), populations(d_rho0) * scale), axis=-1)
     v = _walk(blocks, v0, t0, dt, n)
-    v[..., m] = 1.0 / math.sqrt(d)
-    v[..., 0] = 0.0
-    return _states(v[..., m:], d), _states(v[..., :m] / scale, d)
+    times = (t0 + dt * np.arange(n))[:, None, None]
+    evolution = np.exp(lam[..., None, :, :] * times)
+    rho = evolution * rho0[..., None, :, :]
+    d_rho = evolution * (d_rho0[..., None, :, :] + times * d_lam[..., None, :, :] * rho0[..., None, :, :])
+    level = np.arange(d)
+    rho[..., level, level] = v[..., :d]
+    d_rho[..., level, level] = v[..., d:] / scale[..., None, :]
+    # Bloch coordinates r = Re(U† vec rho) of rho = V rho~ V†, whose vec is
+    # (conj V ⊗ V) vec rho~: one map T = U† (conj V ⊗ V) per model, and its
+    # derivative dT = U† (conj dV ⊗ V + conj V ⊗ dV), dV = V A.
+    to_bloch = _BLOCH[d].columns.conj().T
+    if vectors is None:
+        r, dr = _coordinates(to_bloch, rho), _coordinates(to_bloch, d_rho)
+    else:
+        d_vectors = vectors @ rotation
+        maps = (to_bloch @ tensor(vectors.conj(), vectors))[..., None, :, :]
+        d_maps = (to_bloch @ (tensor(d_vectors.conj(), vectors) + tensor(vectors.conj(), d_vectors)))[..., None, :, :]
+        r, dr = _coordinates(maps, rho), _coordinates(maps, d_rho) + _coordinates(d_maps, rho)
+    r[..., 0] = 1.0 / math.sqrt(d)
+    dr[..., 0] = 0.0
+    if t0 == 0:
+        dr[..., 0, :] = 0.0
+    return _states(r, d), _states(dr, d)
 
 
 def _exponent(m: np.ndarray) -> np.ndarray:
@@ -526,7 +607,11 @@ def _scores(states: np.ndarray, drho: np.ndarray, times) -> list:
     errors = density_matrix_errors(states)
     ok = [j for j, error in enumerate(errors) if error is None]
     if drho.shape[-1] == 2:
-        results = [_recorded(qfi_qubit, states[j], drho[j]) for j in ok]
+        # A derivative near the float range (a tiny cooperative field)
+        # overflows the closed form: its value is then non-finite, which
+        # `qfi_qubit` names, so numpy's warnings are silenced, once per grid.
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = [_recorded(qfi_qubit, states[j], drho[j]) for j in ok]
     else:
         results = _sld_outcomes(states[ok], drho[ok])
     outcomes: list = [
@@ -554,13 +639,13 @@ def _time_grid(spec: ScenarioSpec, times: np.ndarray) -> list:
 
 
 # Points of a field grid per stacked build, exponential and state check.
-# Each stack pays one builder call, two generator assemblies, two batched
-# eigh calls, one expm call and one state check, and its working memory
-# grows with its size.  The bench's `searches` workload (a 101-point
-# prescan, then bisection), 8 s runs on a 2-vCPU VM, req/s and peak RSS MB
-# by stack size: 8: 29.4, 64.4; 16: 35.4, 64.5; 32: 36.2, 64.9; 64: 38.8,
-# 67.0; 128 (the whole prescan): 40.9, 68.3.  Past 32, each step buys a few
-# percent of speed for 2 MB.
+# Each stack pays one builder call, one batched eigh, one expm call and one
+# state check, and its working memory grows with its size.  The bench's
+# `searches` workload (a 101-point prescan, then bisection), 8 s runs on a
+# 2-vCPU VM, req/s and peak RSS MB by stack size, measured when each point
+# exponentiated a 32 x 32 Liouvillian block: 8: 29.4, 64.4; 16: 35.4, 64.5;
+# 32: 36.2, 64.9; 64: 38.8, 67.0; 128 (the whole prescan): 40.9, 68.3.
+# Past 32, each step bought a few percent of speed for 2 MB.
 _CHUNK = 32
 
 
@@ -619,12 +704,14 @@ def qfi_grid(
     any exception that `qfi_at` raises at that point.
 
     The state derivative is exact, with no b_z step: the kind's builder
-    gives the Liouvillian L and its derivative dL, and the Van Loan block
-    exponential gives rho and d rho together (see `_propagated`).  A time
-    grid builds one model, with two expm calls whatever the number of points
-    (see `_walk`), and one state check.  A field grid builds the models of
-    _CHUNK (32) points at a time as one stack, with one expm call and one
-    state check per stack.  Neither checks the probe again: it is validated
+    states the model and its b_z derivative in the Hamiltonian's
+    eigenframe, where the coherences are closed forms and a Van Loan block
+    exponential of the 2d x 2d population block gives the populations and
+    their derivatives together (see `_propagated`).  A time grid builds one
+    model, with two expm calls whatever the number of points (see `_walk`),
+    and one state check.  A field grid builds the models of _CHUNK (32)
+    points at a time as one stack, with one expm call and one state check
+    per stack.  Neither checks the probe again: it is validated
     once per dimension, at import.  Either gives, bit for bit, what `qfi_at`
     gives at each point.
     """

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -176,6 +177,17 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: the b_z derivative of the Liouvillian has non-finite entries\n"
+
+    def test_qubit_overflow_is_named_without_warnings(self, capsys):
+        # d rho ~ 1e200: the qubit closed form overflows, and says so with
+        # its own message, not with numpy's RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--kind", "coop-deph", "--b_z", "1e-200", "--b_x", "1e-200", "--eta", "0.5",
+                         "--t", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: QFI computed as inf, which is not finite\n"
 
     def test_sweep_with_failed_point(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -1,10 +1,8 @@
 """Property tests: the one-point, field-grid and time-grid routes to the QFI
 of one scenario point agree bit for bit, or fail with the same error, and so
-do field grids of many points and their points one at a time; the
-exact b_z derivative of each kind's Liouvillian agrees with Richardson
-differences of Liouvillians built at the stencil fields; the real Bloch
-generators give back the complex ones, and the states propagated in Bloch
-coordinates agree with `propagate`'s complex route."""
+do field grids of many points and their points one at a time; the states
+propagated in the Hamiltonian's eigenframe agree with `propagate`'s complex
+route, and their exact b_z derivatives with Richardson differences of it."""
 
 from dataclasses import replace
 
@@ -14,9 +12,18 @@ from hypothesis import strategies as st
 
 import coopmetro.scenarios as scenarios
 from conftest import outcome
-from coopmetro.lindblad import _BLOCH, _real_generator, liouvillian_derivative, propagate
-from coopmetro.qfi import fd_default_step, richardson_stencil
-from coopmetro.scenarios import KINDS, InvalidScenarioError, ScenarioSpec, build_model, probe_state, qfi_at, qfi_grid
+from coopmetro.lindblad import propagate
+from coopmetro.qfi import differentiate_state
+from coopmetro.scenarios import (
+    KINDS,
+    InvalidScenarioError,
+    ScenarioSpec,
+    build_model,
+    probe_state,
+    qfi_at,
+    qfi_grid,
+    state_family,
+)
 
 
 @st.composite
@@ -63,12 +70,15 @@ def test_field_grid_equals_qfi_at_point_by_point(point, data):
 
 
 @st.composite
-def generator_points(draw):
-    """A spec of any kind at a field away from b_z = 0; for two spins also
-    b_x much smaller than b_z (down to 1e-3 |b_z|), away from the level
-    crossings at |b_z| = 1 that b_x opens."""
+def model_points(draw):
+    """A spec of any kind at a field away from b_z = 0, or at b_z = 0 for
+    the standard kinds; for two spins also b_x much smaller than b_z (down
+    to 1e-3 |b_z|), away from the level crossings at |b_z| = 1 that b_x
+    opens."""
     kind = draw(st.sampled_from(KINDS))
     b_z = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from((1.0, -1.0)))
+    if not scenarios._KINDS[kind].cooperative and draw(st.booleans()):
+        b_z = 0.0
     if kind == "two-spin-coop":
         b_x = abs(b_z) * 10.0 ** draw(st.floats(-3.0, 0.0))
         assume(abs(abs(b_z) - 1.0) > 0.05)
@@ -87,30 +97,21 @@ def generator_points(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(generator_points())
-def test_exact_generator_derivative_matches_richardson(spec):
-    model, tangent = scenarios._KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
-    exact = liouvillian_derivative(model, *tangent)
-    stencil, derivative = richardson_stencil(spec.b_z, fd_default_step(spec.b_z))
-    richardson = derivative([build_model(replace(spec, b_z=b)).liouvillian for b in stencil])
-    scale = np.abs(exact).max()
-    assert np.abs(exact - richardson).max() <= 1e-8 * scale
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(generator_points())
-def test_real_generators_give_back_the_complex_ones(spec):
-    model, tangent = scenarios._KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
-    for complex_form in (model.liouvillian, liouvillian_derivative(model, *tangent)):
-        u = _BLOCH[model.dim].columns
-        real = _real_generator(complex_form)
-        assert real.dtype == np.float64 and not real[0].any()
-        assert np.abs(u @ real @ u.conj().T - complex_form).max() <= 1e-12 * np.abs(complex_form).max()
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(generator_points(), st.floats(0.0, 6.0))
+@given(model_points(), st.floats(0.0, 6.0))
 def test_bloch_states_match_propagate(spec, t):
     probe = probe_state(spec)
     (state,), _ = scenarios._propagated(spec, spec.b_z, spec.b_x, probe, t, 0.0, 1)
     assert np.abs(state - propagate(build_model(spec), probe, t)).max() <= 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model_points(), st.floats(0.0, 6.0))
+def test_eigenframe_derivative_matches_richardson_of_propagate(spec, t):
+    # The state derivative of the eigenframe route against Richardson
+    # differences of `propagate`'s complex Kronecker route, which shares no
+    # code with it beyond `build_model`.  Those differences divide the
+    # rounding of e^{L t} by the step: on the stiffest two-spin points
+    # (dipole ~10, t ~5) they are good to ~5e-7, whatever the step.
+    _, (derivative,) = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t, 0.0, 1)
+    richardson = differentiate_state(state_family(spec, t))
+    assert np.abs(derivative - richardson).max() <= 1e-6 * max(1.0, np.abs(richardson).max())

@@ -7,7 +7,7 @@ import pytest
 
 import coopmetro.scenarios as scenarios
 from conftest import figure_scenarios
-from coopmetro.lindblad import NumericalFailureError, liouvillian_derivative
+from coopmetro.lindblad import NumericalFailureError
 from coopmetro.linalg import eigh, identity, outer, pauli, tensor
 from coopmetro.qfi import differentiate_state, qfi_sld
 from coopmetro.scenarios import (
@@ -25,6 +25,7 @@ from coopmetro.scenarios import (
     heisenberg_limit,
     probe_state,
     qfi_at,
+    qfi_grid,
     spin_count,
     standard_limit_formulas,
     state_family,
@@ -211,25 +212,50 @@ class TestStackedBuilders:
         b_z = rng.uniform(0.5, 1.5, (5, 100))
         b_x = rng.uniform(0.05, 0.3, 100)
         build = scenarios._KINDS[spec.kind].build
-        stack, tangent = build(spec, b_z, b_x)
-        generators = stack.liouvillian
-        derivatives = np.broadcast_to(liouvillian_derivative(stack, *tangent), generators.shape)
+        stack = build(spec, b_z, b_x)
         for index in np.ndindex(b_z.shape):
-            alone = build_model(replace(spec, b_z=float(b_z[index]), b_x=float(b_x[index[1]])))
-            _, alone_tangent = build(spec, float(b_z[index]), float(b_x[index[1]]))
-            np.testing.assert_array_equal(stack.hamiltonian[index], alone.hamiltonian)
-            np.testing.assert_array_equal(generators[index], alone.liouvillian)
-            np.testing.assert_array_equal(derivatives[index], liouvillian_derivative(alone, *alone_tangent))
+            alone = build(spec, float(b_z[index]), float(b_x[index[1]]))
+            for stacked, single in zip(stack[:5], alone[:5]):  # H, E, V, dE, V† dV
+                if single is None:
+                    assert stacked is None
+                else:
+                    np.testing.assert_array_equal(np.broadcast_to(stacked, (*b_z.shape, *single.shape))[index], single)
             assert len(stack.channels) == len(alone.channels)
             for stacked, channel in zip(stack.channels, alone.channels):
                 assert np.broadcast_to(stacked.rate, b_z.shape)[index] == channel.rate
-                np.testing.assert_array_equal(np.broadcast_to(stacked.jump, stack.hamiltonian.shape)[index], channel.jump)
+                assert np.broadcast_to(stacked.d_rate, b_z.shape)[index] == channel.d_rate
+                np.testing.assert_array_equal(stacked.jump, channel.jump)
+        model = build_model(replace(spec, b_z=float(b_z[0, 0]), b_x=float(b_x[0])))
+        np.testing.assert_array_equal(model.hamiltonian, stack.hamiltonian[0, 0])
 
     def test_one_model_is_the_scalar_case(self):
         spec = ScenarioSpec(kind="two-spin-coop", b_z=1.0, b_x=0.1, dipole=10.0)
         model = build_model(spec)
         assert model.hamiltonian.shape == (4, 4) and model.liouvillian.shape == (16, 16)
         assert all(np.ndim(ch.rate) == 0 and ch.jump.shape == (4, 4) for ch in model.channels)
+
+
+class TestFrames:
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda s: f"{s.kind}-{s.n_spins}-{s.t_e}")
+    def test_jumps_in_the_frame_are_the_stated_channels(self, spec):
+        # In its kind's frame the model's H is diag(E) and each jump is the
+        # stated transition |j><i| or diagonal diag(w).
+        frame = scenarios._KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
+        model = build_model(spec)
+        d = model.dim
+        v = np.eye(d) if frame.vectors is None else frame.vectors
+        rotate = lambda m: v.conj().T @ m @ v
+        np.testing.assert_allclose(rotate(model.hamiltonian), np.diag(frame.energies), rtol=0.0, atol=1e-12)
+        assert len(model.channels) == len(frame.channels)
+        for channel, stated in zip(model.channels, frame.channels):
+            assert channel.rate == stated.rate
+            if isinstance(stated.jump, tuple):
+                i, j = stated.jump
+                expected = np.zeros((d, d))
+                expected[j, i] = 1.0
+            else:
+                expected = np.diag(stated.jump)
+            np.testing.assert_allclose(rotate(channel.jump), expected, rtol=0.0, atol=1e-12)
 
 
 class TestProbeState:
@@ -385,6 +411,13 @@ class TestExactDerivative:
             warnings.simplefilter("error", RuntimeWarning)
             value = qfi_at(ScenarioSpec(kind="coop-deph", b_z=b, b_x=b, eta=0.5), 1.0).value
         assert value * b * b == pytest.approx(((1.0 - e) ** 2 + (1.0 - e * e) / 2.0) / 4.0, rel=1e-9)
+
+    def test_zero_time_is_exactly_zero_at_a_tiny_field(self):
+        # At t = 0 the frame terms of d rho, each ~1e100 here, cancel; the
+        # probe does not depend on b_z, and the QFI is exactly 0.
+        spec = ScenarioSpec(kind="coop-deph", b_z=1e-100, b_x=1e-100, eta=0.5)
+        assert qfi_at(spec, 0.0).value == 0.0
+        assert qfi_grid(spec, [0.0, 1.0])[0].value == 0.0
 
     def test_dephasing_derivative_overflow_is_named(self):
         # d sigma_n ~ 1/Delta overflows at a subnormal Delta

@@ -163,11 +163,11 @@ class TestTimeGrid:
         expm = scipy.linalg.expm
         monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
         sweep(COOP, SweepGrid("t", 0.5, 5.0, n_points))
-        real_block = ((8, 8), np.dtype(float))  # the real block [[M, dM], [0, M]] of one model, 2 d² = 8
-        assert calls == [real_block, real_block]
+        block = ((4, 4), np.dtype(float))  # the population block [[W, 0], [c dW, W]] of one model, 2 d = 4
+        assert calls == [block, block]
         calls.clear()
         sweep(COOP, SweepGrid("t", 0.0, 5.0, n_points))  # e^{B 0} = I needs no exponential
-        assert calls == [real_block]
+        assert calls == [block]
 
     @pytest.mark.parametrize("spec", [COOP, GRID_CASES[5][0]], ids=lambda s: s.kind)
     def test_qfi_at_one_builder_call_and_one_exponential(self, monkeypatch, spec):
@@ -182,7 +182,7 @@ class TestTimeGrid:
         monkeypatch.setattr(scipy.linalg, "expm", lambda m: exponentials.append(m.shape) or expm(m))
         qfi_at(spec, 1.0)
         assert builds == [spec.b_z]  # no stencil fields
-        block = 2 * 4 ** scenarios.spin_count(spec)
+        block = 2 * 2 ** scenarios.spin_count(spec)  # [[W, 0], [c dW, W]], W of order d
         assert exponentials == [(block, block)]
 
 
@@ -249,8 +249,8 @@ class TestFieldGrid:
         monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
         sweep(TWO_SPIN, SweepGrid("b_z", 0.5, 1.5, 21), t=1.0)
         assert len(calls) == math.ceil(21 / scenarios._CHUNK) < 21
-        assert sum(shape[0] for shape, _ in calls) == 21  # one real block [[M, dM], [0, M]] per point
-        assert {(shape[1:], dtype) for shape, dtype in calls} == {((32, 32), np.dtype(float))}
+        assert sum(shape[0] for shape, _ in calls) == 21  # one population block [[W, 0], [c dW, W]] per point
+        assert {(shape[1:], dtype) for shape, dtype in calls} == {((8, 8), np.dtype(float))}
 
     def test_prescan_sized_grid_exponential_calls(self, monkeypatch):
         calls = []
@@ -258,8 +258,19 @@ class TestFieldGrid:
         monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
         qfi_grid(TWO_SPIN, np.linspace(0.5, 1.5, 101), axis="b_z", t=1.0)
         assert scenarios._CHUNK == 32
-        assert [shape for shape, _ in calls] == [(32, 32, 32)] * 3 + [(5, 32, 32)]
+        assert [shape for shape, _ in calls] == [(32, 8, 8)] * 3 + [(5, 8, 8)]
         assert {dtype for _, dtype in calls} == {np.dtype(float)}
+
+    def test_two_spin_blocks_are_not_triangular(self, monkeypatch):
+        # In the ascending-energy frame the two-spin W is upper triangular
+        # (decays go down in energy); with c dW below the diagonal no block
+        # is triangular, so scipy's expm keeps its generic (faster) path.
+        blocks = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda m: blocks.append(m) or expm(m))
+        qfi_grid(TWO_SPIN, np.linspace(0.5, 1.5, 21), axis="b_z", t=1.0)
+        for block in np.concatenate(blocks):
+            assert np.triu(block, 1).any() and np.tril(block, -1).any()
 
     def test_stack_edges_equal_qfi_at_bit_for_bit(self):
         values = np.linspace(0.5, 1.5, 101)

@@ -541,9 +541,7 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     With A = V† dV, d rho~(0) = rho~(0) A - A rho~(0).  The coherences are
     e^{lam t} rho~_ab(0) and e^{lam t} (d rho~_ab(0) + t d lam rho~_ab(0)).
     The populations are walked (`_walk`) in the real Van Loan block
-    B = [[W, 0], [c dW, W]] from [p(0); c dp(0)] to [p(t); c dp(t)].  With
-    c dW below the diagonal, a triangular W (decays go down in energy) does
-    not make B triangular, which scipy's expm takes on a slower path.  The
+    B = [[W, 0], [c dW, W]] from [p(0); c dp(0)] to [p(t); c dp(t)].  The
     scale c is a power of two (so c and 1/c are exact) that puts the
     entries of c dW about 2^-10 below those of W, so that B needs as many
     squarings as e^{W t}; it is at most 1, and at least what keeps c dW
@@ -642,11 +640,11 @@ def _time_grid(spec: ScenarioSpec, times: np.ndarray) -> list:
 # Each stack pays one builder call, one batched eigh, one expm call and one
 # state check, and its working memory grows with its size.  The bench's
 # `searches` workload (a 101-point prescan, then bisection), 8 s runs on a
-# 2-vCPU VM, req/s and peak RSS MB by stack size, measured when each point
-# exponentiated a 32 x 32 Liouvillian block: 8: 29.4, 64.4; 16: 35.4, 64.5;
-# 32: 36.2, 64.9; 64: 38.8, 67.0; 128 (the whole prescan): 40.9, 68.3.
-# Past 32, each step bought a few percent of speed for 2 MB.
-_CHUNK = 32
+# 2-vCPU VM, seeds 1 and 2, req/s and peak RSS MB by stack size, with the
+# batched Padé expm: 32: 65.2 and 66.8, 64.3; 64: 73.4 and 72.4, 64.9;
+# 128 (the whole prescan): 76.2 and 79.7, 65.7; 256 (the same stacks
+# there): 78.7 and 73.5, 65.8.  scipy's expm at 32 gave 68.0 and 67.2, 65.1.
+_CHUNK = 128
 
 
 def _one_field_point(spec: ScenarioSpec, axis: str, value: float, t: float):
@@ -709,7 +707,7 @@ def qfi_grid(
     exponential of the 2d x 2d population block gives the populations and
     their derivatives together (see `_propagated`).  A time grid builds one
     model, with two expm calls whatever the number of points (see `_walk`),
-    and one state check.  A field grid builds the models of _CHUNK (32)
+    and one state check.  A field grid builds the models of _CHUNK (128)
     points at a time as one stack, with one expm call and one state check
     per stack.  Neither checks the probe again: it is validated
     once per dimension, at import.  Either gives, bit for bit, what `qfi_at`

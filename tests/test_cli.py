@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import coopmetro
 from coopmetro.cli import (
     RunConfig,
     UsageError,
@@ -189,6 +194,17 @@ class TestCommands:
         assert out == ""
         assert err == "error: QFI computed as inf, which is not finite\n"
 
+    @pytest.mark.parametrize("t", ["1e30", "1e60", "1e300"])
+    def test_two_spin_far_past_the_steady_state(self, capsys, t):
+        # ||B t||_1 up to ~3e304: the exponential norms its powers after an
+        # exact power-of-two scaling, so nothing overflows, and the QFI is
+        # the steady state's, the 40-digit oracle's value at t = 1e3 and 1e4.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--kind", "two-spin-coop", "--b_z", "1", "--b_x", "0.1", "--dipole", "10",
+                         "--t", t]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split(",")[3] == "41.665554275"
+
     def test_sweep_with_failed_point(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = main(
@@ -317,3 +333,17 @@ class TestFigures:
     def test_figure_io_error_names_path(self, capsys):
         assert main(["figure", "--figure", "figA1", "--out", "/nonexistent-dir/x.csv"]) == 1
         assert "/nonexistent-dir/x.csv" in capsys.readouterr().err
+
+
+def test_cli_answers_without_scipy():
+    # scipy loads only for a 2-D maximize: a fresh interpreter that imports
+    # the CLI and answers a run has no scipy module.
+    src = str(Path(coopmetro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys; import coopmetro.cli as cli; code = cli.main(sys.argv[1:]); "
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')); sys.exit(code)"
+    )
+    done = subprocess.run([sys.executable, "-c", code, *RUN_FLAGS], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,36 @@ class TestExpm:
                 h = random_hermitian(rng, dim)
                 u = expm(-1j * h * 1.7)
                 assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-10
+
+    def test_huge_generator_reaches_the_steady_state_without_overflow(self):
+        # A decay chain 0 -> 1 -> 2 (columns sum to zero) times t up to 1e300:
+        # the powers are normed after an exact power-of-two scaling, so none
+        # overflows; the absorbing level's zero column stays an exact unit
+        # column through ~1000 squarings, and the other levels empty into it.
+        w = np.array([[-0.5, 0.0, 0.0], [0.5, -2.0, 0.0], [0.0, 2.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for t in (1e3, 1e30, 1e60, 1e300):
+                e = expm(w * t)
+                np.testing.assert_array_equal(e[:, 2], [0.0, 0.0, 1.0])
+                assert np.abs(e - [[0.0] * 3, [0.0] * 3, [1.0] * 3]).max() <= 1e-15, t
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_gives_nan(self, bad):
+        rng = np.random.default_rng(11)
+        stack = rng.standard_normal((3, 4, 4))
+        clean = expm(stack)
+        stack[1, 2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = expm(stack)
+            assert np.isnan(expm(stack[1])).all()
+        assert np.isnan(out[1]).all()
+        np.testing.assert_array_equal(out[[0, 2]], clean[[0, 2]])
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            expm(np.zeros((2, 3)))
 
 
 class TestHelpers:

@@ -2,16 +2,22 @@
 of one scenario point agree bit for bit, or fail with the same error, and so
 do field grids of many points and their points one at a time; the states
 propagated in the Hamiltonian's eigenframe agree with `propagate`'s complex
-route, and their exact b_z derivatives with Richardson differences of it."""
+route, and their exact b_z derivatives with Richardson differences of it;
+the batched Padé `expm` agrees with scipy's, gives each matrix of a stack
+the bits it gives it alone, and keeps e^0 = I and zero columns exact."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import coopmetro.scenarios as scenarios
 from conftest import outcome
+from coopmetro.linalg import expm
 from coopmetro.lindblad import propagate
 from coopmetro.qfi import differentiate_state
 from coopmetro.scenarios import (
@@ -59,12 +65,14 @@ def test_one_point_field_grid_and_time_grid_agree(point):
 @settings(max_examples=12, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.filter_too_much])
 @given(scenario_points(), st.data())
 def test_field_grid_equals_qfi_at_point_by_point(point, data):
-    # Up to 70 points: one stack, or two and three stacks of _CHUNK points.
+    # Up to 70 points in stacks of 32: one stack, or two or three.
     spec, t = point
     axis = data.draw(st.sampled_from([a for a in ("b_z", "b_x") if a in spec.parameters]))
     n = data.draw(st.integers(1, 70))
     values = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
-    grid = qfi_grid(spec, values, axis=axis, t=t)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "_CHUNK", 32)
+        grid = qfi_grid(spec, values, axis=axis, t=t)
     alone = [outcome(lambda: qfi_at(replace(spec, **{axis: v}), t)) for v in values]
     assert repr([outcome(lambda: g) for g in grid]) == repr(alone)
 
@@ -115,3 +123,85 @@ def test_eigenframe_derivative_matches_richardson_of_propagate(spec, t):
     _, (derivative,) = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t, 0.0, 1)
     richardson = differentiate_state(state_family(spec, t))
     assert np.abs(derivative - richardson).max() <= 1e-6 * max(1.0, np.abs(richardson).max())
+
+
+@st.composite
+def matrix_stacks(draw):
+    """A stack (k, n, n) of random real or complex matrices, entries up to ~3."""
+    n = draw(st.sampled_from((2, 4, 8, 16)))
+    shape = (draw(st.integers(1, 4)), n, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 0.5))
+    m = rng.uniform(-1.0, 1.0, shape) * scale
+    if draw(st.booleans()):
+        m = m + 1j * rng.uniform(-1.0, 1.0, shape) * scale
+    return m
+
+
+@st.composite
+def generator_blocks(draw):
+    """A stack (k, 2d, 2d) of Van Loan blocks [[W, 0], [2^-10 dW, W]] times t,
+    W a rate matrix (columns summing to zero) whose rates reach 2.3e4, as the
+    fig. 5 two-spin block's do, and dW any matrix of rates of that size."""
+    d = draw(st.sampled_from((2, 4)))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = 10.0 ** rng.uniform(-3.0, math.log10(2.3e4), (k, d, d)) * (rng.random((k, d, d)) < 0.7)
+    rates[:, range(d), range(d)] = 0.0
+    w = rates - rates.sum(axis=1)[:, None, :] * np.eye(d)
+    blocks = np.zeros((k, 2 * d, 2 * d))
+    blocks[:, :d, :d] = blocks[:, d:, d:] = w
+    blocks[:, d:, :d] = 2.0**-10 * rng.uniform(-1.0, 1.0, (k, d, d)) * np.abs(w).max()
+    return blocks * 10.0 ** draw(st.floats(-3.0, 1.0))
+
+
+def _expm_error(m: np.ndarray) -> np.ndarray:
+    """max |expm(m) - scipy's| / max |scipy's| of each matrix of a stack."""
+    reference = scipy.linalg.expm(m)
+    return np.abs(expm(m) - reference).max(axis=(-2, -1)) / np.abs(reference).max(axis=(-2, -1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrix_stacks())
+def test_expm_agrees_with_scipy(m):
+    # Measured over 3000 stacks of this strategy: within 480 eps max(1, ||A||_1).
+    norms = np.abs(m).sum(axis=-2).max(axis=-1)
+    assert (_expm_error(m) <= 1e-12 * np.maximum(1.0, norms)).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(generator_blocks())
+def test_expm_agrees_with_scipy_on_generator_blocks(blocks):
+    # ||B t||_1 up to ~1e6, ~20 squarings.  Measured over 3000 stacks of this
+    # strategy: within 1.5e-11.
+    assert (_expm_error(blocks) <= 1e-9).all()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(matrix_stacks(), generator_blocks()))
+def test_expm_stack_equals_matrices_alone(m):
+    out = expm(m)
+    for k in range(len(m)):
+        assert np.array_equal(out[k], expm(m[k])), k
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 16), st.lists(st.integers(1, 3), max_size=2), st.booleans())
+def test_expm_of_zero_is_identity(n, stack, complex_input):
+    out = expm(np.zeros((*stack, n, n), dtype=complex if complex_input else float))
+    assert out.dtype == (np.complex128 if complex_input else np.float64)
+    assert np.array_equal(out, np.broadcast_to(np.eye(n), out.shape))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(matrix_stacks(), generator_blocks()), st.data())
+def test_expm_keeps_a_zero_column_a_unit_column(m, data):
+    # An absorbing level: the rational form I + 2 (V - U)^{-1} U keeps its
+    # column exact through every squaring, where (V - U)^{-1} (V + U) is
+    # off by an ulp before the squarings double it.
+    j = data.draw(st.integers(0, m.shape[-1] - 1))
+    m = m.copy()
+    m[..., :, j] = 0.0
+    unit = np.zeros(m.shape[-1])
+    unit[j] = 1.0
+    assert np.array_equal(expm(m)[..., :, j], np.broadcast_to(unit, m.shape[:-1]))

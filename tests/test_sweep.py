@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import coopmetro.scenarios as scenarios
 from coopmetro.linalg import eigh
@@ -160,8 +159,8 @@ class TestTimeGrid:
     @pytest.mark.parametrize("n_points", (3, 60))
     def test_two_exponentials_per_time_grid(self, monkeypatch, n_points):
         calls = []
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
+        expm = scenarios.expm
+        monkeypatch.setattr(scenarios, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
         sweep(COOP, SweepGrid("t", 0.5, 5.0, n_points))
         block = ((4, 4), np.dtype(float))  # the population block [[W, 0], [c dW, W]] of one model, 2 d = 4
         assert calls == [block, block]
@@ -178,8 +177,8 @@ class TestTimeGrid:
             scenarios._KINDS, spec.kind, kind._replace(build=lambda *args: builds.append(args[1]) or build(*args))
         )
         monkeypatch.setattr(scenarios, "build_model", None)  # the one-point builder is not used
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda m: exponentials.append(m.shape) or expm(m))
+        expm = scenarios.expm
+        monkeypatch.setattr(scenarios, "expm", lambda m: exponentials.append(m.shape) or expm(m))
         qfi_at(spec, 1.0)
         assert builds == [spec.b_z]  # no stencil fields
         block = 2 * 2 ** scenarios.spin_count(spec)  # [[W, 0], [c dW, W]], W of order d
@@ -245,8 +244,8 @@ class TestFieldGrid:
 
     def test_one_exponential_call_per_chunk(self, monkeypatch):
         calls = []
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
+        expm = scenarios.expm
+        monkeypatch.setattr(scenarios, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
         sweep(TWO_SPIN, SweepGrid("b_z", 0.5, 1.5, 21), t=1.0)
         assert len(calls) == math.ceil(21 / scenarios._CHUNK) < 21
         assert sum(shape[0] for shape, _ in calls) == 21  # one population block [[W, 0], [c dW, W]] per point
@@ -254,28 +253,25 @@ class TestFieldGrid:
 
     def test_prescan_sized_grid_exponential_calls(self, monkeypatch):
         calls = []
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
+        expm = scenarios.expm
+        monkeypatch.setattr(scenarios, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
         qfi_grid(TWO_SPIN, np.linspace(0.5, 1.5, 101), axis="b_z", t=1.0)
-        assert scenarios._CHUNK == 32
-        assert [shape for shape, _ in calls] == [(32, 8, 8)] * 3 + [(5, 8, 8)]
+        assert scenarios._CHUNK == 128  # the region prescan is one stack
+        assert [shape for shape, _ in calls] == [(101, 8, 8)]
         assert {dtype for _, dtype in calls} == {np.dtype(float)}
-
-    def test_two_spin_blocks_are_not_triangular(self, monkeypatch):
-        # In the ascending-energy frame the two-spin W is upper triangular
-        # (decays go down in energy); with c dW below the diagonal no block
-        # is triangular, so scipy's expm keeps its generic (faster) path.
-        blocks = []
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda m: blocks.append(m) or expm(m))
-        qfi_grid(TWO_SPIN, np.linspace(0.5, 1.5, 21), axis="b_z", t=1.0)
-        for block in np.concatenate(blocks):
-            assert np.triu(block, 1).any() and np.tril(block, -1).any()
 
     def test_stack_edges_equal_qfi_at_bit_for_bit(self):
         values = np.linspace(0.5, 1.5, 101)
         grid = qfi_grid(TWO_SPIN, values, axis="b_z", t=1.0)
         for k in (0, 31, 32, 63, 64, 100):
+            assert grid[k] == qfi_at(replace(TWO_SPIN, b_z=float(values[k])), 1.0), k
+
+    def test_stack_edges_of_a_longer_grid_equal_qfi_at_bit_for_bit(self):
+        # Past _CHUNK points a field grid goes in stacks of _CHUNK points.
+        chunk = scenarios._CHUNK
+        values = np.linspace(0.5, 1.5, 2 * chunk + 5)
+        grid = qfi_grid(TWO_SPIN, values, axis="b_z", t=1.0)
+        for k in (chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, len(values) - 1):
             assert grid[k] == qfi_at(replace(TWO_SPIN, b_z=float(values[k])), 1.0), k
 
     def test_grid_does_not_validate_the_probe_again(self, monkeypatch):

@@ -28,7 +28,6 @@ from .linalg import (
 from .qfi import (
     QfiResult,
     StateFamily,
-    differentiate_pure_state,
     differentiate_state,
     qfi_pure,
     qfi_qubit,

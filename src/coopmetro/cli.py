@@ -106,13 +106,11 @@ def _fig5() -> list[dict]:
 
 def _fig_a1() -> list[dict]:
     b_x = 0.1
+    b_z = _BZ_GRID.values()
+    columns = zip(b_z.tolist(), exact_two_spin_ground_qfi(b_z, b_x).tolist())
     return [
-        {
-            "b_z": b_z,
-            "f_ground_exact": exact_two_spin_ground_qfi(b_z, b_x),
-            "f_ground_effective": effective_two_spin_ground_qfi(b_z, b_x),
-        }
-        for b_z in map(float, _BZ_GRID.values())
+        {"b_z": b, "f_ground_exact": f, "f_ground_effective": effective_two_spin_ground_qfi(b, b_x)}
+        for b, f in columns
     ]
 
 

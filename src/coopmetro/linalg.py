@@ -6,8 +6,10 @@ go up to dimension 16.  Everything here is a pure function over immutable
 inputs; nothing mutates its arguments.  `tensor`, `hermitize`,
 `herm_deviation`, `eigh`, `expm` and `outer` also take stacks (..., d, d) of
 matrices (or (..., d) of vectors) and act on each one, with the same bits as
-one at a time.  The module needs numpy alone: `expm` is its own batched
-scaling-and-squaring Padé approximant, not scipy's.
+one at a time.  `eigh` fixes no gauge: only its eigenprojectors are
+physical, and the library reads nothing else of an eigenbasis.  The module
+needs numpy alone: `expm` is its own batched scaling-and-squaring Padé
+approximant, not scipy's.
 
 Basis convention: sigma_z |0> = +|0>, sigma_z |1> = -|1>.  With this choice
 (sigma_x + i*sigma_y)/2 = |0><1|.
@@ -28,13 +30,9 @@ __all__ = [
     "eigh",
     "expm",
     "outer",
-    "normalize",
-    "phase_align",
 ]
 
 HERM_TOL = 1e-10
-DEGENERACY_TOL = 1e-9
-GAUGE_TOL = 1e-12
 
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -81,48 +79,15 @@ def herm_deviation(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().mT).max())
 
 
-def _fix_gauge(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column of a matrix or stack so that its first component
-    above GAUGE_TOL in magnitude is real and positive; a column without one
-    is left as it is."""
-    d = vectors.shape[-1]
-    flat = vectors.reshape(-1, d, d)
-    above = np.abs(flat) > GAUGE_TOL
-    matrices, columns = np.arange(len(flat))[:, None], np.arange(d)
-    lead = flat[matrices, above.argmax(axis=1), columns]
-    lead[~above.any(axis=1)] = 1.0
-    # The scalar abs of each lead: numpy's array abs can round the last bit differently.
-    size = np.array([abs(x) for x in lead.flat]).reshape(lead.shape)
-    return (flat * (lead.conj() / size)[:, None, :]).reshape(vectors.shape)
-
-
-def _order_degenerate(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Reorder columns inside each degenerate cluster by descending |v[0]|."""
-    v = vectors.copy()
-    n = values.shape[0]
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and values[stop] - values[stop - 1] < DEGENERACY_TOL:
-            stop += 1
-        if stop - start > 1:
-            block = v[:, start:stop]
-            order = np.argsort(-np.abs(block[0, :]), kind="stable")
-            v[:, start:stop] = block[:, order]
-        start = stop
-    return v
-
-
 def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, vectors) of a Hermitian matrix, or of each matrix of a stack
     (..., d, d) in one LAPACK call: ascending values (..., d) and unitary
     eigenvector columns (..., d, d), h @ vectors = vectors @ diag(values).
 
-    Phase gauge: the first component of each eigenvector whose magnitude
-    exceeds 1e-12 is real and positive.  Within a degenerate cluster
-    (eigenvalue gap < 1e-9) columns are ordered by descending magnitude of
-    their first component.  Raises NonHermitianError if max |h - h†| of a
-    matrix exceeds 1e-10.
+    Only the eigenprojectors are determined: the phase of each column, and
+    the basis within a degenerate eigenspace, are LAPACK's, and every caller
+    reads only quantities that do not depend on them.  Raises
+    NonHermitianError if max |h - h†| of a matrix exceeds 1e-10.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
@@ -132,12 +97,7 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NonHermitianError(
             f"matrix is not Hermitian: max |h - h†| = {deviation:.3e} > {HERM_TOL:.1e}"
         )
-    values, vectors = np.linalg.eigh(hermitize(h))
-    close = values[..., 1:] - values[..., :-1] < DEGENERACY_TOL
-    if close.any():
-        for index in map(tuple, np.argwhere(close.any(axis=-1))):  # () for one matrix
-            vectors[index] = _order_degenerate(values[index], vectors[index])
-    return values, _fix_gauge(vectors)
+    return np.linalg.eigh(hermitize(h))
 
 
 # The [13/13] Padé approximant r(B) = (V - U)^{-1} (V + U) of e^B, with U
@@ -298,24 +258,3 @@ def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a><b| for state vectors a, b, or for each pair of two stacks (..., d)."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     return a[..., :, None] * b.conj()[..., None, :]
-
-
-def normalize(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if norm == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return psi / norm
-
-
-def phase_align(psi: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Rotate the global phase of psi so that <reference|psi> is real positive.
-
-    Needed before finite-differencing eigenvectors: eigensolver output
-    carries an arbitrary phase per call.
-    """
-    overlap = np.vdot(reference, psi)
-    mag = abs(overlap)
-    if mag < GAUGE_TOL:
-        raise ValueError("states are (numerically) orthogonal; phase undefined")
-    return psi * (overlap.conjugate() / mag)

@@ -5,19 +5,19 @@ suite: the pure-state overlap formula, the qubit determinant closed form,
 and the spectral SLD sum valid in any dimension.
 
 The scenario pipeline gets its state derivatives exactly, by propagating
-the b_z derivative with the state (`scenarios.qfi_grid`).  Richardson-extrapolated
-central differences (`richardson_stencil`, `differentiate_state`) stay as
-the independent reference route for arbitrary state families, and
-`differentiate_pure_state` serves the ground-state QFI.
+the b_z derivative with the state (`scenarios.qfi_grid`), and the ground-state
+QFI is a sum over states (`scenarios.exact_two_spin_ground_qfi`).
+Richardson-extrapolated central differences (`differentiate_state`) stay as
+the independent reference route for arbitrary state families.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .linalg import eigh, hermitize, normalize, phase_align
+from .linalg import eigh, hermitize
 
 __all__ = [
     "QfiResult",
@@ -26,8 +26,6 @@ __all__ = [
     "qfi_qubit",
     "qfi_sld",
     "differentiate_state",
-    "differentiate_pure_state",
-    "richardson_stencil",
     "fd_default_step",
 ]
 
@@ -154,45 +152,13 @@ def fd_default_step(b0: float) -> float:
     return 1e-5 * max(1.0, abs(b0))
 
 
-def richardson_stencil(b0: float, h: float) -> tuple[tuple[float, ...], Callable[[Sequence], np.ndarray]]:
-    """The Richardson-extrapolated central difference at b0 with step h.
-
-    Returns the fields b0 - h, b0 + h, b0 - h/2, b0 + h/2 and the function
-    that combines the values there, in that order (a sequence or an array
-    stacked on its first axis), into (4 D_{h/2} - D_h)/3, with
-    D_s = (f(b0 + s) - f(b0 - s)) / 2s.
-    """
-
-    def derivative(values: Sequence) -> np.ndarray:
-        lo, hi, lo2, hi2 = (np.asarray(v, dtype=complex) for v in values)
-        d_h = (hi - lo) / (2.0 * h)
-        d_h2 = (hi2 - lo2) / (2.0 * (h / 2.0))
-        return (4.0 * d_h2 - d_h) / 3.0
-
-    return (b0 - h, b0 + h, b0 - h / 2.0, b0 + h / 2.0), derivative
-
-
 def differentiate_state(family: StateFamily, h: float | None = None) -> np.ndarray:
-    """d rho / db at family.b0 by Richardson-extrapolated central differences
-    (`richardson_stencil`), symmetrized."""
+    """d rho / db at family.b0 by the Richardson-extrapolated central
+    difference (4 D_{h/2} - D_h) / 3, with D_s = (rho(b0 + s) - rho(b0 - s)) / 2s,
+    symmetrized."""
     if h is None:
         h = fd_default_step(family.b0)
-    stencil, derivative = richardson_stencil(family.b0, h)
-    return hermitize(derivative([family.evaluate(b) for b in stencil]))
-
-
-def differentiate_pure_state(
-    evaluate: Callable[[float], np.ndarray], b0: float, h: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(psi(b0), d psi/db) for a pure-state family, gauge-aligned.
-
-    Each evaluation is normalized and phase-aligned so <psi(b0)|psi(b)> is
-    real positive before differencing; otherwise eigensolver gauge noise
-    corrupts <dpsi|psi>.
-    """
-    if h is None:
-        h = fd_default_step(b0)
-    psi0 = normalize(np.asarray(evaluate(b0), dtype=complex))
-    stencil, derivative = richardson_stencil(b0, h)
-    aligned = [phase_align(normalize(np.asarray(evaluate(b), dtype=complex)), psi0) for b in stencil]
-    return psi0, derivative(aligned)
+    b0 = family.b0
+    stencil = (b0 - h, b0 + h, b0 - h / 2.0, b0 + h / 2.0)
+    lo, hi, lo2, hi2 = (np.asarray(family.evaluate(b), dtype=complex) for b in stencil)
+    return hermitize((4.0 * (hi2 - lo2) / h - (hi - lo) / (2.0 * h)) / 3.0)

@@ -47,8 +47,6 @@ from .qfi import (
     _recorded,
     _sld_outcomes,
     StateFamily,
-    differentiate_pure_state,
-    qfi_pure,
     qfi_qubit,
 )
 
@@ -81,6 +79,8 @@ __all__ = [
 # E_1 < E_2 < E_3 < E_4: the jump |E_j><E_i| de-excites i -> j.
 TWO_SPIN_DECAY_PAIRS = ((4, 3), (4, 2), (3, 2), (3, 1))
 
+# Two levels are degenerate within this fraction of the spectrum's largest
+# |level|: see `_eigen_derivative`.
 GROUND_DEGENERACY_TOL = 1e-9
 # Below this, <j|dH|k> between two eigenvectors is rounding: see `_eigen_derivative`.
 _COUPLING_TOL = 1e-12
@@ -207,22 +207,34 @@ def _eigen_derivative(h: np.ndarray, dh: np.ndarray) -> tuple[np.ndarray, ...]:
     theory d v_k = sum_{j != k} v_j <j|dH|k> / (lam_k - lam_j), so
     (V† dV)_jk = <j|dH|k> / (lam_k - lam_j) off the diagonal, an
     anti-Hermitian matrix.  Its zero diagonal leaves out a phase of each
-    v_k, which a jump between eigenstates does not see.  A pair of levels
-    closer than 1e-9 raises DegeneracyError if dH couples them; if it does
-    not (beyond rounding, 1e-12), the pair adds nothing.
+    v_k, which a jump between eigenstates does not see; a phase that `eigh`
+    gives v_k multiplies row and column k of V† dV alike, so V (V† dV) V†
+    and every quantity built from it are gauge-free.  Two levels of a matrix
+    are degenerate where their gap is at most 1e-9 max|lam|, relative to its
+    spectrum: such a pair raises DegeneracyError if dH couples it, and adds
+    nothing if it does not (beyond rounding, 1e-12).  A quotient that
+    overflows (a subnormal gap) raises NumericalFailureError.
     """
     values, vectors = eigh(h)
     coupling = vectors.conj().mT @ dh @ vectors  # <j|dH|k> at [..., j, k]
     gaps = values[..., None, :] - values[..., :, None]  # lam_k - lam_j at [..., j, k]
-    close = np.abs(gaps) < GROUND_DEGENERACY_TOL
+    level = np.abs(values).max(axis=-1)[..., None, None]
+    close = np.abs(gaps) <= GROUND_DEGENERACY_TOL * level
     coupled = close & (np.abs(coupling) > _COUPLING_TOL) & ~np.eye(h.shape[-1], dtype=bool)
     if coupled.any():
+        worst = np.unravel_index(np.argmin(np.where(coupled, np.abs(gaps) / level, np.inf)), coupled.shape)
         raise DegeneracyError(
-            f"coupled levels degenerate: gap {np.abs(gaps[coupled]).min():.3e} < 1e-9, "
-            "so the b_z derivative is undefined"
+            f"coupled levels degenerate: gap {abs(gaps[worst]):.3e} <= 1e-9 max|E| = "
+            f"{GROUND_DEGENERACY_TOL * level[worst[:-2]].item():.3e}, so the b_z derivative is undefined"
         )
-    inverse = np.where(close, 0.0, 1.0 / np.where(close, 1.0, gaps))
-    return values, vectors, np.diagonal(coupling, axis1=-2, axis2=-1).real, coupling * inverse
+    # The real and imaginary parts are divided by the real gaps one at a
+    # time: numpy's complex division forms 1 / gap, which overflows at a
+    # subnormal gap where a quotient may not.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rotation = np.where(close, 0.0, coupling.real / gaps + 1j * (coupling.imag / gaps))
+    if not np.isfinite(rotation).all():
+        raise NumericalFailureError("the b_z derivative of the Liouvillian has non-finite entries")
+    return values, vectors, np.diagonal(coupling, axis1=-2, axis2=-1).real, rotation
 
 
 class _Channel(NamedTuple):
@@ -276,37 +288,10 @@ def _coop_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     return _Frame(h, *_eigen_derivative(h, pauli("z")), (_Channel(spec.gamma, 0.0, (1, 0)),))  # |g><e|
 
 
-def _field_axis(b_z: float, b_x: float) -> tuple[float, float, float, float]:
-    """(Delta, cos theta, n_z, n_x) of one field: Delta = |(b_z, b_x)|,
-    cos theta = b_z / Delta and the unit vector n = (b_z, b_x) / Delta.
-    n is taken as b (1 / Delta), which is numpy's complex division H / Delta
-    bit for bit, and, below Delta ~ 5.6e-309, where 1 / Delta overflows, as
-    b / Delta."""
-    delta = math.hypot(b_z, b_x)
-    inverse = 1.0 / delta
-    if math.isinf(inverse):
-        return delta, b_z / delta, b_z / delta, b_x / delta
-    return delta, b_z / delta, b_z * inverse, b_x * inverse
-
-
 def _coop_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
+    # The jump sigma_n = H / Delta is diag(-1, 1) in the frame of H.
     h = controlled_hamiltonian(b_z, b_x)
-    delta, cos, n_z, n_x = _each(_field_axis, b_z, b_x)
-    sigma_n = controlled_hamiltonian(n_z, n_x)  # cos theta sigma_z + sin theta sigma_x
-    # d sigma_n = sigma_z / Delta - H b_z / Delta^3, written so that no power
-    # of Delta overflows.  It overflows itself where 1 / Delta does, which
-    # is named here, before any product with it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        d_sigma_n = (pauli("z") - _scale(cos, sigma_n)) / np.asarray(delta)[..., None, None]
-    if not np.isfinite(d_sigma_n).all():
-        raise NumericalFailureError("the b_z derivative of the Liouvillian has non-finite entries")
-    # H = Delta sigma_n, so the frame of sigma_n, whose levels -1 and 1 are
-    # 2 apart at any field, is the frame of H with E = Delta (-1, 1) and
-    # dE = cos theta (-1, 1); the frame of H itself would take its gap,
-    # 2 Delta, for a degeneracy at a tiny field.
-    _, vectors, _, rotation = _eigen_derivative(sigma_n, d_sigma_n)
-    energies, d_energies = (np.asarray(x)[..., None] * _SIGNS for x in (delta, cos))
-    return _Frame(h, energies, vectors, d_energies, rotation, (_Channel(spec.eta / 2.0, 0.0, _SIGNS),))
+    return _Frame(h, *_eigen_derivative(h, pauli("z")), (_Channel(spec.eta / 2.0, 0.0, _SIGNS),))
 
 
 def _thermal_rates(spec: ScenarioSpec, b_z: float, b_x: float) -> tuple[float, float, float, float]:
@@ -414,7 +399,7 @@ def build_model(spec: ScenarioSpec) -> LindbladModel:
     """Assemble the Lindblad model of the given scenario from the one-model
     case of its kind's frame statement, which also differentiates it in b_z
     and so raises DegeneracyError where levels that dH couples lie within
-    1e-9, and NumericalFailureError where the derivative overflows."""
+    1e-9 max|E|, and NumericalFailureError where the derivative overflows."""
     frame = _KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
     d = frame.energies.shape[-1]
     return LindbladModel(
@@ -604,14 +589,14 @@ def _scores(states: np.ndarray, drho: np.ndarray, times) -> list:
     by point, or the SLD formula on the stack of larger states."""
     errors = density_matrix_errors(states)
     ok = [j for j, error in enumerate(errors) if error is None]
-    if drho.shape[-1] == 2:
-        # A derivative near the float range (a tiny cooperative field)
-        # overflows the closed form: its value is then non-finite, which
-        # `qfi_qubit` names, so numpy's warnings are silenced, once per grid.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # A derivative near the float range (a tiny cooperative field, a huge
+    # time) overflows either formula: its value is then non-finite, which
+    # the formula names, so numpy's warnings are silenced, once per grid.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if drho.shape[-1] == 2:
             results = [_recorded(qfi_qubit, states[j], drho[j]) for j in ok]
-    else:
-        results = _sld_outcomes(states[ok], drho[ok])
+        else:
+            results = _sld_outcomes(states[ok], drho[ok])
     outcomes: list = [
         None if error is None else NumericalFailureError(f"propagation to t={t} lost state invariants: {error}")
         for t, error in zip(times, errors)
@@ -863,27 +848,20 @@ def effective_two_spin_ground_qfi(b_z: float, b_x: float) -> float:
     return 2.0 * b_x**2 / denom**2
 
 
-def exact_two_spin_ground_qfi(b_z: float, b_x: float, h: float | None = None) -> float:
-    """Ground-state QFI of the full two-spin Hamiltonian.
-
-    Phase-aligned finite differences of the ground eigenvector over b_z,
-    then the pure-state formula.  Raises DegeneracyError if the ground level
-    is degenerate within 1e-9 anywhere on the difference stencil.
+def exact_two_spin_ground_qfi(b_z: ArrayLike, b_x: float) -> float | np.ndarray:
+    """Ground-state QFI of the full two-spin Hamiltonian at b_z, or at each
+    b_z of an array: the fidelity susceptibility
+    F = 4 sum_{k>0} |<k|dH|0>|^2 / (E_k - E_0)^2 (Zanardi & Paunković,
+    PRE 74, 031123 (2006)), dH = sigma_z^1 + sigma_z^2, read off the frame
+    rotation V† dV of one batched `eigh` (`_eigen_derivative`).  Raises
+    DegeneracyError where levels that dH couples are degenerate.
     """
     if not b_x > 0.0:
         raise InvalidScenarioError(f"b_x must be > 0, got {b_x}")
-
-    def ground(b: float) -> np.ndarray:
-        values, vectors = eigh(two_spin_hamiltonian(b, b_x))
-        gap = values[1] - values[0]
-        if gap < GROUND_DEGENERACY_TOL:
-            raise DegeneracyError(
-                f"ground level degenerate at b_z={b}: gap {gap:.3e} < 1e-9"
-            )
-        return vectors[:, 0]
-
-    psi0, dpsi = differentiate_pure_state(ground, b_z, h)
-    return qfi_pure(psi0, dpsi).value
+    b_z = np.asarray(b_z, dtype=float)
+    rotation = _eigen_derivative(two_spin_hamiltonian(b_z, b_x), SZ_SUM)[3]
+    value = 4.0 * (np.abs(rotation[..., 1:, 0]) ** 2).sum(axis=-1)
+    return value if b_z.ndim else float(value)
 
 
 def tradeoff_width(f_max: float, t: float) -> float:

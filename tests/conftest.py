@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,16 @@ def figure_scenarios():
         (ScenarioSpec(kind="unitary-baseline", b_z=0.1, n_spins=1), (0.5, 1.0, 2.0, 5.0)),
         (ScenarioSpec(kind="unitary-baseline", b_z=0.3, n_spins=2), (0.5, 1.0, 2.0)),
     ]
+
+
+def controlled_ground_state(b_z: float, b_x: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ground state (-sin(theta/2), cos(theta/2)) of b_z sigma_z + b_x sigma_x,
+    theta = atan2(b_x, b_z), and its exact b_z derivative, with
+    d theta / d b_z = -b_x / (b_z^2 + b_x^2)."""
+    theta = math.atan2(b_x, b_z)
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    d_half_theta = -0.5 * b_x / (b_z**2 + b_x**2)
+    return np.array([-s, c], dtype=complex), d_half_theta * np.array([-c, -s], dtype=complex)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

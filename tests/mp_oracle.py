@@ -12,14 +12,20 @@ Liouvillian derivative, no Bloch coordinates and no block exponential is
 used.  At the long-time points (|L t| up to ~1e8) the states agree with a
 100-digit run within 1e-36, so 40 digits are enough there too.
 
+The ground-state QFI of the two-spin Hamiltonian (figA1) is 2 Tr[(dP)^2]
+of the ground projector P = |g><g| (mpmath's eigensolver, which fixes no
+phase that P would see), dP a central difference at b_z +- 1e-15: no sum
+over states and no eigenvector derivative.
+
 Regenerate the QFI table (about 2 s per point, a minute for the long
-times) and the table of states (every entry of rho, real and imaginary
-parts, at the long-time points):
+times), the table of states (every entry of rho, real and imaginary
+parts, at the long-time points) and the ground-state table (instant):
 
     python tests/mp_oracle.py > tests/data/oracle.csv
     python tests/mp_oracle.py --states > tests/data/oracle_states.csv
+    python tests/mp_oracle.py --ground > tests/data/oracle_ground.csv
 
-`tests/test_oracle.py` checks the library against both tables.
+`tests/test_oracle.py` checks the library against the three tables.
 """
 
 import csv
@@ -53,6 +59,10 @@ POINTS = [
     ("coop-deph", "0.1", "0.1", "0.5", "0", "0", "2"),
     *LONG_TIMES,
 ]
+
+# figA1's ground-state QFI (b_x 0.1): the grid's ends, its peak at b_z = 1
+# and points on either flank
+GROUND_POINTS = [(b_z, "0.1") for b_z in ("0.5", "0.75", "0.95", "1", "1.05", "1.5")]
 
 
 def kron(a, b):
@@ -150,7 +160,25 @@ def qfi(kind, b_z, b_x, eta, dipole, t_e, t):
     return total
 
 
+def ground_projector(b_z, b_x):
+    values, vectors = mp.eighe(hamiltonian("two-spin-coop", b_z, b_x))
+    return ket_bra(vectors[:, 0], vectors[:, 0])
+
+
+def ground_qfi(b_z, b_x):
+    """2 Tr[(dP)^2] of the ground projector, the QFI of a pure state."""
+    d_projector = (ground_projector(b_z + STEP, b_x) - ground_projector(b_z - STEP, b_x)) / (2 * STEP)
+    square = d_projector * d_projector
+    return 2 * mp.re(sum(square[k, k] for k in range(square.rows)))
+
+
 def main():
+    if sys.argv[1:] == ["--ground"]:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("b_z", "b_x", "qfi"))
+        for b_z, b_x in GROUND_POINTS:
+            writer.writerow((b_z, b_x, mp.nstr(ground_qfi(mp.mpf(b_z), mp.mpf(b_x)), 20)))
+        return
     states = sys.argv[1:] == ["--states"]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow((*COLUMNS[:-1], "i", "j", "re", "im") if states else COLUMNS)

@@ -194,6 +194,17 @@ class TestCommands:
         assert out == ""
         assert err == "error: QFI computed as inf, which is not finite\n"
 
+    def test_sld_overflow_is_named_without_warnings(self, capsys):
+        # d rho ~ t = 1e300: the spectral SLD sum of the two-spin state
+        # overflows, and says so with its own message, not with numpy's
+        # RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--kind", "unitary-baseline", "--b_z", "0.1", "--n_spins", "2", "--t", "1e300"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: QFI computed as inf, which is not finite\n"
+
     @pytest.mark.parametrize("t", ["1e30", "1e60", "1e300"])
     def test_two_spin_far_past_the_steady_state(self, capsys, t):
         # ||B t||_1 up to ~3e304: the exponential norms its powers after an

@@ -11,10 +11,8 @@ from coopmetro.linalg import (
     expm,
     hermitize,
     identity,
-    normalize,
     outer,
     pauli,
-    phase_align,
     tensor,
 )
 from coopmetro.scenarios import two_spin_hamiltonian
@@ -92,17 +90,6 @@ class TestEigh:
         h = 0.1 * pauli("z") + 0.1 * pauli("x")
         expected = math.sqrt(0.1**2 + 0.1**2)
         np.testing.assert_allclose(eigh(h)[0], [-expected, expected], rtol=1e-12)
-
-    def test_phase_gauge(self):
-        rng = np.random.default_rng(7)
-        for dim in (2, 4):
-            for _ in range(20):
-                _, vectors = eigh(random_hermitian(rng, dim))
-                for k in range(dim):
-                    col = vectors[:, k]
-                    lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-                    assert abs(lead.imag) < 1e-13
-                    assert lead.real > 0
 
     def test_reconstruction_and_unitarity(self):
         rng = np.random.default_rng(11)
@@ -222,17 +209,3 @@ class TestHelpers:
         for i in range(3):
             for j in range(2):
                 np.testing.assert_array_equal(h[i, j], hermitize(stack[i, j]))
-
-    def test_projector_normalize(self):
-        psi = normalize(np.array([1.0, 1.0j, 0.0]))
-        p = outer(psi, psi)
-        np.testing.assert_allclose(p @ p, p, atol=1e-15)
-        np.testing.assert_allclose(np.trace(p), 1.0, atol=1e-15)
-
-    def test_phase_align(self):
-        psi = normalize(np.array([1.0, 1.0j]))
-        rotated = psi * np.exp(0.7j)
-        aligned = phase_align(rotated, psi)
-        overlap = np.vdot(psi, aligned)
-        assert overlap.imag == pytest.approx(0.0, abs=1e-14)
-        assert overlap.real > 0

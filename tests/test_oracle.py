@@ -1,7 +1,8 @@
 """The exact-derivative route against the 40-digit mpmath tables in
-tests/data/oracle.csv (QFI values) and tests/data/oracle_states.csv (states
-long after the steady state), written by tests/mp_oracle.py, which shares
-no code with the library."""
+tests/data/oracle.csv (QFI values), tests/data/oracle_states.csv (states
+long after the steady state) and tests/data/oracle_ground.csv (the two-spin
+ground-state QFI of figA1), written by tests/mp_oracle.py, which shares no
+code with the library."""
 
 import csv
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import coopmetro.scenarios as scenarios
-from coopmetro.scenarios import ScenarioSpec, probe_state, qfi_at
+from coopmetro.scenarios import ScenarioSpec, exact_two_spin_ground_qfi, probe_state, qfi_at
 
 DATA = Path(__file__).parent / "data"
 # The largest QFI error is 7.5e-11, at the seed-9928 point, where rho has
@@ -21,6 +22,9 @@ DATA = Path(__file__).parent / "data"
 RTOL = 1e-9
 # Measured: 6.9e-16 at t = 1e3 and 7.8e-15 at t = 1e4.
 STATE_ATOL = 1e-12
+# The sum over states is within 1.6e-15 of the table; phase-aligned finite
+# differences of the ground eigenvector were up to 7.1e-11 off.
+GROUND_RTOL = 1e-12
 
 
 def _rows(name: str) -> list[dict]:
@@ -62,3 +66,15 @@ def test_state_matches_oracle(rows):
         oracle[int(row["i"]), int(row["j"])] = complex(float(row["re"]), float(row["im"]))
     assert len(rows) == state.size
     assert np.abs(state - oracle).max() <= STATE_ATOL
+
+
+@pytest.mark.parametrize("row", _rows("oracle_ground.csv"), ids=lambda row: f"b_z{row['b_z']}")
+def test_ground_qfi_matches_oracle(row):
+    value = exact_two_spin_ground_qfi(float(row["b_z"]), float(row["b_x"]))
+    assert value == pytest.approx(float(row["qfi"]), rel=GROUND_RTOL, abs=0.0)
+
+
+def test_ground_qfi_grid_matches_oracle():
+    rows = _rows("oracle_ground.csv")
+    values = exact_two_spin_ground_qfi(np.array([float(row["b_z"]) for row in rows]), 0.1)
+    assert values.tolist() == pytest.approx([float(row["qfi"]) for row in rows], rel=GROUND_RTOL, abs=0.0)

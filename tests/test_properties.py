@@ -1,6 +1,7 @@
 """Property tests: the one-point, field-grid and time-grid routes to the QFI
 of one scenario point agree bit for bit, or fail with the same error, and so
-do field grids of many points and their points one at a time; the states
+do field grids of many points and their points one at a time; the QFI does
+not see the phases of the eigenvectors it is computed from; the states
 propagated in the Hamiltonian's eigenframe agree with `propagate`'s complex
 route, and their exact b_z derivatives with Richardson differences of it;
 the batched Padé `expm` agrees with scipy's, gives each matrix of a stack
@@ -15,9 +16,10 @@ import scipy.linalg
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import coopmetro.qfi as qfi
 import coopmetro.scenarios as scenarios
 from conftest import outcome
-from coopmetro.linalg import expm
+from coopmetro.linalg import eigh, expm
 from coopmetro.lindblad import propagate
 from coopmetro.qfi import differentiate_state
 from coopmetro.scenarios import (
@@ -33,8 +35,8 @@ from coopmetro.scenarios import (
 
 
 @st.composite
-def scenario_points(draw):
-    kind = draw(st.sampled_from(KINDS))
+def scenario_points(draw, kinds=KINDS):
+    kind = draw(st.sampled_from(kinds))
     fields = dict(
         b_z=draw(st.floats(-2.0, 2.0)),
         b_x=draw(st.floats(0.0, 1.0)),
@@ -75,6 +77,47 @@ def test_field_grid_equals_qfi_at_point_by_point(point, data):
         grid = qfi_grid(spec, values, axis=axis, t=t)
     alone = [outcome(lambda: qfi_at(replace(spec, **{axis: v}), t)) for v in values]
     assert repr([outcome(lambda: g) for g in grid]) == repr(alone)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=15, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_qfi_is_gauge_free(kind, data, seed):
+    # Only the eigenprojectors are physical: with a random phase on every
+    # eigenvector column that the QFI route's eigensolvers return, each
+    # point gives the same QFI, or the same error.
+    spec, t = data.draw(scenario_points(kinds=(kind,)))
+    rng = np.random.default_rng(seed)
+
+    def rephased(h):
+        values, vectors = eigh(h)
+        return values, vectors * np.exp(2j * np.pi * rng.random((*vectors.shape[:-2], 1, vectors.shape[-1])))
+
+    unpatched = outcome(lambda: qfi_at(spec, t))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "eigh", rephased)
+        patch.setattr(qfi, "eigh", rephased)
+        patched = outcome(lambda: qfi_at(spec, t))
+    if isinstance(unpatched, tuple):
+        assert patched == unpatched
+        return
+    assert patched.method == unpatched.method
+    assert patched.value == pytest.approx(unpatched.value, rel=1e-9, abs=_rounding_floor(spec, t, unpatched.value))
+
+
+def _rounding_floor(spec: ScenarioSpec, t: float, value: float) -> float:
+    """How far rounding of ~delta = 1e-15 (1 + ||V† dV||) in rho and d rho can
+    move the QFI value F: through the SLD sum sum_ij 2 |x_ij|^2 / s_ij, with
+    s the smallest eigenvalue sum of rho that the sum keeps (above its 1e-12
+    mask), by ~delta (sqrt(F / s) + (F + delta) / s).  Past 1e-9 F only where
+    rho is near pure (s small) or the frame terms of d rho cancel (t -> 0)."""
+    rotation = scenarios._KINDS[spec.kind].build(spec, spec.b_z, spec.b_x).rotation
+    delta = 1e-15 * (1.0 + (0.0 if rotation is None else np.abs(rotation).max()))
+    (state,), _ = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t, 0.0, 1)
+    lam = np.linalg.eigvalsh(state)
+    sums = lam[:, None] + lam[None, :]
+    kept = sums[sums > 1e-12].min()
+    return 10.0 * delta * (math.sqrt(value / kept) + (value + delta) / kept)
 
 
 @st.composite

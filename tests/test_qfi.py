@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import coopmetro.qfi as qfi_module
-from conftest import random_mixed_qubit, random_traceless_hermitian
-from coopmetro.linalg import eigh, expm, hermitize, normalize, outer, pauli
+from conftest import controlled_ground_state, random_mixed_qubit, random_traceless_hermitian
+from coopmetro.linalg import eigh, expm, hermitize, outer, pauli
 from coopmetro.qfi import (
     StateFamily,
     _sld_outcomes,
-    differentiate_pure_state,
     differentiate_state,
     fd_default_step,
     qfi_pure,
@@ -26,14 +25,16 @@ from coopmetro.scenarios import (
 )
 
 
+PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+
+
 def ground_vector(b_z, b_x):
     return eigh(controlled_hamiltonian(b_z, b_x))[1][:, 0]
 
 
 class TestQfiPure:
     def test_zero_derivative(self):
-        psi = normalize(np.array([1.0, 1.0]))
-        assert qfi_pure(psi, np.zeros(2)).value == 0.0
+        assert qfi_pure(PLUS, np.zeros(2)).value == 0.0
 
     @pytest.mark.parametrize(
         "b_z,b_x,expected",
@@ -41,10 +42,9 @@ class TestQfiPure:
     )
     def test_ground_state_closed_form(self, b_z, b_x, expected):
         # oracle: F(|g>) = b_x^2/(b_x^2+b_z^2)^2 for the controlled Hamiltonian
-        psi0, dpsi = differentiate_pure_state(lambda b: ground_vector(b, b_x), b_z)
-        result = qfi_pure(psi0, dpsi)
+        result = qfi_pure(*controlled_ground_state(b_z, b_x))
         assert result.method == "pure"
-        assert result.value == pytest.approx(expected, rel=1e-6)
+        assert result.value == pytest.approx(expected, rel=1e-12)
 
 
 class TestQfiQubit:
@@ -66,8 +66,7 @@ class TestQfiQubit:
         assert value == pytest.approx(analytic_coop_spont_qfi(0.1, 0.1, 0.5, 1.0), abs=1e-8)
 
     def test_near_pure_fallback_tagged(self):
-        psi = normalize(np.array([1.0, 1.0]))
-        rho = outer(psi, psi)
+        rho = outer(PLUS, PLUS)
         drho = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
         result = qfi_qubit(rho, drho)
         assert result.method == "sld-spectral"
@@ -102,8 +101,8 @@ class TestQfiSld:
             return np.array([math.cos(b), math.sin(b) * np.exp(1j * phi)])
 
         b0 = 0.4
-        psi0, dpsi = differentiate_pure_state(psi, b0)
-        pure = qfi_pure(psi0, dpsi).value
+        dpsi = np.array([-math.sin(b0), math.cos(b0) * np.exp(1j * phi)])
+        pure = qfi_pure(psi(b0), dpsi).value
         rho = outer(psi(b0), psi(b0))
         drho = differentiate_state(StateFamily(lambda b: outer(psi(b), psi(b)), b0))
         assert qfi_sld(rho, drho).value == pytest.approx(pure, rel=1e-6)
@@ -192,7 +191,7 @@ class TestNonFiniteQfi:
     @pytest.mark.parametrize("bad", [math.nan, 1e200])
     def test_pure(self, bad):
         with pytest.raises(ValueError, match="QFI computed as (nan|inf), which is not finite"):
-            qfi_pure(normalize(np.array([1.0, 1.0])), np.array([bad, 0.0]))
+            qfi_pure(PLUS, np.array([bad, 0.0]))
 
     @pytest.mark.parametrize("bad", [math.nan, 1e200])
     def test_qubit(self, bad):
@@ -236,8 +235,14 @@ class TestDifferentiateState:
             assert np.max(np.abs(drho - oracle)) <= 1e-7
 
     def test_ground_family_reproduces_closed_form(self):
-        psi0, dpsi = differentiate_pure_state(lambda b: ground_vector(b, 0.1), 0.1)
-        assert qfi_pure(psi0, dpsi).value == pytest.approx(25.0, rel=1e-6)
+        # The ground projector |g><g| carries no eigenvector phase, so it is
+        # differenced as it comes from `eigh`.
+        def projector(b):
+            g = ground_vector(b, 0.1)
+            return outer(g, g)
+
+        drho = differentiate_state(StateFamily(projector, 0.1))
+        assert qfi_sld(projector(0.1), drho).value == pytest.approx(25.0, rel=1e-6)
 
     def test_default_step(self):
         assert fd_default_step(0.1) == pytest.approx(1e-5)
@@ -260,13 +265,9 @@ class TestUnitaryLimits:
         t = 1.0
         spec = ScenarioSpec(kind="unitary-baseline", b_z=0.1, n_spins=1)
         mixed = qfi_at(spec, t).value
-        plus = normalize(np.array([1.0, 1.0]))
-
-        def psi(b):
-            return expm(-1j * b * pauli("z") * t) @ plus
-
-        psi0, dpsi = differentiate_pure_state(psi, 0.1)
-        pure = qfi_pure(psi0, dpsi).value
+        # psi(b) = e^{-i b sigma_z t} |+>, so d psi / db = -i t sigma_z psi
+        psi = expm(-1j * 0.1 * pauli("z") * t) @ PLUS
+        pure = qfi_pure(psi, -1j * t * pauli("z") @ psi).value
         assert mixed == pytest.approx(pure, rel=1e-5)
 
     def test_non_negative(self):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import fields, replace
 
@@ -396,10 +397,12 @@ class TestExactDerivative:
         assert math.isfinite(value)
         assert value == pytest.approx(richardson, rel=1e-7)
 
-    def test_coupled_degenerate_levels_raise(self):
-        # gap 2 sqrt(2) 1e-12, and sigma_z couples |g> and |e>
-        with pytest.raises(DegeneracyError, match="gap 2.828e-12 < 1e-9"):
-            qfi_at(ScenarioSpec(kind="coop-spont", b_z=1e-12, b_x=1e-12, gamma=0.5), 1.0)
+    @pytest.mark.parametrize("b", (1e-10, 1e-12, 1e-14, 1e-100))
+    def test_coupled_degenerate_levels_raise(self, b):
+        # The gap 2 sqrt(2) b is the whole spectrum's scale, not a
+        # degeneracy: QFI b^2 keeps the closed form's limit 0.09992...
+        value = qfi_at(ScenarioSpec(kind="coop-spont", b_z=b, b_x=b, gamma=0.5), 1.0).value
+        assert value * b * b == pytest.approx(analytic_coop_spont_qfi(b, b, 0.5, 1.0) * b * b, rel=1e-9)
 
     @pytest.mark.parametrize("b", (1e-20, 1e-50, 1e-100, 1e-150))
     def test_tiny_cooperative_dephasing_field(self, b):
@@ -526,6 +529,15 @@ class TestExactGroundQfi:
     def test_degeneracy_error(self):
         with pytest.raises(DegeneracyError):
             exact_two_spin_ground_qfi(1.0, 1e-10)
+
+    def test_exactly_degenerate_coupled_pair_raises(self):
+        # Two levels at 1, which dH = sigma_x couples and splits: the frame
+        # has no derivative there.
+        message = (
+            "coupled levels degenerate: gap 0.000e+00 <= 1e-9 max|E| = 1.000e-09, so the b_z derivative is undefined"
+        )
+        with pytest.raises(DegeneracyError, match=f"^{re.escape(message)}$"):
+            scenarios._eigen_derivative(np.eye(2, dtype=complex), pauli("x"))
 
     def test_requires_positive_bx(self):
         with pytest.raises(InvalidScenarioError):

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import coopmetro.scenarios as scenarios
-from coopmetro.linalg import eigh
+from conftest import controlled_ground_state
 from coopmetro.qfi import (
-    differentiate_pure_state,
     differentiate_state,
     qfi_pure,
     qfi_qubit,
@@ -18,7 +17,6 @@ from coopmetro.scenarios import (
     InvalidScenarioError,
     ScenarioSpec,
     analytic_coop_spont_qfi,
-    controlled_hamiltonian,
     effective_two_spin_ground_qfi,
     qfi_at,
     qfi_grid,
@@ -461,11 +459,7 @@ class TestMaximize:
     def test_monotone_decreasing_hits_lower_bound(self):
         # ground-state QFI b_x^2/(b_x^2+b_z^2)^2 decreases in b_z > 0
         def objective(b_z):
-            def ground(b):
-                return eigh(controlled_hamiltonian(b, 0.1))[1][:, 0]
-
-            psi0, dpsi = differentiate_pure_state(ground, b_z)
-            return qfi_pure(psi0, dpsi).value
+            return qfi_pure(*controlled_ground_state(b_z, 0.1)).value
 
         argmax, value = maximize_qfi(objective, [(0.05, 1.0)])
         assert argmax == pytest.approx(0.05, abs=1e-4)

@@ -3,10 +3,11 @@
 Every sweep is one `qfi_grid` call: a time sweep walks its grid with the
 semigroup property, and a b_z or b_x sweep builds, exponentiates and checks
 the models of its points as stacks.  The region prescan, each step
-of the lockstep region bisection and the 1-D coarse scan of the maximizer
-evaluate a field objective the same way.
+of the lockstep search for the region's edges and the 1-D coarse scan of
+the maximizer evaluate a field objective the same way.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -147,33 +148,82 @@ def _check_xtol(xtol: float) -> None:
         raise ValueError(f"xtol must be finite and >= 0, got {xtol}")
 
 
-def _bisect(objective, edges: list, threshold: float, xtol: float) -> list[float]:
-    """Bisect each edge (lo, hi, objective at hi) to its threshold crossing,
-    all in lockstep: each step evaluates the midpoints of the open edges
-    (wider than xtol, with lo < midpoint < hi) together, one grid evaluation
-    for a field objective: the midpoints that each would see bisected alone.
-    As if bisected one after another, an edge that fails stops, and its
+def _interpolate(points, threshold: float) -> float:
+    """Inverse interpolation of a threshold crossing: the polynomial x(y)
+    through the (x, y) points, at y = threshold; NaN where two y are equal.
+    Through two points it is regula falsi."""
+    estimate = 0.0
+    for k, (x_k, y_k) in enumerate(points):
+        term = x_k
+        for m, (_, y_m) in enumerate(points):
+            if m != k:
+                if y_m == y_k:
+                    return math.nan
+                term *= (threshold - y_m) / (y_k - y_m)
+        estimate += term
+    return estimate
+
+
+def _edge(outside, inside, threshold: float, neighbours=()) -> tuple:
+    """An edge (outside, inside, estimate): the (x, y) ends of an interval,
+    y below the threshold at the outside end and not at the inside end, and
+    an estimate of the crossing between them.  The estimate is the inverse
+    interpolation through the neighbouring points, if given; regula falsi
+    on the ends where that is not inside the interval (or NaN); the midpoint
+    where neither is."""
+    lo, hi = sorted((outside[0], inside[0]))
+    for points in filter(None, (neighbours, (outside, inside))):
+        estimate = _interpolate(points, threshold)
+        if lo <= estimate <= hi:
+            return outside, inside, estimate
+    return outside, inside, 0.5 * (lo + hi)
+
+
+def _refine(objective, edges: list, threshold: float, xtol: float) -> list[float]:
+    """Narrow each edge (see `_edge`) to its threshold crossing, all in
+    lockstep.  Each step evaluates, for every open edge (wider than xtol,
+    with its midpoint strictly between its ends), the estimate +- xtol/4 and
+    the midpoint, those strictly inside the edge, together: one grid
+    evaluation for a field objective.  The edge keeps the sub-interval where
+    the threshold is crossed nearest its inside end, at most half as wide,
+    with regula falsi on it as its next estimate: so each edge sees the
+    points it would see searched alone, in no more steps than bisection.
+    As if searched one after another, an edge that fails stops, and its
     exception is raised once every edge before it is done."""
 
-    def open_(lo: float, hi: float) -> bool:
-        return hi - lo > xtol and lo < 0.5 * (lo + hi) < hi
+    def open_(edge) -> bool:
+        (a, _), (b, _), _ = edge
+        return abs(b - a) > xtol and 0.5 * (a + b) not in (a, b)
 
-    edges = [[lo, hi, f_hi - threshold > 0.0] for lo, hi, f_hi in edges]
+    def points(edge) -> list[float]:
+        (a, _), (b, _), estimate = edge
+        lo, hi = sorted((a, b))
+        candidates = (estimate - 0.25 * xtol, estimate + 0.25 * xtol, 0.5 * (a + b))
+        return sorted({x for x in candidates if lo < x < hi})
+
     failed: dict = {}  # edge index -> its exception, until the edges before it are done
-    while active := [k for k, (lo, hi, _) in enumerate(edges) if open_(lo, hi) and k not in failed]:
-        mids = [0.5 * (edges[k][0] + edges[k][1]) for k in active]
-        for k, mid, outcome in zip(active, mids, _outcomes(objective, mids)):
-            if isinstance(outcome, Exception):
-                if not any(open_(lo, hi) for lo, hi, _ in edges[:k]):
-                    raise outcome
-                failed[k] = outcome
-            elif (outcome - threshold > 0.0) == edges[k][2]:
-                edges[k][1] = mid
-            else:
-                edges[k][0] = mid
+    while active := [k for k, edge in enumerate(edges) if open_(edge) and k not in failed]:
+        steps = [points(edges[k]) for k in active]
+        outcomes = _outcomes(objective, [x for step in steps for x in step])
+        for k, step in zip(active, steps):
+            values = list(itertools.islice(outcomes, len(step)))
+            error = next((v for v in values if isinstance(v, Exception)), None)
+            if error is not None:
+                if not any(map(open_, edges[:k])):
+                    raise error
+                failed[k] = error
+                continue
+            outside, inside, _ = edges[k]
+            # walk out from the inside end to the first point outside
+            for x, y in sorted(zip(step, map(float, values)), key=lambda p: abs(p[0] - inside[0])):
+                if not y >= threshold:
+                    outside = (x, y)
+                    break
+                inside = (x, y)
+            edges[k] = _edge(outside, inside, threshold)
     if failed:
         raise failed[min(failed)]
-    return [0.5 * (lo + hi) for lo, hi, _ in edges]
+    return [0.5 * (outside[0] + inside[0]) for outside, inside, _ in edges]
 
 
 def find_region(
@@ -184,13 +234,15 @@ def find_region(
     xtol: float = 1e-4,
 ) -> RegionResult:
     """Locate the contiguous region around the objective's maximum where it
-    meets the threshold.
+    meets the threshold (objective >= threshold).
 
     A prescan grid over the bracket (one grid evaluation for a field
     objective of `scenario_objective`) finds the block of above-threshold
-    points containing the maximum; both edge crossings are then bisected in
-    lockstep to |delta| <= xtol (finite, >= 0), or to adjacent floats (see
-    `_bisect`).  Returns resolved=False (NaN endpoints) when no prescan
+    points containing the maximum.  Each edge crossing starts from the
+    inverse cubic through its four prescan neighbours (see `_edge`), and
+    both are then narrowed in lockstep by guarded interpolation to
+    |delta| <= xtol/2 (xtol finite, >= 0), or to adjacent floats (see
+    `_refine`).  Returns resolved=False (NaN endpoints) when no prescan
     point reaches the threshold.
     """
     if threshold <= 0:
@@ -211,12 +263,19 @@ def find_region(
     j = peak
     while j < prescan - 1 and above[j + 1]:
         j += 1
-    edges = []  # (lo, hi, objective at hi) of each crossing inside the bracket, the lower first
+    points = [(float(x), float(y)) for x, y in zip(xs, vals)]
+
+    def edge(outside: int, inside: int) -> tuple:
+        cell = min(outside, inside)
+        neighbours = points[cell - 1 : cell + 3] if 1 <= cell <= prescan - 3 else ()
+        return _edge(points[outside], points[inside], threshold, neighbours)
+
+    edges = []  # each crossing inside the bracket, the lower first
     if i > 0:
-        edges.append((float(xs[i - 1]), float(xs[i]), vals[i]))
+        edges.append(edge(i - 1, i))
     if j < prescan - 1:
-        edges.append((float(xs[j]), float(xs[j + 1]), vals[j + 1]))
-    crossings = iter(_bisect(objective, edges, threshold, xtol))
+        edges.append(edge(j + 1, j))
+    crossings = iter(_refine(objective, edges, threshold, xtol))
     lower = next(crossings) if i > 0 else float(xs[0])
     upper = next(crossings) if j < prescan - 1 else float(xs[-1])
     return RegionResult(lower=lower, upper=upper, threshold=threshold, resolved=True)

@@ -1,9 +1,13 @@
 import importlib
+import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coopmetro.scenarios as scenarios
 from conftest import controlled_ground_state
@@ -287,9 +291,12 @@ class TestFieldGrid:
         assert region == find_region(lambda b: objective(b), 16.0, (0.5, 1.5))
 
     def test_region_one_grid_call_per_bisection_step(self, monkeypatch):
+        # At xtol = 0 the two edges take different numbers of steps, with
+        # different numbers of points per step.
         sizes = []
         objective = scenario_objective(TWO_SPIN, 1.0, "b_z")
-        (lower, _), (upper, _) = edges_bisected_alone(objective, 16.0, (0.5, 1.5))
+        (lower, _), (upper, _) = edges_searched_alone(objective, 16.0, (0.5, 1.5), xtol=0.0)
+        assert len(lower) != len(upper)
         grid = SWEEP.qfi_grid
 
         def counted(spec, values, **kwargs):
@@ -298,8 +305,9 @@ class TestFieldGrid:
 
         monkeypatch.setattr(SWEEP, "qfi_grid", counted)
         monkeypatch.setattr(SWEEP, "qfi_at", None)  # no point is evaluated alone
-        assert find_region(objective, 16.0, (0.5, 1.5)).resolved
-        assert sizes == [101] + [2] * min(len(lower), len(upper)) + [1] * abs(len(lower) - len(upper))
+        assert find_region(objective, 16.0, (0.5, 1.5), xtol=0.0).resolved
+        steps = itertools.zip_longest(lower, upper, fillvalue=[])
+        assert sizes == [101] + [len(at_lower) + len(at_upper) for at_lower, at_upper in steps]
 
     def test_maximize_coarse_scan_equals_plain_callable(self):
         objective = scenario_objective(TWO_SPIN, 1.0, "b_z")
@@ -324,75 +332,116 @@ def limited(objective, calls: int = 500):
     return wrapped
 
 
-def edges_bisected_alone(objective, threshold: float, bracket: tuple[float, float], xtol: float = 1e-4):
-    """Reference for find_region on a unimodal objective: (midpoints,
-    crossing) of each edge of its 101-point prescan, the lower first, each
-    edge bisected alone."""
-    xs = np.linspace(*bracket, 101)
-    above = np.flatnonzero([objective(float(x)) >= threshold for x in xs])
+def edges_searched_alone(objective, threshold: float, bracket: tuple[float, float], xtol: float = 1e-4):
+    """Reference for find_region on an objective that peaks at b_z = 1:
+    (steps, crossing) of each edge of its 101-point prescan, the lower first,
+    each edge searched alone: by find_region on the objective held at the
+    threshold beyond the peak, where the other edge would be.  `steps` lists
+    the points of each grid evaluation after the prescan."""
     edges = []
-    for lo, hi in ((xs[above[0] - 1], xs[above[0]]), (xs[above[-1]], xs[above[-1] + 1])):
-        lo, hi = float(lo), float(hi)
-        hi_above = objective(hi) - threshold > 0.0
-        midpoints = []
-        while hi - lo > xtol:
-            midpoints.append(0.5 * (lo + hi))
-            if (objective(midpoints[-1]) - threshold > 0.0) == hi_above:
-                hi = midpoints[-1]
-            else:
-                lo = midpoints[-1]
-        edges.append((midpoints, 0.5 * (lo + hi)))
+    for side in (-1.0, 1.0):
+        steps = []
+        outcomes = SWEEP._outcomes
+
+        def recorded(objective_, xs):
+            steps.append(list(xs))
+            return outcomes(objective_, xs)
+
+        def alone(b, side=side):
+            return objective(b) if (b - 1.0) * side >= 0.0 else threshold
+
+        with mock.patch.object(SWEEP, "_outcomes", recorded):
+            region = find_region(alone, threshold, bracket, xtol=xtol)
+        edges.append((steps[1:], region.lower if side < 0 else region.upper))
     return edges
+
+
+def flat(steps) -> list:
+    return [x for step in steps for x in step]
 
 
 def effective_objective(failures: dict[str, int] | None = None):
     """The effective two-spin ground QFI at b_x = 0.1 (peak 50 at b_z = 1),
-    recording the midpoints that find_region's bisection evaluates on each
-    edge; raises LookupError(edge) at the failures[edge]-th midpoint of an
+    recording the points that find_region's edge search evaluates on each
+    edge; raises LookupError(edge) at the failures[edge]-th point of an
     edge."""
     failures = failures or {}
     prescan = []
-    midpoints = {"lower": [], "upper": []}
+    points = {"lower": [], "upper": []}
 
     def objective(b):
         if len(prescan) < 101:
             prescan.append(b)
         else:
             edge = "lower" if b < 1.0 else "upper"
-            midpoints[edge].append(b)
-            if len(midpoints[edge]) == failures.get(edge):
+            points[edge].append(b)
+            if len(points[edge]) == failures.get(edge):
                 raise LookupError(edge)
         return effective_two_spin_ground_qfi(b, 0.1)
 
-    return objective, midpoints
+    return objective, points
+
+
+# How far rounding of threshold + bump moves a crossing of `bumps`: at most
+# ulp(32) / 0.13 ~ 5.5e-14.
+ROUNDING = 1e-12
+
+
+@st.composite
+def bumps(draw):
+    """(objective, threshold, bracket, crossings): threshold + a smooth tanh or
+    cubic bump over a random bracket, above the threshold strictly between
+    the two crossings and below it outside them, with slope >= 0.13 at
+    each."""
+    lo = draw(st.floats(0.25, 2.0))
+    width = draw(st.floats(0.5, 3.0))
+    c1 = lo + width * draw(st.floats(0.0, 0.45))
+    c2 = lo + width * draw(st.floats(0.55, 1.0))
+    threshold = draw(st.floats(0.5, 32.0))
+    if draw(st.booleans()):
+        k = draw(st.floats(2.0, 200.0)) / width
+        bump = lambda x: math.tanh(k * (x - c1)) * math.tanh(k * (c2 - x))
+    else:
+        m = lo - width * draw(st.floats(0.01, 2.0))
+        bump = lambda x: (x - c1) * (c2 - x) * (x - m) / ((c2 - c1) * (c1 - m))
+    return (lambda x: threshold + bump(x)), threshold, (lo, lo + width), (c1, c2)
 
 
 class TestFindRegion:
+    # At xtol = 1e-9 each edge of the effective model takes three steps of
+    # three points searched alone.
+    XTOL = 1e-9
+
     def test_lockstep_edges_see_their_midpoints_alone(self):
-        (lower, lower_end), (upper, upper_end) = edges_bisected_alone(effective_objective()[0], 16.0, (0.5, 1.5))
-        objective, midpoints = effective_objective()
-        region = find_region(objective, 16.0, (0.5, 1.5))
-        assert midpoints == {"lower": lower, "upper": upper}
+        (lower, lower_end), (upper, upper_end) = edges_searched_alone(effective_objective()[0], 16.0, (0.5, 1.5), self.XTOL)
+        assert [len(step) for step in lower] == [len(step) for step in upper] == [3, 3, 3]
+        objective, points = effective_objective()
+        region = find_region(objective, 16.0, (0.5, 1.5), xtol=self.XTOL)
+        assert points == {"lower": flat(lower), "upper": flat(upper)}
         assert (region.lower, region.upper) == (lower_end, upper_end)
 
     def test_lower_edge_failure_raises_at_once(self):
-        objective, midpoints = effective_objective({"lower": 3})
+        # The lower edge fails at the first point of its second step: that
+        # step ends, and the upper edge's second step is never evaluated.
+        (lower, _), (upper, _) = edges_searched_alone(effective_objective()[0], 16.0, (0.5, 1.5), self.XTOL)
+        objective, points = effective_objective({"lower": len(lower[0]) + 1})
         with pytest.raises(LookupError, match="lower"):
-            find_region(objective, 16.0, (0.5, 1.5))
-        assert (len(midpoints["lower"]), len(midpoints["upper"])) == (3, 2)
+            find_region(objective, 16.0, (0.5, 1.5), xtol=self.XTOL)
+        assert points == {"lower": flat(lower[:2]), "upper": flat(upper[:1])}
 
     def test_upper_edge_failure_waits_for_the_lower_edge(self):
-        ((lower, _), _) = edges_bisected_alone(effective_objective()[0], 16.0, (0.5, 1.5))
-        objective, midpoints = effective_objective({"upper": 1})
+        (lower, _), (upper, _) = edges_searched_alone(effective_objective()[0], 16.0, (0.5, 1.5), self.XTOL)
+        objective, points = effective_objective({"upper": 1})
         with pytest.raises(LookupError, match="upper"):
-            find_region(objective, 16.0, (0.5, 1.5))
-        assert midpoints == {"lower": lower, "upper": midpoints["upper"][:1]}
+            find_region(objective, 16.0, (0.5, 1.5), xtol=self.XTOL)
+        assert points == {"lower": flat(lower), "upper": flat(upper[:1])}
 
     def test_lower_edge_failure_wins(self):
-        objective, midpoints = effective_objective({"lower": 2, "upper": 1})
+        (lower, _), (upper, _) = edges_searched_alone(effective_objective()[0], 16.0, (0.5, 1.5), self.XTOL)
+        objective, points = effective_objective({"lower": len(lower[0]) + 1, "upper": 1})
         with pytest.raises(LookupError, match="lower"):
-            find_region(objective, 16.0, (0.5, 1.5))
-        assert (len(midpoints["lower"]), len(midpoints["upper"])) == (2, 1)
+            find_region(objective, 16.0, (0.5, 1.5), xtol=self.XTOL)
+        assert points == {"lower": flat(lower[:2]), "upper": flat(upper[:1])}
 
     def test_effective_model_width(self):
         objective = lambda b: effective_two_spin_ground_qfi(b, 0.1)
@@ -448,6 +497,55 @@ class TestFindRegion:
             find_region(lambda x: x, 1.0, (1.0, 0.0))
         with pytest.raises(ValueError):
             find_region(lambda x: x, -1.0, (0.0, 1.0))
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_threshold_met_on_a_prescan_point(self, side):
+        # The threshold 0.5 is met exactly at the prescan point 0.5, which
+        # counts as inside (f >= threshold) in the prescan and in the edge
+        # search alike: the edge ends within xtol/2 of it, not a cell away.
+        objective = (lambda x: x) if side == "lower" else (lambda x: 1.0 - x)
+        region = find_region(objective, 0.5, (0.0, 1.0))
+        assert region.resolved
+        edge, end = (region.lower, region.upper) if side == "lower" else (region.upper, region.lower)
+        assert abs(edge - 0.5) <= 0.5e-4
+        assert end == (1.0 if side == "lower" else 0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(bumps(), st.floats(1e-10, 1e-3))
+    def test_edges_of_smooth_crossings(self, bump, xtol):
+        objective, threshold, bracket, crossings = bump
+        calls, steps = [], []
+        outcomes = SWEEP._outcomes
+
+        def recorded(objective_, xs):
+            steps.append(list(xs))
+            return outcomes(objective_, xs)
+
+        def counted(x):
+            calls.append(x)
+            return objective(x)
+
+        with mock.patch.object(SWEEP, "_outcomes", recorded):
+            region = find_region(counted, threshold, bracket, xtol=xtol)
+        assert region.resolved
+        for edge, crossing in zip((region.lower, region.upper), crossings):
+            assert abs(edge - crossing) <= 0.5 * xtol + ROUNDING
+        assert len(calls) == len(set(calls))
+        cell = float(np.diff(np.linspace(*bracket, 101)).max())
+        assert len(steps) - 1 <= max(0, math.ceil(math.log2(cell / xtol)))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(bumps())
+    def test_zero_xtol_ends_one_float_from_smooth_crossings(self, bump):
+        objective, threshold, bracket, crossings = bump
+        region = find_region(limited(objective), threshold, bracket, xtol=0.0)
+        for edge, crossing in zip((region.lower, region.upper), crossings):
+            assert abs(edge - crossing) <= ROUNDING
+            if edge in bracket:
+                continue  # the region reaches the bracket's end: no edge search there
+            neighbours = (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf))
+            left, here, right = (objective(x) >= threshold for x in neighbours)
+            assert left != here or here != right
 
 
 class TestMaximize:

@@ -15,20 +15,11 @@ vec(A rho B) = (B^T ⊗ A) vec(rho).  With (K†)^T = conj(K) and
 `propagate` and `propagate_rk4` work in this complex form, as references
 for the QFI pipeline, which propagates in the Hamiltonian's eigenframe
 (`scenarios._propagated`).
-
-Density matrices also have real coordinates: in an orthonormal Hermitian
-basis G_0 = I/sqrt(d), G_1 .. G_{d²-1} (the traceless generalized Gell-Mann
-matrices) a density matrix is rho = sum_k r_k G_k with real r_k = Tr(G_k rho),
-the generalized Bloch vector, and r_0 = 1/sqrt(d) is its trace (Kimura,
-Phys. Lett. A 314, 339 (2003); Byrd & Khaneja, PRA 68, 062322 (2003)).  The
-QFI pipeline hands its states and state derivatives over in them, so that
-unit trace and Hermiticity hold by construction.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -163,42 +154,6 @@ class LindbladModel:
 def vec(rho: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
     return np.asarray(rho, dtype=complex).reshape(-1, order="F")
-
-
-def _bloch_basis(d: int) -> np.ndarray:
-    """The orthonormal Hermitian basis (d², d, d), Tr(G_j G_k) = delta_jk:
-    G_0 = I/sqrt(d), then the traceless generalized Gell-Mann matrices, for
-    each pair j < k the symmetric (E_jk + E_kj)/sqrt(2) and the antisymmetric
-    -i(E_jk - E_kj)/sqrt(2), then for l = 1 .. d-1 the diagonal
-    (E_00 + ... + E_{l-1,l-1} - l E_ll)/sqrt(l(l+1))."""
-    basis = [np.eye(d) / math.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            symmetric, antisymmetric = np.zeros((2, d, d), dtype=complex)
-            symmetric[j, k] = symmetric[k, j] = 1.0 / math.sqrt(2.0)
-            antisymmetric[j, k], antisymmetric[k, j] = -1j / math.sqrt(2.0), 1j / math.sqrt(2.0)
-            basis += [symmetric, antisymmetric]
-    for l in range(1, d):
-        diagonal = np.zeros(d)
-        diagonal[:l], diagonal[l] = 1.0, -l
-        basis.append(np.diag(diagonal / math.sqrt(l * (l + 1))))
-    return np.array(basis, dtype=complex)
-
-
-class _Bloch(NamedTuple):
-    """The basis G_k of one dimension d, laid out for both directions."""
-
-    columns: np.ndarray  # U (d², d²): column k is vec G_k, a unitary
-    entries: np.ndarray  # (d, d, d²): entry [i, j, k] is (G_k)_ij
-
-
-# The generalized Bloch coordinates r_k = Tr(G_k rho) = (U† vec rho)_k of a
-# density matrix, real for a Hermitian rho, with r_0 = Tr(rho)/sqrt(d): one
-# basis per dimension of the scenarios (one and two spins), built once.
-_BLOCH = {
-    d: _Bloch(basis.swapaxes(-1, -2).reshape(d * d, d * d).T.copy(), np.moveaxis(basis, 0, -1).copy())
-    for d, basis in ((d, _bloch_basis(d)) for d in (2, 4))
-}
 
 
 def liouvillian(model: LindbladModel) -> np.ndarray:

@@ -33,7 +33,6 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .lindblad import (
-    _BLOCH,
     LindbladChannel,
     LindbladModel,
     NumericalFailureError,
@@ -41,7 +40,7 @@ from .lindblad import (
     propagate,
     validate_density_matrix,
 )
-from .linalg import eigh, expm, identity, outer, pauli, tensor
+from .linalg import eigh, expm, hermitize, identity, outer, pauli, tensor
 from .qfi import (
     QfiResult,
     _recorded,
@@ -443,18 +442,6 @@ def state_family(spec: ScenarioSpec, t: float) -> StateFamily:
     return StateFamily(evaluate=evaluate, b0=spec.b_z)
 
 
-def _states(r: np.ndarray, d: int) -> np.ndarray:
-    """The matrices sum_k r_k G_k (..., d, d) of Bloch coordinates r (..., d²).
-
-    Each entry is an elementwise product with the basis summed over its
-    last axis, so every entry takes the same arithmetic whatever the leading
-    shape (a BLAS product may not), and the matrices are Hermitian entry by
-    entry: (i, j) and (j, i) sum the same products, with the imaginary parts
-    negated.
-    """
-    return (r[..., None, None, :] * _BLOCH[d].entries).sum(axis=-1)
-
-
 def _walk(blocks: np.ndarray, v0: np.ndarray, t0: float, dt: float, n: int) -> np.ndarray:
     """The vectors e^{B (t0 + k dt)} v0, k < n, of every matrix B of a stack
     (..., m, m) and its vector v0 (..., m), stacked to shape (..., n, m).
@@ -504,13 +491,6 @@ def _frame_rates(frame: _Frame) -> tuple[np.ndarray, ...]:
     return w, dw, -(decay + 1j * gaps(frame.energies)), -(d_decay + 1j * gaps(frame.d_energies))
 
 
-def _coordinates(maps: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Re(T vec rho) (..., d²) of maps T (..., d², d²) and matrices
-    rho (..., d, d), entry by entry like `_states`."""
-    flat = rho.mT.reshape(*rho.shape[:-2], 1, rho.shape[-1] ** 2)  # vec(rho), column-stacked
-    return (flat * maps).sum(axis=-1).real
-
-
 def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.ndarray, t0: float, dt: float, n: int):
     """(states, d states / d b_z) of the probe at times t0 + k dt, k < n,
     under the model at fields b_z and b_x, or under each model of a stack:
@@ -530,13 +510,17 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     scale c is a power of two (so c and 1/c are exact) that puts the
     entries of c dW about 2^-10 below those of W, so that B needs as many
     squarings as e^{W t}; it is at most 1, and at least what keeps c dW
-    normal.  Back in the lab frame, rho = V rho~ V† and
-    d rho = V (d rho~ + A rho~ - rho~ A) V†; at t = 0, where these terms
-    cancel only to rounding, d rho is the exact zero of a probe that does
-    not depend on b_z.  The matrices leave through Bloch coordinates
-    r_k = Tr(G_k rho) with the trace coordinates set exactly, r_0 =
-    1/sqrt(d) and dr_0 = 0, and `_states` rebuilds them: unit trace (to
-    rounding), a traceless derivative and Hermiticity hold by construction.
+    normal.  Back in the lab frame, rho = herm(V rho~ V†) and
+    d rho = herm(V (d rho~ + A rho~ - rho~ A) V†), herm(m) = (m + m†)/2, so
+    both are Hermitian entry by entry.  The diagonal of d rho is then
+    rounded to 50 bits of its largest entry, where it sums exactly in any
+    order, and its last entry set to minus the sum of the others: the
+    derivative of a unit trace is traceless exactly, however large d rho
+    grows (a tiny cooperative field).  The trace of rho is left as
+    propagated, so that a drift of the populations fails the state check
+    instead of passing as a value.  At t = 0, where the frame terms cancel
+    only to rounding, d rho is the exact zero of a probe that does not
+    depend on b_z.
     """
     frame = _KINDS[spec.kind].build(spec, b_z, b_x)
     d = probe.shape[0]
@@ -559,22 +543,21 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     level = np.arange(d)
     rho[..., level, level] = v[..., :d]
     d_rho[..., level, level] = v[..., d:] / scale[..., None, :]
-    # Bloch coordinates r = Re(U† vec rho) of rho = V rho~ V†, whose vec is
-    # (conj V ⊗ V) vec rho~: one map T = U† (conj V ⊗ V) per model, and its
-    # derivative dT = U† (conj dV ⊗ V + conj V ⊗ dV), dV = V A.
-    to_bloch = _BLOCH[d].columns.conj().T
-    if vectors is None:
-        r, dr = _coordinates(to_bloch, rho), _coordinates(to_bloch, d_rho)
-    else:
-        d_vectors = vectors @ rotation
-        maps = (to_bloch @ tensor(vectors.conj(), vectors))[..., None, :, :]
-        d_maps = (to_bloch @ (tensor(d_vectors.conj(), vectors) + tensor(vectors.conj(), d_vectors)))[..., None, :, :]
-        r, dr = _coordinates(maps, rho), _coordinates(maps, d_rho) + _coordinates(d_maps, rho)
-    r[..., 0] = 1.0 / math.sqrt(d)
-    dr[..., 0] = 0.0
+    if vectors is not None:
+        vectors, rotation = vectors[..., None, :, :], rotation[..., None, :, :]  # over the time axis
+        d_rho = vectors @ (d_rho + rotation @ rho - rho @ rotation) @ vectors.conj().mT
+        rho = vectors @ rho @ vectors.conj().mT
+    rho, d_rho = hermitize(rho), hermitize(d_rho)
+    # Multiples of one power of two, the largest below 2^50 of them (so
+    # rounded by at most 4 ulps of it), whose partial sums are all exact.
+    diagonal = d_rho[..., level, level].real
+    unit = np.ldexp(1.0, np.maximum(_exponent(diagonal[..., None]) - 50, -1074))[..., None]
+    diagonal = np.round(diagonal / unit) * unit
+    diagonal[..., -1] = -diagonal[..., :-1].sum(axis=-1)
+    d_rho[..., level, level] = diagonal
     if t0 == 0:
-        dr[..., 0, :] = 0.0
-    return _states(r, d), _states(dr, d)
+        d_rho[..., 0, :, :] = 0.0
+    return rho, d_rho
 
 
 def _exponent(m: np.ndarray) -> np.ndarray:
@@ -624,9 +607,10 @@ def _time_grid(spec: ScenarioSpec, times: np.ndarray) -> list:
 # Points of a field grid per stacked build, exponential and state check.
 # Each stack pays one builder call, one batched eigh, one expm call and one
 # state check, and its working memory grows with its size.  The bench's
-# `searches` workload (a 101-point prescan, then bisection), 8 s runs on a
-# 2-vCPU VM, seeds 1 and 2, req/s and peak RSS MB by stack size, with the
-# batched Padé expm: 32: 65.2 and 66.8, 64.3; 64: 73.4 and 72.4, 64.9;
+# `searches` workload, a 101-point prescan and then the edge search's small
+# grids (measured when that search still bisected), 8 s runs on a 2-vCPU
+# VM, seeds 1 and 2, req/s and peak RSS MB by stack size, with the batched
+# Padé expm: 32: 65.2 and 66.8, 64.3; 64: 73.4 and 72.4, 64.9;
 # 128 (the whole prescan): 76.2 and 79.7, 65.7; 256 (the same stacks
 # there): 78.7 and 73.5, 65.8.  scipy's expm at 32 gave 68.0 and 67.2, 65.1.
 _CHUNK = 128
@@ -690,13 +674,15 @@ def qfi_grid(
     states the model and its b_z derivative in the Hamiltonian's
     eigenframe, where the coherences are closed forms and a Van Loan block
     exponential of the 2d x 2d population block gives the populations and
-    their derivatives together (see `_propagated`).  A time grid builds one
-    model, with two expm calls whatever the number of points (see `_walk`),
-    and one state check.  A field grid builds the models of _CHUNK (128)
-    points at a time as one stack, with one expm call and one state check
-    per stack.  Neither checks the probe again: it is validated
-    once per dimension, at import.  Either gives, bit for bit, what `qfi_at`
-    gives at each point.
+    their derivatives together; both are rotated straight back to the lab
+    frame (see `_propagated`).  The state check is what holds rho to unit
+    trace: a point whose populations drift off it fails with
+    NumericalFailureError.  A time grid builds one model, with two expm
+    calls whatever the number of points (see `_walk`), and one state check.
+    A field grid builds the models of _CHUNK (128) points at a time as one
+    stack, with one expm call and one state check per stack.  Neither
+    checks the probe again: it is validated once per dimension, at import.
+    Either gives, bit for bit, what `qfi_at` gives at each point.
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
     if axis == "t":

@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-import coopmetro.scenarios as scenarios
 from coopmetro.lindblad import (
-    _BLOCH,
     InvalidModelError,
     InvalidStateError,
     LindbladChannel,
@@ -33,28 +31,6 @@ def test_vec_unvec_roundtrip():
     # column stacking: vec(A rho B) = (B^T kron A) vec(rho)
     a, b = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
     np.testing.assert_allclose(vec(a @ m @ b), np.kron(b.T, a) @ vec(m), rtol=1e-12)
-
-
-class TestBlochBasis:
-    @pytest.mark.parametrize("d", (2, 4))
-    def test_orthonormal_hermitian_and_traceless(self, d):
-        basis = np.moveaxis(_BLOCH[d].entries, -1, 0)
-        assert basis.shape == (d * d, d, d)
-        np.testing.assert_array_equal(basis, basis.conj().swapaxes(-1, -2))
-        np.testing.assert_allclose(np.einsum("aij,bji->ab", basis, basis), np.eye(d * d), atol=1e-15)
-        np.testing.assert_array_equal(basis[0], np.eye(d) / math.sqrt(d))
-        np.testing.assert_allclose(np.trace(basis[1:], axis1=1, axis2=2), 0.0, atol=1e-15)
-        columns = _BLOCH[d].columns
-        np.testing.assert_array_equal(columns, np.stack([vec(g) for g in basis], axis=1))
-
-    @pytest.mark.parametrize("d", (2, 4))
-    def test_states_round_trip(self, d):
-        rng = np.random.default_rng(d)
-        rho = random_hermitian(rng, d)
-        r = (_BLOCH[d].columns.conj().T @ vec(rho)).real
-        rebuilt = scenarios._states(r, d)
-        np.testing.assert_array_equal(rebuilt, rebuilt.conj().T)  # Hermitian entry by entry
-        np.testing.assert_allclose(rebuilt, rho, atol=1e-14)
 
 
 class TestLiouvillian:

@@ -168,6 +168,20 @@ def test_eigenframe_derivative_matches_richardson_of_propagate(spec, t):
     assert np.abs(derivative - richardson).max() <= 1e-6 * max(1.0, np.abs(richardson).max())
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model_points(), st.floats(0.0, 150.0), st.floats(0.0, 6.0))
+def test_output_state_invariants(spec, decades, t):
+    # At fields down to 1e-150, where d rho grows to ~1e150: rho and d rho
+    # Hermitian entry by entry, d rho traceless exactly, and the trace of
+    # rho, which the output does not set, within 1e-12 of 1.
+    spec = replace(spec, b_z=spec.b_z * 10.0**-decades, b_x=spec.b_x * 10.0**-decades)
+    (rho,), (drho,) = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t, 0.0, 1)
+    assert np.array_equal(rho, rho.conj().T)
+    assert np.array_equal(drho, drho.conj().T)
+    assert np.trace(drho) == 0.0
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+
+
 @st.composite
 def matrix_stacks(draw):
     """A stack (k, n, n) of random real or complex matrices, entries up to ~3."""

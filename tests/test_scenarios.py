@@ -366,6 +366,18 @@ class TestQfiAt:
         assert std.value == pytest.approx(standard_limit_formulas("spont", 0.5, 1.0), rel=1e-9)
         assert coop.value == pytest.approx(std.value, rel=1e-12)
 
+    THERMAL = ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=2.0, t_e=0.1)
+
+    @pytest.mark.parametrize("t", (1e7, 1e12))
+    def test_population_drift_fails_the_state_check(self, t):
+        # Long past the steady state the trace of the propagated populations
+        # drifts off 1 (by 1.1e-10 at t = 1e7, 1.2e-5 at t = 1e12): the state
+        # check names it instead of a QFI that drifted with it.  At t = 1e6
+        # the trace still passes, and tests/test_oracle.py holds that QFI to
+        # the 40-digit oracle's within 1e-10.
+        with pytest.raises(NumericalFailureError, match=r"lost state invariants: density matrix trace "):
+            qfi_at(self.THERMAL, t)
+
 
 class TestExactDerivative:
     """Inputs where the old five-point b_z stencil failed or was off."""

@@ -140,17 +140,14 @@ class TestTimeGrid:
     def test_invariant_failure_fails_only_its_point(self, monkeypatch):
         grid = SweepGrid("t", 0.5, 2.5, 5)
         clean = sweep(COOP, grid)
-        states = scenarios._states
-        calls = []
+        propagated = scenarios._propagated
 
-        def corrupted(r, d):
-            out = states(r, d)
-            if not calls:  # the rebuilt states, not their derivatives
-                calls.append(r.shape)
-                out[2] *= 1.5  # the state at t = 1.5: trace 1.5
-            return out
+        def corrupted(*args):
+            states, drho = propagated(*args)
+            states[2] *= 1.5  # the state at t = 1.5: trace 1.5
+            return states, drho
 
-        monkeypatch.setattr(scenarios, "_states", corrupted)
+        monkeypatch.setattr(scenarios, "_propagated", corrupted)
         points = sweep(COOP, grid)
         assert points[2].result is None
         assert points[2].error.startswith(
@@ -226,17 +223,14 @@ class TestFieldGrid:
     def test_invariant_failure_fails_only_its_point(self, monkeypatch):
         grid = SweepGrid("b_z", 0.5, 1.5, 21)
         clean = sweep(TWO_SPIN, grid, t=1.0)
-        states = scenarios._states
-        calls = []
+        propagated = scenarios._propagated
 
-        def corrupted(r, d):
-            out = states(r, d)
-            if not calls:  # the rebuilt states of the first chunk only
-                calls.append(r.shape)
-                out[3, 0] *= 1.5  # trace 1.5 for point 3
-            return out
+        def corrupted(*args):
+            states, drho = propagated(*args)
+            states[3, 0] *= 1.5  # trace 1.5 for point 3 of the one chunk
+            return states, drho
 
-        monkeypatch.setattr(scenarios, "_states", corrupted)
+        monkeypatch.setattr(scenarios, "_propagated", corrupted)
         points = sweep(TWO_SPIN, grid, t=1.0)
         assert points[3].result is None
         assert points[3].error.startswith(

@@ -17,12 +17,12 @@ of the frame, and each channel there as a transition between eigenstates
 or a diagonal jump, with its rate and the rate's b_z derivative.
 `build_model` derives the Lindblad model from that statement, and the QFI
 pipeline propagates the probe and its exact b_z derivative in that frame
-(see `_propagated`; no finite differences in b_z).  Only the matrix work is
-vectorised.  The scalar coefficients (level gaps, rates, the Bose
-occupation and their derivatives) are computed element by element with the
-scalar expressions of one model, because numpy's array routines (power,
-hypot, exp) can round the last bit differently, and a stack must equal its
-models built one at a time bit for bit.
+(see `_propagated`; no finite differences in b_z).  The rates and their
+derivatives are numpy expressions over the broadcast fields too, and one
+model is the one-point case of the same routines.  numpy's ufunc loops
+give an element the same bits whatever the array's length (its scalar
+power does not: a cube is two products), so a stack equals its models
+built one at a time bit for bit.
 """
 
 import math
@@ -161,18 +161,6 @@ def _scale(c: ArrayLike, m: np.ndarray) -> np.ndarray:
     return c[..., None, None] * m if isinstance(c, np.ndarray) else c * m
 
 
-def _each(expression: Callable[..., tuple], *fields: ArrayLike) -> tuple:
-    """The values of expression(*scalars) at each element of the broadcast
-    fields, one array of their shape per value (scalars for scalar fields):
-    scalar arithmetic, element by element."""
-    if all(getattr(f, "ndim", 0) == 0 for f in fields):
-        return expression(*fields)
-    shape = np.broadcast_shapes(*(np.shape(f) for f in fields))
-    scalars = zip(*(np.broadcast_to(f, shape).ravel() for f in fields))
-    values = np.array([expression(*x) for x in scalars], dtype=float).reshape(*shape, -1)
-    return tuple(np.moveaxis(values, -1, 0))
-
-
 def controlled_hamiltonian(b_z: ArrayLike, b_x: ArrayLike) -> np.ndarray:
     """Single-spin H = b_z sigma_z + b_x sigma_x, or its stack over arrays of fields."""
     return _scale(b_z, pauli("z")) + _scale(b_x, pauli("x"))
@@ -293,64 +281,52 @@ def _coop_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     return _Frame(h, *_eigen_derivative(h, pauli("z")), (_Channel(spec.eta / 2.0, 0.0, _SIGNS),))
 
 
-def _thermal_rates(spec: ScenarioSpec, b_z: float, b_x: float) -> tuple[float, float, float, float]:
-    """Decay and absorption rates of the thermal channel at one field, and
-    their derivatives in b_z."""
-    omega = 2.0 * math.hypot(b_z, b_x)
-    d_omega = 2.0 * (b_z / math.hypot(b_z, b_x))
-    gamma0 = 4.0 * omega**3 * spec.dipole**2 / 3.0
-    d_gamma0 = 4.0 * omega**2 * d_omega * spec.dipole**2
-    # Bose occupation 1/(e^x - 1), written to underflow to 0 instead of
-    # overflowing for x = omega/t_e beyond ~709; t_e = 0 is x = inf.
-    x = math.inf if spec.t_e == 0.0 else omega / spec.t_e
-    occupation = math.exp(-x) / -math.expm1(-x)
-    up = gamma0 * occupation
-    # gamma0 d occupation = -gamma0 n (n + 1) d_omega / t_e, through the
-    # absorption rate gamma0 n, which underflows to 0 with n
-    d_occupation = 0.0 if spec.t_e == 0.0 else -up * (occupation + 1.0) * d_omega / spec.t_e
-    return (
-        gamma0 * (occupation + 1.0),
-        up,
-        d_gamma0 * (occupation + 1.0) + d_occupation,
-        d_gamma0 * occupation + d_occupation,
-    )
+def _rate_channel(name: str, rate: ArrayLike, d_rate: ArrayLike, jump) -> _Channel:
+    """The channel of a rate that the levels set; NumericalFailureError names
+    the rate or b_z derivative if it is not finite."""
+    for label, value in ((name, rate), (f"b_z derivative of the {name}", d_rate)):
+        if not np.isfinite(value).all():
+            raise NumericalFailureError(f"the {label} is not finite: {np.asarray(value)[~np.isfinite(value)][0]}")
+    return _Channel(rate, d_rate, jump)
 
 
 def _coop_thermal(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     h = controlled_hamiltonian(b_z, b_x)
     frame = _Frame(h, *_eigen_derivative(h, pauli("z")))
-    down, up, d_down, d_up = _each(lambda b_z, b_x: _thermal_rates(spec, b_z, b_x), b_z, b_x)
-    channels = [_Channel(down, d_down, (1, 0))]  # |g><e|
-    # No absorption channel where the occupation underflows to 0; in a stack
-    # that has it elsewhere, its rate there is 0, which adds exact zeros.
-    absorbs = up > 0.0
-    if absorbs.any() if isinstance(absorbs, np.ndarray) else absorbs:
-        channels.append(_Channel(up, d_up, (0, 1)))  # |e><g|
-    return frame._replace(channels=tuple(channels))
+    # numpy's warnings are silenced: `_rate_channel` names a rate that
+    # overflows, and x = omega/t_e overflows to inf by design (t_e = 0 too).
+    with np.errstate(all="ignore"):
+        omega = 2.0 * np.hypot(b_z, b_x)
+        d_omega = 2.0 * (b_z / np.hypot(b_z, b_x))
+        gamma0 = 4.0 * omega * omega * omega * spec.dipole**2 / 3.0
+        d_gamma0 = 4.0 * (omega * omega) * d_omega * spec.dipole**2
+        # Bose occupation n = 1/(e^x - 1), written to underflow to 0 instead
+        # of overflowing beyond x ~ 709, and with it the absorption rate
+        # gamma0 n and gamma0 dn = -gamma0 n (n + 1) d_omega / t_e.
+        n = np.exp(-omega / spec.t_e) / -np.expm1(-omega / spec.t_e)
+        up = gamma0 * n
+        d_n = 0.0 if spec.t_e == 0.0 else -up * (n + 1.0) * d_omega / spec.t_e
+        return frame._replace(channels=(
+            _rate_channel("thermal decay rate", gamma0 * (n + 1.0), d_gamma0 * (n + 1.0) + d_n, (1, 0)),  # |g><e|
+            # |e><g|: where n underflows, its rate is exactly 0 and it adds exact zeros
+            _rate_channel("thermal absorption rate", up, d_gamma0 * n + d_n, (0, 1)),
+        ))
 
 
 def _two_spin_coop(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     h = two_spin_hamiltonian(b_z, b_x)
     frame = _Frame(h, *_eigen_derivative(h, SZ_SUM))
-
-    def rates(*levels: float) -> tuple[float, ...]:
-        # 4 omega^3 |d|^2 / 3 of each decay pair, omega its level gap, then
-        # their derivatives 4 omega^2 d omega |d|^2
-        energies, slopes = levels[:4], levels[4:]
-        gaps = [(energies[i - 1] - energies[j - 1], slopes[i - 1] - slopes[j - 1]) for i, j in TWO_SPIN_DECAY_PAIRS]
-        return (
-            *(4.0 * omega**3 * spec.dipole**2 / 3.0 for omega, _ in gaps),
-            *(4.0 * omega**2 * d_omega * spec.dipole**2 for omega, d_omega in gaps),
-        )
-
-    pairs = len(TWO_SPIN_DECAY_PAIRS)
-    levels = [x[..., k] for x in (frame.energies, frame.d_energies) for k in range(4)]
-    rate_values = _each(rates, *levels)
-    channels = tuple(
-        _Channel(rate, d_rate, (i - 1, j - 1))
-        for rate, d_rate, (i, j) in zip(rate_values[:pairs], rate_values[pairs:], TWO_SPIN_DECAY_PAIRS)
-    )
-    return frame._replace(channels=channels)
+    upper, lower = np.array(TWO_SPIN_DECAY_PAIRS).T - 1
+    # 4 omega^3 |d|^2 / 3 of each decay pair, omega its level gap, and its
+    # derivative 4 omega^2 d omega |d|^2 (an overflow is named, not warned).
+    with np.errstate(all="ignore"):
+        omega, d_omega = (e[..., upper] - e[..., lower] for e in (frame.energies, frame.d_energies))
+        rates = 4.0 * omega * omega * omega * spec.dipole**2 / 3.0
+        d_rates = 4.0 * (omega * omega) * d_omega * spec.dipole**2
+    return frame._replace(channels=tuple(
+        _rate_channel(f"decay rate of levels {i} -> {j}", rates[..., k], d_rates[..., k], (i - 1, j - 1))
+        for k, (i, j) in enumerate(TWO_SPIN_DECAY_PAIRS)
+    ))
 
 
 def _unitary_baseline(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
@@ -363,9 +339,7 @@ class _Kind(NamedTuple):
     """What one scenario kind reads, what it requires and how its model is built."""
 
     reads: tuple[str, ...]  # the ScenarioSpec fields it consults, besides kind
-    # The frame and channels of a spec at fields b_z and b_x (floats), or
-    # the stack of them over the shape of arrays b_z and b_x.
-    build: Callable[[ScenarioSpec, ArrayLike, ArrayLike], _Frame]
+    build: Callable[[ScenarioSpec, ArrayLike, ArrayLike], _Frame]  # its model builder, above
     spins: int | None = 1  # None: the spec's n_spins, 1 or 2
     # Channels in the eigenbasis of the controlled Hamiltonian: b_z = 0
     # leaves that basis undefined, so b_z != 0 is required.  With two spins,

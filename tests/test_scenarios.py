@@ -127,7 +127,7 @@ class TestBuildModel:
     def test_thermal_zero_temperature(self):
         spec = ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=2.0, t_e=0.0)
         model = build_model(spec)
-        assert len(model.channels) == 1  # upward channel omitted at N = 0
+        assert model.channels[1].rate == 0.0  # no upward rate at N = 0
         omega = 2.0 * math.hypot(0.3, 0.1)
         gamma0 = 4.0 * omega**3 * 2.0**2 / 3.0
         assert model.channels[0].rate == pytest.approx(gamma0, rel=1e-12)
@@ -144,14 +144,20 @@ class TestBuildModel:
         assert down.rate == pytest.approx(gamma0 * (occupation + 1.0), rel=1e-12)
         assert up.rate == pytest.approx(gamma0 * occupation, rel=1e-12)
 
-    def test_thermal_tiny_temperature_is_zero_temperature(self):
-        # omega / t_e ~ 6300 is far past the exp overflow at ~709: the bath
-        # occupation underflows to 0 and the model is the t_e = 0 one
-        cold = ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=2.0, t_e=1e-4)
+    @pytest.mark.parametrize("t_e", (1e-4, 1e-308, 5e-324))
+    def test_thermal_tiny_temperature_is_zero_temperature(self, t_e):
+        # omega / t_e ~ 6300 is far past the exp overflow at ~709, and at
+        # 1e-308 and below omega / t_e itself overflows to inf: the bath
+        # occupation underflows to 0, with no warning, and the model is the
+        # t_e = 0 one
+        cold = ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=2.0, t_e=t_e)
         zero = ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=2.0, t_e=0.0)
-        assert len(build_model(cold).channels) == 1
-        assert build_model(cold).channels[0].rate == build_model(zero).channels[0].rate
-        assert qfi_at(cold, 1.0).value == qfi_at(zero, 1.0).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frames = [scenarios._KINDS[spec.kind].build(spec, spec.b_z, spec.b_x) for spec in (cold, zero)]
+            assert [ch[:2] for ch in frames[0].channels] == [ch[:2] for ch in frames[1].channels]  # rate, d_rate
+            assert [ch.rate for ch in build_model(cold).channels] == [ch.rate for ch in build_model(zero).channels]
+            assert qfi_at(cold, 1.0).value == qfi_at(zero, 1.0).value
 
     @pytest.mark.parametrize("x", (1e-3, 1.0, 100.0, 700.0))
     def test_thermal_occupation_across_temperatures(self, x):
@@ -196,19 +202,22 @@ class TestBuildModel:
 
 
 # Every kind (both unitary-baseline sizes), the thermal one at zero and at
-# finite temperature, with every field it reads set.
+# finite temperature, with every field it reads set.  At t_e = 0.002,
+# omega / t_e spans ~500-1530 over a stack, so the absorption rate
+# underflows to 0 at some of its points and not at others.
 STACK_SPECS = [
     ScenarioSpec(kind=kind, n_spins=n_spins, **{**ALL_FIELDS, "t_e": t_e})
     for kind, n_spins, t_e in [(kind, 1, 0.1) for kind in KINDS]
-    + [("unitary-baseline", 2, 0.1), ("coop-thermal", 1, 0.0)]
+    + [("unitary-baseline", 2, 0.1), ("coop-thermal", 1, 0.0), ("coop-thermal", 1, 0.002)]
 ]
 
 
 class TestStackedBuilders:
     @pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda s: f"{s.kind}-{s.n_spins}-{s.t_e}")
     def test_stack_equals_models_built_alone(self, spec):
-        # Enough fields that numpy's array hypot, power or exp, which round the
-        # last bit differently from Python's on a few percent of inputs, would show.
+        # Enough fields that a rate whose last bit depended on the array's
+        # length would show: numpy's scalar power rounds differently from its
+        # array loop on a few percent of inputs, so the builders use products.
         rng = np.random.default_rng(11)
         b_z = rng.uniform(0.5, 1.5, (5, 100))
         b_x = rng.uniform(0.05, 0.3, 100)
@@ -440,6 +449,29 @@ class TestExactDerivative:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalFailureError, match="^the b_z derivative of the Liouvillian has non-finite"):
                 qfi_at(ScenarioSpec(kind="coop-deph", b_z=1e-310, b_x=1e-310, eta=0.5), 1.0)
+
+    @pytest.mark.parametrize(
+        "kind, b_z, b_x, t_e, rate, value",
+        [
+            ("coop-thermal", 1e103, 0.1, 0.0, "thermal decay rate", "inf"),  # omega^3 overflows
+            ("coop-thermal", 1e-300, 0.0, 1e10, "thermal decay rate", "nan"),  # omega^3 = 0 times n = inf
+            ("two-spin-coop", 1e120, 0.1, 0.0, "decay rate of levels 4 -> 3", "inf"),
+        ],
+    )
+    def test_overflowing_rate_is_named(self, kind, b_z, b_x, t_e, rate, value):
+        # Both routes raise one error that names the rate, with no warning;
+        # in a b_z grid only the overflowing points fail.
+        spec = ScenarioSpec(kind=kind, b_z=b_z, b_x=b_x, dipole=1e-5, t_e=t_e)
+        message = f"^the {re.escape(rate)} is not finite: {value}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (build_model, lambda spec: qfi_at(spec, 1.0)):
+                with pytest.raises(NumericalFailureError, match=message):
+                    route(spec)
+            first, *overflowing = qfi_grid(spec, [1.0, b_z / 2, b_z], axis="b_z", t=1.0)
+        assert first.value > 0
+        for outcome in overflowing:
+            assert isinstance(outcome, NumericalFailureError) and re.match(message, str(outcome))
 
     def test_exact_unitary_value_at_a_subnormal_field(self):
         # The old stencil's step, capped at |b_z|/2, was subnormal here and gave NaN.

@@ -416,27 +416,6 @@ def state_family(spec: ScenarioSpec, t: float) -> StateFamily:
     return StateFamily(evaluate=evaluate, b0=spec.b_z)
 
 
-def _walk(blocks: np.ndarray, v0: np.ndarray, t0: float, dt: float, n: int) -> np.ndarray:
-    """The vectors e^{B (t0 + k dt)} v0, k < n, of every matrix B of a stack
-    (..., m, m) and its vector v0 (..., m), stacked to shape (..., n, m).
-
-    Two exponential calls on the stack, e^{B t0} and e^{B dt}; the semigroup
-    property e^{B (t + dt)} = e^{B dt} e^{B t} walks the grid with one
-    matvec per step.
-    """
-    v = np.broadcast_to(v0[..., None], (*blocks.shape[:-1], 1))
-    if t0 > 0:
-        v = expm(blocks * t0) @ v
-    out = np.empty((*blocks.shape[:-2], n, blocks.shape[-1]), dtype=np.result_type(blocks, v0))
-    out[..., 0, :] = v[..., 0]
-    if n > 1:
-        step = expm(blocks * dt)
-        for k in range(1, n):
-            v = step @ v
-            out[..., k, :] = v[..., 0]
-    return out
-
-
 def _frame_rates(frame: _Frame) -> tuple[np.ndarray, ...]:
     """(W, dW, lam, d lam) of a frame: the rate matrix W (..., d, d) of the
     populations, dp/dt = W p, and the rate lam_ab (..., d, d) of each
@@ -465,10 +444,12 @@ def _frame_rates(frame: _Frame) -> tuple[np.ndarray, ...]:
     return w, dw, -(decay + 1j * gaps(frame.energies)), -(d_decay + 1j * gaps(frame.d_energies))
 
 
-def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.ndarray, t0: float, dt: float, n: int):
-    """(states, d states / d b_z) of the probe at times t0 + k dt, k < n,
-    under the model at fields b_z and b_x, or under each model of a stack:
-    shape (..., n, d, d) each.
+def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.ndarray, t: ArrayLike):
+    """(states, d states / d b_z) of the probe at time t under the model at
+    fields b_z and b_x: floats, or arrays of points over whose broadcast
+    shape (...) the states are stacked, (..., d, d) each.  The fields' shape
+    is the stack of models that the kind's builder states; a time grid over
+    one model builds it once.
 
     The kind's builder states the model in the eigenframe of its
     Hamiltonian, H = V diag(E) V†, where every channel is a transition
@@ -479,14 +460,14 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
 
     With A = V† dV, d rho~(0) = rho~(0) A - A rho~(0).  The coherences are
     e^{lam t} rho~_ab(0) and e^{lam t} (d rho~_ab(0) + t d lam rho~_ab(0)).
-    The populations are walked (`_walk`) in the real Van Loan block
-    B = [[W, 0], [c dW, W]] from [p(0); c dp(0)] to [p(t); c dp(t)].  The
-    scale c is a power of two (so c and 1/c are exact) that puts the
-    entries of c dW about 2^-10 below those of W, so that B needs as many
-    squarings as e^{W t}; it is at most 1, and at least what keeps c dW
-    normal.  Back in the lab frame, rho = herm(V rho~ V†) and
-    d rho = herm(V (d rho~ + A rho~ - rho~ A) V†), herm(m) = (m + m†)/2, so
-    both are Hermitian entry by entry.  The diagonal of d rho is then
+    The populations are e^{B t} [p(0); c dp(0)] = [p(t); c dp(t)] in the
+    real Van Loan block B = [[W, 0], [c dW, W]], each point's own exponential
+    in one stacked `expm` call.  The scale c is a power of two (so c and 1/c
+    are exact) that puts the entries of c dW about 2^-10 below those of W,
+    so that B needs as many squarings as e^{W t}; it is at most 1, and at
+    least what keeps c dW normal.  Back in the lab frame, rho =
+    herm(V rho~ V†) and d rho = herm(V (d rho~ + A rho~ - rho~ A) V†),
+    herm(m) = (m + m†)/2, so both are Hermitian entry by entry.  The diagonal of d rho is then
     rounded to 50 bits of its largest entry, where it sums exactly in any
     order, and its last entry set to minus the sum of the others: the
     derivative of a unit trace is traceless exactly, however large d rho
@@ -509,16 +490,15 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     blocks[..., d:, :d] = dw * scale[..., None]
     populations = lambda m: np.diagonal(m, axis1=-2, axis2=-1).real
     v0 = np.concatenate(np.broadcast_arrays(populations(rho0), populations(d_rho0) * scale), axis=-1)
-    v = _walk(blocks, v0, t0, dt, n)
-    times = (t0 + dt * np.arange(n))[:, None, None]
-    evolution = np.exp(lam[..., None, :, :] * times)
-    rho = evolution * rho0[..., None, :, :]
-    d_rho = evolution * (d_rho0[..., None, :, :] + times * d_lam[..., None, :, :] * rho0[..., None, :, :])
+    times = np.asarray(t, dtype=float)[..., None, None]
+    v = expm(blocks * times) @ v0[..., None]
+    evolution = np.exp(lam * times)
+    rho = evolution * rho0
+    d_rho = evolution * (d_rho0 + times * d_lam * rho0)
     level = np.arange(d)
-    rho[..., level, level] = v[..., :d]
-    d_rho[..., level, level] = v[..., d:] / scale[..., None, :]
+    rho[..., level, level] = v[..., :d, 0]
+    d_rho[..., level, level] = v[..., d:, 0] / scale
     if vectors is not None:
-        vectors, rotation = vectors[..., None, :, :], rotation[..., None, :, :]  # over the time axis
         d_rho = vectors @ (d_rho + rotation @ rho - rho @ rotation) @ vectors.conj().mT
         rho = vectors @ rho @ vectors.conj().mT
     rho, d_rho = hermitize(rho), hermitize(d_rho)
@@ -529,9 +509,7 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     diagonal = np.round(diagonal / unit) * unit
     diagonal[..., -1] = -diagonal[..., :-1].sum(axis=-1)
     d_rho[..., level, level] = diagonal
-    if t0 == 0:
-        d_rho[..., 0, :, :] = 0.0
-    return rho, d_rho
+    return rho, np.where(times == 0, 0.0, d_rho)
 
 
 def _exponent(m: np.ndarray) -> np.ndarray:
@@ -563,24 +541,9 @@ def _scores(states: np.ndarray, drho: np.ndarray, times) -> list:
     return outcomes
 
 
-def _time_grid(spec: ScenarioSpec, times: np.ndarray) -> list:
-    if not np.isfinite(times).all():
-        raise ValueError(f"time must be finite, got {times[~np.isfinite(times)][0]}")
-    dt = (times[-1] - times[0]) / (len(times) - 1) if len(times) > 1 else 0.0
-    if len(times) > 1 and not (dt > 0 and np.allclose(np.diff(times), dt, rtol=1e-6, atol=0.0)):
-        raise ValueError("times must be evenly spaced and ascending")
-    first = int(np.searchsorted(times, 0.0))  # the times before it are negative
-    outcomes: list = [ValueError(f"time must be >= 0, got {t}") for t in times[:first]]
-    if first == len(times):
-        return outcomes
-    probe = _PROBES[2 ** spin_count(spec)]
-    states, drho = _propagated(spec, spec.b_z, spec.b_x, probe, float(times[first]), dt, len(times) - first)
-    return outcomes + _scores(states, drho, times[first:])
-
-
-# Points of a field grid per stacked build, exponential and state check.
-# Each stack pays one builder call, one batched eigh, one expm call and one
-# state check, and its working memory grows with its size.  The bench's
+# Points of a grid per stacked build, exponential and state check.  Each
+# stack pays one builder call, one batched eigh, one expm call and one state
+# check, and its working memory grows with its size.  The bench's
 # `searches` workload, a 101-point prescan and then the edge search's small
 # grids (measured when that search still bisected), 8 s runs on a 2-vCPU
 # VM, seeds 1 and 2, req/s and peak RSS MB by stack size, with the batched
@@ -590,59 +553,34 @@ def _time_grid(spec: ScenarioSpec, times: np.ndarray) -> list:
 _CHUNK = 128
 
 
-def _one_field_point(spec: ScenarioSpec, axis: str, value: float, t: float):
-    """qfi_at at one point of a field grid, or the exception it raises."""
+def _stack_outcomes(spec: ScenarioSpec, axis: str, values: list[float], t: float | None) -> list:
+    """The outcomes of grid points that passed qfi_at's checks: one stacked
+    build, one expm call and one state check.  A stack that raises (a model
+    that fails to build or propagate) is run again point by point, so that
+    each point records its own error."""
+    fields = {"b_z": spec.b_z, "b_x": spec.b_x, "t": t, axis: np.array(values)}
     try:
-        return qfi_at(replace(spec, **{axis: value}), t)
+        states, drho = _propagated(spec, fields["b_z"], fields["b_x"], _PROBES[2 ** spin_count(spec)], fields["t"])
+        return _scores(states, drho, np.broadcast_to(fields["t"], len(values)).tolist())
     except Exception as exc:  # recorded, not raised: keep the other points
-        return exc
-
-
-def _field_chunk(spec: ScenarioSpec, points: list[ScenarioSpec], probe: np.ndarray, t: float) -> list:
-    """The outcomes of field-grid points (their specs) that passed qfi_at's
-    checks: one stacked build, one expm call and one state check."""
-    b_z, b_x = (np.array([getattr(point, name) for point in points]) for name in ("b_z", "b_x"))
-    states, drho = _propagated(spec, b_z, b_x, probe, t, 0.0, 1)
-    return _scores(states[:, 0], drho[:, 0], [t] * len(points))
-
-
-def _field_grid(spec: ScenarioSpec, axis: str, values: list[float], t: float) -> list:
-    outcomes: list = [None] * len(values)
-    ready = []  # (index, spec) of the points that pass qfi_at's checks
-    for k, value in enumerate(values):
-        try:
-            point = replace(spec, **{axis: value})
-        except InvalidScenarioError:
-            point = None
-        if point is not None and math.isfinite(t) and t >= 0:
-            ready.append((k, point))
-        else:  # qfi_at raises here: record its error
-            outcomes[k] = _one_field_point(spec, axis, value, t)
-    probe = _PROBES[2 ** spin_count(spec)]
-    for start in range(0, len(ready), _CHUNK):
-        chunk = ready[start:start + _CHUNK]
-        try:
-            scored = _field_chunk(spec, [point for _, point in chunk], probe, t)
-        except Exception:  # a model that fails to build or propagate: each point raises its own error
-            scored = [_one_field_point(spec, axis, values[k], t) for k, _ in chunk]
-        for (k, _), outcome in zip(chunk, scored):
-            outcomes[k] = outcome
-    return outcomes
+        if len(values) == 1:
+            return [exc]
+        return [outcome for value in values for outcome in _stack_outcomes(spec, axis, [value], t)]
 
 
 def qfi_grid(
     spec: ScenarioSpec, values: ArrayLike, *, axis: str = "t", t: float | None = None
 ) -> list[QfiResult | Exception]:
     """QFI with respect to b_z of the propagated probe at each value of a
-    grid over one axis: evenly spaced, ascending probe times (axis "t"), or
-    values of the field b_z or b_x at probe time t.
+    grid over one axis: probe times in any order (axis "t"), or values of
+    the field b_z or b_x at probe time t.
 
     Returns one entry per value: a QfiResult, or the exception that failed
-    that point, so one bad point does not lose the others.  On a time grid
-    that is a negative time, a state that breaks an invariant or a QFI below
-    tolerance; errors that concern the whole time grid (non-finite or uneven
-    times, a model that cannot be built) are raised.  On a field grid it is
-    any exception that `qfi_at` raises at that point.
+    that point, so one bad point does not lose the others.  Every point is
+    checked as `qfi_at` checks it: a field value through the spec's rules,
+    then its time, which must be finite and >= 0.  A point that passes is
+    one (b_z, b_x, t) of a stack; a state that breaks an invariant, a QFI
+    below tolerance or a model that cannot be built fails only its points.
 
     The state derivative is exact, with no b_z step: the kind's builder
     states the model and its b_z derivative in the Hamiltonian's
@@ -651,21 +589,38 @@ def qfi_grid(
     their derivatives together; both are rotated straight back to the lab
     frame (see `_propagated`).  The state check is what holds rho to unit
     trace: a point whose populations drift off it fails with
-    NumericalFailureError.  A time grid builds one model, with two expm
-    calls whatever the number of points (see `_walk`), and one state check.
-    A field grid builds the models of _CHUNK (128) points at a time as one
-    stack, with one expm call and one state check per stack.  Neither
-    checks the probe again: it is validated once per dimension, at import.
-    Either gives, bit for bit, what `qfi_at` gives at each point.
+    NumericalFailureError.  _CHUNK (128) points at a time go as one stack,
+    with one builder call (one model for a time grid), one expm call and
+    one state check.  The probe is not checked again: it is validated once
+    per dimension, at import.  Each point gets, bit for bit, what `qfi_at`
+    gives at it.
     """
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    if axis == "t":
-        return _time_grid(spec, values)
-    if axis not in ("b_z", "b_x"):
+    if axis not in ("t", "b_z", "b_x"):
         raise ValueError(f"grid axis must be 't', 'b_z' or 'b_x', got {axis!r}")
-    if t is None:
+    if axis != "t" and t is None:
         raise ValueError(f"a grid over {axis!r} requires the probe time t")
-    return _field_grid(spec, axis, values.tolist(), float(t))
+    t = None if axis == "t" else float(t)
+    values = np.atleast_1d(np.asarray(values, dtype=float)).tolist()
+    outcomes: list = [None] * len(values)
+    ready = []  # the indices of the points that pass qfi_at's checks
+    for k, value in enumerate(values):
+        time = value if axis == "t" else t
+        try:
+            if axis != "t":
+                replace(spec, **{axis: value})
+            if not math.isfinite(time):
+                raise ValueError(f"time must be finite, got {time}")
+            if time < 0:
+                raise ValueError(f"time must be >= 0, got {time}")
+        except ValueError as exc:  # recorded, not raised: keep the other points
+            outcomes[k] = exc
+        else:
+            ready.append(k)
+    for start in range(0, len(ready), _CHUNK):
+        chunk = ready[start:start + _CHUNK]
+        for k, outcome in zip(chunk, _stack_outcomes(spec, axis, [values[k] for k in chunk], t)):
+            outcomes[k] = outcome
+    return outcomes
 
 
 def qfi_at(spec: ScenarioSpec, t: float) -> QfiResult:

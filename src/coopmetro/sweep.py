@@ -1,21 +1,21 @@
 """Parameter sweeps, threshold-region detection and QFI maximization.
 
-Every sweep is one `qfi_grid` call: a time sweep walks its grid with the
-semigroup property, and a b_z or b_x sweep builds, exponentiates and checks
-the models of its points as stacks.  The region prescan, each step
-of the lockstep search for the region's edges and the 1-D coarse scan of
-the maximizer evaluate a field objective the same way.
+Every sweep is one `qfi_grid` call, which exponentiates and checks its
+points as stacks: one model over a time grid, or the models of a b_z or b_x
+grid.  The region prescan, each step of the lockstep search for the
+region's edges and the 1-D coarse scan of the maximizer evaluate an
+objective of `scenario_objective` the same way.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .qfi import QfiResult
-from .scenarios import ScenarioSpec, qfi_at, qfi_grid
+from .scenarios import ScenarioSpec, qfi_grid
 
 __all__ = [
     "SweepGrid",
@@ -73,31 +73,34 @@ class RegionResult:
     resolved: bool
 
 
-class _FieldObjective:
-    """value |-> QFI of the scenario with the field `axis` set to value at
-    probe time t; `_outcomes` evaluates many values in one `qfi_grid` call."""
+class _GridObjective:
+    """value |-> QFI of the scenario at probe time value (axis "t"), or with
+    the field `axis` set to value at probe time t: the one-point case of
+    `qfi_grid`, and `_outcomes` evaluates many values in one call."""
 
-    def __init__(self, spec: ScenarioSpec, t: float, axis: str):
+    def __init__(self, spec: ScenarioSpec, t: float | None, axis: str):
         self.spec, self.t, self.axis = spec, t, axis
 
     def __call__(self, value: float) -> float:
-        return qfi_at(replace(self.spec, **{self.axis: float(value)}), self.t).value
+        (outcome,) = qfi_grid(self.spec, [value], axis=self.axis, t=self.t)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome.value
 
 
 def scenario_objective(spec: ScenarioSpec, t: float | None, axis: str = "b_z") -> Callable[[float], float]:
     """Scalar objective value |-> QFI for sweeps/optimization over one axis
     (t is unused when the axis is t)."""
-    if axis == "t":
-        return lambda v: qfi_at(spec, float(v)).value
-    if axis not in ("b_z", "b_x"):
+    if axis not in SWEEP_AXES:
         raise ValueError(f"unknown axis {axis!r}")
-    return _FieldObjective(spec, t, axis)
+    return _GridObjective(spec, t, axis)
 
 
 def _outcomes(objective: Callable[[float], float], xs):
     """The objective, or the exception that failed it, at each value: one
-    grid evaluation for a field objective, else one call per value read."""
-    if isinstance(objective, _FieldObjective):
+    grid evaluation for an objective of `scenario_objective`, else one call
+    per value read."""
+    if isinstance(objective, _GridObjective):
         outcomes = qfi_grid(objective.spec, xs, axis=objective.axis, t=objective.t)
         yield from (o if isinstance(o, Exception) else o.value for o in outcomes)
         return
@@ -128,19 +131,14 @@ def sweep(spec: ScenarioSpec, grid: SweepGrid, t: float | None = None) -> list[S
     """One QFI evaluation per grid point, ordered by axis value, from one
     `qfi_grid` call.
 
-    Per-point failures (e.g. b_z = 0 inside a cooperative grid, or a
-    negative time) are recorded as SweepPoints with a diagnostic instead of
-    aborting the sweep; so is a failure of a time grid as a whole, on every
-    point.
+    Per-point failures (e.g. b_z = 0 inside a cooperative grid, a negative
+    time or a model that cannot be built) are recorded as SweepPoints with
+    a diagnostic instead of aborting the sweep.
     """
     if grid.axis != "t" and t is None:
         raise ValueError(f"sweeping over {grid.axis!r} requires the probe time t")
     values = [float(v) for v in grid.values()]
-    try:
-        outcomes = qfi_grid(spec, values, axis=grid.axis, t=t)
-    except Exception as exc:  # recorded, not raised: the grid as a whole failed
-        outcomes = [exc] * len(values)
-    return [_point(v, o) for v, o in zip(values, outcomes)]
+    return [_point(v, o) for v, o in zip(values, qfi_grid(spec, values, axis=grid.axis, t=t))]
 
 
 def _check_xtol(xtol: float) -> None:
@@ -184,7 +182,7 @@ def _refine(objective, edges: list, threshold: float, xtol: float) -> list[float
     lockstep.  Each step evaluates, for every open edge (wider than xtol,
     with its midpoint strictly between its ends), the estimate +- xtol/4 and
     the midpoint, those strictly inside the edge, together: one grid
-    evaluation for a field objective.  The edge keeps the sub-interval where
+    evaluation for a grid objective.  The edge keeps the sub-interval where
     the threshold is crossed nearest its inside end, at most half as wide,
     with regula falsi on it as its next estimate: so each edge sees the
     points it would see searched alone, in no more steps than bisection.
@@ -236,7 +234,7 @@ def find_region(
     """Locate the contiguous region around the objective's maximum where it
     meets the threshold (objective >= threshold).
 
-    A prescan grid over the bracket (one grid evaluation for a field
+    A prescan grid over the bracket (one grid evaluation for an
     objective of `scenario_objective`) finds the block of above-threshold
     points containing the maximum.  Each edge crossing starts from the
     inverse cubic through its four prescan neighbours (see `_edge`), and
@@ -305,7 +303,7 @@ def maximize_qfi(
     xtol: float = 1e-6,
 ):
     """Maximize over 1 or 2 bounded parameters: coarse grid scan (one grid
-    evaluation for a field objective of `scenario_objective`), then
+    evaluation for an objective of `scenario_objective`), then
     golden-section (1D) or Nelder-Mead (2D) refinement.
 
     Returns (argmax, value); argmax is a float in 1D, a 2-tuple in 2D.  The

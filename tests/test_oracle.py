@@ -63,7 +63,7 @@ def _state_tables() -> dict:
 @pytest.mark.parametrize("rows", list(_state_tables().values()), ids=lambda rows: f"t{rows[0]['t']}")
 def test_state_matches_oracle(rows):
     spec, t = _spec(rows[0]), float(rows[0]["t"])
-    (state,), _ = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t, 0.0, 1)
+    state, _ = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t)
     oracle = np.zeros_like(state)
     for row in rows:
         oracle[int(row["i"]), int(row["j"])] = complex(float(row["re"]), float(row["im"]))

@@ -1,6 +1,6 @@
 """Property tests: the one-point, field-grid and time-grid routes to the QFI
 of one scenario point agree bit for bit, or fail with the same error, and so
-do field grids of many points and their points one at a time; the QFI does
+do field and time grids of many points and their points one at a time; the QFI does
 not see the phases of the eigenvectors it is computed from; the states
 propagated in the Hamiltonian's eigenframe agree with `propagate`'s complex
 route, and their exact b_z derivatives with Richardson differences of it;
@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import coopmetro.qfi as qfi
@@ -23,7 +23,9 @@ from coopmetro.linalg import eigh, expm
 from coopmetro.lindblad import propagate
 from coopmetro.qfi import differentiate_state
 from coopmetro.scenarios import (
+    GROUND_DEGENERACY_TOL,
     KINDS,
+    DegeneracyError,
     InvalidScenarioError,
     ScenarioSpec,
     build_model,
@@ -31,6 +33,7 @@ from coopmetro.scenarios import (
     qfi_at,
     qfi_grid,
     state_family,
+    two_spin_hamiltonian,
 )
 
 
@@ -54,14 +57,19 @@ def scenario_points(draw, kinds=KINDS):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.filter_too_much])
-@given(scenario_points())
-def test_one_point_field_grid_and_time_grid_agree(point):
+@given(scenario_points(), st.data())
+def test_one_point_field_grid_and_time_grid_agree(point, data):
     spec, t = point
     # Compared by repr, which tells floats apart bit for bit and, unlike ==,
     # finds a NaN QFI equal to itself.
     alone = repr(outcome(lambda: qfi_at(spec, t)))
     assert repr(outcome(lambda: qfi_grid(spec, [spec.b_z], axis="b_z", t=t)[0])) == alone
-    assert repr(outcome(lambda: qfi_grid(spec, [t, t + 1.0])[0])) == alone
+    # A time grid in any order and spacing, with t = 0 and negative times:
+    # every point is what qfi_at gives at its time.
+    others = data.draw(st.lists(st.floats(-2.0, 6.0), max_size=8))
+    times = data.draw(st.permutations([t, 0.0, -0.5, *others]))
+    grid = qfi_grid(spec, times)
+    assert repr([outcome(lambda: g) for g in grid]) == repr([outcome(lambda: qfi_at(spec, s)) for s in times])
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.filter_too_much])
@@ -113,7 +121,7 @@ def _rounding_floor(spec: ScenarioSpec, t: float, value: float) -> float:
     rho is near pure (s small) or the frame terms of d rho cancel (t -> 0)."""
     rotation = scenarios._KINDS[spec.kind].build(spec, spec.b_z, spec.b_x).rotation
     delta = 1e-15 * (1.0 + (0.0 if rotation is None else np.abs(rotation).max()))
-    (state,), _ = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t, 0.0, 1)
+    state, _ = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t)
     lam = np.linalg.eigvalsh(state)
     sums = lam[:, None] + lam[None, :]
     kept = sums[sums > 1e-12].min()
@@ -151,7 +159,7 @@ def model_points(draw):
 @given(model_points(), st.floats(0.0, 6.0))
 def test_bloch_states_match_propagate(spec, t):
     probe = probe_state(spec)
-    (state,), _ = scenarios._propagated(spec, spec.b_z, spec.b_x, probe, t, 0.0, 1)
+    state, _ = scenarios._propagated(spec, spec.b_z, spec.b_x, probe, t)
     assert np.abs(state - propagate(build_model(spec), probe, t)).max() <= 1e-10
 
 
@@ -163,19 +171,29 @@ def test_eigenframe_derivative_matches_richardson_of_propagate(spec, t):
     # code with it beyond `build_model`.  Those differences divide the
     # rounding of e^{L t} by the step: on the stiffest two-spin points
     # (dipole ~10, t ~5) they are good to ~5e-7, whatever the step.
-    _, (derivative,) = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t, 0.0, 1)
+    _, derivative = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t)
     richardson = differentiate_state(state_family(spec, t))
     assert np.abs(derivative - richardson).max() <= 1e-6 * max(1.0, np.abs(richardson).max())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(model_points(), st.floats(0.0, 150.0), st.floats(0.0, 6.0))
+@example(ScenarioSpec(kind="two-spin-coop", b_z=0.0546875, b_x=0.0546875), 9.0, 0.0)
 def test_output_state_invariants(spec, decades, t):
     # At fields down to 1e-150, where d rho grows to ~1e150: rho and d rho
     # Hermitian entry by entry, d rho traceless exactly, and the trace of
-    # rho, which the output does not set, within 1e-12 of 1.
+    # rho, which the output does not set, within 1e-12 of 1.  Two spins are
+    # the exception: their levels 1 +- 2 b_z, which dH couples, fall inside
+    # the relative degeneracy rule once 4 |b_z| <= 1e-9 max|E| (|b_z| below
+    # ~2.5e-10, as at the example), and raise DegeneracyError there.
     spec = replace(spec, b_z=spec.b_z * 10.0**-decades, b_x=spec.b_x * 10.0**-decades)
-    (rho,), (drho,) = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t, 0.0, 1)
+    if spec.kind == "two-spin-coop":
+        levels = np.linalg.eigvalsh(two_spin_hamiltonian(spec.b_z, spec.b_x))
+        if 4.0 * abs(spec.b_z) <= GROUND_DEGENERACY_TOL * np.abs(levels).max():
+            with pytest.raises(DegeneracyError, match="coupled levels degenerate"):
+                scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t)
+            return
+    rho, drho = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t)
     assert np.array_equal(rho, rho.conj().T)
     assert np.array_equal(drho, drho.conj().T)
     assert np.trace(drho) == 0.0

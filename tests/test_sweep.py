@@ -89,7 +89,7 @@ class TestSweep:
         assert sweep(COOP, grid) == sweep(COOP, grid)
 
 
-# Every kind, with the relative tolerance of the grid walk against pointwise
+# Every kind, with the relative tolerance of the time grid against pointwise
 # propagation and finite differences: the two-spin reference sits at a
 # higher FD noise floor.
 GRID_CASES = [
@@ -130,12 +130,11 @@ class TestTimeGrid:
         ]
         for p in points[2:]:
             assert p.error is None
-            assert p.result.value == pytest.approx(qfi_at(COOP, p.value).value, rel=1e-8, abs=1e-12)
+            assert p.result == qfi_at(COOP, p.value)
 
-    def test_rejects_uneven_or_descending_times(self):
+    def test_uneven_or_descending_times_equal_qfi_at(self):
         for times in ([0.1, 0.2, 0.5], [1.0, 0.5, 0.0]):
-            with pytest.raises(ValueError, match="evenly spaced"):
-                qfi_grid(COOP, times)
+            assert qfi_grid(COOP, times) == [qfi_at(COOP, t) for t in times]
 
     def test_invariant_failure_fails_only_its_point(self, monkeypatch):
         grid = SweepGrid("t", 0.5, 2.5, 5)
@@ -156,16 +155,15 @@ class TestTimeGrid:
         assert points[:2] + points[3:] == clean[:2] + clean[3:]
 
     @pytest.mark.parametrize("n_points", (3, 60))
-    def test_two_exponentials_per_time_grid(self, monkeypatch, n_points):
+    def test_one_exponential_call_per_time_grid(self, monkeypatch, n_points):
         calls = []
         expm = scenarios.expm
         monkeypatch.setattr(scenarios, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
-        sweep(COOP, SweepGrid("t", 0.5, 5.0, n_points))
-        block = ((4, 4), np.dtype(float))  # the population block [[W, 0], [c dW, W]] of one model, 2 d = 4
-        assert calls == [block, block]
-        calls.clear()
-        sweep(COOP, SweepGrid("t", 0.0, 5.0, n_points))  # e^{B 0} = I needs no exponential
-        assert calls == [block]
+        for start in (0.5, 0.0):
+            calls.clear()
+            sweep(COOP, SweepGrid("t", start, 5.0, n_points))
+            # the population block [[W, 0], [c dW, W]] of one model, 2 d = 4, times each t
+            assert calls == [((n_points, 4, 4), np.dtype(float))]
 
     @pytest.mark.parametrize("spec", [COOP, GRID_CASES[5][0]], ids=lambda s: s.kind)
     def test_qfi_at_one_builder_call_and_one_exponential(self, monkeypatch, spec):
@@ -181,7 +179,7 @@ class TestTimeGrid:
         qfi_at(spec, 1.0)
         assert builds == [spec.b_z]  # no stencil fields
         block = 2 * 2 ** scenarios.spin_count(spec)  # [[W, 0], [c dW, W]], W of order d
-        assert exponentials == [(block, block)]
+        assert exponentials == [(1, block, block)]  # a stack of one
 
 
 # Every kind (both unitary-baseline sizes), swept over each field it reads
@@ -227,7 +225,7 @@ class TestFieldGrid:
 
         def corrupted(*args):
             states, drho = propagated(*args)
-            states[3, 0] *= 1.5  # trace 1.5 for point 3 of the one chunk
+            states[3] *= 1.5  # trace 1.5 for point 3 of the one chunk
             return states, drho
 
         monkeypatch.setattr(scenarios, "_propagated", corrupted)
@@ -279,10 +277,12 @@ class TestFieldGrid:
         assert np.array_equal(scenarios._PROBES[4], scenarios.probe_state(TWO_SPIN))
 
     def test_region_prescan_equals_plain_callable(self):
-        objective = scenario_objective(TWO_SPIN, 1.0, "b_z")
-        region = find_region(objective, 16.0, (0.5, 1.5))
-        assert region.resolved
-        assert region == find_region(lambda b: objective(b), 16.0, (0.5, 1.5))
+        # The t objective crosses 35 once, near t = 0.65, and stays above it.
+        for axis, threshold in (("b_z", 16.0), ("t", 35.0)):
+            objective = scenario_objective(TWO_SPIN, 1.0, axis)
+            region = find_region(objective, threshold, (0.5, 1.5))
+            assert region.resolved, axis
+            assert region == find_region(lambda x: objective(x), threshold, (0.5, 1.5)), axis
 
     def test_region_one_grid_call_per_bisection_step(self, monkeypatch):
         # At xtol = 0 the two edges take different numbers of steps, with
@@ -297,8 +297,7 @@ class TestFieldGrid:
             sizes.append(len(values))
             return grid(spec, values, **kwargs)
 
-        monkeypatch.setattr(SWEEP, "qfi_grid", counted)
-        monkeypatch.setattr(SWEEP, "qfi_at", None)  # no point is evaluated alone
+        monkeypatch.setattr(SWEEP, "qfi_grid", counted)  # a point evaluated alone would add a 1
         assert find_region(objective, 16.0, (0.5, 1.5), xtol=0.0).resolved
         steps = itertools.zip_longest(lower, upper, fillvalue=[])
         assert sizes == [101] + [len(at_lower) + len(at_upper) for at_lower, at_upper in steps]

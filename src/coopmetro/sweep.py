@@ -3,7 +3,7 @@
 Every sweep is one `qfi_grid` call, which exponentiates and checks its
 points as stacks: one model over a time grid, or the models of a b_z or b_x
 grid.  The region prescan, each step of the lockstep search for the
-region's edges and the 1-D coarse scan of the maximizer evaluate an
+region's edges and each scan of the zooming maximizer evaluate an
 objective of `scenario_objective` the same way.
 """
 
@@ -29,7 +29,7 @@ __all__ = [
 
 SWEEP_AXES = ("b_z", "b_x", "t")
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SCAN = 33  # points in each scan of `maximize_qfi`
 
 
 @dataclass(frozen=True)
@@ -279,77 +279,37 @@ def find_region(
     return RegionResult(lower=lower, upper=upper, threshold=threshold, resolved=True)
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > xtol and lo < x1 < hi and lo < x2 < hi:  # a probe on lo or hi no longer narrows it
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
-    mid = 0.5 * (lo + hi)
-    return mid, f(mid)
-
-
 def maximize_qfi(
-    objective: Callable[..., float],
+    objective: Callable[[float], float],
     bounds: Sequence[tuple[float, float]],
-    coarse: int = 33,
     xtol: float = 1e-6,
-):
-    """Maximize over 1 or 2 bounded parameters: coarse grid scan (one grid
-    evaluation for an objective of `scenario_objective`), then
-    golden-section (1D) or Nelder-Mead (2D) refinement.
+) -> tuple[float, float]:
+    """Maximize over one bounded parameter, bounds = [(lo, hi)], by zooming
+    a scan: evaluate `_SCAN` points spanning the interval (one grid
+    evaluation for an objective of `scenario_objective`), narrow it to the
+    two cells around the best of them, and repeat until those are at most
+    xtol wide (xtol finite, >= 0) or no longer narrow, as at adjacent floats.
 
-    Returns (argmax, value); argmax is a float in 1D, a 2-tuple in 2D.  The
-    returned value is never below the best coarse-grid value, so boundary
-    maxima survive refinement exactly.  Deterministic for a fixed objective.
-    xtol must be finite and >= 0; golden section stops there or at adjacent floats.
+    Returns (argmax, value), the best point scanned, replaced only by a
+    strictly larger value: the value is never below the best coarse-scan
+    value, and a maximum at an end of the bracket comes back exactly.
     """
     _check_xtol(xtol)
-    bounds = [(float(a), float(b)) for a, b in bounds]
-    for a, b in bounds:
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError(f"bounds must be finite with lower < upper, got ({a}, {b})")
-    if len(bounds) == 1:
-        (lo, hi), = bounds
-        xs = np.linspace(lo, hi, coarse)
+    if len(bounds) != 1:
+        raise ValueError(f"maximize_qfi takes one bounded parameter, got {len(bounds)}")
+    lo, hi = map(float, bounds[0])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bounds must be finite with lower < upper, got ({lo}, {hi})")
+    argmax, value = math.nan, -math.inf
+    while True:
+        xs = np.linspace(lo, hi, _SCAN)
         vals = _scan(objective, xs)
+        if np.isnan(vals).any():
+            raise ValueError(f"the objective is NaN at {float(xs[np.isnan(vals)][0])!r}")
         k = int(np.argmax(vals))
-        cell_lo = float(xs[max(k - 1, 0)])
-        cell_hi = float(xs[min(k + 1, coarse - 1)])
-        x_ref, v_ref = _golden_max(objective, cell_lo, cell_hi, xtol)
-        if v_ref >= vals[k]:
-            return x_ref, v_ref
-        return float(xs[k]), float(vals[k])
-    if len(bounds) == 2:
-        # Imported here, on first use: scipy.optimize adds ~20 MB of resident
-        # memory to every process that imports the package.
-        from scipy.optimize import minimize
-
-        (lo0, hi0), (lo1, hi1) = bounds
-        xs = np.linspace(lo0, hi0, coarse)
-        ys = np.linspace(lo1, hi1, coarse)
-        best_val = -math.inf
-        best_xy = (xs[0], ys[0])
-        for x in xs:
-            for y in ys:
-                v = objective(float(x), float(y))
-                if v > best_val:
-                    best_val, best_xy = v, (float(x), float(y))
-        res = minimize(
-            lambda p: -objective(p[0], p[1]),
-            x0=np.array(best_xy),
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": xtol, "fatol": 1e-12, "maxiter": 4000},
-        )
-        if -res.fun >= best_val:
-            return (float(res.x[0]), float(res.x[1])), float(-res.fun)
-        return best_xy, float(best_val)
-    raise ValueError(f"maximize_qfi supports 1 or 2 free parameters, got {len(bounds)}")
+        if vals[k] > value:
+            argmax, value = float(xs[k]), float(vals[k])
+        cell = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, _SCAN - 1)])
+        if cell[1] - cell[0] <= xtol or cell == (lo, hi):
+            return argmax, value
+        lo, hi = cell

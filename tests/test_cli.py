@@ -347,14 +347,18 @@ class TestFigures:
 
 
 def test_cli_answers_without_scipy():
-    # scipy loads only for a 2-D maximize: a fresh interpreter that imports
-    # the CLI and answers a run has no scipy module.
+    # No CLI path imports scipy: a fresh interpreter that imports the CLI and
+    # answers a run and a maximize has no scipy module.
     src = str(Path(coopmetro.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    maximize = ["maximize", "--kind", "coop-spont", "--b_z", "0.1", "--b_x", "0.1", "--gamma", "0.5",
+                "--axis", "t", "--from", "0.05", "--to", "5"]
     code = (
-        "import sys; import coopmetro.cli as cli; code = cli.main(sys.argv[1:]); "
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')); sys.exit(code)"
+        "import json, sys; import coopmetro.cli as cli; codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')); sys.exit(max(codes))"
     )
-    done = subprocess.run([sys.executable, "-c", code, *RUN_FLAGS], capture_output=True, text=True, env=env, timeout=120)
+    argvs = json.dumps([RUN_FLAGS, maximize])
+    done = subprocess.run([sys.executable, "-c", code, argvs], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert "t,qfi" in done.stdout
     assert done.stdout.splitlines()[-1] == "[]"

@@ -154,10 +154,6 @@ class RunConfig:
     out: str | None = field(default=None, metadata={"help": "output path (default: stdout; required for figure)"})
     format: str = field(default="csv", metadata={"choices": ("csv", "json")})
 
-    def to_dict(self) -> dict:
-        values = {_key(f.name): getattr(self, f.name) for f in fields(self)}
-        return {key: value for key, value in values.items() if value is not None}
-
 
 # The field of each config key, the type of each field without its None
 # (float, int or str), and the argparse flag and keywords of each option.

@@ -113,23 +113,28 @@ def _recorded(formula: Callable, *args):
 def _sld_outcomes(rho: np.ndarray, drho: np.ndarray) -> list:
     """`qfi_sld` at each state of a stack (n, d, d) with its derivative, or
     the ValueError of a derivative that fails its check: one Hermiticity
-    screen of the derivative stack, one batched eigh and one stacked product
-    V† drho V, then the pair mask and the masked sum state by state."""
+    screen of the derivative stack, one batched eigh, one stacked product
+    V† drho V and one masked sum over the whole stack.  Each state's sum
+    runs over all d x d pairs, with an exact 0.0 at every masked pair, so a
+    state gives the same bits alone as in any stack."""
     rho = hermitize(np.asarray(rho, dtype=complex))
     drho = np.asarray(drho, dtype=complex)
     # `_check_derivative`'s deviation, for the whole stack; it runs alone
     # only where that screen fails or is NaN, to give its own outcome.
     passes = np.abs(drho - drho.conj().mT).max(axis=(-2, -1)) <= DERIV_HERM_TOL
-    outcomes = [None if clean else _recorded(_check_derivative, d) for clean, d in zip(passes, drho)]
+    outcomes: list = [None] * len(drho)
+    for k in np.flatnonzero(~passes):
+        outcomes[k] = _recorded(_check_derivative, drho[k])
     ok = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, ValueError)]
     if not ok:
         return outcomes
     values, vectors = eigh(rho[ok])
     weights = np.abs(vectors.conj().mT @ drho[ok] @ vectors) ** 2
     denoms = values[:, :, None] + values[:, None, :]
-    for k, weight, denom in zip(ok, weights, denoms):
-        mask = denom > SLD_SPECTRAL_EPS
-        value = _recorded(_clamp, 2.0 * float(np.sum(weight[mask] / denom[mask])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sums = np.where(denoms > SLD_SPECTRAL_EPS, weights / denoms, 0.0).sum(axis=(-2, -1))
+    for k, total in zip(ok, sums.tolist()):
+        value = _recorded(_clamp, 2.0 * total)
         outcomes[k] = value if isinstance(value, ValueError) else QfiResult(value=value, method=METHOD_SLD)
     return outcomes
 

@@ -576,11 +576,14 @@ def qfi_grid(
     the field b_z or b_x at probe time t.
 
     Returns one entry per value: a QfiResult, or the exception that failed
-    that point, so one bad point does not lose the others.  Every point is
-    checked as `qfi_at` checks it: a field value through the spec's rules,
-    then its time, which must be finite and >= 0.  A point that passes is
-    one (b_z, b_x, t) of a stack; a state that breaks an invariant, a QFI
-    below tolerance or a model that cannot be built fails only its points.
+    that point, so one bad point does not lose the others.  One array
+    screen passes the points that pass every check of `qfi_at`: a finite
+    field value > 0 at a finite time t >= 0, or a finite time >= 0.  Only a
+    point that it rejects is checked alone as `qfi_at` checks it: a field
+    value through the spec's rules, then its time, which must be finite and
+    >= 0.  A point that passes is one (b_z, b_x, t) of a stack; a state that
+    breaks an invariant, a QFI below tolerance or a model that cannot be
+    built fails only its points.
 
     The state derivative is exact, with no b_z step: the kind's builder
     states the model and its b_z derivative in the Hamiltonian's
@@ -600,10 +603,15 @@ def qfi_grid(
     if axis != "t" and t is None:
         raise ValueError(f"a grid over {axis!r} requires the probe time t")
     t = None if axis == "t" else float(t)
-    values = np.atleast_1d(np.asarray(values, dtype=float)).tolist()
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    # The screen above: a field value > 0 is a nonzero b_z and a b_x > 0.
+    if axis == "t":
+        passes = np.isfinite(values) & (values >= 0)
+    else:
+        passes = np.isfinite(values) & (values > 0) & (math.isfinite(t) and t >= 0)
     outcomes: list = [None] * len(values)
-    ready = []  # the indices of the points that pass qfi_at's checks
-    for k, value in enumerate(values):
+    for k in np.flatnonzero(~passes):
+        value = float(values[k])
         time = value if axis == "t" else t
         try:
             if axis != "t":
@@ -615,10 +623,11 @@ def qfi_grid(
         except ValueError as exc:  # recorded, not raised: keep the other points
             outcomes[k] = exc
         else:
-            ready.append(k)
+            passes[k] = True
+    ready = np.flatnonzero(passes)  # the indices of the points that pass qfi_at's checks
     for start in range(0, len(ready), _CHUNK):
         chunk = ready[start:start + _CHUNK]
-        for k, outcome in zip(chunk, _stack_outcomes(spec, axis, [values[k] for k in chunk], t)):
+        for k, outcome in zip(chunk, _stack_outcomes(spec, axis, values[chunk].tolist(), t)):
             outcomes[k] = outcome
     return outcomes
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,12 @@ from coopmetro.cli import (
 )
 
 RUN_FLAGS = ["run", "--kind", "coop-spont", "--b_z", "0.1", "--b_x", "0.1", "--gamma", "0.5", "--t", "1"]
+
+
+def config_keys(config: RunConfig) -> dict:
+    """The config-file entries of a RunConfig: each set field by its key."""
+    values = {("from" if f.name == "from_" else f.name): getattr(config, f.name) for f in fields(config)}
+    return {key: value for key, value in values.items() if value is not None}
 
 
 class TestParseConfig:
@@ -50,7 +57,7 @@ class TestParseConfig:
     def test_round_trip(self, tmp_path):
         original = parse_config(RUN_FLAGS + ["--m", "7", "--format", "json"])
         path = tmp_path / "emitted.json"
-        path.write_text(json.dumps(original.to_dict()))
+        path.write_text(json.dumps(config_keys(original)))
         assert parse_config(["--config", str(path)]) == original
 
     def test_missing_command(self):

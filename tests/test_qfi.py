@@ -109,12 +109,15 @@ class TestQfiSld:
 
 
 def reference_sld(rho: np.ndarray, drho: np.ndarray) -> float:
-    """The spectral SLD sum of one state, written out matrix by matrix."""
+    """The spectral SLD sum of one state, written out matrix by matrix: over
+    all d x d pairs, with each masked pair's term set to 0.0."""
     values, vectors = eigh(hermitize(rho))
     m = vectors.conj().T @ drho @ vectors
     denom = values[:, None] + values[None, :]
     mask = denom > 1e-12
-    return max(2.0 * float(np.sum((np.abs(m) ** 2)[mask] / denom[mask])), 0.0)
+    terms = np.zeros(denom.shape)
+    terms[mask] = (np.abs(m) ** 2)[mask] / denom[mask]
+    return max(2.0 * float(np.sum(terms)), 0.0)
 
 
 def random_state(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:

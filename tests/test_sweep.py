@@ -197,6 +197,23 @@ FIELD_SPECS = [
 FIELD_CASES = [(spec, axis) for spec in FIELD_SPECS for axis in ("b_z", "b_x") if axis in spec.parameters]
 TWO_SPIN = FIELD_SPECS[5]
 
+# Grids that mix values that the array screen of `qfi_grid` rejects with
+# values that it passes, for each cooperative kind; the last is a time grid.
+_REJECTED_B_Z = [0.4, 0.0, -0.0, 1.1, -0.3, math.nan, math.inf, -math.inf, 0.9]
+SCREEN_CASES = [(spec, "b_z", _REJECTED_B_Z) for spec in FIELD_SPECS if scenarios._KINDS[spec.kind].cooperative] + [
+    (TWO_SPIN, "b_x", [0.1, 0.0, 0.3, -0.1, 0.05]),
+    (TWO_SPIN, "t", [0.5, -1.0, math.nan, 0.0, math.inf, -0.0, 1.0]),
+]
+
+
+def outcome_alone(spec: ScenarioSpec, axis: str, value: float, t: float):
+    """qfi_at at one point of a grid over `axis` (at time t on a field
+    axis), or the exception that it raises there, the spec's rules included."""
+    try:
+        return qfi_at(spec, value) if axis == "t" else qfi_at(replace(spec, **{axis: value}), t)
+    except Exception as exc:
+        return exc
+
 
 class TestFieldGrid:
     @pytest.mark.parametrize("spec, axis", FIELD_CASES, ids=lambda c: getattr(c, "kind", c))
@@ -217,6 +234,21 @@ class TestFieldGrid:
     def test_negative_time_fails_every_point_alone(self):
         points = sweep(COOP, SweepGrid("b_z", 0.1, 0.2, 3), t=-1.0)
         assert [p.error for p in points] == ["ValueError: time must be >= 0, got -1.0"] * 3
+
+    @pytest.mark.parametrize("spec, axis, values", SCREEN_CASES, ids=lambda c: getattr(c, "kind", None))
+    def test_screened_points_equal_qfi_at(self, spec, axis, values):
+        t = 0.7
+        grid = qfi_grid(spec, values, axis=axis, t=None if axis == "t" else t)
+        alone = [outcome_alone(spec, axis, v, t) for v in values]
+        assert [repr(outcome) for outcome in grid] == [repr(outcome) for outcome in alone]
+
+    # The field grids: on a time grid the spec's rules never run.
+    @pytest.mark.parametrize("spec, axis, values", SCREEN_CASES[:-1], ids=lambda c: getattr(c, "kind", None))
+    def test_spec_rules_run_only_where_the_screen_fails(self, monkeypatch, spec, axis, values):
+        checked = []
+        monkeypatch.setattr(scenarios, "replace", lambda s, **f: checked.append(f[axis]) or replace(s, **f))
+        qfi_grid(spec, values, axis=axis, t=0.7)
+        assert repr(checked) == repr([v for v in values if not (math.isfinite(v) and v > 0)])
 
     def test_invariant_failure_fails_only_its_point(self, monkeypatch):
         grid = SweepGrid("b_z", 0.5, 1.5, 21)

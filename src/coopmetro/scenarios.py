@@ -459,23 +459,20 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     each coherence alone d rho~_ab/dt = lam_ab rho~_ab (`_frame_rates`).
 
     With A = V† dV, d rho~(0) = rho~(0) A - A rho~(0).  The coherences are
-    e^{lam t} rho~_ab(0) and e^{lam t} (d rho~_ab(0) + t d lam rho~_ab(0)).
-    The populations are e^{B t} [p(0); c dp(0)] = [p(t); c dp(t)] in the
-    real Van Loan block B = [[W, 0], [c dW, W]], each point's own exponential
-    in one stacked `expm` call.  The scale c is a power of two (so c and 1/c
-    are exact) that puts the entries of c dW about 2^-10 below those of W,
-    so that B needs as many squarings as e^{W t}; it is at most 1, and at
-    least what keeps c dW normal.  Back in the lab frame, rho =
-    herm(V rho~ V†) and d rho = herm(V (d rho~ + A rho~ - rho~ A) V†),
-    herm(m) = (m + m†)/2, so both are Hermitian entry by entry.  The diagonal of d rho is then
-    rounded to 50 bits of its largest entry, where it sums exactly in any
-    order, and its last entry set to minus the sum of the others: the
-    derivative of a unit trace is traceless exactly, however large d rho
-    grows (a tiny cooperative field).  The trace of rho is left as
-    propagated, so that a drift of the populations fails the state check
-    instead of passing as a value.  At t = 0, where the frame terms cancel
-    only to rounding, d rho is the exact zero of a probe that does not
-    depend on b_z.
+    e^{lam t} rho~_ab(0) and e^{lam t} d rho~_ab(0) + (e^{lam t} t) d lam
+    rho~_ab(0), exactly 0 where e^{lam t} underflows however large t d lam.
+    The populations and their derivatives are closed forms for one spin
+    (`_two_level`) and a Van Loan block exponential for two (`_van_loan`).
+    Back in the lab frame, rho = herm(V rho~ V†) and d rho = herm(V (d rho~
+    + A rho~ - rho~ A) V†), herm(m) = (m + m†)/2, so both are Hermitian
+    entry by entry.  The diagonal of d rho is then rounded to 50 bits of its
+    largest entry, where it sums exactly in any order, and its last entry
+    set to minus the sum of the others: the derivative of a unit trace is
+    traceless exactly, however large d rho grows (a tiny cooperative
+    field).  The trace of rho is left as propagated, so that a drift of the
+    populations fails the state check instead of passing as a value.  At
+    t = 0, where the frame terms cancel only to rounding, d rho is the exact
+    zero of a probe that does not depend on b_z.
     """
     frame = _KINDS[spec.kind].build(spec, b_z, b_x)
     d = probe.shape[0]
@@ -483,21 +480,18 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     vectors, rotation = frame.vectors, frame.rotation
     rho0 = probe if vectors is None else vectors.conj().mT @ probe @ vectors
     d_rho0 = np.zeros_like(rho0) if rotation is None else rho0 @ rotation - rotation @ rho0
-    d_exponent = _exponent(dw)
-    scale = np.ldexp(1.0, np.clip(_exponent(w) - d_exponent - 10, -1021 - d_exponent, 0))[..., None]
-    blocks = np.zeros((*w.shape[:-2], 2 * d, 2 * d))
-    blocks[..., :d, :d] = blocks[..., d:, d:] = w
-    blocks[..., d:, :d] = dw * scale[..., None]
     populations = lambda m: np.diagonal(m, axis1=-2, axis2=-1).real
-    v0 = np.concatenate(np.broadcast_arrays(populations(rho0), populations(d_rho0) * scale), axis=-1)
     times = np.asarray(t, dtype=float)[..., None, None]
-    v = expm(blocks * times) @ v0[..., None]
-    evolution = np.exp(lam * times)
+    p, dp = (_two_level if d == 2 else _van_loan)(w, dw, populations(rho0), populations(d_rho0), times[..., 0])
+    # A decay rate times t past the float range is e^{lam t} = 0, and so is
+    # e^{lam t} t: t d lam alone would overflow and make 0 * inf = NaN.
+    with np.errstate(over="ignore"):
+        evolution = np.exp(lam * times)
+        d_rho = evolution * d_rho0 + (evolution * times) * d_lam * rho0
     rho = evolution * rho0
-    d_rho = evolution * (d_rho0 + times * d_lam * rho0)
     level = np.arange(d)
-    rho[..., level, level] = v[..., :d, 0]
-    d_rho[..., level, level] = v[..., d:, 0] / scale
+    rho[..., level, level] = p
+    d_rho[..., level, level] = dp
     if vectors is not None:
         d_rho = vectors @ (d_rho + rotation @ rho - rho @ rotation) @ vectors.conj().mT
         rho = vectors @ rho @ vectors.conj().mT
@@ -510,6 +504,53 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     diagonal[..., -1] = -diagonal[..., :-1].sum(axis=-1)
     d_rho[..., level, level] = diagonal
     return rho, np.where(times == 0, 0.0, d_rho)
+
+
+def _two_level(w: np.ndarray, dw: np.ndarray, p0: np.ndarray, dp0: np.ndarray, t: np.ndarray):
+    """(p(t), dp(t)) of two levels, dp/dt = W p with W = [[-u, r], [u, -r]]
+    (r the rate 1 -> 0, u the rate 0 -> 1), from p(0) = p0 and its b_z
+    derivative dp0, at times t (..., 1), in closed form: e^{W t} = I +
+    phi W (Breuer & Petruccione, sec. 3.3), so no exponential is squared.
+
+    With kappa = r + u, q = (r, u), E = e^{-kappa t}, the stationary state
+    pi = q / kappa and phi = (1 - E) / kappa = -expm1(-kappa t) / kappa,
+    p(t) = pi + E (p0 - pi) and dp(t) = (dq - pi d kappa) phi + E dp0 -
+    (E t) d kappa (p0 - pi).  Where kappa = 0, pi = p0 and phi = t.  The
+    column sums of e^{W t} hold to one rounding at any t, and E underflows
+    to exactly 0 past relaxation, where E t is exactly 0 too: t d kappa
+    alone would overflow at t ~ 1e300 and make inf * 0 = NaN.
+    """
+    q, dq = w[..., (0, 1), (1, 0)], dw[..., (0, 1), (1, 0)]
+    kappa, d_kappa = q.sum(axis=-1, keepdims=True), dq.sum(axis=-1, keepdims=True)
+    relaxes = kappa > 0
+    safe = np.where(relaxes, kappa, 1.0)
+    with np.errstate(over="ignore"):  # kappa t past the float range: E = 0, phi = 1 / kappa
+        x = kappa * t
+    decay = np.exp(-x)
+    pi = np.where(relaxes, q / safe, p0)
+    phi = np.where(relaxes, -np.expm1(-x) / safe, t)
+    p = pi + decay * (p0 - pi)
+    dp = (dq - pi * d_kappa) * phi + decay * dp0 - (decay * t) * d_kappa * (p0 - pi)
+    return p, dp
+
+
+def _van_loan(w: np.ndarray, dw: np.ndarray, p0: np.ndarray, dp0: np.ndarray, t: np.ndarray):
+    """(p(t), dp(t)) of d levels, dp/dt = W p, from p(0) = p0 and its b_z
+    derivative dp0, at times t (..., 1): e^{B t} [p0; c dp0] = [p(t); c dp(t)]
+    in the real Van Loan block B = [[W, 0], [c dW, W]], each point's own
+    exponential in one stacked `expm` call.  The scale c is a power of two
+    (so c and 1/c are exact) that puts the entries of c dW about 2^-10 below
+    those of W, so that B needs as many squarings as e^{W t}; it is at most
+    1, and at least what keeps c dW normal."""
+    d = w.shape[-1]
+    d_exponent = _exponent(dw)
+    scale = np.ldexp(1.0, np.clip(_exponent(w) - d_exponent - 10, -1021 - d_exponent, 0))[..., None]
+    blocks = np.zeros((*w.shape[:-2], 2 * d, 2 * d))
+    blocks[..., :d, :d] = blocks[..., d:, d:] = w
+    blocks[..., d:, :d] = dw * scale[..., None]
+    v0 = np.concatenate(np.broadcast_arrays(p0, dp0 * scale), axis=-1)
+    v = expm(blocks * t[..., None]) @ v0[..., None]
+    return v[..., :d, 0], v[..., d:, 0] / scale
 
 
 def _exponent(m: np.ndarray) -> np.ndarray:
@@ -542,11 +583,12 @@ def _scores(states: np.ndarray, drho: np.ndarray, times) -> list:
 
 
 # Points of a grid per stacked build, exponential and state check.  Each
-# stack pays one builder call, one batched eigh, one expm call and one state
-# check, and its working memory grows with its size.  The bench's
-# `searches` workload, a 101-point prescan and then the edge search's small
-# grids (measured when that search still bisected), 8 s runs on a 2-vCPU
-# VM, seeds 1 and 2, req/s and peak RSS MB by stack size, with the batched
+# stack pays one builder call, one batched eigh, one state check and, for
+# two spins, one expm call (one spin's populations are closed forms), and
+# its working memory grows with its size.  The bench's `searches` workload
+# (two spins), a 101-point prescan and then the edge search's small grids
+# (measured when that search still bisected), 8 s runs on a 2-vCPU VM,
+# seeds 1 and 2, req/s and peak RSS MB by stack size, with the batched
 # Padé expm: 32: 65.2 and 66.8, 64.3; 64: 73.4 and 72.4, 64.9;
 # 128 (the whole prescan): 76.2 and 79.7, 65.7; 256 (the same stacks
 # there): 78.7 and 73.5, 65.8.  scipy's expm at 32 gave 68.0 and 67.2, 65.1.
@@ -555,7 +597,7 @@ _CHUNK = 128
 
 def _stack_outcomes(spec: ScenarioSpec, axis: str, values: list[float], t: float | None) -> list:
     """The outcomes of grid points that passed qfi_at's checks: one stacked
-    build, one expm call and one state check.  A stack that raises (a model
+    build and propagation and one state check.  A stack that raises (a model
     that fails to build or propagate) is run again point by point, so that
     each point records its own error."""
     fields = {"b_z": spec.b_z, "b_x": spec.b_x, "t": t, axis: np.array(values)}
@@ -587,15 +629,16 @@ def qfi_grid(
 
     The state derivative is exact, with no b_z step: the kind's builder
     states the model and its b_z derivative in the Hamiltonian's
-    eigenframe, where the coherences are closed forms and a Van Loan block
-    exponential of the 2d x 2d population block gives the populations and
-    their derivatives together; both are rotated straight back to the lab
-    frame (see `_propagated`).  The state check is what holds rho to unit
-    trace: a point whose populations drift off it fails with
-    NumericalFailureError.  _CHUNK (128) points at a time go as one stack,
-    with one builder call (one model for a time grid), one expm call and
-    one state check.  The probe is not checked again: it is validated once
-    per dimension, at import.  Each point gets, bit for bit, what `qfi_at`
+    eigenframe, where the coherences are closed forms, and so are the
+    populations of one spin and their derivatives at any t; a Van Loan
+    block exponential of the 8 x 8 population block gives those of two
+    spins.  Both are rotated straight back to the lab frame (see
+    `_propagated`).  The state check is what holds rho to unit trace: a
+    point whose populations drift off it fails with NumericalFailureError.
+    _CHUNK (128) points at a time go as one stack, with one builder call
+    (one model for a time grid), one state check and, for two spins, one
+    expm call.  The probe is not checked again: it is validated once per
+    dimension, at import.  Each point gets, bit for bit, what `qfi_at`
     gives at it.
     """
     if axis not in ("t", "b_z", "b_x"):

@@ -10,7 +10,11 @@ digits); the QFI is the spectral SLD sum over pairs with
 lam_i + lam_j > 1e-25.  No finite-difference step of the library, no
 Liouvillian derivative, no eigenframe split and no block exponential is
 used.  At the long-time points (|L t| up to ~1e8) the states agree with a
-100-digit run within 1e-36, so 40 digits are enough there too.
+100-digit run within 1e-36, so 40 digits are enough there too.  Past
+t = 1e6 a point is computed with one more digit per decade of t (334
+digits at t = 1e300), so that the rounding of L, amplified t-fold by the
+exponential, stays below 1e-40; `mp.expm` adds its own guard bits for
+its squarings.
 
 The ground-state QFI of the two-spin Hamiltonian (figA1) is 2 Tr[(dP)^2]
 of the ground projector P = |g><g| (mpmath's eigensolver, which fixes no
@@ -56,9 +60,11 @@ POINTS = [
     # ground level and singlet 2.7e-10 apart, uncoupled by the b_z derivative
     ("two-spin-coop", "0.5", "1e-5", "0", "10", "0", "1"),
     ("coop-thermal", "0.3", "0.1", "0", "2", "0.1", "1.5"),
-    # the same, long after the steady state: the populations' trace still
-    # passes the state check here, and no longer at t = 1e7
+    # the same, long after the steady state, and far past it, where
+    # e^{-kappa t} (kappa = 1.35) underflows a float to 0
     ("coop-thermal", "0.3", "0.1", "0", "2", "0.1", "1e6"),
+    ("coop-thermal", "0.3", "0.1", "0", "2", "0.1", "1e12"),
+    ("coop-thermal", "0.3", "0.1", "0", "2", "0.1", "1e300"),
     ("coop-deph", "0.1", "0.1", "0.5", "0", "0", "2"),
     *LONG_TIMES,
 ]
@@ -175,6 +181,11 @@ def ground_qfi(b_z, b_x):
     return 2 * mp.re(sum(square[k, k] for k in range(square.rows)))
 
 
+def digits(t):
+    """Working digits for a point at time t > 0: 40, plus one per decade past 1e6."""
+    return 40 + max(0, int(mp.nint(mp.log10(mp.mpf(t)))) - 6)
+
+
 def main():
     if sys.argv[1:] == ["--ground"]:
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -187,13 +198,15 @@ def main():
     writer.writerow((*COLUMNS[:-1], "i", "j", "re", "im") if states else COLUMNS)
     for point in LONG_TIMES if states else POINTS:
         kind, *numbers = point
-        if states:
-            rho = state(kind, *map(mp.mpf, numbers))
-            for i in range(rho.rows):
-                for j in range(rho.cols):
-                    writer.writerow((*point, i, j, mp.nstr(mp.re(rho[i, j]), 20), mp.nstr(mp.im(rho[i, j]), 20)))
-        else:
-            writer.writerow((*point, mp.nstr(qfi(kind, *map(mp.mpf, numbers)), 20)))
+        with mp.workdps(digits(point[-1])):
+            numbers = [mp.mpf(x) for x in numbers]
+            if states:
+                rho = state(kind, *numbers)
+                for i in range(rho.rows):
+                    for j in range(rho.cols):
+                        writer.writerow((*point, i, j, mp.nstr(mp.re(rho[i, j]), 20), mp.nstr(mp.im(rho[i, j]), 20)))
+            else:
+                writer.writerow((*point, mp.nstr(qfi(kind, *numbers), 20)))
         sys.stdout.flush()
 
 

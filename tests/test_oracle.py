@@ -14,14 +14,13 @@ import coopmetro.scenarios as scenarios
 from coopmetro.scenarios import ScenarioSpec, exact_two_spin_ground_qfi, probe_state, qfi_at
 
 DATA = Path(__file__).parent / "data"
-# The largest QFI error is 1.5e-11, at the coop-thermal t = 1e6 row; the
-# largest of the other rows is 9.2e-12, at the seed-9928 point, where rho
-# has an eigenvalue 2.2e-12 in the SLD sum.  Propagated in the
-# Hamiltonian's eigenframe, only the populations go through an
-# exponential's squarings, and the t = 1e3 and 1e4 rows are within 4.9e-15
-# and 4.6e-14 (the t = 1e4 row was 5.7e-9 off when the whole Liouvillian
-# was exponentiated, and the t = 1e6 row 8.5e-10 off when the output set
-# the trace of rho instead of checking it).
+# The largest QFI error is 5.0e-12, at the seed-9928 point, where rho has an
+# eigenvalue 2.2e-12 in the SLD sum.  Propagated in the Hamiltonian's
+# eigenframe, only the two-spin populations go through an exponential's
+# squarings, and the t = 1e3 and 1e4 rows are within 4.8e-15 and 4.6e-14
+# (the t = 1e4 row was 5.7e-9 off when the whole Liouvillian was
+# exponentiated).  The one-spin populations are closed forms: the
+# coop-thermal rows at t = 1e6, 1e12 and 1e300 are all within 2.6e-15.
 RTOL = 1e-10
 # Measured: 1.1e-15 at t = 1e3 and 1.1e-14 at t = 1e4.
 STATE_ATOL = 1e-12

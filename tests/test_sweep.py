@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coopmetro.linalg as linalg
 import coopmetro.scenarios as scenarios
 from conftest import controlled_ground_state
 from coopmetro.qfi import (
+    QfiResult,
     differentiate_state,
     qfi_pure,
     qfi_qubit,
@@ -160,10 +162,13 @@ class TestTimeGrid:
         expm = scenarios.expm
         monkeypatch.setattr(scenarios, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
         for start in (0.5, 0.0):
+            # One spin: the two-level populations are closed forms, with no exponential.
             calls.clear()
             sweep(COOP, SweepGrid("t", start, 5.0, n_points))
-            # the population block [[W, 0], [c dW, W]] of one model, 2 d = 4, times each t
-            assert calls == [((n_points, 4, 4), np.dtype(float))]
+            assert calls == []
+            # Two spins: the population block [[W, 0], [c dW, W]] of one model, 2 d = 8, times each t
+            sweep(TWO_SPIN, SweepGrid("t", start, 5.0, n_points))
+            assert calls == [((n_points, 8, 8), np.dtype(float))]
 
     @pytest.mark.parametrize("spec", [COOP, GRID_CASES[5][0]], ids=lambda s: s.kind)
     def test_qfi_at_one_builder_call_and_one_exponential(self, monkeypatch, spec):
@@ -178,8 +183,28 @@ class TestTimeGrid:
         monkeypatch.setattr(scenarios, "expm", lambda m: exponentials.append(m.shape) or expm(m))
         qfi_at(spec, 1.0)
         assert builds == [spec.b_z]  # no stencil fields
-        block = 2 * 2 ** scenarios.spin_count(spec)  # [[W, 0], [c dW, W]], W of order d
-        assert exponentials == [(1, block, block)]  # a stack of one
+        if scenarios.spin_count(spec) == 1:
+            assert exponentials == []  # the two-level populations are closed forms
+        else:
+            assert exponentials == [(1, 8, 8)]  # [[W, 0], [c dW, W]], W of order 4, a stack of one
+
+    @pytest.mark.parametrize(
+        "spec", [spec for spec, _, _ in GRID_CASES if scenarios.spin_count(spec) == 1], ids=lambda s: s.kind
+    )
+    def test_single_spin_grids_make_no_exponential(self, monkeypatch, spec):
+        # Every single-spin kind, coop-thermal at t_e > 0 among them: one
+        # point, a time grid and a grid over each field it reads all propagate
+        # the two-level populations in closed form, with no call to linalg.expm.
+        calls = []
+        expm = linalg.expm
+        for module in (scenarios, linalg):
+            monkeypatch.setattr(module, "expm", lambda m: calls.append(m.shape) or expm(m))
+        outcomes = [qfi_at(spec, 1.0), *qfi_grid(spec, [0.0, 0.5, 2.0])]
+        for axis in ("b_z", "b_x"):
+            if axis in spec.parameters:
+                outcomes += qfi_grid(spec, [0.05, 0.3], axis=axis, t=1.0)
+        assert all(isinstance(outcome, QfiResult) for outcome in outcomes), outcomes
+        assert calls == []
 
 
 # Every kind (both unitary-baseline sizes), swept over each field it reads

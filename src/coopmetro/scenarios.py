@@ -40,7 +40,7 @@ from .lindblad import (
     propagate,
     validate_density_matrix,
 )
-from .linalg import eigh, expm, hermitize, identity, outer, pauli, tensor
+from .linalg import eigh, hermitize, identity, outer, pauli, tensor
 from .qfi import (
     QfiResult,
     _recorded,
@@ -461,8 +461,9 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     With A = V† dV, d rho~(0) = rho~(0) A - A rho~(0).  The coherences are
     e^{lam t} rho~_ab(0) and e^{lam t} d rho~_ab(0) + (e^{lam t} t) d lam
     rho~_ab(0), exactly 0 where e^{lam t} underflows however large t d lam.
-    The populations and their derivatives are closed forms for one spin
-    (`_two_level`) and a Van Loan block exponential for two (`_van_loan`).
+    The populations and their derivatives are closed forms too, for one
+    spin (`_two_level`) and for two (`_four_level`): no exponential is
+    squared, and no point reaches `linalg.expm`.
     Back in the lab frame, rho = herm(V rho~ V†) and d rho = herm(V (d rho~
     + A rho~ - rho~ A) V†), herm(m) = (m + m†)/2, so both are Hermitian
     entry by entry.  The diagonal of d rho is then rounded to 50 bits of its
@@ -482,7 +483,7 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     d_rho0 = np.zeros_like(rho0) if rotation is None else rho0 @ rotation - rotation @ rho0
     populations = lambda m: np.diagonal(m, axis1=-2, axis2=-1).real
     times = np.asarray(t, dtype=float)[..., None, None]
-    p, dp = (_two_level if d == 2 else _van_loan)(w, dw, populations(rho0), populations(d_rho0), times[..., 0])
+    p, dp = (_two_level if d == 2 else _four_level)(w, dw, populations(rho0), populations(d_rho0), times[..., 0])
     # A decay rate times t past the float range is e^{lam t} = 0, and so is
     # e^{lam t} t: t d lam alone would overflow and make 0 * inf = NaN.
     with np.errstate(over="ignore"):
@@ -534,23 +535,107 @@ def _two_level(w: np.ndarray, dw: np.ndarray, p0: np.ndarray, dp0: np.ndarray, t
     return p, dp
 
 
-def _van_loan(w: np.ndarray, dw: np.ndarray, p0: np.ndarray, dp0: np.ndarray, t: np.ndarray):
-    """(p(t), dp(t)) of d levels, dp/dt = W p, from p(0) = p0 and its b_z
-    derivative dp0, at times t (..., 1): e^{B t} [p0; c dp0] = [p(t); c dp(t)]
-    in the real Van Loan block B = [[W, 0], [c dW, W]], each point's own
-    exponential in one stacked `expm` call.  The scale c is a power of two
-    (so c and 1/c are exact) that puts the entries of c dW about 2^-10 below
-    those of W, so that B needs as many squarings as e^{W t}; it is at most
-    1, and at least what keeps c dW normal."""
-    d = w.shape[-1]
-    d_exponent = _exponent(dw)
-    scale = np.ldexp(1.0, np.clip(_exponent(w) - d_exponent - 10, -1021 - d_exponent, 0))[..., None]
-    blocks = np.zeros((*w.shape[:-2], 2 * d, 2 * d))
-    blocks[..., :d, :d] = blocks[..., d:, d:] = w
-    blocks[..., d:, :d] = dw * scale[..., None]
-    v0 = np.concatenate(np.broadcast_arrays(p0, dp0 * scale), axis=-1)
-    v = expm(blocks * t[..., None]) @ v0[..., None]
-    return v[..., :d, 0], v[..., d:, 0] / scale
+# Horner coefficients, highest power first, of G / t^2 (`_moments`) as a
+# series in x = k t, sum_j (-x)^j (j + 1) / (j + 2)!: below x = 0.5, the
+# first of the terms left out is below 1.4e-18.
+_G_SERIES = [(-1) ** j * (j + 1) / math.factorial(j + 2) for j in range(14, -1, -1)]
+
+
+def _moments(k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(E, F, G, H) of decay rates k >= 0 at times t: E = e^{-k t} and
+    (F, G, H) = int_0^t (1, s, t - s) e^{-k s} ds.  F = -expm1(-k t) / k
+    (t where k = 0), G = (F - t E) / k, or t^2 times its series where
+    k t < 0.5, and H = t F - G."""
+    x = k * t
+    decay = np.exp(-x)
+    f = np.where(k > 0, -np.expm1(-x) / np.where(k > 0, k, 1.0), t)
+    small = x < 0.5
+    g = (f - t * decay) / np.where(small, 1.0, k)
+    if small.any():
+        g = np.where(small, t * (t * np.polyval(_G_SERIES, x)), g)
+    return decay, f, g, t * f - g
+
+
+def _times(factor: np.ndarray, integral: np.ndarray) -> np.ndarray:
+    """factor * integral, exactly 0 where the factor is 0: an integral may
+    pass the float range (t^2 / 2 past t ~ 1e154) where the rate, rate
+    derivative or decay that multiplies it is 0, and 0 * inf is NaN."""
+    return np.where(factor == 0, 0.0, factor * integral)
+
+
+def _four_level(w: np.ndarray, dw: np.ndarray, p0: np.ndarray, dp0: np.ndarray, t: np.ndarray):
+    """(p(t), dp(t)) of the two-spin levels, dp/dt = W p, from p(0) = q = p0
+    and its b_z derivative dq = dp0, at times t (..., 1), in closed form
+    (Breuer & Petruccione, sec. 3.3; the README writes it out).
+
+    W only decays: a (3 -> 2), b (3 -> 1), c (2 -> 1) and e (2 -> 0), W[j, i]
+    the rate i -> j.  With k2 = c + e and k3 = a + b, m and K the smaller and
+    the larger, and E, F, G, H of `_moments`: p3 = q3 E3, p2 = q2 E2 + a q3 D,
+    and levels 0 and 1 gain e I2 and b I3 + c I2, where I3 = q3 F(k3) and
+    I2 = q2 F(k2) + a q3 J are the time that levels 3 and 2 hold.  D = E_m
+    F(K - m) and J = (F(m) - D) / K integrate e^{-k2 u - k3 v} over u + v =
+    t and over u + v <= t, so k2 = k3 is no special case.  The derivatives
+    follow term by term.  Each division by K loses at most 3 bits where
+    K t >= 0.5; below that, 18 Taylor terms of e^{B t} [q; dq], B = [[W, 0],
+    [dW, W]], serve instead.  A term whose rate, rate derivative or decay
+    is 0 is exactly 0 (`_times`), so W = 0 (the two-spin unitary baseline)
+    gives no NaN at t = 1e300.
+    """
+    a, b, c, e = w[..., 2, 3], w[..., 1, 3], w[..., 1, 2], w[..., 0, 2]
+    # Where K < 1/2 the rates are scaled up by the power of two that brings K
+    # to [1/2, 1), and t down by it: exact, so p and dp keep their bits, and
+    # G(k) ~ 1 / k^2 stays in range for rates down to ~1e-300.
+    scale = np.ldexp(1.0, np.maximum(-np.frexp(np.maximum(c + e, a + b))[1], 0))
+    times, t = t[..., 0], t[..., 0] / scale
+    a, b, c, e = a * scale, b * scale, c * scale, e * scale
+    da, db, dc, de = (dw[..., j, i] * scale for j, i in ((2, 3), (1, 3), (1, 2), (0, 2)))
+    q0, q1, q2, q3 = p0[..., 0], p0[..., 1], p0[..., 2], p0[..., 3]
+    dq0, dq1, dq2, dq3 = dp0[..., 0], dp0[..., 1], dp0[..., 2], dp0[..., 3]
+    k2, k3, dk2, dk3 = c + e, a + b, dc + de, da + db
+    swap = k2 > k3
+    m, big = np.minimum(k2, k3), np.maximum(k2, k3)
+    dm, d_big = np.where(swap, dk3, dk2), np.where(swap, dk2, dk3)
+    # numpy's warnings are silenced: an integral past the float range is
+    # inf, and the closed form divides by K = 0 where the Taylor terms serve.
+    with np.errstate(all="ignore"):
+        decay, f, g, h = _moments(np.stack((k2, k3, big - m), axis=-1), t[..., None])
+        e2, e3, f2, f3, f_d = decay[..., 0], decay[..., 1], f[..., 0], f[..., 1], f[..., 2]
+        g2, g3, g_d, h_d = g[..., 0], g[..., 1], g[..., 2], h[..., 2]
+        e_m, f_m, g_m = np.where(swap, e3, e2), np.where(swap, f3, f2), np.where(swap, g3, g2)
+        pull, d_pull = a * q3, da * q3 + a * dq3
+        dd = e_m * f_d
+        psi_mmk, psi_mkk = _times(e_m, h_d), _times(e_m, g_d)
+        j = (f_m - dd) / big
+        phi_mmk, phi_mkk = (g_m - psi_mmk) / big, (j - psi_mkk) / big
+        i3, i2 = q3 * f3, q2 * f2 + pull * j
+        di3 = dq3 * f3 - q3 * _times(dk3, g3)
+        di2 = dq2 * f2 - q2 * dk2 * g2 + d_pull * j - pull * (_times(dm, phi_mmk) + d_big * phi_mkk)
+        p = np.stack((q0 + e * i2, q1 + b * i3 + c * i2, q2 * e2 + pull * dd, q3 * e3), axis=-1)
+        dp = np.stack((
+            dq0 + de * i2 + _times(e, di2),
+            dq1 + db * i3 + b * di3 + dc * i2 + _times(c, di2),
+            dq2 * e2 - q2 * (e2 * t) * dk2 + d_pull * dd - pull * (dm * psi_mmk + d_big * psi_mkk),
+            dq3 * e3 - q3 * (e3 * t) * dk3,
+        ), axis=-1)
+        taylor = big * t < 0.5
+        if taylor.any():
+            steps = _taylor(w, dw, p0, dp0, times)
+            p, dp = (np.where(taylor[..., None], x, y) for x, y in zip(steps, (p, dp)))
+    return p, dp
+
+
+def _taylor(w: np.ndarray, dw: np.ndarray, p0: np.ndarray, dp0: np.ndarray, t: np.ndarray, terms: int = 18):
+    """(p(t), dp(t)) = e^{B t} [p0; dp0], B = [[W, 0], [dW, W]], at times t
+    (...) to `terms` Taylor terms, fewer once every term of the stack is 0."""
+    v, u = p0[..., None], dp0[..., None]
+    p, dp = v, u
+    for n in range(1, terms + 1):
+        step = (t / n)[..., None, None]
+        v, u = (w @ v) * step, (w @ u + dw @ v) * step
+        if not (v.any() or u.any()):
+            break
+        p, dp = p + v, dp + u
+    return p[..., 0], dp[..., 0]
 
 
 def _exponent(m: np.ndarray) -> np.ndarray:
@@ -582,14 +667,14 @@ def _scores(states: np.ndarray, drho: np.ndarray, times) -> list:
     return outcomes
 
 
-# Points of a grid per stacked build, exponential and state check.  Each
-# stack pays one builder call, one batched eigh, one state check and, for
-# two spins, one expm call (one spin's populations are closed forms), and
-# its working memory grows with its size.  The bench's `searches` workload
-# (two spins), a 101-point prescan and then the edge search's small grids
-# (measured when that search still bisected), 8 s runs on a 2-vCPU VM,
-# seeds 1 and 2, req/s and peak RSS MB by stack size, with the batched
-# Padé expm: 32: 65.2 and 66.8, 64.3; 64: 73.4 and 72.4, 64.9;
+# Points of a grid per stacked build, propagation and state check.  Each
+# stack pays one builder call, one batched eigh and one state check (the
+# populations are closed forms over the stack), and its working memory
+# grows with its size.  The bench's `searches` workload (two spins), a
+# 101-point prescan and then the edge search's small grids (measured when
+# that search still bisected and two spins took one batched Padé expm call
+# per stack), 8 s runs on a 2-vCPU VM, seeds 1 and 2, req/s and peak RSS
+# MB by stack size: 32: 65.2 and 66.8, 64.3; 64: 73.4 and 72.4, 64.9;
 # 128 (the whole prescan): 76.2 and 79.7, 65.7; 256 (the same stacks
 # there): 78.7 and 73.5, 65.8.  scipy's expm at 32 gave 68.0 and 67.2, 65.1.
 _CHUNK = 128
@@ -630,16 +715,15 @@ def qfi_grid(
     The state derivative is exact, with no b_z step: the kind's builder
     states the model and its b_z derivative in the Hamiltonian's
     eigenframe, where the coherences are closed forms, and so are the
-    populations of one spin and their derivatives at any t; a Van Loan
-    block exponential of the 8 x 8 population block gives those of two
-    spins.  Both are rotated straight back to the lab frame (see
-    `_propagated`).  The state check is what holds rho to unit trace: a
-    point whose populations drift off it fails with NumericalFailureError.
-    _CHUNK (128) points at a time go as one stack, with one builder call
-    (one model for a time grid), one state check and, for two spins, one
-    expm call.  The probe is not checked again: it is validated once per
-    dimension, at import.  Each point gets, bit for bit, what `qfi_at`
-    gives at it.
+    populations of one spin or two and their derivatives at any t, with
+    no matrix exponential.  Both are rotated straight back to the lab
+    frame (see `_propagated`).  The state check is what holds rho to unit
+    trace: a point whose populations drift off it fails with
+    NumericalFailureError.  _CHUNK (128) points at a time go as one stack,
+    with one builder call (one model for a time grid), one batched eigh
+    and one state check.  The probe is not checked again: it is validated
+    once per dimension, at import.  Each point gets, bit for bit, what
+    `qfi_at` gives at it.
     """
     if axis not in ("t", "b_z", "b_x"):
         raise ValueError(f"grid axis must be 't', 'b_z' or 'b_x', got {axis!r}")

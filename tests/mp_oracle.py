@@ -67,6 +67,12 @@ POINTS = [
     ("coop-thermal", "0.3", "0.1", "0", "2", "0.1", "1e300"),
     ("coop-deph", "0.1", "0.1", "0.5", "0", "0", "2"),
     *LONG_TIMES,
+    # two-spin total decay rates of levels 3 and 4 (0-based 2 and 3) that
+    # nearly coincide, k2/k3 - 1 = -2.5e-7 and 1.5e-4 at k t ~ 0.83, and a
+    # dipole so small that k2 t ~ 3e-8 and k3 t ~ 2e-4, the Taylor branch of
+    # the closed-form populations
+    *(("two-spin-coop", b_z, "0.22", "0", "1", "0", "0.05") for b_z in ("0.130026", "0.13")),
+    ("two-spin-coop", "1", "0.1", "0", "1e-3", "0", "1"),
 ]
 
 # figA1's ground-state QFI (b_x 0.1): the grid's ends, its peak at b_z = 1

@@ -14,15 +14,18 @@ import coopmetro.scenarios as scenarios
 from coopmetro.scenarios import ScenarioSpec, exact_two_spin_ground_qfi, probe_state, qfi_at
 
 DATA = Path(__file__).parent / "data"
-# The largest QFI error is 5.0e-12, at the seed-9928 point, where rho has an
-# eigenvalue 2.2e-12 in the SLD sum.  Propagated in the Hamiltonian's
-# eigenframe, only the two-spin populations go through an exponential's
-# squarings, and the t = 1e3 and 1e4 rows are within 4.8e-15 and 4.6e-14
-# (the t = 1e4 row was 5.7e-9 off when the whole Liouvillian was
-# exponentiated).  The one-spin populations are closed forms: the
-# coop-thermal rows at t = 1e6, 1e12 and 1e300 are all within 2.6e-15.
+# The largest QFI error is 7.8e-12, at the seed-9928 point, where rho has an
+# eigenvalue 2.2e-12 in the SLD sum: there the state is within 1.1e-16 of
+# the oracle's, and the sum's rounding sets the error.  Propagated in the
+# Hamiltonian's eigenframe, the populations of one spin and of two are
+# closed forms, with no exponential's squarings: the two-spin rows at
+# t = 1e3 and 1e4 are within 8.9e-16 (the t = 1e4 row was 5.7e-9 off when
+# the whole Liouvillian was exponentiated, 4.6e-14 with a Van Loan block of
+# the populations), and the coop-thermal rows at t = 1e6, 1e12 and 1e300
+# within 2.7e-15.  The rows at nearly equal decay rates of levels 3 and 4,
+# and at k t ~ 1e-8 ... 2e-4, are within 6.9e-15.
 RTOL = 1e-10
-# Measured: 1.1e-15 at t = 1e3 and 1.1e-14 at t = 1e4.
+# Measured: 2.2e-16 at t = 1e3 and 1e4 (1.1e-15 and 1.1e-14 with the block).
 STATE_ATOL = 1e-12
 # The sum over states is within 1.6e-15 of the table; phase-aligned finite
 # differences of the ground eigenvector were up to 7.1e-11 off.

@@ -5,7 +5,9 @@ not see the phases of the eigenvectors it is computed from; the states
 propagated in the Hamiltonian's eigenframe agree with `propagate`'s complex
 route, and their exact b_z derivatives with Richardson differences of it;
 one spin's closed-form populations agree with `propagate` out to t = 50 and
-hold the QFI flat past relaxation out to t = 1e300;
+hold the QFI flat past relaxation out to t = 1e300; two spins' agree with
+scipy's exponential of their Van Loan block out to t = 50 and stay finite
+out to t = 1e300;
 the batched Padé `expm` agrees with scipy's, gives each matrix of a stack
 the bits it gives it alone, and keeps e^0 = I and zero columns exact."""
 
@@ -223,6 +225,77 @@ def test_qfi_is_flat_past_relaxation(spec, start, fraction):
         t0 = 800.0 / _relaxation_rate(spec) * 10.0**start
         t1 = 10.0 ** (math.log10(t0) + fraction * (300.0 - math.log10(t0)))
         assert qfi_at(spec, t1).value == pytest.approx(qfi_at(spec, t0).value, rel=1e-12, abs=0.0)
+
+
+def _two_spin_rate_matrix(rates) -> np.ndarray:
+    """W of the two-spin decay pairs at rates (a, b, c, e): 3 -> 2, 3 -> 1,
+    2 -> 1 and 2 -> 0, 0-based, as `scenarios._frame_rates` assembles it."""
+    w = np.zeros((4, 4))
+    for (i, j), rate in zip(np.array(scenarios.TWO_SPIN_DECAY_PAIRS) - 1, rates):
+        w[j, i] += rate
+        w[i, i] -= rate
+    return w
+
+
+@st.composite
+def four_level_points(draw):
+    """(W, dW, p0, dp0) of the two-spin pattern: rates in 1e-3 ... 2.3e4 (the
+    fig. 5 block's reach), each exactly 0 one time in four, and at times
+    (c, e) a permutation of (a, b), so that k2 = c + e equals k3 = a + b
+    bit for bit.  Each rate's derivative is the rate times 1e-3 ... 1e2 of
+    either sign (the model's is 3 r d omega / omega), so 0 where the rate
+    is 0; p0 is a distribution and dp0 any vector in [-1, 1]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = 10.0 ** rng.uniform(-3.0, math.log10(2.3e4), 4) * (rng.random(4) < 0.75)
+    if draw(st.booleans()):
+        rates[2:] = rates[rng.permutation(2)]
+    d_rates = rates * rng.choice((-1.0, 1.0), 4) * 10.0 ** rng.uniform(-3.0, 2.0, 4)
+    p0 = rng.random(4)
+    return _two_spin_rate_matrix(rates), _two_spin_rate_matrix(d_rates), p0 / p0.sum(), rng.uniform(-1.0, 1.0, 4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(four_level_points(), st.one_of(st.floats(0.0, 50.0), st.floats(-6.0, 1.0).map(lambda x: 10.0**x)))
+def test_four_level_matches_the_block_exponential(point, t):
+    # The closed-form two-spin populations and their derivatives (the
+    # Taylor terms where K t < 0.5) against scipy's exponential of the Van
+    # Loan block, whose own rounding grows with ||W t||_1 through its
+    # squarings.  A derivative far larger than its rate (unphysical) put
+    # scipy up to 7 times past this bound, 4.4e-9 off a 50-digit mpmath
+    # exponential where the closed form was 1.2e-13 off.
+    w, dw, p0, dp0 = point
+    blocks = np.block([[w, np.zeros((4, 4))], [dw, w]])
+    reference = scipy.linalg.expm(blocks * t) @ np.concatenate([p0, dp0])
+    p, dp = scenarios._four_level(w, dw, p0, dp0, np.array([t]))
+    error = np.abs(np.concatenate([p, dp]) - reference).max() / np.abs(reference).max()
+    assert error <= 1e-13 + 1e-16 * np.abs(w * t).sum(axis=0).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(four_level_points(), st.floats(0.0, 308.0))
+@example((np.zeros((4, 4)), np.zeros((4, 4)), np.array([0.5, 0.0, 0.0, 0.5]), np.zeros(4)), 300.0)
+@example(
+    (_two_spin_rate_matrix([1, 2, 2, 1]), _two_spin_rate_matrix([3, -6, 6, 3]), np.full(4, 0.25), np.zeros(4)), 300.0
+)
+@example(
+    (_two_spin_rate_matrix([2.3e4, 1e-3, 0, 0]), _two_spin_rate_matrix([2.3e6, 0, 0, 0]), np.full(4, 0.25), np.zeros(4)), 308.0
+)
+@example((_two_spin_rate_matrix([1e-160, 3e-160, 2e-160, 5e-161]), _two_spin_rate_matrix([1e-159, -3e-160, 5e-160, 0]),
+          np.full(4, 0.25), np.array([0.1, -0.2, 0.3, -0.2])), 300.0)
+def test_four_level_is_finite_out_to_t_1e300(point, decades):
+    # Past t ~ 1e154, t^2 / 2 (the integral G of a rate 0, or H and G of
+    # k3 - k2 = 0) passes the float range, and near t = 1e308 so does the
+    # derivative of the time that level 2 holds, I2 (examples: the two-spin
+    # unitary baseline, W = 0; k2 = k3 = 3; k2 = 0).  A term whose rate,
+    # rate derivative or decay is 0 is still exactly 0, with no NaN and no
+    # warning.  Rates ~1e-160 (a dipole ~1e-80) would put 1 / k^2 past the
+    # float range too, unless scaled (the last example).
+    w, dw, p0, dp0 = point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p, dp = scenarios._four_level(w, dw, p0, dp0, np.array([10.0**decades]))
+    assert np.isfinite(p).all() and np.isfinite(dp).all()
+    assert abs(p.sum() - 1.0) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

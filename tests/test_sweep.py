@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coopmetro.linalg as linalg
+import coopmetro.lindblad as lindblad
 import coopmetro.scenarios as scenarios
 from conftest import controlled_ground_state
 from coopmetro.qfi import (
@@ -115,6 +116,17 @@ def pointwise_qfi(spec: ScenarioSpec, t: float) -> float:
     return formula(rho, differentiate_state(family)).value
 
 
+def exponential_calls(monkeypatch) -> list:
+    """The shapes of the calls that reach linalg.expm from here on: through
+    `linalg`, through `lindblad` (the `propagate` reference route binds it
+    there) or through the name `scenarios` would bind it to."""
+    calls = []
+    expm = linalg.expm
+    for module in (scenarios, linalg, lindblad):
+        monkeypatch.setattr(module, "expm", lambda m: calls.append(m.shape) or expm(m), raising=False)
+    return calls
+
+
 class TestTimeGrid:
     @pytest.mark.parametrize("spec, grid, rtol", GRID_CASES, ids=lambda c: getattr(c, "kind", ""))
     def test_matches_pointwise_propagation(self, spec, grid, rtol):
@@ -158,47 +170,40 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("n_points", (3, 60))
     def test_one_exponential_call_per_time_grid(self, monkeypatch, n_points):
-        calls = []
-        expm = scenarios.expm
-        monkeypatch.setattr(scenarios, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
+        # A time grid of one spin or two makes no exponential call at all:
+        # both population blocks are closed forms.
+        calls = exponential_calls(monkeypatch)
         for start in (0.5, 0.0):
-            # One spin: the two-level populations are closed forms, with no exponential.
-            calls.clear()
-            sweep(COOP, SweepGrid("t", start, 5.0, n_points))
-            assert calls == []
-            # Two spins: the population block [[W, 0], [c dW, W]] of one model, 2 d = 8, times each t
-            sweep(TWO_SPIN, SweepGrid("t", start, 5.0, n_points))
-            assert calls == [((n_points, 8, 8), np.dtype(float))]
+            for spec in (COOP, TWO_SPIN):
+                points = sweep(spec, SweepGrid("t", start, 5.0, n_points))
+                assert all(point.result is not None for point in points), points
+        assert calls == []
 
     @pytest.mark.parametrize("spec", [COOP, GRID_CASES[5][0]], ids=lambda s: s.kind)
     def test_qfi_at_one_builder_call_and_one_exponential(self, monkeypatch, spec):
-        builds, exponentials = [], []
+        builds = []
         kind = scenarios._KINDS[spec.kind]
         build = kind.build
         monkeypatch.setitem(
             scenarios._KINDS, spec.kind, kind._replace(build=lambda *args: builds.append(args[1]) or build(*args))
         )
         monkeypatch.setattr(scenarios, "build_model", None)  # the one-point builder is not used
-        expm = scenarios.expm
-        monkeypatch.setattr(scenarios, "expm", lambda m: exponentials.append(m.shape) or expm(m))
+        exponentials = exponential_calls(monkeypatch)
         qfi_at(spec, 1.0)
         assert builds == [spec.b_z]  # no stencil fields
-        if scenarios.spin_count(spec) == 1:
-            assert exponentials == []  # the two-level populations are closed forms
-        else:
-            assert exponentials == [(1, 8, 8)]  # [[W, 0], [c dW, W]], W of order 4, a stack of one
+        assert exponentials == []  # the two- and four-level populations are closed forms
 
     @pytest.mark.parametrize(
-        "spec", [spec for spec, _, _ in GRID_CASES if scenarios.spin_count(spec) == 1], ids=lambda s: s.kind
+        "spec",
+        [spec for spec, _, _ in GRID_CASES],
+        ids=lambda s: s.kind + ("-two-spins" if s.kind == "unitary-baseline" and s.n_spins == 2 else ""),
     )
     def test_single_spin_grids_make_no_exponential(self, monkeypatch, spec):
-        # Every single-spin kind, coop-thermal at t_e > 0 among them: one
-        # point, a time grid and a grid over each field it reads all propagate
-        # the two-level populations in closed form, with no call to linalg.expm.
-        calls = []
-        expm = linalg.expm
-        for module in (scenarios, linalg):
-            monkeypatch.setattr(module, "expm", lambda m: calls.append(m.shape) or expm(m))
+        # Every kind, one spin or two (coop-thermal at t_e > 0 and both
+        # unitary-baseline sizes among them): one point, a time grid and a
+        # grid over each field it reads all propagate the populations in
+        # closed form, with no call to linalg.expm.
+        calls = exponential_calls(monkeypatch)
         outcomes = [qfi_at(spec, 1.0), *qfi_grid(spec, [0.0, 0.5, 2.0])]
         for axis in ("b_z", "b_x"):
             if axis in spec.parameters:
@@ -294,22 +299,25 @@ class TestFieldGrid:
         assert points[:3] + points[4:] == clean[:3] + clean[4:]
 
     def test_one_exponential_call_per_chunk(self, monkeypatch):
-        calls = []
-        expm = scenarios.expm
-        monkeypatch.setattr(scenarios, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
+        # One builder call per chunk of a two-spin field grid, and no
+        # exponential: the population block is a closed form.
+        builds = []
+        kind = scenarios._KINDS[TWO_SPIN.kind]
+        build = kind.build
+        counted = kind._replace(build=lambda *args: builds.append(np.shape(args[1])) or build(*args))
+        monkeypatch.setitem(scenarios._KINDS, TWO_SPIN.kind, counted)
+        calls = exponential_calls(monkeypatch)
         sweep(TWO_SPIN, SweepGrid("b_z", 0.5, 1.5, 21), t=1.0)
-        assert len(calls) == math.ceil(21 / scenarios._CHUNK) < 21
-        assert sum(shape[0] for shape, _ in calls) == 21  # one population block [[W, 0], [c dW, W]] per point
-        assert {(shape[1:], dtype) for shape, dtype in calls} == {((8, 8), np.dtype(float))}
+        assert len(builds) == math.ceil(21 / scenarios._CHUNK) < 21
+        assert sum(shape[0] for shape in builds) == 21
+        assert calls == []
 
     def test_prescan_sized_grid_exponential_calls(self, monkeypatch):
-        calls = []
-        expm = scenarios.expm
-        monkeypatch.setattr(scenarios, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m))
-        qfi_grid(TWO_SPIN, np.linspace(0.5, 1.5, 101), axis="b_z", t=1.0)
+        calls = exponential_calls(monkeypatch)
+        outcomes = qfi_grid(TWO_SPIN, np.linspace(0.5, 1.5, 101), axis="b_z", t=1.0)
+        assert all(isinstance(outcome, QfiResult) for outcome in outcomes)
         assert scenarios._CHUNK == 128  # the region prescan is one stack
-        assert [shape for shape, _ in calls] == [(101, 8, 8)]
-        assert {dtype for _, dtype in calls} == {np.dtype(float)}
+        assert calls == []
 
     def test_stack_edges_equal_qfi_at_bit_for_bit(self):
         values = np.linspace(0.5, 1.5, 101)

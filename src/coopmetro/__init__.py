@@ -29,7 +29,6 @@ from .qfi import (
     QfiResult,
     StateFamily,
     differentiate_state,
-    qfi_pure,
     qfi_qubit,
     qfi_sld,
 )
@@ -39,7 +38,6 @@ from .scenarios import (
     OutOfRegimeError,
     ScenarioSpec,
     analytic_coop_spont_qfi,
-    analytic_coop_spont_state,
     build_model,
     effective_two_spin_ground_qfi,
     exact_two_spin_ground_qfi,

@@ -3,13 +3,13 @@
 All operators, states and superoperators are plain complex numpy arrays
 (row-major, square); `expm` also keeps a real matrix real.  Superoperators
 go up to dimension 16.  Everything here is a pure function over immutable
-inputs; nothing mutates its arguments.  `tensor`, `hermitize`,
-`herm_deviation`, `eigh`, `expm` and `outer` also take stacks (..., d, d) of
-matrices (or (..., d) of vectors) and act on each one, with the same bits as
-one at a time.  `eigh` fixes no gauge: only its eigenprojectors are
-physical, and the library reads nothing else of an eigenbasis.  The module
-needs numpy alone: `expm` is its own batched scaling-and-squaring Padé
-approximant, not scipy's.
+inputs; nothing mutates its arguments.  `tensor`, `hermitize`, `eigh` and
+`outer` also take stacks (..., d, d) of matrices (or (..., d) of vectors)
+and act on each one, with the same bits as one at a time; `expm` takes one
+matrix.  `eigh` fixes no gauge: only its eigenprojectors are physical, and
+the library reads nothing else of an eigenbasis.  The module needs numpy
+alone: `expm` is its own scaling-and-squaring Padé approximant, not
+scipy's, so that `lindblad.propagate` runs without scipy.
 
 Basis convention: sigma_z |0> = +|0>, sigma_z |1> = -|1>.  With this choice
 (sigma_x + i*sigma_y)/2 = |0><1|.
@@ -26,7 +26,6 @@ __all__ = [
     "identity",
     "tensor",
     "hermitize",
-    "herm_deviation",
     "eigh",
     "expm",
     "outer",
@@ -73,7 +72,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def herm_deviation(m: np.ndarray) -> float:
+def _herm_deviation(m: np.ndarray) -> float:
     """max |m - m†| of a matrix, or the largest over the matrices of a stack."""
     m = np.asarray(m)
     return float(np.abs(m - m.conj().mT).max())
@@ -92,7 +91,7 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    deviation = herm_deviation(h)
+    deviation = _herm_deviation(h)
     if deviation > HERM_TOL:
         raise NonHermitianError(
             f"matrix is not Hermitian: max |h - h†| = {deviation:.3e} > {HERM_TOL:.1e}"
@@ -117,8 +116,8 @@ _PADE_TERMS = np.array([_PADE_13[k] for k in _PADE_DEGREES.flat]).reshape(4, 4)
 _PADE_TERMS[[0, 2], 0] = 0.0  # the inner sums have no identity term
 # Al-Mohy & Higham's bound on the scaled norm for degree 13, tested as
 # ||A^k||_1 <= (theta_13 2^s)^k for k = 6, 8, 10.
-_ETA_POWERS = np.array([6, 8, 10])
-_BELOW_THETA_13_POWERS = (1.0 - 2.0**-53) / 4.25**_ETA_POWERS
+_ETA_POWERS = (6, 8, 10)
+_BELOW_THETA_13_POWERS = ((1.0 - 2.0**-53) / 4.25 ** np.array(_ETA_POWERS)).tolist()
 # A larger A is scaled by a power of two to ||A||_1 < 2^_POWERS_RANGE before
 # its powers are taken, so that A^10 < 2^1000 is finite.  Such an A also
 # gets at least the squarings that bring ||B||_1 below 2^_SCALED_RANGE, more
@@ -130,7 +129,7 @@ _SCALED_RANGE = 72
 
 def _onenorm(m: np.ndarray) -> np.ndarray:
     """The 1-norm (largest absolute column sum) of a matrix or of each
-    matrix of a stack."""
+    matrix of a stack (the powers of `_powers`)."""
     return np.abs(m).sum(axis=-2).max(axis=-1)
 
 
@@ -142,14 +141,15 @@ def _identity(n: int) -> np.ndarray:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a matrix or of each matrix of a stack (..., n, n):
-    scaling and squaring with the [13/13] Padé approximant (Higham, SIAM J.
-    Matrix Anal. Appl. 26, 1179 (2005)) and the number of squarings s of
-    Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009): the
-    smallest s >= 0 with 2^-s eta <= theta_13 = 4.25, where eta =
-    min(max(d6, d8), max(d8, d10)) and d_k = ||A^k||_1^(1/k), from exact
-    norms (no ell correction).  A real input stays real, in real
-    arithmetic; any other input is taken as complex.
+    """Matrix exponential of one square matrix: scaling and squaring with the
+    [13/13] Padé approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005)) and the number of squarings s of Al-Mohy & Higham, SIAM J.
+    Matrix Anal. Appl. 31, 970 (2009): the smallest s >= 0 with 2^-s eta <=
+    theta_13 = 4.25, where eta = min(max(d6, d8), max(d8, d10)) and d_k =
+    ||A^k||_1^(1/k), from exact norms (no ell correction).  A real input
+    stays real, in real arithmetic; any other input is taken as complex.
+    An input that is not one square matrix (a stack of them included)
+    raises ValueError.
 
     - Where ||A||_1 >= 2^100 the powers and norms are taken of A 2^-s0, an
       exact power-of-two scaling to below 2^100, so that none overflows
@@ -160,11 +160,9 @@ def expm(m: np.ndarray) -> np.ndarray:
     - The approximant is formed as I + 2 (V - U)^{-1} U, not (V - U)^{-1}
       (V + U): a zero column of A (an absorbing level of a rate matrix)
       stays an exact unit column through every squaring, and e^0 = I.
-    - Each matrix of a stack gets its own s and only its own squarings, so
-      it comes out with the same bits as alone.
     - A matrix with a non-finite entry gives all NaN.
-    - One matrix, alone or as a stack of one, goes to `_expm_matrix`, to the
-      same bits.
+    - The scalar steps are Python floats, a fraction of the cost of numpy's
+      0-d operations.
 
     In the package only `lindblad.propagate`, the reference route of the
     tests and the benchmark, calls it, on one Liouvillian at a time: the
@@ -172,53 +170,8 @@ def expm(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m)
     a = np.asarray(m, dtype=float if np.isrealobj(m) else complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if a.size != a.shape[-1] ** 2:
-        return _expm_stack(a)
-    return _expm_matrix(a.reshape(a.shape[-2:])).reshape(a.shape)
-
-
-def _expm_stack(a: np.ndarray) -> np.ndarray:
-    """`expm` of each matrix of a stack (..., n, n), with its own s."""
-    norm = _onenorm(a)
-    finite = np.isfinite(norm)
-    if not finite.all():
-        a = np.where(finite[..., None, None], a, 0.0)
-        norm = np.where(finite, norm, 0.0)
-    exponent = np.frexp(norm)[1]
-    s0 = np.maximum(exponent - _POWERS_RANGE, 0)
-    a = a * np.ldexp(1.0, -s0)[..., None, None]
-    powers = _powers(a)
-    # Per k, the smallest s with ||a^k|| <= (theta_13 2^s)^k: ceil(e / k) for
-    # e = ceil(log2(||a^k|| / theta_13^k)), read off the binary exponent of
-    # the ratio taken an ulp low (the same bits on any stack, unlike a log);
-    # no bound where a^k = 0.
-    norms = _onenorm(powers[..., 3:, :, :])
-    ratio = np.frexp(norms * _BELOW_THETA_13_POWERS)[1]
-    need = np.where(norms > 0, (ratio + _ETA_POWERS - 1) // _ETA_POWERS, -2048)
-    s = np.maximum(
-        np.maximum(need[..., 1], np.minimum(need[..., 0], need[..., 2])) + s0,
-        np.where(s0 > 0, exponent - _SCALED_RANGE, 0),
-    )
-    x = _pade(a, powers, (s0 - s)[..., None, None])
-    # The squarings that every matrix needs, on the whole stack; then each
-    # matrix's own.
-    shared = s.min() if s.size else 0
-    for _ in range(shared):
-        x = x @ x
-    for step in range(shared, s.max(initial=0)):
-        active = s > step
-        squared = x[active]
-        x[active] = squared @ squared
-    if not finite.all():
-        x[~finite] = np.nan
-    return x
-
-
-def _expm_matrix(a: np.ndarray) -> np.ndarray:
-    """`_expm_stack` of one matrix, with its scalar steps in Python floats
-    (a fraction of the cost of numpy's 0-d operations) to the same bits."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected one square matrix, got shape {a.shape}")
     norm = float(_onenorm(a))
     if not math.isfinite(norm):
         return np.full(a.shape, np.nan, dtype=a.dtype)
@@ -226,9 +179,12 @@ def _expm_matrix(a: np.ndarray) -> np.ndarray:
     s0 = max(exponent - _POWERS_RANGE, 0)
     a = a * 2.0**-s0
     powers = _powers(a)
+    # Per k, the smallest s with ||a^k|| <= (theta_13 2^s)^k: ceil(e / k) for
+    # e = ceil(log2(||a^k|| / theta_13^k)), read off the binary exponent of
+    # the ratio taken an ulp low; no bound where a^k = 0.
     need = [
         (math.frexp(x * below)[1] + k - 1) // k if x > 0 else -2048
-        for x, below, k in zip(_onenorm(powers[3:]).tolist(), _BELOW_THETA_13_POWERS.tolist(), _ETA_POWERS.tolist())
+        for x, below, k in zip(_onenorm(powers[3:]).tolist(), _BELOW_THETA_13_POWERS, _ETA_POWERS)
     ]
     s = max(max(need[1], min(need[0], need[2])) + s0, exponent - _SCALED_RANGE if s0 else 0)
     x = _pade(a, powers, s0 - s)
@@ -238,28 +194,26 @@ def _expm_matrix(a: np.ndarray) -> np.ndarray:
 
 
 def _powers(a: np.ndarray) -> np.ndarray:
-    """I, a^2, a^4, a^6, a^8 and a^10 of a matrix or of each matrix of a
-    stack, on a new axis -3."""
-    *stack, n, _ = a.shape
-    powers = np.empty((*stack, 6, n, n), dtype=a.dtype)
-    powers[..., 0, :, :] = _identity(n)
-    np.matmul(a, a, out=powers[..., 1, :, :])
-    np.matmul(powers[..., 1, :, :], powers[..., 1, :, :], out=powers[..., 2, :, :])
-    np.matmul(powers[..., 1, :, :], powers[..., 2, :, :], out=powers[..., 3, :, :])
-    np.matmul(powers[..., 2:3, :, :], powers[..., 2:4, :, :], out=powers[..., 4:6, :, :])
+    """I, a^2, a^4, a^6, a^8 and a^10 of a matrix, stacked (6, n, n)."""
+    n = a.shape[-1]
+    powers = np.empty((6, n, n), dtype=a.dtype)
+    powers[0] = _identity(n)
+    np.matmul(a, a, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[1], powers[2], out=powers[3])
+    np.matmul(powers[2:3], powers[2:4], out=powers[4:6])
     return powers
 
 
-def _pade(a: np.ndarray, powers: np.ndarray, scale) -> np.ndarray:
-    """r_13(B) = I + 2 (V - U)^{-1} U of B = a 2^scale (one integer scale,
-    or one per matrix of a stack, shaped (..., 1, 1)), from a and its
+def _pade(a: np.ndarray, powers: np.ndarray, scale: int) -> np.ndarray:
+    """r_13(B) = I + 2 (V - U)^{-1} U of B = a 2^scale, from a and its
     `_powers`; the factors 2^(scale degree) go on the coefficients: exact."""
-    *stack, n, _ = a.shape
+    n = a.shape[-1]
     terms = _PADE_TERMS * np.ldexp(1.0, _PADE_DEGREES * scale)
-    sums = (terms @ powers[..., :4, :, :].reshape(*stack, 4, n * n)).reshape(*stack, 4, n, n)
-    sums = powers[..., 3:4, :, :] @ sums[..., 0::2, :, :] + sums[..., 1::2, :, :]
-    u = a @ sums[..., 0, :, :]
-    return 2.0 * np.linalg.solve(sums[..., 1, :, :] - u, u) + _identity(n)
+    sums = (terms @ powers[:4].reshape(4, n * n)).reshape(4, n, n)
+    sums = powers[3:4] @ sums[0::2] + sums[1::2]
+    u = a @ sums[0]
+    return 2.0 * np.linalg.solve(sums[1] - u, u) + _identity(n)
 
 
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import HERM_TOL, expm, herm_deviation, hermitize, tensor
+from .linalg import HERM_TOL, _herm_deviation, expm, hermitize, tensor
 
 __all__ = [
     "InvalidModelError",
@@ -130,7 +130,7 @@ class LindbladModel:
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise InvalidModelError(f"Hamiltonian must be square, got shape {h.shape}")
-        deviation = herm_deviation(h)
+        deviation = _herm_deviation(h)
         if not deviation <= HERM_TOL:  # a NaN deviation fails too
             raise InvalidModelError(f"Hamiltonian not Hermitian within 1e-10: deviation {deviation:.3e}")
         channels = tuple(self.channels)

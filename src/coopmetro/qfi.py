@@ -1,8 +1,8 @@
-"""Quantum Fisher information of pure and mixed states.
+"""Quantum Fisher information of density matrices.
 
-Three routes are provided and cross-checked against each other in the test
-suite: the pure-state overlap formula, the qubit determinant closed form,
-and the spectral SLD sum valid in any dimension.
+Two routes are provided and cross-checked against each other, and against
+the pure-state overlap formula, in the test suite: the qubit determinant
+closed form and the spectral SLD sum valid in any dimension.
 
 The scenario pipeline gets its state derivatives exactly, by propagating
 the b_z derivative with the state (`scenarios.qfi_grid`), and the ground-state
@@ -22,14 +22,11 @@ from .linalg import eigh, hermitize
 __all__ = [
     "QfiResult",
     "StateFamily",
-    "qfi_pure",
     "qfi_qubit",
     "qfi_sld",
     "differentiate_state",
-    "fd_default_step",
 ]
 
-METHOD_PURE = "pure"
 METHOD_QUBIT = "qubit-closed-form"
 METHOD_SLD = "sld-spectral"
 
@@ -72,14 +69,6 @@ def _check_derivative(drho: np.ndarray, traceless: bool = False) -> np.ndarray:
     if traceless and abs(np.trace(drho)) > DERIV_HERM_TOL:
         raise ValueError(f"state derivative not traceless within 1e-8: trace {np.trace(drho):.3e}")
     return drho
-
-
-def qfi_pure(psi: np.ndarray, dpsi: np.ndarray) -> QfiResult:
-    """QFI of a pure family: 4(<dpsi|dpsi> - |<dpsi|psi>|^2)."""
-    psi = np.asarray(psi, dtype=complex)
-    dpsi = np.asarray(dpsi, dtype=complex)
-    value = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(dpsi, psi)) ** 2)
-    return QfiResult(value=_clamp(value), method=METHOD_PURE)
 
 
 def qfi_qubit(rho: np.ndarray, drho: np.ndarray) -> QfiResult:
@@ -151,19 +140,14 @@ def qfi_sld(rho: np.ndarray, drho: np.ndarray) -> QfiResult:
     return outcome
 
 
-def fd_default_step(b0: float) -> float:
-    """Default central-difference step: balances truncation vs. cancellation
-    for states computed to ~1e-12."""
-    return 1e-5 * max(1.0, abs(b0))
-
-
 def differentiate_state(family: StateFamily, h: float | None = None) -> np.ndarray:
     """d rho / db at family.b0 by the Richardson-extrapolated central
     difference (4 D_{h/2} - D_h) / 3, with D_s = (rho(b0 + s) - rho(b0 - s)) / 2s,
-    symmetrized."""
-    if h is None:
-        h = fd_default_step(family.b0)
+    symmetrized.  The default step h = 1e-5 max(1, |b0|) balances truncation
+    against cancellation for states computed to ~1e-12."""
     b0 = family.b0
+    if h is None:
+        h = 1e-5 * max(1.0, abs(b0))
     stencil = (b0 - h, b0 + h, b0 - h / 2.0, b0 + h / 2.0)
     lo, hi, lo2, hi2 = (np.asarray(family.evaluate(b), dtype=complex) for b in stencil)
     return hermitize((4.0 * (hi2 - lo2) / h - (hi - lo) / (2.0 * h)) / 3.0)

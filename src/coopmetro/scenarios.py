@@ -37,7 +37,6 @@ from .lindblad import (
     LindbladModel,
     NumericalFailureError,
     density_matrix_errors,
-    propagate,
     validate_density_matrix,
 )
 from .linalg import eigh, hermitize, identity, outer, pauli, tensor
@@ -45,7 +44,6 @@ from .qfi import (
     QfiResult,
     _recorded,
     _sld_outcomes,
-    StateFamily,
     qfi_qubit,
 )
 
@@ -60,11 +58,8 @@ __all__ = [
     "two_spin_hamiltonian",
     "build_model",
     "probe_state",
-    "state_family",
     "qfi_grid",
     "qfi_at",
-    "analytic_coop_spont_state",
-    "analytic_coop_spont_state_deriv",
     "analytic_coop_spont_qfi",
     "taylor_coefficients",
     "standard_limit_formulas",
@@ -399,23 +394,6 @@ def probe_state(spec: ScenarioSpec) -> np.ndarray:
     return _PROBES[2 ** spin_count(spec)].copy()
 
 
-def state_family(spec: ScenarioSpec, t: float) -> StateFamily:
-    """The parameter-to-state pipeline b |-> rho(b, t) around spec.b_z.
-
-    b enters the Hamiltonian, the jump operators and (for thermal/two-spin
-    kinds) the rates, so each evaluation assembles the full model at its
-    own field value.  Propagates one point at a time: the reference route
-    for finite differences of the state (`differentiate_state`), which
-    `qfi_grid` does not take.
-    """
-    probe = probe_state(spec)
-
-    def evaluate(b: float) -> np.ndarray:
-        return propagate(build_model(replace(spec, b_z=b)), probe, t)
-
-    return StateFamily(evaluate=evaluate, b0=spec.b_z)
-
-
 def _frame_rates(frame: _Frame) -> tuple[np.ndarray, ...]:
     """(W, dW, lam, d lam) of a frame: the rate matrix W (..., d, d) of the
     populations, dp/dt = W p, and the rate lam_ab (..., d, d) of each
@@ -460,7 +438,11 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
 
     With A = V† dV, d rho~(0) = rho~(0) A - A rho~(0).  The coherences are
     e^{lam t} rho~_ab(0) and e^{lam t} d rho~_ab(0) + (e^{lam t} t) d lam
-    rho~_ab(0), exactly 0 where e^{lam t} underflows however large t d lam.
+    rho~_ab(0).  e^{lam t} is exactly 0 where its modulus underflows, and
+    each term is exactly 0 where its factor rho~_ab(0) or d rho~_ab(0) is 0
+    (`_times`), however large t d lam grows or however NaN the phase of an
+    undamped coherence whose gap t overflows: a two-spin QFI holds its value
+    out to t = 1.7e308.
     The populations and their derivatives are closed forms too, for one
     spin (`_two_level`) and for two (`_four_level`): no exponential is
     squared, and no point reaches `linalg.expm`.
@@ -484,12 +466,11 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     populations = lambda m: np.diagonal(m, axis1=-2, axis2=-1).real
     times = np.asarray(t, dtype=float)[..., None, None]
     p, dp = (_two_level if d == 2 else _four_level)(w, dw, populations(rho0), populations(d_rho0), times[..., 0])
-    # A decay rate times t past the float range is e^{lam t} = 0, and so is
-    # e^{lam t} t: t d lam alone would overflow and make 0 * inf = NaN.
-    with np.errstate(over="ignore"):
-        evolution = np.exp(lam * times)
-        d_rho = evolution * d_rho0 + (evolution * times) * d_lam * rho0
-    rho = evolution * rho0
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = lam * times
+        evolution = np.where(np.exp(exponent.real) == 0, 0.0, np.exp(exponent))
+        rho = _times(rho0, evolution)
+        d_rho = _times(d_rho0, evolution) + _times(rho0, (evolution * times) * d_lam)
     level = np.arange(d)
     rho[..., level, level] = p
     d_rho[..., level, level] = dp
@@ -558,8 +539,9 @@ def _moments(k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _times(factor: np.ndarray, integral: np.ndarray) -> np.ndarray:
     """factor * integral, exactly 0 where the factor is 0: an integral may
-    pass the float range (t^2 / 2 past t ~ 1e154) where the rate, rate
-    derivative or decay that multiplies it is 0, and 0 * inf is NaN."""
+    pass the float range (t^2 / 2 past t ~ 1e154, a phase gap t past it)
+    where the rate, decay or initial value that multiplies it is 0, and
+    0 * inf and 0 * NaN are NaN."""
     return np.where(factor == 0, 0.0, factor * integral)
 
 
@@ -624,12 +606,17 @@ def _four_level(w: np.ndarray, dw: np.ndarray, p0: np.ndarray, dp0: np.ndarray, 
     return p, dp
 
 
-def _taylor(w: np.ndarray, dw: np.ndarray, p0: np.ndarray, dp0: np.ndarray, t: np.ndarray, terms: int = 18):
+# Taylor terms of `_taylor`, which `_four_level` takes where K t < 0.5.
+_TAYLOR_TERMS = 18
+
+
+def _taylor(w: np.ndarray, dw: np.ndarray, p0: np.ndarray, dp0: np.ndarray, t: np.ndarray):
     """(p(t), dp(t)) = e^{B t} [p0; dp0], B = [[W, 0], [dW, W]], at times t
-    (...) to `terms` Taylor terms, fewer once every term of the stack is 0."""
+    (...) to _TAYLOR_TERMS Taylor terms, fewer once every term of the stack
+    is 0."""
     v, u = p0[..., None], dp0[..., None]
     p, dp = v, u
-    for n in range(1, terms + 1):
+    for n in range(1, _TAYLOR_TERMS + 1):
         step = (t / n)[..., None, None]
         v, u = (w @ v) * step, (w @ u + dw @ v) * step
         if not (v.any() or u.any()):
@@ -668,15 +655,11 @@ def _scores(states: np.ndarray, drho: np.ndarray, times) -> list:
 
 
 # Points of a grid per stacked build, propagation and state check.  Each
-# stack pays one builder call, one batched eigh and one state check (the
-# populations are closed forms over the stack), and its working memory
-# grows with its size.  The bench's `searches` workload (two spins), a
-# 101-point prescan and then the edge search's small grids (measured when
-# that search still bisected and two spins took one batched Padé expm call
-# per stack), 8 s runs on a 2-vCPU VM, seeds 1 and 2, req/s and peak RSS
-# MB by stack size: 32: 65.2 and 66.8, 64.3; 64: 73.4 and 72.4, 64.9;
-# 128 (the whole prescan): 76.2 and 79.7, 65.7; 256 (the same stacks
-# there): 78.7 and 73.5, 65.8.  scipy's expm at 32 gave 68.0 and 67.2, 65.1.
+# stack pays one builder call, one batched eigh and one state check, and its
+# working memory grows with its size.  128 holds a whole 101-point region
+# prescan: on the bench's two-spin `searches` workload (2-vCPU VM) it gave
+# 76-80 requests per second against 65-67 at 32, for 1.4 MB more peak RSS,
+# and 256 gave no more.
 _CHUNK = 128
 
 
@@ -777,60 +760,6 @@ def _angle_delta(b_z: float, b_x: float) -> tuple[float, float]:
     if b_z == 0.0 and b_x == 0.0:
         raise ValueError("b_z and b_x cannot both be zero")
     return math.atan2(b_x, b_z), math.hypot(b_z, b_x)
-
-
-def _eigenbasis_columns(theta: float) -> np.ndarray:
-    """Columns (|e>, |g>) of the controlled Hamiltonian in the computational
-    basis, with the phase choice under which the analytic evolved state below
-    is written."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _analytic_state_eg(theta: float, delta: float, gamma: float, t: float) -> np.ndarray:
-    """Evolved probe in the (|e>, |g>) basis: populations relax at gamma,
-    the coherence precesses at the gap 2*Delta and decays at gamma/2."""
-    excited = 0.5 * (1.0 + math.sin(theta)) * math.exp(-gamma * t)
-    coherence = 0.5 * math.cos(theta) * np.exp(-0.5 * (gamma + 4.0j * delta) * t)
-    return np.array(
-        [[excited, coherence], [np.conj(coherence), 1.0 - excited]], dtype=complex
-    )
-
-
-def analytic_coop_spont_state(b_z: float, b_x: float, gamma: float, t: float) -> np.ndarray:
-    """Closed-form evolved probe of the cooperative spontaneous-emission
-    scenario, in the computational basis."""
-    theta, delta = _angle_delta(b_z, b_x)
-    u = _eigenbasis_columns(theta)
-    return u @ _analytic_state_eg(theta, delta, gamma, t) @ u.conj().T
-
-
-def analytic_coop_spont_state_deriv(b_z: float, b_x: float, gamma: float, t: float) -> np.ndarray:
-    """d rho / d b_z of the closed-form evolved state, by the chain rule
-    through theta(b_z) and Delta(b_z).  Independent oracle for the
-    pipeline's state derivative."""
-    theta, delta = _angle_delta(b_z, b_x)
-    dtheta = -b_x / delta**2
-    ddelta = b_z / delta
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    u = _eigenbasis_columns(theta)
-    du = 0.5 * dtheta * np.array([[-s, -c], [c, -s]], dtype=complex)
-
-    rho_eg = _analytic_state_eg(theta, delta, gamma, t)
-    d_excited = 0.5 * math.cos(theta) * dtheta * math.exp(-gamma * t)
-    d_coherence = (
-        0.5
-        * np.exp(-0.5 * (gamma + 4.0j * delta) * t)
-        * (-math.sin(theta) * dtheta - 2.0j * t * ddelta * math.cos(theta))
-    )
-    drho_eg = np.array(
-        [[d_excited, d_coherence], [np.conj(d_coherence), -d_excited]], dtype=complex
-    )
-    return (
-        du @ rho_eg @ u.conj().T
-        + u @ drho_eg @ u.conj().T
-        + u @ rho_eg @ du.conj().T
-    )
 
 
 def analytic_coop_spont_qfi(b_z: float, b_x: float, gamma: float, t: float) -> float:

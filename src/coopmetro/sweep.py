@@ -1,8 +1,8 @@
 """Parameter sweeps, threshold-region detection and QFI maximization.
 
-Every sweep is one `qfi_grid` call, which exponentiates and checks its
-points as stacks: one model over a time grid, or the models of a b_z or b_x
-grid.  The region prescan, each step of the lockstep search for the
+Every sweep is one `qfi_grid` call, which propagates its points in closed
+form and checks them as stacks: one model over a time grid, or the models
+of a b_z or b_x grid.  The region prescan, each step of the lockstep search for the
 region's edges and each scan of the zooming maximizer evaluate an
 objective of `scenario_objective` the same way.
 """

@@ -1,0 +1,94 @@
+"""Reference routes that only the tests use: the pure-state QFI, the
+one-point finite-difference state family of a scenario, and the closed-form
+evolved state of the cooperative spontaneous-emission scenario with its
+b_z derivative."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from coopmetro.lindblad import propagate
+from coopmetro.qfi import QfiResult, StateFamily, _clamp
+from coopmetro.scenarios import ScenarioSpec, _angle_delta, build_model, probe_state
+
+METHOD_PURE = "pure"
+
+
+def qfi_pure(psi: np.ndarray, dpsi: np.ndarray) -> QfiResult:
+    """QFI of a pure family: 4(<dpsi|dpsi> - |<dpsi|psi>|^2)."""
+    psi = np.asarray(psi, dtype=complex)
+    dpsi = np.asarray(dpsi, dtype=complex)
+    value = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(dpsi, psi)) ** 2)
+    return QfiResult(value=_clamp(value), method=METHOD_PURE)
+
+
+def state_family(spec: ScenarioSpec, t: float) -> StateFamily:
+    """The parameter-to-state pipeline b |-> rho(b, t) around spec.b_z.
+
+    b enters the Hamiltonian, the jump operators and (for thermal/two-spin
+    kinds) the rates, so each evaluation assembles the full model at its
+    own field value.  Propagates one point at a time through
+    `lindblad.propagate`: the reference route for finite differences of the
+    state (`differentiate_state`), which `qfi_grid` does not take.
+    """
+    probe = probe_state(spec)
+
+    def evaluate(b: float) -> np.ndarray:
+        return propagate(build_model(replace(spec, b_z=b)), probe, t)
+
+    return StateFamily(evaluate=evaluate, b0=spec.b_z)
+
+
+def _eigenbasis_columns(theta: float) -> np.ndarray:
+    """Columns (|e>, |g>) of the controlled Hamiltonian in the computational
+    basis, with the phase choice under which the analytic evolved state below
+    is written."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _analytic_state_eg(theta: float, delta: float, gamma: float, t: float) -> np.ndarray:
+    """Evolved probe in the (|e>, |g>) basis: populations relax at gamma,
+    the coherence precesses at the gap 2*Delta and decays at gamma/2."""
+    excited = 0.5 * (1.0 + math.sin(theta)) * math.exp(-gamma * t)
+    coherence = 0.5 * math.cos(theta) * np.exp(-0.5 * (gamma + 4.0j * delta) * t)
+    return np.array(
+        [[excited, coherence], [np.conj(coherence), 1.0 - excited]], dtype=complex
+    )
+
+
+def analytic_coop_spont_state(b_z: float, b_x: float, gamma: float, t: float) -> np.ndarray:
+    """Closed-form evolved probe of the cooperative spontaneous-emission
+    scenario, in the computational basis."""
+    theta, delta = _angle_delta(b_z, b_x)
+    u = _eigenbasis_columns(theta)
+    return u @ _analytic_state_eg(theta, delta, gamma, t) @ u.conj().T
+
+
+def analytic_coop_spont_state_deriv(b_z: float, b_x: float, gamma: float, t: float) -> np.ndarray:
+    """d rho / d b_z of the closed-form evolved state, by the chain rule
+    through theta(b_z) and Delta(b_z).  Independent oracle for the
+    pipeline's state derivative."""
+    theta, delta = _angle_delta(b_z, b_x)
+    dtheta = -b_x / delta**2
+    ddelta = b_z / delta
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    u = _eigenbasis_columns(theta)
+    du = 0.5 * dtheta * np.array([[-s, -c], [c, -s]], dtype=complex)
+
+    rho_eg = _analytic_state_eg(theta, delta, gamma, t)
+    d_excited = 0.5 * math.cos(theta) * dtheta * math.exp(-gamma * t)
+    d_coherence = (
+        0.5
+        * np.exp(-0.5 * (gamma + 4.0j * delta) * t)
+        * (-math.sin(theta) * dtheta - 2.0j * t * ddelta * math.cos(theta))
+    )
+    drho_eg = np.array(
+        [[d_excited, d_coherence], [np.conj(d_coherence), -d_excited]], dtype=complex
+    )
+    return (
+        du @ rho_eg @ u.conj().T
+        + u @ drho_eg @ u.conj().T
+        + u @ rho_eg @ du.conj().T
+    )

@@ -149,12 +149,12 @@ class TestExpm:
 
     def test_real_input_stays_real(self):
         rng = np.random.default_rng(7)
-        m = rng.standard_normal((3, 5, 5))  # a stack, as the propagation passes it
-        real = expm(m)
-        assert real.dtype == np.float64
-        assert np.abs(real - expm(m.astype(complex))).max() <= 1e-12 * np.abs(real).max()
+        for m in rng.standard_normal((3, 5, 5)):
+            real = expm(m)
+            assert real.dtype == np.float64
+            assert np.abs(real - expm(m.astype(complex))).max() <= 1e-12 * np.abs(real).max()
+            assert expm(m.astype(complex)).dtype == np.complex128
         assert expm(np.zeros((2, 2), dtype=int)).dtype == np.float64
-        assert expm(m.astype(complex)).dtype == np.complex128
 
     def test_unitarity(self):
         rng = np.random.default_rng(5)
@@ -180,19 +180,24 @@ class TestExpm:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_gives_nan(self, bad):
         rng = np.random.default_rng(11)
-        stack = rng.standard_normal((3, 4, 4))
-        clean = expm(stack)
-        stack[1, 2, 0] = bad
+        matrices = rng.standard_normal((3, 4, 4))
+        clean = [expm(m) for m in matrices]
+        matrices[1, 2, 0] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            out = expm(stack)
-            assert np.isnan(expm(stack[1])).all()
+            out = [expm(m) for m in matrices]
         assert np.isnan(out[1]).all()
-        np.testing.assert_array_equal(out[[0, 2]], clean[[0, 2]])
+        np.testing.assert_array_equal(out[0], clean[0])
+        np.testing.assert_array_equal(out[2], clean[2])
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             expm(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(1, 3, 3), (2, 4, 4), (2, 1, 2, 2), (3,), ()])
+    def test_rejects_anything_but_one_matrix(self, shape):
+        with pytest.raises(ValueError, match="one square matrix"):
+            expm(np.zeros(shape))
 
 
 class TestHelpers:

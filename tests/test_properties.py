@@ -8,8 +8,9 @@ one spin's closed-form populations agree with `propagate` out to t = 50 and
 hold the QFI flat past relaxation out to t = 1e300; two spins' agree with
 scipy's exponential of their Van Loan block out to t = 50 and stay finite
 out to t = 1e300;
-the batched Padé `expm` agrees with scipy's, gives each matrix of a stack
-the bits it gives it alone, and keeps e^0 = I and zero columns exact."""
+the pure-state, qubit and SLD routes give one QFI on pure families;
+the Padé `expm` agrees with scipy's on each matrix and keeps e^0 = I and
+zero columns exact."""
 
 import math
 import warnings
@@ -24,9 +25,10 @@ from hypothesis import strategies as st
 import coopmetro.qfi as qfi
 import coopmetro.scenarios as scenarios
 from conftest import outcome
-from coopmetro.linalg import eigh, expm
+from references import qfi_pure, state_family
+from coopmetro.linalg import eigh, expm, outer
 from coopmetro.lindblad import propagate
-from coopmetro.qfi import differentiate_state
+from coopmetro.qfi import differentiate_state, qfi_qubit, qfi_sld
 from coopmetro.scenarios import (
     GROUND_DEGENERACY_TOL,
     KINDS,
@@ -37,7 +39,6 @@ from coopmetro.scenarios import (
     probe_state,
     qfi_at,
     qfi_grid,
-    state_family,
     two_spin_hamiltonian,
 )
 
@@ -336,6 +337,38 @@ def test_output_state_invariants(spec, decades, t):
 
 
 @st.composite
+def pure_families(draw):
+    """A random normalized state psi of dimension 2 or 4 and a derivative
+    dpsi of any size from 1e-3 to 1e3 with Re <psi|dpsi> = 0, the derivative
+    of a normalized family."""
+    d = draw(st.sampled_from((2, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    dpsi = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    return psi, dpsi - np.vdot(psi, dpsi).real * psi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pure_families())
+def test_pure_qubit_and_sld_routes_agree(family):
+    # rho = |psi><psi| and d rho = |dpsi><psi| + |psi><dpsi|.  Measured over
+    # 40,000 draws of this strategy: the routes differ by at most 2.3e-15 of
+    # 4 <dpsi|dpsi>, the scale of the QFI (relative to the QFI itself, up to
+    # 1.5e-11 where dpsi nearly parallels i psi and the pure formula
+    # cancels).  The qubit formula takes the SLD route on a pure state.
+    psi, dpsi = family
+    rho, drho = outer(psi, psi), outer(dpsi, psi) + outer(psi, dpsi)
+    pure = qfi_pure(psi, dpsi).value
+    bound = 1e-14 * 4.0 * np.vdot(dpsi, dpsi).real
+    assert abs(qfi_sld(rho, drho).value - pure) <= bound
+    if len(psi) == 2:
+        qubit = qfi_qubit(rho, drho)
+        assert qubit.method == "sld-spectral"
+        assert abs(qubit.value - pure) <= bound
+
+
+@st.composite
 def matrix_stacks(draw):
     """A stack (k, n, n) of random real or complex matrices, entries up to ~3."""
     n = draw(st.sampled_from((2, 4, 8, 16)))
@@ -366,9 +399,11 @@ def generator_blocks(draw):
 
 
 def _expm_error(m: np.ndarray) -> np.ndarray:
-    """max |expm(m) - scipy's| / max |scipy's| of each matrix of a stack."""
+    """max |expm(a) - scipy's| / max |scipy's| of each matrix a of a stack,
+    one matrix at a time."""
     reference = scipy.linalg.expm(m)
-    return np.abs(expm(m) - reference).max(axis=(-2, -1)) / np.abs(reference).max(axis=(-2, -1))
+    ours = np.array([expm(a) for a in m])
+    return np.abs(ours - reference).max(axis=(-2, -1)) / np.abs(reference).max(axis=(-2, -1))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -387,20 +422,12 @@ def test_expm_agrees_with_scipy_on_generator_blocks(blocks):
     assert (_expm_error(blocks) <= 1e-9).all()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.one_of(matrix_stacks(), generator_blocks()))
-def test_expm_stack_equals_matrices_alone(m):
-    out = expm(m)
-    for k in range(len(m)):
-        assert np.array_equal(out[k], expm(m[k])), k
-
-
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.integers(1, 16), st.lists(st.integers(1, 3), max_size=2), st.booleans())
-def test_expm_of_zero_is_identity(n, stack, complex_input):
-    out = expm(np.zeros((*stack, n, n), dtype=complex if complex_input else float))
+@given(st.integers(1, 16), st.booleans())
+def test_expm_of_zero_is_identity(n, complex_input):
+    out = expm(np.zeros((n, n), dtype=complex if complex_input else float))
     assert out.dtype == (np.complex128 if complex_input else np.float64)
-    assert np.array_equal(out, np.broadcast_to(np.eye(n), out.shape))
+    assert np.array_equal(out, np.eye(n))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -414,4 +441,5 @@ def test_expm_keeps_a_zero_column_a_unit_column(m, data):
     m[..., :, j] = 0.0
     unit = np.zeros(m.shape[-1])
     unit[j] = 1.0
-    assert np.array_equal(expm(m)[..., :, j], np.broadcast_to(unit, m.shape[:-1]))
+    for a in m:
+        assert np.array_equal(expm(a)[:, j], unit)

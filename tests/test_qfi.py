@@ -5,24 +5,16 @@ import pytest
 
 import coopmetro.qfi as qfi_module
 from conftest import controlled_ground_state, random_mixed_qubit, random_traceless_hermitian
+from references import analytic_coop_spont_state, analytic_coop_spont_state_deriv, qfi_pure, state_family
 from coopmetro.linalg import eigh, expm, hermitize, outer, pauli
 from coopmetro.qfi import (
     StateFamily,
     _sld_outcomes,
     differentiate_state,
-    fd_default_step,
-    qfi_pure,
     qfi_qubit,
     qfi_sld,
 )
-from coopmetro.scenarios import (
-    ScenarioSpec,
-    analytic_coop_spont_qfi,
-    analytic_coop_spont_state,
-    analytic_coop_spont_state_deriv,
-    controlled_hamiltonian,
-    state_family,
-)
+from coopmetro.scenarios import ScenarioSpec, analytic_coop_spont_qfi, controlled_hamiltonian
 
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -248,8 +240,12 @@ class TestDifferentiateState:
         assert qfi_sld(projector(0.1), drho).value == pytest.approx(25.0, rel=1e-6)
 
     def test_default_step(self):
-        assert fd_default_step(0.1) == pytest.approx(1e-5)
-        assert fd_default_step(3.0) == pytest.approx(3e-5)
+        # The default step is h = 1e-5 max(1, |b0|), to the bit, on either
+        # side of |b0| = 1.
+        for b0 in (0.1, -3.0):
+            family = StateFamily(lambda b: analytic_coop_spont_state(b, 0.1, 0.5, 1.0), b0)
+            drho = differentiate_state(family)
+            assert np.array_equal(drho, differentiate_state(family, h=1e-5 * max(1.0, abs(b0)))), b0
 
 
 class TestUnitaryLimits:

@@ -8,6 +8,7 @@ import pytest
 
 import coopmetro.scenarios as scenarios
 from conftest import figure_scenarios
+from references import analytic_coop_spont_state, state_family
 from coopmetro.lindblad import NumericalFailureError
 from coopmetro.linalg import eigh, identity, outer, pauli, tensor
 from coopmetro.qfi import differentiate_state, qfi_sld
@@ -19,7 +20,6 @@ from coopmetro.scenarios import (
     OutOfRegimeError,
     ScenarioSpec,
     analytic_coop_spont_qfi,
-    analytic_coop_spont_state,
     build_model,
     effective_two_spin_ground_qfi,
     exact_two_spin_ground_qfi,
@@ -29,7 +29,6 @@ from coopmetro.scenarios import (
     qfi_grid,
     spin_count,
     standard_limit_formulas,
-    state_family,
     taylor_coefficients,
     tradeoff_width,
     two_spin_hamiltonian,
@@ -478,6 +477,23 @@ class TestExactDerivative:
         assert first.value > 0
         for outcome in overflowing:
             assert isinstance(outcome, NumericalFailureError) and re.match(message, str(outcome))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ScenarioSpec(kind="two-spin-coop", b_z=2.0, b_x=0.1, dipole=10.0),
+            ScenarioSpec(kind="coop-spont", b_z=2.0, b_x=0.1, gamma=0.5),
+            ScenarioSpec(kind="std-deph", b_z=2.0, eta=0.5),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_stationary_value_holds_out_to_the_float_range(self, spec):
+        # At t = 1.7e308 the phase gap t of each coherence overflows, making
+        # e^{lam t} NaN: a damped coherence is 0 there, and the two-spin
+        # state's undamped one starts at 0, so the QFI is its t = 1e30 value.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert qfi_at(spec, 1.7e308) == qfi_at(spec, 1e30)
 
     def test_exact_unitary_value_at_a_subnormal_field(self):
         # The old stencil's step, capped at |b_z|/2, was subnormal here and gave NaN.

@@ -13,10 +13,10 @@ import coopmetro.linalg as linalg
 import coopmetro.lindblad as lindblad
 import coopmetro.scenarios as scenarios
 from conftest import controlled_ground_state
+from references import qfi_pure, state_family
 from coopmetro.qfi import (
     QfiResult,
     differentiate_state,
-    qfi_pure,
     qfi_qubit,
     qfi_sld,
 )
@@ -27,7 +27,6 @@ from coopmetro.scenarios import (
     effective_two_spin_ground_qfi,
     qfi_at,
     qfi_grid,
-    state_family,
     tradeoff_width,
 )
 from coopmetro.sweep import SweepGrid, find_region, maximize_qfi, scenario_objective, sweep

@@ -66,10 +66,16 @@ def density_matrix_errors(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     flat = rho.reshape(-1, *rho.shape[-2:])
     finite = np.isfinite(flat).all(axis=(-2, -1))
-    dev = np.abs(flat - flat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    tr = np.trace(flat, axis1=-2, axis2=-1)
     # Non-finite matrices are replaced by 0 so the eigensolver cannot fail on them.
     min_eig = np.linalg.eigvalsh(np.where(finite[:, None, None], hermitize(flat), 0.0)).min(axis=-1)
+    return _invariant_errors(flat, finite, min_eig).reshape(rho.shape[:-2])
+
+
+def _invariant_errors(flat: np.ndarray, finite: np.ndarray, min_eig: np.ndarray) -> np.ndarray:
+    """`density_matrix_errors` of a stack (n, d, d), given which matrices are
+    finite and the smallest eigenvalue of each (of 0 where not finite)."""
+    dev = np.abs(flat - flat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    tr = np.trace(flat, axis1=-2, axis2=-1)
     ok = (
         finite
         & (dev <= DENSITY_HERM_TOL)
@@ -86,7 +92,7 @@ def density_matrix_errors(rho: np.ndarray) -> np.ndarray:
             errors[i] = f"density matrix trace {tr[i]:.15g} != 1"
         else:
             errors[i] = f"density matrix has eigenvalue {min_eig[i]:.3e} < -1e-9"
-    return errors.reshape(rho.shape[:-2])
+    return errors
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:

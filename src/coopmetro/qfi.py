@@ -99,14 +99,14 @@ def _recorded(formula: Callable, *args):
         return exc
 
 
-def _sld_outcomes(rho: np.ndarray, drho: np.ndarray) -> list:
+def _sld_outcomes(rho: np.ndarray, drho: np.ndarray, spectrum: tuple | None = None) -> list:
     """`qfi_sld` at each state of a stack (n, d, d) with its derivative, or
     the ValueError of a derivative that fails its check: one Hermiticity
     screen of the derivative stack, one batched eigh, one stacked product
     V† drho V and one masked sum over the whole stack.  Each state's sum
     runs over all d x d pairs, with an exact 0.0 at every masked pair, so a
-    state gives the same bits alone as in any stack."""
-    rho = hermitize(np.asarray(rho, dtype=complex))
+    state gives the same bits alone as in any stack.  A caller that has the
+    (values, vectors) of the Hermitian stack rho passes them as `spectrum`."""
     drho = np.asarray(drho, dtype=complex)
     # `_check_derivative`'s deviation, for the whole stack; it runs alone
     # only where that screen fails or is NaN, to give its own outcome.
@@ -117,7 +117,8 @@ def _sld_outcomes(rho: np.ndarray, drho: np.ndarray) -> list:
     ok = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, ValueError)]
     if not ok:
         return outcomes
-    values, vectors = eigh(rho[ok])
+    spectrum = spectrum or eigh(hermitize(np.asarray(rho, dtype=complex)))
+    values, vectors = (part[ok] for part in spectrum)
     weights = np.abs(vectors.conj().mT @ drho[ok] @ vectors) ** 2
     denoms = values[:, :, None] + values[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):

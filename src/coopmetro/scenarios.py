@@ -36,7 +36,7 @@ from .lindblad import (
     LindbladChannel,
     LindbladModel,
     NumericalFailureError,
-    density_matrix_errors,
+    _invariant_errors,
     validate_density_matrix,
 )
 from .linalg import eigh, hermitize, identity, outer, pauli, tensor
@@ -423,11 +423,11 @@ def _frame_rates(frame: _Frame) -> tuple[np.ndarray, ...]:
 
 
 def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.ndarray, t: ArrayLike):
-    """(states, d states / d b_z) of the probe at time t under the model at
-    fields b_z and b_x: floats, or arrays of points over whose broadcast
-    shape (...) the states are stacked, (..., d, d) each.  The fields' shape
-    is the stack of models that the kind's builder states; a time grid over
-    one model builds it once.
+    """(states, d states / d b_z) of the probe at time t, in the eigenframe
+    of the Hamiltonian of the model at fields b_z and b_x: floats, or arrays
+    of points over whose broadcast shape (...) the states are stacked,
+    (..., d, d) each.  The fields' shape is the stack of models that the
+    kind's builder states; a time grid over one model builds it once.
 
     The kind's builder states the model in the eigenframe of its
     Hamiltonian, H = V diag(E) V†, where every channel is a transition
@@ -446,16 +446,16 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     The populations and their derivatives are closed forms too, for one
     spin (`_two_level`) and for two (`_four_level`): no exponential is
     squared, and no point reaches `linalg.expm`.
-    Back in the lab frame, rho = herm(V rho~ V†) and d rho = herm(V (d rho~
-    + A rho~ - rho~ A) V†), herm(m) = (m + m†)/2, so both are Hermitian
-    entry by entry.  The diagonal of d rho is then rounded to 50 bits of its
-    largest entry, where it sums exactly in any order, and its last entry
-    set to minus the sum of the others: the derivative of a unit trace is
-    traceless exactly, however large d rho grows (a tiny cooperative
-    field).  The trace of rho is left as propagated, so that a drift of the
-    populations fails the state check instead of passing as a value.  At
-    t = 0, where the frame terms cancel only to rounding, d rho is the exact
-    zero of a probe that does not depend on b_z.
+    The pair is returned as herm(rho~) and herm(d rho~ + A rho~ - rho~ A),
+    herm(m) = (m + m†)/2: V† (rho, d rho) V, which has the QFI and state
+    invariants of the lab pair (Liu et al., J. Phys. A 53, 023001 (2020)).
+    The diagonal of d rho is rounded to 50 bits of its largest entry, where
+    it sums exactly in any order, and its last entry set to minus the sum of
+    the others: d rho is traceless exactly, however large it grows (a tiny
+    cooperative field).  The trace of rho is left as propagated, so that a
+    drift of the populations fails the state check instead of passing as a
+    value.  At t = 0, where the frame terms cancel only to rounding, d rho
+    is the exact zero of a probe that does not depend on b_z.
     """
     frame = _KINDS[spec.kind].build(spec, b_z, b_x)
     d = probe.shape[0]
@@ -466,18 +466,17 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     populations = lambda m: np.diagonal(m, axis1=-2, axis2=-1).real
     times = np.asarray(t, dtype=float)[..., None, None]
     p, dp = (_two_level if d == 2 else _four_level)(w, dw, populations(rho0), populations(d_rho0), times[..., 0])
+    level = np.arange(d)
     with np.errstate(over="ignore", invalid="ignore"):
         exponent = lam * times
         evolution = np.where(np.exp(exponent.real) == 0, 0.0, np.exp(exponent))
         rho = _times(rho0, evolution)
         d_rho = _times(d_rho0, evolution) + _times(rho0, (evolution * times) * d_lam)
-    level = np.arange(d)
-    rho[..., level, level] = p
-    d_rho[..., level, level] = dp
-    if vectors is not None:
-        d_rho = vectors @ (d_rho + rotation @ rho - rho @ rotation) @ vectors.conj().mT
-        rho = vectors @ rho @ vectors.conj().mT
-    rho, d_rho = hermitize(rho), hermitize(d_rho)
+        rho[..., level, level] = p
+        d_rho[..., level, level] = dp
+        if rotation is not None:
+            d_rho = d_rho + rotation @ rho - rho @ rotation
+        rho, d_rho = hermitize(rho), hermitize(d_rho)
     # Multiples of one power of two, the largest below 2^50 of them (so
     # rounded by at most 4 ulps of it), whose partial sums are all exact.
     diagonal = d_rho[..., level, level].real
@@ -633,10 +632,22 @@ def _exponent(m: np.ndarray) -> np.ndarray:
 
 def _scores(states: np.ndarray, drho: np.ndarray, times) -> list:
     """The outcomes of grid points from their states and state derivatives
-    (n, d, d) and times: one state check, then the qubit closed form point
-    by point, or the SLD formula on the stack of larger states."""
-    errors = density_matrix_errors(states)
-    ok = [j for j, error in enumerate(errors) if error is None]
+    (n, d, d) in the Hamiltonian's eigenframe, and their times: one state
+    check, then the qubit closed form point by point, or the SLD sum on the
+    stack of larger states, whose one eigh serves both.  A derivative that
+    is not finite (overflowing as the QFI does) fails its point, named."""
+    finite = np.isfinite(states).all(axis=(-2, -1))
+    # 0 for a non-finite state, which LAPACK rejects; qubits need no vectors (eigvalsh is cheaper).
+    safe = np.where(finite[:, None, None], states, 0.0)
+    spectrum = (np.linalg.eigvalsh(safe), None) if drho.shape[-1] == 2 else np.linalg.eigh(safe)
+    errors = _invariant_errors(states, finite, spectrum[0][:, 0])
+    outcomes: list = [
+        NumericalFailureError(f"propagation to t={t} lost state invariants: {error}") if error is not None
+        else None if finite_derivative
+        else NumericalFailureError(f"the b_z derivative of the state at t={t} has non-finite entries")
+        for t, error, finite_derivative in zip(times, errors, np.isfinite(drho).all(axis=(-2, -1)))
+    ]
+    ok = [j for j, outcome in enumerate(outcomes) if outcome is None]
     # A derivative near the float range (a tiny cooperative field, a huge
     # time) overflows either formula: its value is then non-finite, which
     # the formula names, so numpy's warnings are silenced, once per grid.
@@ -644,28 +655,24 @@ def _scores(states: np.ndarray, drho: np.ndarray, times) -> list:
         if drho.shape[-1] == 2:
             results = [_recorded(qfi_qubit, states[j], drho[j]) for j in ok]
         else:
-            results = _sld_outcomes(states[ok], drho[ok])
-    outcomes: list = [
-        None if error is None else NumericalFailureError(f"propagation to t={t} lost state invariants: {error}")
-        for t, error in zip(times, errors)
-    ]
+            results = _sld_outcomes(states[ok], drho[ok], tuple(part[ok] for part in spectrum))
     for j, result in zip(ok, results):
         outcomes[j] = result
     return outcomes
 
 
-# Points of a grid per stacked build, propagation and state check.  Each
-# stack pays one builder call, one batched eigh and one state check, and its
-# working memory grows with its size.  128 holds a whole 101-point region
-# prescan: on the bench's two-spin `searches` workload (2-vCPU VM) it gave
-# 76-80 requests per second against 65-67 at 32, for 1.4 MB more peak RSS,
-# and 256 gave no more.
+# Points of a grid per stacked build, propagation and scoring.  Each stack
+# pays one builder call and one batched eigh of its Hamiltonians and, with
+# two spins, of its states; its working memory grows with its size.  128
+# holds a whole 101-point region prescan: on the bench's two-spin
+# `searches` workload (2-vCPU VM) it gave 76-80 requests per second against
+# 65-67 at 32, for 1.4 MB more peak RSS, and 256 gave no more.
 _CHUNK = 128
 
 
 def _stack_outcomes(spec: ScenarioSpec, axis: str, values: list[float], t: float | None) -> list:
     """The outcomes of grid points that passed qfi_at's checks: one stacked
-    build and propagation and one state check.  A stack that raises (a model
+    build, propagation and scoring.  A stack that raises (a model
     that fails to build or propagate) is run again point by point, so that
     each point records its own error."""
     fields = {"b_z": spec.b_z, "b_x": spec.b_x, "t": t, axis: np.array(values)}
@@ -695,16 +702,12 @@ def qfi_grid(
     breaks an invariant, a QFI below tolerance or a model that cannot be
     built fails only its points.
 
-    The state derivative is exact, with no b_z step: the kind's builder
-    states the model and its b_z derivative in the Hamiltonian's
-    eigenframe, where the coherences are closed forms, and so are the
-    populations of one spin or two and their derivatives at any t, with
-    no matrix exponential.  Both are rotated straight back to the lab
-    frame (see `_propagated`).  The state check is what holds rho to unit
+    The state and its exact b_z derivative, with no b_z step and no matrix
+    exponential, are propagated and scored in the Hamiltonian's eigenframe
+    (`_propagated`, `_scores`).  The state check is what holds rho to unit
     trace: a point whose populations drift off it fails with
-    NumericalFailureError.  _CHUNK (128) points at a time go as one stack,
-    with one builder call (one model for a time grid), one batched eigh
-    and one state check.  The probe is not checked again: it is validated
+    NumericalFailureError.  _CHUNK (128) points at a time go as one stack
+    (`_stack_outcomes`).  The probe is not checked again: it is validated
     once per dimension, at import.  Each point gets, bit for bit, what
     `qfi_at` gives at it.
     """

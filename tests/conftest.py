@@ -82,7 +82,7 @@ def random_traceless_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray
 @pytest.fixture
 def nan_first_derivative(monkeypatch):
     """Make the state derivative of the first point of each propagation NaN,
-    so that the QFI formula computes NaN there."""
+    which the grids' scoring names there."""
     propagated = scenarios._propagated
 
     def corrupted(*args):
@@ -92,6 +92,22 @@ def nan_first_derivative(monkeypatch):
         return states, drho
 
     monkeypatch.setattr(scenarios, "_propagated", corrupted)
+
+
+@pytest.fixture
+def nan_first_qfi(monkeypatch):
+    """Make the qubit formula compute a NaN QFI at the first point that it
+    scores, from a NaN copy of that point's derivative: the derivative that
+    the grids' scoring checks stays finite, so the formula's own check of
+    its value names the failure."""
+    formula = scenarios.qfi_qubit
+    calls = []
+
+    def corrupted(rho, drho):
+        calls.append(None)
+        return formula(rho, np.full_like(drho, np.nan) if len(calls) == 1 else drho)
+
+    monkeypatch.setattr(scenarios, "qfi_qubit", corrupted)
 
 
 def outcome(evaluate):

@@ -1,16 +1,17 @@
 """Reference routes that only the tests use: the pure-state QFI, the
-one-point finite-difference state family of a scenario, and the closed-form
+one-point finite-difference state family of a scenario, the closed-form
 evolved state of the cooperative spontaneous-emission scenario with its
-b_z derivative."""
+b_z derivative, and the propagated state and derivative in the lab frame."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 
+from coopmetro.linalg import hermitize
 from coopmetro.lindblad import propagate
 from coopmetro.qfi import QfiResult, StateFamily, _clamp
-from coopmetro.scenarios import ScenarioSpec, _angle_delta, build_model, probe_state
+from coopmetro.scenarios import _KINDS, ScenarioSpec, _angle_delta, _propagated, build_model, probe_state
 
 METHOD_PURE = "pure"
 
@@ -92,3 +93,15 @@ def analytic_coop_spont_state_deriv(b_z: float, b_x: float, gamma: float, t: flo
         + u @ drho_eg @ u.conj().T
         + u @ rho_eg @ du.conj().T
     )
+
+
+def lab_propagated(spec: ScenarioSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The probe's state and b_z derivative at time t, from
+    `scenarios._propagated` in the Hamiltonian's eigenframe, rotated back to
+    the computational basis with the V that the kind's builder states:
+    (herm(V rho V†), herm(V d rho V†))."""
+    rho, drho = _propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t)
+    vectors = _KINDS[spec.kind].build(spec, spec.b_z, spec.b_x).vectors
+    if vectors is None:
+        return rho, drho
+    return hermitize(vectors @ rho @ vectors.conj().T), hermitize(vectors @ drho @ vectors.conj().T)

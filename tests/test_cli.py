@@ -171,12 +171,19 @@ class TestCommands:
         assert main(["run", "--kind", "coop-thermal", "--b_z", "0.3", "--b_x", "0.1", "--dipole", "2",
                      "--t_e", "1e-4", "--t", "1"]) == 0
 
-    def test_non_finite_qfi_is_computation_failure(self, capsys, nan_first_derivative):
+    def test_non_finite_qfi_is_computation_failure(self, capsys, nan_first_qfi):
         assert main(["run", "--kind", "coop-spont", "--b_z", "0.1", "--b_x", "0.1", "--gamma", "0.5",
                      "--t", "1"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert "error: QFI computed as nan, which is not finite" in err
+
+    def test_non_finite_derivative_is_computation_failure(self, capsys, nan_first_derivative):
+        assert main(["run", "--kind", "coop-spont", "--b_z", "0.1", "--b_x", "0.1", "--gamma", "0.5",
+                     "--t", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: the b_z derivative of the state at t=1.0 has non-finite entries" in err
 
     @pytest.mark.parametrize("b, qfi", [("1e-100", "1.1771960029e+199"), ("1e-150", "1.1771960029e+299")])
     def test_tiny_cooperative_dephasing_field(self, capsys, b, qfi):
@@ -211,6 +218,26 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: QFI computed as inf, which is not finite\n"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ["--kind", "unitary-baseline", "--b_z", "0.1", "--n_spins", "1"],
+            ["--kind", "unitary-baseline", "--b_z", "0.1", "--n_spins", "2"],
+            ["--kind", "std-spont", "--b_z", "0.1", "--gamma", "0"],
+        ],
+        ids=["one-spin", "two-spin", "std-spont"],
+    )
+    def test_unitary_derivative_overflow_is_named_without_warnings(self, capsys, spec):
+        # At t = 1.7e308 the undamped coherence's derivative (e^{lam t} t)
+        # d lam overflows, as the QFI 4 n^2 t^2 does: the run names the
+        # derivative, with no NaN QFI and no numpy RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", *spec, "--t", "1.7e308"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the b_z derivative of the state at t=1.7e+308 has non-finite entries\n"
 
     @pytest.mark.parametrize("t", ["1e30", "1e60", "1e300"])
     def test_two_spin_far_past_the_steady_state(self, capsys, t):

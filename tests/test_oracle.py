@@ -10,20 +10,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import coopmetro.scenarios as scenarios
-from coopmetro.scenarios import ScenarioSpec, exact_two_spin_ground_qfi, probe_state, qfi_at
+from coopmetro.scenarios import ScenarioSpec, exact_two_spin_ground_qfi, qfi_at
+from references import lab_propagated
 
 DATA = Path(__file__).parent / "data"
-# The largest QFI error is 7.8e-12, at the seed-9928 point, where rho has an
-# eigenvalue 2.2e-12 in the SLD sum: there the state is within 1.1e-16 of
-# the oracle's, and the sum's rounding sets the error.  Propagated in the
-# Hamiltonian's eigenframe, the populations of one spin and of two are
-# closed forms, with no exponential's squarings: the two-spin rows at
-# t = 1e3 and 1e4 are within 8.9e-16 (the t = 1e4 row was 5.7e-9 off when
-# the whole Liouvillian was exponentiated, 4.6e-14 with a Van Loan block of
-# the populations), and the coop-thermal rows at t = 1e6, 1e12 and 1e300
-# within 2.7e-15.  The rows at nearly equal decay rates of levels 3 and 4,
-# and at k t ~ 1e-8 ... 2e-4, are within 6.9e-15.
+# The largest QFI error is 5.1e-13, at b_z = 1.225.  At the seed-9928 point,
+# where rho has an eigenvalue 2.2e-12 in the SLD sum, the state is within
+# 1.1e-16 of the oracle's and the sum's rounding sets the error: 3.4e-13
+# scored in the eigenframe, 7.8e-12 rotated back to the lab frame first.
+# Propagated in the Hamiltonian's eigenframe, the populations of one spin
+# and of two are closed forms, with no exponential's squarings: the
+# two-spin rows at t = 1e3 and 1e4 are within 9.1e-16 (the t = 1e4 row was
+# 5.7e-9 off when the whole Liouvillian was exponentiated, 4.6e-14 with a
+# Van Loan block of the populations), and the coop-thermal rows at t = 1e6,
+# 1e12 and 1e300 within 3.3e-15.  The rows at nearly equal decay rates of
+# levels 3 and 4, and at k t ~ 1e-8 ... 2e-4, are within 6.9e-15.
 RTOL = 1e-10
 # Measured: 2.2e-16 at t = 1e3 and 1e4 (1.1e-15 and 1.1e-14 with the block).
 STATE_ATOL = 1e-12
@@ -65,7 +66,7 @@ def _state_tables() -> dict:
 @pytest.mark.parametrize("rows", list(_state_tables().values()), ids=lambda rows: f"t{rows[0]['t']}")
 def test_state_matches_oracle(rows):
     spec, t = _spec(rows[0]), float(rows[0]["t"])
-    state, _ = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t)
+    state, _ = lab_propagated(spec, t)
     oracle = np.zeros_like(state)
     for row in rows:
         oracle[int(row["i"]), int(row["j"])] = complex(float(row["re"]), float(row["im"]))

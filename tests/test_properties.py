@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import coopmetro.qfi as qfi
 import coopmetro.scenarios as scenarios
 from conftest import outcome
-from references import qfi_pure, state_family
+from references import lab_propagated, qfi_pure, state_family
 from coopmetro.linalg import eigh, expm, outer
 from coopmetro.lindblad import propagate
 from coopmetro.qfi import differentiate_state, qfi_qubit, qfi_sld
@@ -98,19 +98,23 @@ def test_field_grid_equals_qfi_at_point_by_point(point, data):
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_qfi_is_gauge_free(kind, data, seed):
     # Only the eigenprojectors are physical: with a random phase on every
-    # eigenvector column that the QFI route's eigensolvers return, each
-    # point gives the same QFI, or the same error.
+    # eigenvector column that the QFI route's eigensolvers return (the
+    # grids' scoring calls numpy's eigh on the states), each point gives the
+    # same QFI, or the same error.
     spec, t = data.draw(scenario_points(kinds=(kind,)))
     rng = np.random.default_rng(seed)
 
-    def rephased(h):
-        values, vectors = eigh(h)
-        return values, vectors * np.exp(2j * np.pi * rng.random((*vectors.shape[:-2], 1, vectors.shape[-1])))
+    def rephasing(solver):
+        def rephased(h):
+            values, vectors = solver(h)
+            return values, vectors * np.exp(2j * np.pi * rng.random((*vectors.shape[:-2], 1, vectors.shape[-1])))
+        return rephased
 
     unpatched = outcome(lambda: qfi_at(spec, t))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scenarios, "eigh", rephased)
-        patch.setattr(qfi, "eigh", rephased)
+        patch.setattr(scenarios, "eigh", rephasing(eigh))
+        patch.setattr(qfi, "eigh", rephasing(eigh))
+        patch.setattr(np.linalg, "eigh", rephasing(np.linalg.eigh))
         patched = outcome(lambda: qfi_at(spec, t))
     if isinstance(unpatched, tuple):
         assert patched == unpatched
@@ -164,9 +168,8 @@ def model_points(draw, kinds=KINDS):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(model_points(), st.floats(0.0, 6.0))
 def test_bloch_states_match_propagate(spec, t):
-    probe = probe_state(spec)
-    state, _ = scenarios._propagated(spec, spec.b_z, spec.b_x, probe, t)
-    assert np.abs(state - propagate(build_model(spec), probe, t)).max() <= 1e-10
+    state, _ = lab_propagated(spec, t)
+    assert np.abs(state - propagate(build_model(spec), probe_state(spec), t)).max() <= 1e-10
 
 
 def _relaxation_rate(spec: ScenarioSpec) -> float:
@@ -189,10 +192,9 @@ def test_two_level_states_match_propagate(spec, t):
     # kappa t = 3.7e5 (dipole 10, t 48), where the 40-digit oracle state
     # puts the closed form within 1.1e-16.
     spec = replace(spec, n_spins=1)
-    probe = probe_state(spec)
-    state, _ = scenarios._propagated(spec, spec.b_z, spec.b_x, probe, t)
+    state, _ = lab_propagated(spec, t)
     bound = 1e-12 + np.finfo(float).eps * _relaxation_rate(spec) * t
-    assert np.abs(state - propagate(build_model(spec), probe, t)).max() <= bound
+    assert np.abs(state - propagate(build_model(spec), probe_state(spec), t)).max() <= bound
 
 
 @st.composite
@@ -307,9 +309,23 @@ def test_eigenframe_derivative_matches_richardson_of_propagate(spec, t):
     # code with it beyond `build_model`.  Those differences divide the
     # rounding of e^{L t} by the step: on the stiffest two-spin points
     # (dipole ~10, t ~5) they are good to ~5e-7, whatever the step.
-    _, derivative = scenarios._propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t)
+    _, derivative = lab_propagated(spec, t)
     richardson = differentiate_state(state_family(spec, t))
     assert np.abs(derivative - richardson).max() <= 1e-6 * max(1.0, np.abs(richardson).max())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model_points(), st.floats(0.0, 6.0))
+def test_frame_scores_equal_sld_of_the_lab_pair(spec, t):
+    # The grids score each state in the Hamiltonian's eigenframe, which
+    # conjugates rho and d rho by one unitary and so leaves the QFI as it
+    # is (Liu et al., J. Phys. A 53, 023001 (2020)): the value equals the
+    # SLD sum of the pair rotated back to the lab frame, to rounding, at
+    # each point of a stack.
+    times = [t, 0.5 * t, 0.25 * t]
+    for time, result in zip(times, qfi_grid(spec, times)):
+        lab = qfi_sld(*lab_propagated(spec, time))
+        assert result.value == pytest.approx(lab.value, rel=0.0, abs=_rounding_floor(spec, time, lab.value))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -77,9 +77,17 @@ class TestSweep:
     def test_non_finite_qfi_recorded_per_point(self, request):
         grid = SweepGrid("b_z", 0.1, 0.2, 3)
         clean = sweep(COOP, grid, t=1.0)
-        request.getfixturevalue("nan_first_derivative")  # the first point's QFI comes out NaN
+        request.getfixturevalue("nan_first_qfi")  # the first point's QFI comes out NaN
         points = sweep(COOP, grid, t=1.0)
         assert points[0].error == "ValueError: QFI computed as nan, which is not finite"
+        assert points[1:] == clean[1:]
+
+    def test_non_finite_derivative_recorded_per_point(self, request):
+        grid = SweepGrid("b_z", 0.1, 0.2, 3)
+        clean = sweep(COOP, grid, t=1.0)
+        request.getfixturevalue("nan_first_derivative")  # the first point's derivative is NaN
+        points = sweep(COOP, grid, t=1.0)
+        assert points[0].error == "NumericalFailureError: the b_z derivative of the state at t=1.0 has non-finite entries"
         assert points[1:] == clean[1:]
 
     def test_requires_time_for_field_axes(self):
@@ -317,6 +325,17 @@ class TestFieldGrid:
         assert all(isinstance(outcome, QfiResult) for outcome in outcomes)
         assert scenarios._CHUNK == 128  # the region prescan is one stack
         assert calls == []
+
+    def test_prescan_sized_grid_diagonalizes_once_per_matrix_stack(self, monkeypatch):
+        # One eigh of the Hamiltonians' stack and one of the states' stack,
+        # which serves both the state check and the SLD sum; no eigvalsh.
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, solver=solver, name=name: calls.append(name) or solver(m))
+        outcomes = qfi_grid(TWO_SPIN, np.linspace(0.5, 1.5, 101), axis="b_z", t=1.0)
+        assert all(isinstance(outcome, QfiResult) for outcome in outcomes)
+        assert calls == ["eigh", "eigh"]
 
     def test_stack_edges_equal_qfi_at_bit_for_bit(self):
         values = np.linspace(0.5, 1.5, 101)

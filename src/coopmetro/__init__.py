@@ -20,7 +20,6 @@ from .lindblad import (
 from .linalg import (
     NonHermitianError,
     eigh,
-    expm,
     hermitize,
     pauli,
     tensor,

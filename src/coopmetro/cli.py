@@ -263,6 +263,8 @@ def _validate(config: RunConfig, given: set[str]):
         raise UsageError(f"key '{_key(unread[0])}' is not read by command '{config.command}' (it reads {listed})")
     if config.command == "tradeoff" and not config.b_x > 0:
         raise UsageError(f"'b_x' must be > 0 for command 'tradeoff', got {config.b_x}")
+    if config.command == "region" and not config.t > 0:
+        raise UsageError(f"'t' must be > 0 for command 'region', got {config.t}")
 
 
 def report_bound(f_q: float, m: int = 1) -> float:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import HERM_TOL, _herm_deviation, expm, hermitize, tensor
+from .linalg import HERM_TOL, _herm_deviation, hermitize, tensor
 
 __all__ = [
     "InvalidModelError",
@@ -175,9 +175,15 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
 def propagate(model: LindbladModel, rho0: np.ndarray, t: float) -> np.ndarray:
     """rho(t) = expm(L t) vec(rho0), reshaped column-major, re-Hermitized and validated.
 
-    Padé exponentiation leaves ~1e-15 Hermiticity noise on the output;
-    symmetrizing keeps downstream eigensolvers stable.
+    The reference route of the tests: it needs scipy (the `test` extra), whose
+    `scipy.linalg.expm` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+    (2009)) exponentiates.  scipy is imported here, not with the module, so
+    that importing the package and running the CLI load no scipy.  The
+    exponential leaves ~1e-15 Hermiticity noise on the output; symmetrizing
+    keeps downstream eigensolvers stable.
     """
+    import scipy.linalg
+
     if not math.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
     if t < 0:
@@ -189,7 +195,7 @@ def propagate(model: LindbladModel, rho0: np.ndarray, t: float) -> np.ndarray:
         )
     if t == 0:
         return rho0.copy()
-    rho = (expm(model.liouvillian * t) @ vec(rho0)).reshape((model.dim, model.dim), order="F")
+    rho = (scipy.linalg.expm(model.liouvillian * t) @ vec(rho0)).reshape((model.dim, model.dim), order="F")
     rho = hermitize(rho)
     try:
         return validate_density_matrix(rho)

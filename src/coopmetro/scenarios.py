@@ -444,8 +444,8 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     undamped coherence whose gap t overflows: a two-spin QFI holds its value
     out to t = 1.7e308.
     The populations and their derivatives are closed forms too, for one
-    spin (`_two_level`) and for two (`_four_level`): no exponential is
-    squared, and no point reaches `linalg.expm`.
+    spin (`_two_level`) and for two (`_four_level`): no point takes a
+    matrix exponential.
     The pair is returned as herm(rho~) and herm(d rho~ + A rho~ - rho~ A),
     herm(m) = (m + m†)/2: V† (rho, d rho) V, which has the QFI and state
     invariants of the lab pair (Liu et al., J. Phys. A 53, 023001 (2020)).

@@ -166,6 +166,13 @@ class TestCommands:
                      "--from", "1", "--to", "0.1", "--points", "5"]) == 2
         assert "'from' must be < 'to'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_region_non_positive_time_is_usage_error(self, capsys, t):
+        # The threshold is the Heisenberg limit at t: the error names t, not it.
+        assert main(["region", "--kind", "two-spin-coop", "--b_z", "1", "--b_x", "0.1", "--dipole", "10",
+                     "--t", t, "--from", "0.5", "--to", "1.5"]) == 2
+        assert capsys.readouterr().err == f"usage error: 't' must be > 0 for command 'region', got {float(t)}\n"
+
     def test_thermal_tiny_temperature_runs(self, capsys):
         # fig. 4 parameters with omega / t_e ~ 6300, past the exp overflow
         assert main(["run", "--kind", "coop-thermal", "--b_z", "0.3", "--b_x", "0.1", "--dipole", "2",
@@ -380,19 +387,38 @@ class TestFigures:
         assert "/nonexistent-dir/x.csv" in capsys.readouterr().err
 
 
-def test_cli_answers_without_scipy():
-    # No CLI path imports scipy: a fresh interpreter that imports the CLI and
-    # answers a run and a maximize has no scipy module.
+def test_cli_answers_without_scipy(tmp_path):
+    # Only the reference route `lindblad.propagate` imports scipy, inside its
+    # body: a fresh interpreter that imports the package and its CLI and
+    # answers one run per kind, a region, a maximize and the fig5 data set
+    # has no scipy module.
     src = str(Path(coopmetro.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    maximize = ["maximize", "--kind", "coop-spont", "--b_z", "0.1", "--b_x", "0.1", "--gamma", "0.5",
-                "--axis", "t", "--from", "0.05", "--to", "5"]
+    kinds = [
+        "--kind std-spont --b_z 0.1 --gamma 0.5",
+        "--kind coop-spont --b_z 0.1 --b_x 0.1 --gamma 0.5",
+        "--kind std-deph --b_z 0.1 --eta 0.5",
+        "--kind coop-deph --b_z 0.1 --b_x 0.1 --eta 0.5",
+        "--kind coop-thermal --b_z 0.3 --b_x 0.1 --dipole 2 --t_e 0.1",
+        "--kind two-spin-coop --b_z 1 --b_x 0.1 --dipole 10",
+        "--kind unitary-baseline --b_z 0.1 --n_spins 2",
+    ]
+    argvs = [["run", *kind.split(), "--t", "1"] for kind in kinds] + [
+        "region --kind two-spin-coop --b_z 1 --b_x 0.1 --dipole 10 --t 1 --from 0.5 --to 1.5".split(),
+        "maximize --kind coop-spont --b_z 0.1 --b_x 0.1 --gamma 0.5 --axis t --from 0.05 --to 5".split(),
+        ["figure", "--figure", "fig5", "--out", str(tmp_path / "fig5.csv")],
+    ]
     code = (
-        "import json, sys; import coopmetro.cli as cli; codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+        "import json, sys; import coopmetro, coopmetro.cli as cli; "
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')); sys.exit(max(codes))"
     )
-    argvs = json.dumps([RUN_FLAGS, maximize])
-    done = subprocess.run([sys.executable, "-c", code, argvs], capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=120
+    )
     assert done.returncode == 0, done.stderr
+    assert done.stdout.count("qfi,method") == len(kinds)
+    assert "lower,upper,width,threshold,resolved" in done.stdout
     assert "t,qfi" in done.stdout
+    assert (tmp_path / "fig5.csv").exists()
     assert done.stdout.splitlines()[-1] == "[]"

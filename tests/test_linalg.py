@@ -8,7 +8,6 @@ from conftest import random_hermitian
 from coopmetro.linalg import (
     NonHermitianError,
     eigh,
-    expm,
     hermitize,
     identity,
     outer,
@@ -126,80 +125,6 @@ class TestEigh:
             eigh(np.zeros((2, 3), dtype=complex))
 
 
-class TestExpm:
-    def test_zero(self):
-        np.testing.assert_array_equal(expm(np.zeros((3, 3), dtype=complex)), np.eye(3))
-
-    def test_diagonal(self):
-        m = np.diag([0.3 + 0.0j, -1.2 + 0.5j])
-        np.testing.assert_allclose(expm(m), np.diag(np.exp(np.diag(m))), rtol=1e-13)
-
-    def test_euler_identity(self):
-        # exp(-i theta sigma_x) = cos(theta) I - i sin(theta) sigma_x at theta = pi/2
-        np.testing.assert_allclose(expm(-1j * math.pi / 2 * pauli("x")), -1j * pauli("x"), atol=1e-13)
-
-    def test_commuting_split(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            # co-diagonal pair: both diagonal in a common random eigenbasis
-            basis = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-            a = basis @ np.diag(rng.standard_normal(4) + 1j * rng.standard_normal(4)) @ basis.conj().T
-            b = basis @ np.diag(rng.standard_normal(4) + 1j * rng.standard_normal(4)) @ basis.conj().T
-            assert np.max(np.abs(expm(a + b) - expm(a) @ expm(b))) <= 1e-10
-
-    def test_real_input_stays_real(self):
-        rng = np.random.default_rng(7)
-        for m in rng.standard_normal((3, 5, 5)):
-            real = expm(m)
-            assert real.dtype == np.float64
-            assert np.abs(real - expm(m.astype(complex))).max() <= 1e-12 * np.abs(real).max()
-            assert expm(m.astype(complex)).dtype == np.complex128
-        assert expm(np.zeros((2, 2), dtype=int)).dtype == np.float64
-
-    def test_unitarity(self):
-        rng = np.random.default_rng(5)
-        for dim in (2, 4):
-            for _ in range(10):
-                h = random_hermitian(rng, dim)
-                u = expm(-1j * h * 1.7)
-                assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-10
-
-    def test_huge_generator_reaches_the_steady_state_without_overflow(self):
-        # A decay chain 0 -> 1 -> 2 (columns sum to zero) times t up to 1e300:
-        # the powers are normed after an exact power-of-two scaling, so none
-        # overflows; the absorbing level's zero column stays an exact unit
-        # column through ~1000 squarings, and the other levels empty into it.
-        w = np.array([[-0.5, 0.0, 0.0], [0.5, -2.0, 0.0], [0.0, 2.0, 0.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for t in (1e3, 1e30, 1e60, 1e300):
-                e = expm(w * t)
-                np.testing.assert_array_equal(e[:, 2], [0.0, 0.0, 1.0])
-                assert np.abs(e - [[0.0] * 3, [0.0] * 3, [1.0] * 3]).max() <= 1e-15, t
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_gives_nan(self, bad):
-        rng = np.random.default_rng(11)
-        matrices = rng.standard_normal((3, 4, 4))
-        clean = [expm(m) for m in matrices]
-        matrices[1, 2, 0] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            out = [expm(m) for m in matrices]
-        assert np.isnan(out[1]).all()
-        np.testing.assert_array_equal(out[0], clean[0])
-        np.testing.assert_array_equal(out[2], clean[2])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            expm(np.zeros((2, 3)))
-
-    @pytest.mark.parametrize("shape", [(1, 3, 3), (2, 4, 4), (2, 1, 2, 2), (3,), ()])
-    def test_rejects_anything_but_one_matrix(self, shape):
-        with pytest.raises(ValueError, match="one square matrix"):
-            expm(np.zeros(shape))
-
-
 class TestHelpers:
     def test_hermitize_exact(self):
         rng = np.random.default_rng(13)
@@ -214,3 +139,12 @@ class TestHelpers:
         for i in range(3):
             for j in range(2):
                 np.testing.assert_array_equal(h[i, j], hermitize(stack[i, j]))
+
+    def test_hermitize_keeps_infinite_entries(self):
+        # Halving inf+1j as a complex number, by 2+0j, would give inf+nanj.
+        m = np.array([[1.0, np.inf + 1j], [np.inf - 1j, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = hermitize(m)
+        np.testing.assert_array_equal(h, m)
+        assert h.tobytes() == m.astype(complex).tobytes()

@@ -3,14 +3,12 @@ of one scenario point agree bit for bit, or fail with the same error, and so
 do field and time grids of many points and their points one at a time; the QFI does
 not see the phases of the eigenvectors it is computed from; the states
 propagated in the Hamiltonian's eigenframe agree with `propagate`'s complex
-route, and their exact b_z derivatives with Richardson differences of it;
-one spin's closed-form populations agree with `propagate` out to t = 50 and
-hold the QFI flat past relaxation out to t = 1e300; two spins' agree with
-scipy's exponential of their Van Loan block out to t = 50 and stay finite
-out to t = 1e300;
-the pure-state, qubit and SLD routes give one QFI on pure families;
-the Padé `expm` agrees with scipy's on each matrix and keeps e^0 = I and
-zero columns exact."""
+route (scipy's exponential of the Liouvillian), and their exact b_z
+derivatives with Richardson differences of it; one spin's closed-form
+populations agree with `propagate` out to t = 50 and hold the QFI flat past
+relaxation out to t = 1e300; two spins' agree with scipy's exponential of
+their Van Loan block out to t = 50 and stay finite out to t = 1e300; and the
+pure-state, qubit and SLD routes give one QFI on pure families."""
 
 import math
 import warnings
@@ -26,7 +24,7 @@ import coopmetro.qfi as qfi
 import coopmetro.scenarios as scenarios
 from conftest import outcome
 from references import lab_propagated, qfi_pure, state_family
-from coopmetro.linalg import eigh, expm, outer
+from coopmetro.linalg import eigh, outer
 from coopmetro.lindblad import propagate
 from coopmetro.qfi import differentiate_state, qfi_qubit, qfi_sld
 from coopmetro.scenarios import (
@@ -382,80 +380,3 @@ def test_pure_qubit_and_sld_routes_agree(family):
         qubit = qfi_qubit(rho, drho)
         assert qubit.method == "sld-spectral"
         assert abs(qubit.value - pure) <= bound
-
-
-@st.composite
-def matrix_stacks(draw):
-    """A stack (k, n, n) of random real or complex matrices, entries up to ~3."""
-    n = draw(st.sampled_from((2, 4, 8, 16)))
-    shape = (draw(st.integers(1, 4)), n, n)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 10.0 ** draw(st.floats(-3.0, 0.5))
-    m = rng.uniform(-1.0, 1.0, shape) * scale
-    if draw(st.booleans()):
-        m = m + 1j * rng.uniform(-1.0, 1.0, shape) * scale
-    return m
-
-
-@st.composite
-def generator_blocks(draw):
-    """A stack (k, 2d, 2d) of Van Loan blocks [[W, 0], [2^-10 dW, W]] times t,
-    W a rate matrix (columns summing to zero) whose rates reach 2.3e4, as the
-    fig. 5 two-spin block's do, and dW any matrix of rates of that size."""
-    d = draw(st.sampled_from((2, 4)))
-    k = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rates = 10.0 ** rng.uniform(-3.0, math.log10(2.3e4), (k, d, d)) * (rng.random((k, d, d)) < 0.7)
-    rates[:, range(d), range(d)] = 0.0
-    w = rates - rates.sum(axis=1)[:, None, :] * np.eye(d)
-    blocks = np.zeros((k, 2 * d, 2 * d))
-    blocks[:, :d, :d] = blocks[:, d:, d:] = w
-    blocks[:, d:, :d] = 2.0**-10 * rng.uniform(-1.0, 1.0, (k, d, d)) * np.abs(w).max()
-    return blocks * 10.0 ** draw(st.floats(-3.0, 1.0))
-
-
-def _expm_error(m: np.ndarray) -> np.ndarray:
-    """max |expm(a) - scipy's| / max |scipy's| of each matrix a of a stack,
-    one matrix at a time."""
-    reference = scipy.linalg.expm(m)
-    ours = np.array([expm(a) for a in m])
-    return np.abs(ours - reference).max(axis=(-2, -1)) / np.abs(reference).max(axis=(-2, -1))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(matrix_stacks())
-def test_expm_agrees_with_scipy(m):
-    # Measured over 3000 stacks of this strategy: within 480 eps max(1, ||A||_1).
-    norms = np.abs(m).sum(axis=-2).max(axis=-1)
-    assert (_expm_error(m) <= 1e-12 * np.maximum(1.0, norms)).all()
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(generator_blocks())
-def test_expm_agrees_with_scipy_on_generator_blocks(blocks):
-    # ||B t||_1 up to ~1e6, ~20 squarings.  Measured over 3000 stacks of this
-    # strategy: within 1.5e-11.
-    assert (_expm_error(blocks) <= 1e-9).all()
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.integers(1, 16), st.booleans())
-def test_expm_of_zero_is_identity(n, complex_input):
-    out = expm(np.zeros((n, n), dtype=complex if complex_input else float))
-    assert out.dtype == (np.complex128 if complex_input else np.float64)
-    assert np.array_equal(out, np.eye(n))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.one_of(matrix_stacks(), generator_blocks()), st.data())
-def test_expm_keeps_a_zero_column_a_unit_column(m, data):
-    # An absorbing level: the rational form I + 2 (V - U)^{-1} U keeps its
-    # column exact through every squaring, where (V - U)^{-1} (V + U) is
-    # off by an ulp before the squarings double it.
-    j = data.draw(st.integers(0, m.shape[-1] - 1))
-    m = m.copy()
-    m[..., :, j] = 0.0
-    unit = np.zeros(m.shape[-1])
-    unit[j] = 1.0
-    for a in m:
-        assert np.array_equal(expm(a)[:, j], unit)

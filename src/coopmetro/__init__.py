@@ -12,17 +12,11 @@ from .lindblad import (
     LindbladChannel,
     LindbladModel,
     NumericalFailureError,
+    hermitize,
     liouvillian,
     propagate,
     propagate_rk4,
     validate_density_matrix,
-)
-from .linalg import (
-    NonHermitianError,
-    eigh,
-    hermitize,
-    pauli,
-    tensor,
 )
 from .qfi import (
     QfiResult,

@@ -15,6 +15,10 @@ vec(A rho B) = (B^T ⊗ A) vec(rho).  With (K†)^T = conj(K) and
 `propagate` and `propagate_rk4` work in this complex form, as references
 for the QFI pipeline, which propagates in the Hamiltonian's eigenframe
 (`scenarios._propagated`).
+
+The module also holds what the pipeline shares of a state: the
+density-matrix invariants (`validate_density_matrix`, and `_invariant_errors`
+for a stack) and `hermitize`, which symmetrizes a matrix or a stack.
 """
 
 import math
@@ -23,15 +27,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import HERM_TOL, _herm_deviation, hermitize, tensor
-
 __all__ = [
     "InvalidModelError",
     "InvalidStateError",
     "NumericalFailureError",
     "LindbladChannel",
     "LindbladModel",
-    "density_matrix_errors",
+    "hermitize",
     "validate_density_matrix",
     "vec",
     "liouvillian",
@@ -39,6 +41,7 @@ __all__ = [
     "propagate_rk4",
 ]
 
+HERM_TOL = 1e-10
 DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_TOL = -1e-9
@@ -56,24 +59,30 @@ class NumericalFailureError(RuntimeError):
     """Propagation produced a state outside the density-matrix tolerances."""
 
 
-def density_matrix_errors(rho: np.ndarray) -> np.ndarray:
-    """Check a stack (..., d, d) of density matrices in one batched call.
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """Symmetrize (m + m†)/2 over the last two axes, so a stack (..., d, d)
+    is symmetrized matrix by matrix.  The result is exactly Hermitian entrywise.
+    The real and imaginary parts are halved as floats, through a float view
+    of the sum: numpy divides a complex array by 2.0 as by 2+0j, which turns
+    an entry inf+1j into inf+nanj."""
+    m = np.asarray(m, dtype=complex)
+    h = np.ascontiguousarray(m + m.conj().swapaxes(-1, -2))
+    h.view(np.float64)[...] /= 2.0
+    return h
 
-    Returns an object array of shape rho.shape[:-2] holding, per matrix, the
-    message of the first failed invariant (finite entries, Hermiticity 1e-10,
-    unit trace 1e-10, positivity -1e-9), or None where all of them hold.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    flat = rho.reshape(-1, *rho.shape[-2:])
-    finite = np.isfinite(flat).all(axis=(-2, -1))
-    # Non-finite matrices are replaced by 0 so the eigensolver cannot fail on them.
-    min_eig = np.linalg.eigvalsh(np.where(finite[:, None, None], hermitize(flat), 0.0)).min(axis=-1)
-    return _invariant_errors(flat, finite, min_eig).reshape(rho.shape[:-2])
+
+def _herm_deviation(m: np.ndarray) -> float:
+    """max |m - m†| of a matrix, or the largest over the matrices of a stack."""
+    m = np.asarray(m)
+    return float(np.abs(m - m.conj().mT).max())
 
 
 def _invariant_errors(flat: np.ndarray, finite: np.ndarray, min_eig: np.ndarray) -> np.ndarray:
-    """`density_matrix_errors` of a stack (n, d, d), given which matrices are
-    finite and the smallest eigenvalue of each (of 0 where not finite)."""
+    """The density-matrix check of a stack (n, d, d), given which matrices
+    are finite and the smallest eigenvalue of each (0 where not finite): an
+    object array (n,) holding, per matrix, the message of the first failed
+    invariant (finite entries, Hermiticity 1e-10, unit trace 1e-10,
+    positivity -1e-9), or None where all of them hold."""
     dev = np.abs(flat - flat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     tr = np.trace(flat, axis1=-2, axis2=-1)
     ok = (
@@ -96,14 +105,18 @@ def _invariant_errors(flat: np.ndarray, finite: np.ndarray, min_eig: np.ndarray)
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check one density matrix against the invariants of `density_matrix_errors`.
+    """Check one density matrix against the invariants of `_invariant_errors`.
 
     Returns rho as a complex array; raises InvalidStateError otherwise.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
-    error = density_matrix_errors(rho)[()]
+    flat = rho[None]
+    finite = np.isfinite(flat).all(axis=(-2, -1))
+    # A non-finite matrix is replaced by 0 so the eigensolver cannot fail on it.
+    min_eig = np.linalg.eigvalsh(np.where(finite[:, None, None], hermitize(flat), 0.0))[:, 0]
+    (error,) = _invariant_errors(flat, finite, min_eig)
     if error is not None:
         raise InvalidStateError(error)
     return rho
@@ -166,9 +179,9 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     """dim² x dim² generator acting on column-stacked states."""
     ident = np.eye(model.dim, dtype=complex)
     k, jumps = _rhs_terms(model)
-    gen = 1j * tensor(k.conj(), ident) - 1j * tensor(ident, k)
+    gen = 1j * np.kron(k.conj(), ident) - 1j * np.kron(ident, k)
     for rate, jump, _ in jumps:
-        gen = gen + rate * tensor(jump.conj(), jump)
+        gen = gen + rate * np.kron(jump.conj(), jump)
     return gen
 
 

@@ -8,7 +8,9 @@ The scenario pipeline gets its state derivatives exactly, by propagating
 the b_z derivative with the state (`scenarios.qfi_grid`), and the ground-state
 QFI is a sum over states (`scenarios.exact_two_spin_ground_qfi`).
 Richardson-extrapolated central differences (`differentiate_state`) stay as
-the independent reference route for arbitrary state families.
+the independent reference route for arbitrary state families.  The spectra
+are numpy's (`np.linalg.eigh`, of states that `lindblad.hermitize` made
+exactly Hermitian).
 """
 
 import math
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import eigh, hermitize
+from .lindblad import hermitize
 
 __all__ = [
     "QfiResult",
@@ -102,8 +104,9 @@ def _recorded(formula: Callable, *args):
 def _sld_outcomes(rho: np.ndarray, drho: np.ndarray, spectrum: tuple | None = None) -> list:
     """`qfi_sld` at each state of a stack (n, d, d) with its derivative, or
     the ValueError of a derivative that fails its check: one Hermiticity
-    screen of the derivative stack, one batched eigh, one stacked product
-    V† drho V and one masked sum over the whole stack.  Each state's sum
+    screen of the derivative stack, one batched `np.linalg.eigh` of the
+    hermitized states, one stacked product V† drho V and one masked sum
+    over the whole stack.  Each state's sum
     runs over all d x d pairs, with an exact 0.0 at every masked pair, so a
     state gives the same bits alone as in any stack.  A caller that has the
     (values, vectors) of the Hermitian stack rho passes them as `spectrum`."""
@@ -117,7 +120,7 @@ def _sld_outcomes(rho: np.ndarray, drho: np.ndarray, spectrum: tuple | None = No
     ok = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, ValueError)]
     if not ok:
         return outcomes
-    spectrum = spectrum or eigh(hermitize(np.asarray(rho, dtype=complex)))
+    spectrum = spectrum or np.linalg.eigh(hermitize(np.asarray(rho, dtype=complex)))
     values, vectors = (part[ok] for part in spectrum)
     weights = np.abs(vectors.conj().mT @ drho[ok] @ vectors) ** 2
     denoms = values[:, :, None] + values[:, None, :]

@@ -7,7 +7,10 @@ the controlled Hamiltonian, carry b_z dependence as well.
 
 Angle convention: theta = atan2(b_x, b_z), so b_z = Delta cos(theta) and
 b_x = Delta sin(theta) with Delta = sqrt(b_z^2 + b_x^2).  Ground state |g>
-is the eigenvector of the smaller eigenvalue.
+is the eigenvector of the smaller eigenvalue.  Basis convention:
+sigma_z|0> = +|0> and sigma_z|1> = -|1> (`SIGMA_Z`), so the spontaneous
+emission jump (sigma_x + i sigma_y)/2 is |0><1|.  The spin operators are
+read-only numpy constants, and the eigenframes come from `np.linalg.eigh`.
 
 Each kind's model builder is written once, over stacks of field values:
 given b_z and b_x as floats it states one model, given them as arrays the
@@ -37,9 +40,9 @@ from .lindblad import (
     LindbladModel,
     NumericalFailureError,
     _invariant_errors,
+    hermitize,
     validate_density_matrix,
 )
-from .linalg import eigh, hermitize, identity, outer, pauli, tensor
 from .qfi import (
     QfiResult,
     _recorded,
@@ -156,19 +159,29 @@ def _scale(c: ArrayLike, m: np.ndarray) -> np.ndarray:
     return c[..., None, None] * m if isinstance(c, np.ndarray) else c * m
 
 
-def controlled_hamiltonian(b_z: ArrayLike, b_x: ArrayLike) -> np.ndarray:
-    """Single-spin H = b_z sigma_z + b_x sigma_x, or its stack over arrays of fields."""
-    return _scale(b_z, pauli("z")) + _scale(b_x, pauli("x"))
-
-
-def _two_spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    sz, sx, i2 = pauli("z"), pauli("x"), identity(2)
-    sz1, sz2 = tensor(sz, i2), tensor(i2, sz)
-    sx1, sx2 = tensor(sx, i2), tensor(i2, sx)
-    operators = (sz1 @ sz2, sz1 + sz2, sx1 + sx2)
+def _read_only(*operators: np.ndarray) -> tuple[np.ndarray, ...]:
     for op in operators:
         op.setflags(write=False)
     return operators
+
+
+# sigma_z (sigma_z|0> = +|0>) and sigma_x.
+SIGMA_Z, SIGMA_X = _read_only(
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+)
+
+
+def controlled_hamiltonian(b_z: ArrayLike, b_x: ArrayLike) -> np.ndarray:
+    """Single-spin H = b_z sigma_z + b_x sigma_x, or its stack over arrays of fields."""
+    return _scale(b_z, SIGMA_Z) + _scale(b_x, SIGMA_X)
+
+
+def _two_spin_operators() -> tuple[np.ndarray, ...]:
+    i2 = np.eye(2, dtype=complex)
+    sz1, sz2 = np.kron(SIGMA_Z, i2), np.kron(i2, SIGMA_Z)
+    sx1, sx2 = np.kron(SIGMA_X, i2), np.kron(i2, SIGMA_X)
+    return _read_only(sz1 @ sz2, sz1 + sz2, sx1 + sx2)
 
 
 # sigma_z^1 sigma_z^2, sigma_z^1 + sigma_z^2 and sigma_x^1 + sigma_x^2, built once.
@@ -183,13 +196,13 @@ def two_spin_hamiltonian(b_z: ArrayLike, b_x: ArrayLike) -> np.ndarray:
 
 def _eigen_derivative(h: np.ndarray, dh: np.ndarray) -> tuple[np.ndarray, ...]:
     """(values, vectors, d values, V† dV) of a Hamiltonian (or a stack) whose
-    derivative is dh, from one batched `eigh`.
+    derivative is dh, from one batched `np.linalg.eigh`.
 
     Hellmann-Feynman gives d lam_k = <k|dH|k>, first-order perturbation
     theory d v_k = sum_{j != k} v_j <j|dH|k> / (lam_k - lam_j), so
     (V† dV)_jk = <j|dH|k> / (lam_k - lam_j) off the diagonal, an
     anti-Hermitian matrix.  Its zero diagonal leaves out a phase of each
-    v_k, which a jump between eigenstates does not see; a phase that `eigh`
+    v_k, which a jump between eigenstates does not see; a phase that LAPACK
     gives v_k multiplies row and column k of V† dV alike, so V (V† dV) V†
     and every quantity built from it are gauge-free.  Two levels of a matrix
     are degenerate where their gap is at most 1e-9 max|lam|, relative to its
@@ -197,7 +210,7 @@ def _eigen_derivative(h: np.ndarray, dh: np.ndarray) -> tuple[np.ndarray, ...]:
     nothing if it does not (beyond rounding, 1e-12).  A quotient that
     overflows (a subnormal gap) raises NumericalFailureError.
     """
-    values, vectors = eigh(h)
+    values, vectors = np.linalg.eigh(h)
     coupling = vectors.conj().mT @ dh @ vectors  # <j|dH|k> at [..., j, k]
     gaps = values[..., None, :] - values[..., :, None]  # lam_k - lam_j at [..., j, k]
     level = np.abs(values).max(axis=-1)[..., None, None]
@@ -257,23 +270,23 @@ _SIGNS = np.array([-1.0, 1.0])  # the ascending eigenvalues of a Pauli matrix
 
 
 def _std_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
-    return _diagonal_frame(_scale(b_z, pauli("z")), pauli("z"), (_Channel(spec.gamma, 0.0, (1, 0)),))  # |0><1|
+    return _diagonal_frame(_scale(b_z, SIGMA_Z), SIGMA_Z, (_Channel(spec.gamma, 0.0, (1, 0)),))  # |0><1|
 
 
 def _std_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     # eta/2 (sigma_z rho sigma_z - rho) is the dissipator of jump sigma_z = diag(1, -1) at rate eta/2.
-    return _diagonal_frame(_scale(b_z, pauli("z")), pauli("z"), (_Channel(spec.eta / 2.0, 0.0, -_SIGNS),))
+    return _diagonal_frame(_scale(b_z, SIGMA_Z), SIGMA_Z, (_Channel(spec.eta / 2.0, 0.0, -_SIGNS),))
 
 
 def _coop_spont(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     h = controlled_hamiltonian(b_z, b_x)
-    return _Frame(h, *_eigen_derivative(h, pauli("z")), (_Channel(spec.gamma, 0.0, (1, 0)),))  # |g><e|
+    return _Frame(h, *_eigen_derivative(h, SIGMA_Z), (_Channel(spec.gamma, 0.0, (1, 0)),))  # |g><e|
 
 
 def _coop_deph(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     # The jump sigma_n = H / Delta is diag(-1, 1) in the frame of H.
     h = controlled_hamiltonian(b_z, b_x)
-    return _Frame(h, *_eigen_derivative(h, pauli("z")), (_Channel(spec.eta / 2.0, 0.0, _SIGNS),))
+    return _Frame(h, *_eigen_derivative(h, SIGMA_Z), (_Channel(spec.eta / 2.0, 0.0, _SIGNS),))
 
 
 def _rate_channel(name: str, rate: ArrayLike, d_rate: ArrayLike, jump) -> _Channel:
@@ -287,7 +300,7 @@ def _rate_channel(name: str, rate: ArrayLike, d_rate: ArrayLike, jump) -> _Chann
 
 def _coop_thermal(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     h = controlled_hamiltonian(b_z, b_x)
-    frame = _Frame(h, *_eigen_derivative(h, pauli("z")))
+    frame = _Frame(h, *_eigen_derivative(h, SIGMA_Z))
     # numpy's warnings are silenced: `_rate_channel` names a rate that
     # overflows, and x = omega/t_e overflows to inf by design (t_e = 0 too).
     with np.errstate(all="ignore"):
@@ -326,7 +339,7 @@ def _two_spin_coop(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame
 
 def _unitary_baseline(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     if spec.n_spins == 1:
-        return _diagonal_frame(_scale(b_z, pauli("z")), pauli("z"))
+        return _diagonal_frame(_scale(b_z, SIGMA_Z), SIGMA_Z)
     return _diagonal_frame(two_spin_hamiltonian(b_z, 0.0), SZ_SUM)
 
 
@@ -359,7 +372,7 @@ def _lab_jump(vectors: np.ndarray | None, jump, d: int) -> np.ndarray:
     v = np.eye(d) if vectors is None else vectors
     if isinstance(jump, tuple):
         i, j = jump
-        return outer(v[:, j], v[:, i])
+        return np.outer(v[:, j], v[:, i].conj())
     return (v * jump) @ v.conj().T
 
 
@@ -836,7 +849,7 @@ def exact_two_spin_ground_qfi(b_z: ArrayLike, b_x: float) -> float | np.ndarray:
     b_z of an array: the fidelity susceptibility
     F = 4 sum_{k>0} |<k|dH|0>|^2 / (E_k - E_0)^2 (Zanardi & Paunković,
     PRE 74, 031123 (2006)), dH = sigma_z^1 + sigma_z^2, read off the frame
-    rotation V† dV of one batched `eigh` (`_eigen_derivative`).  Raises
+    rotation V† dV of one batched `np.linalg.eigh` (`_eigen_derivative`).  Raises
     DegeneracyError where levels that dH couples are degenerate.
     """
     if not b_x > 0.0:

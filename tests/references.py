@@ -8,8 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from coopmetro.linalg import hermitize
-from coopmetro.lindblad import propagate
+from coopmetro.lindblad import hermitize, propagate
 from coopmetro.qfi import QfiResult, StateFamily, _clamp
 from coopmetro.scenarios import _KINDS, ScenarioSpec, _angle_delta, _propagated, build_model, probe_state
 

@@ -21,6 +21,7 @@ from coopmetro.cli import (
 )
 
 RUN_FLAGS = ["run", "--kind", "coop-spont", "--b_z", "0.1", "--b_x", "0.1", "--gamma", "0.5", "--t", "1"]
+TWO_SPIN = ["--kind", "two-spin-coop", "--b_z", "1", "--b_x", "0.1", "--dipole", "10"]
 
 
 def config_keys(config: RunConfig) -> dict:
@@ -166,12 +167,30 @@ class TestCommands:
                      "--from", "1", "--to", "0.1", "--points", "5"]) == 2
         assert "'from' must be < 'to'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("t", ["0", "-1"])
-    def test_region_non_positive_time_is_usage_error(self, capsys, t):
-        # The threshold is the Heisenberg limit at t: the error names t, not it.
-        assert main(["region", "--kind", "two-spin-coop", "--b_z", "1", "--b_x", "0.1", "--dipole", "10",
-                     "--t", t, "--from", "0.5", "--to", "1.5"]) == 2
-        assert capsys.readouterr().err == f"usage error: 't' must be > 0 for command 'region', got {float(t)}\n"
+    @pytest.mark.parametrize(("argv", "t", "bound"), [
+        pytest.param(["region", *TWO_SPIN, "--from", "0.5", "--to", "1.5"], "0", ">", id="0"),
+        pytest.param(["region", *TWO_SPIN, "--from", "0.5", "--to", "1.5"], "-1", ">", id="-1"),
+        pytest.param(["tradeoff", "--b_x", "0.1"], "0", ">", id="tradeoff-0"),
+        pytest.param(["maximize", *TWO_SPIN, "--axis", "b_z", "--from", "0.5", "--to", "1.5"], "0", ">", id="maximize-0"),
+        pytest.param(["maximize", *TWO_SPIN, "--axis", "b_z", "--from", "0.5", "--to", "1.5"], "-1", ">", id="maximize--1"),
+        pytest.param(["run", "--kind", "std-spont", "--b_z", "0.1", "--gamma", "0.5"], "-1", ">=", id="run--1"),
+        pytest.param(["sweep", *TWO_SPIN, "--axis", "b_z", "--from", "0.5", "--to", "1.5", "--points", "3"], "-1", ">=",
+                     id="sweep--1"),
+    ])
+    def test_region_non_positive_time_is_usage_error(self, capsys, argv, t, bound):
+        # No probe time is negative.  At t = 0 every QFI is 0, so a region's
+        # threshold (the Heisenberg limit at t), a trade-off width and a
+        # maximizer over a field are undefined: the error names t.
+        assert main([*argv, "--t", t]) == 2
+        assert capsys.readouterr().err == f"usage error: 't' must be {bound} 0 for command '{argv[0]}', got {float(t)}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--kind", "std-spont", "--b_z", "0.1", "--gamma", "0.5"],
+        ["sweep", *TWO_SPIN, "--axis", "b_z", "--from", "0.5", "--to", "1.5", "--points", "3"],
+    ])
+    def test_zero_time_gives_zero_qfi(self, capsys, argv):
+        assert main([*argv, "--t", "0", "--format", "json"]) == 0
+        assert [row["qfi"] for row in json.loads(capsys.readouterr().out)] == [0.0] * (1 if argv[0] == "run" else 3)
 
     def test_thermal_tiny_temperature_runs(self, capsys):
         # fig. 4 parameters with omega / t_e ~ 6300, past the exp overflow

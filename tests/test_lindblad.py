@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,16 +11,15 @@ from coopmetro.lindblad import (
     InvalidStateError,
     LindbladChannel,
     LindbladModel,
+    hermitize,
     liouvillian,
     propagate,
     propagate_rk4,
-    density_matrix_errors,
     validate_density_matrix,
     vec,
 )
-from coopmetro.linalg import outer, pauli
 from coopmetro.qfi import StateFamily, differentiate_state, qfi_sld
-from coopmetro.scenarios import ScenarioSpec, build_model, probe_state, qfi_at
+from coopmetro.scenarios import SIGMA_Z, ScenarioSpec, build_model, probe_state, qfi_at
 
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
 
@@ -50,7 +50,7 @@ class TestLiouvillian:
         assert gen[0, 3] == pytest.approx(0.5)
 
     def test_pure_hamiltonian_commutator(self):
-        h = 0.1 * pauli("z")
+        h = 0.1 * SIGMA_Z
         model = LindbladModel(hamiltonian=h)
         gen = model.liouvillian
         expected = -1j * (np.kron(np.eye(2), h) - np.kron(h.T, np.eye(2)))
@@ -131,12 +131,36 @@ class TestDensityValidation:
 
     def test_batched_check_names_each_bad_matrix(self):
         good = np.full((2, 2), 0.5, dtype=complex)
-        stack = np.array([[good, np.eye(2, dtype=complex)], [good, np.diag([1.5, -0.5]).astype(complex)]])
-        errors = density_matrix_errors(stack)
-        assert errors.shape == (2, 2)
-        assert errors[0, 0] is None and errors[1, 0] is None
-        assert "trace" in errors[0, 1]
-        assert "eigenvalue" in errors[1, 1]
+        validate_density_matrix(good)
+        with pytest.raises(InvalidStateError, match="trace"):
+            validate_density_matrix(np.eye(2, dtype=complex))
+        with pytest.raises(InvalidStateError, match="eigenvalue"):
+            validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+class TestHermitize:
+    def test_hermitize_exact(self):
+        rng = np.random.default_rng(13)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = hermitize(m)
+        assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+    def test_hermitize_stack(self):
+        rng = np.random.default_rng(14)
+        stack = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+        h = hermitize(stack)
+        for i in range(3):
+            for j in range(2):
+                np.testing.assert_array_equal(h[i, j], hermitize(stack[i, j]))
+
+    def test_hermitize_keeps_infinite_entries(self):
+        # Halving inf+1j as a complex number, by 2+0j, would give inf+nanj.
+        m = np.array([[1.0, np.inf + 1j], [np.inf - 1j, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = hermitize(m)
+        np.testing.assert_array_equal(h, m)
+        assert h.tobytes() == m.astype(complex).tobytes()
 
 
 class TestPropagate:
@@ -178,11 +202,9 @@ class TestPropagate:
     def test_steady_state_is_ground_projector(self):
         spec = ScenarioSpec(kind="coop-spont", b_z=0.1, b_x=0.1, gamma=0.5)
         model = build_model(spec)
-        from coopmetro.linalg import eigh
-
-        ground = eigh(model.hamiltonian)[1][:, 0]
+        ground = np.linalg.eigh(model.hamiltonian)[1][:, 0]
         rho = propagate(model, probe_state(spec), 30.0 / spec.gamma)
-        assert np.max(np.abs(rho - outer(ground, ground))) <= 1e-6
+        assert np.max(np.abs(rho - np.outer(ground, ground.conj()))) <= 1e-6
 
 
 class TestRk4:

@@ -6,7 +6,7 @@ import pytest
 import coopmetro.qfi as qfi_module
 from conftest import controlled_ground_state, random_mixed_qubit, random_traceless_hermitian
 from references import analytic_coop_spont_state, analytic_coop_spont_state_deriv, qfi_pure, state_family
-from coopmetro.linalg import eigh, hermitize, outer, pauli
+from coopmetro.lindblad import hermitize
 from coopmetro.qfi import (
     StateFamily,
     _sld_outcomes,
@@ -14,14 +14,14 @@ from coopmetro.qfi import (
     qfi_qubit,
     qfi_sld,
 )
-from coopmetro.scenarios import ScenarioSpec, analytic_coop_spont_qfi, controlled_hamiltonian
+from coopmetro.scenarios import SIGMA_Z, ScenarioSpec, analytic_coop_spont_qfi, controlled_hamiltonian
 
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 
 def ground_vector(b_z, b_x):
-    return eigh(controlled_hamiltonian(b_z, b_x))[1][:, 0]
+    return np.linalg.eigh(controlled_hamiltonian(b_z, b_x))[1][:, 0]
 
 
 class TestQfiPure:
@@ -58,7 +58,7 @@ class TestQfiQubit:
         assert value == pytest.approx(analytic_coop_spont_qfi(0.1, 0.1, 0.5, 1.0), abs=1e-8)
 
     def test_near_pure_fallback_tagged(self):
-        rho = outer(PLUS, PLUS)
+        rho = np.outer(PLUS, PLUS.conj())
         drho = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
         result = qfi_qubit(rho, drho)
         assert result.method == "sld-spectral"
@@ -95,15 +95,15 @@ class TestQfiSld:
         b0 = 0.4
         dpsi = np.array([-math.sin(b0), math.cos(b0) * np.exp(1j * phi)])
         pure = qfi_pure(psi(b0), dpsi).value
-        rho = outer(psi(b0), psi(b0))
-        drho = differentiate_state(StateFamily(lambda b: outer(psi(b), psi(b)), b0))
+        rho = np.outer(psi(b0), psi(b0).conj())
+        drho = differentiate_state(StateFamily(lambda b: np.outer(psi(b), psi(b).conj()), b0))
         assert qfi_sld(rho, drho).value == pytest.approx(pure, rel=1e-6)
 
 
 def reference_sld(rho: np.ndarray, drho: np.ndarray) -> float:
     """The spectral SLD sum of one state, written out matrix by matrix: over
     all d x d pairs, with each masked pair's term set to 0.0."""
-    values, vectors = eigh(hermitize(rho))
+    values, vectors = np.linalg.eigh(hermitize(rho))
     m = vectors.conj().T @ drho @ vectors
     denom = values[:, None] + values[None, :]
     mask = denom > 1e-12
@@ -231,10 +231,10 @@ class TestDifferentiateState:
 
     def test_ground_family_reproduces_closed_form(self):
         # The ground projector |g><g| carries no eigenvector phase, so it is
-        # differenced as it comes from `eigh`.
+        # differenced as it comes from `np.linalg.eigh`.
         def projector(b):
             g = ground_vector(b, 0.1)
-            return outer(g, g)
+            return np.outer(g, g.conj())
 
         drho = differentiate_state(StateFamily(projector, 0.1))
         assert qfi_sld(projector(0.1), drho).value == pytest.approx(25.0, rel=1e-6)
@@ -266,7 +266,7 @@ class TestUnitaryLimits:
         mixed = qfi_at(spec, t).value
         # psi(b) = e^{-i b sigma_z t} |+>, so d psi / db = -i t sigma_z psi
         psi = np.exp(-1j * 0.1 * t * np.array([1.0, -1.0])) * PLUS
-        pure = qfi_pure(psi, -1j * t * pauli("z") @ psi).value
+        pure = qfi_pure(psi, -1j * t * SIGMA_Z @ psi).value
         assert mixed == pytest.approx(pure, rel=1e-5)
 
     def test_non_negative(self):

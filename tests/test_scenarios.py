@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 import coopmetro.scenarios as scenarios
-from conftest import figure_scenarios
+from conftest import figure_scenarios, random_hermitian
 from references import analytic_coop_spont_state, state_family
 from coopmetro.lindblad import NumericalFailureError
-from coopmetro.linalg import eigh, identity, outer, pauli, tensor
 from coopmetro.qfi import differentiate_state, qfi_sld
 from coopmetro.scenarios import (
     GROUND_DEGENERACY_TOL,
     KINDS,
     DegeneracyError,
     InvalidScenarioError,
+    SIGMA_X,
+    SIGMA_Z,
     OutOfRegimeError,
     ScenarioSpec,
     analytic_coop_spont_qfi,
@@ -106,7 +107,7 @@ class TestBuildModel:
     def test_coop_spont_jump_in_eigenbasis(self):
         spec = ScenarioSpec(kind="coop-spont", **FIG2)
         model = build_model(spec)
-        _, vectors = eigh(model.hamiltonian)
+        _, vectors = np.linalg.eigh(model.hamiltonian)
         g, e = vectors[:, 0], vectors[:, 1]
         (ch,) = model.channels
         # sigma_-^H maps |e> to |g> and annihilates |g>
@@ -167,10 +168,43 @@ class TestBuildModel:
         down, up = build_model(spec).channels
         assert up.rate / (down.rate - up.rate) == pytest.approx(1.0 / math.expm1(omega / spec.t_e), rel=1e-12)
 
+    def test_spin_operators_read_only_in_the_basis_convention(self):
+        # sigma_z|0> = +|0>, so (sigma_x + i sigma_y)/2 = |0><1| is the jump of std-spont.
+        np.testing.assert_array_equal(SIGMA_Z @ np.array([1.0, 0.0]), [1.0, 0.0])
+        np.testing.assert_array_equal(SIGMA_X, [[0.0, 1.0], [1.0, 0.0]])
+        for op in (SIGMA_Z, SIGMA_X):
+            assert op.dtype == complex and not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 0.0
+
+    def test_two_spin_diagonal_spectrum(self):
+        # b_x = 0 makes the two-spin Hamiltonian diagonal; read off
+        # b_z(±1±1) + (±1)(±1) at b_z = 0.3.
+        values, _ = np.linalg.eigh(two_spin_hamiltonian(0.3, 0.0))
+        np.testing.assert_allclose(sorted(values), [-1.0, -1.0, 0.4, 1.6], atol=1e-12)
+
+    def test_two_level_spectrum(self):
+        h = 0.1 * SIGMA_Z + 0.1 * SIGMA_X
+        expected = math.sqrt(0.1**2 + 0.1**2)
+        np.testing.assert_allclose(np.linalg.eigh(h)[0], [-expected, expected], rtol=1e-12)
+
+    def test_stack_equals_matrices_alone(self):
+        # numpy's batched eigh gives each matrix of a stack the bits it gives
+        # it alone: what makes a stack of models equal its models one by one.
+        rng = np.random.default_rng(29)
+        for dim, degenerate in ((2, np.eye(2, dtype=complex)), (4, two_spin_hamiltonian(0.3, 0.0))):
+            matrices = [degenerate] + [random_hermitian(rng, dim) for _ in range(29)]
+            stack = np.array(matrices).reshape(5, 6, dim, dim)
+            values, vectors = np.linalg.eigh(stack)
+            for index in np.ndindex(5, 6):
+                alone_values, alone_vectors = np.linalg.eigh(stack[index])
+                assert np.array_equal(values[index], alone_values)
+                assert np.array_equal(vectors[index], alone_vectors)
+
     def test_two_spin_hamiltonian_matches_tensor_form(self):
-        sz, sx, i2 = pauli("z"), pauli("x"), identity(2)
-        sz1, sz2 = tensor(sz, i2), tensor(i2, sz)
-        sx1, sx2 = tensor(sx, i2), tensor(i2, sx)
+        sz, sx, i2 = SIGMA_Z, SIGMA_X, np.eye(2, dtype=complex)
+        sz1, sz2 = np.kron(sz, i2), np.kron(i2, sz)
+        sx1, sx2 = np.kron(sx, i2), np.kron(i2, sx)
         for b_z, b_x in ((1.0, 0.1), (0.3, 1e-4), (-0.7, 2.5), (0.0, 0.0)):
             expected = sz1 @ sz2 + b_z * (sz1 + sz2) + b_x * (sx1 + sx2)
             np.testing.assert_array_equal(two_spin_hamiltonian(b_z, b_x), expected)
@@ -179,20 +213,20 @@ class TestBuildModel:
         spec = ScenarioSpec(kind="two-spin-coop", b_z=1.0, b_x=0.1, dipole=10.0)
         model = build_model(spec)
         assert len(model.channels) == 4
-        energies, vectors = eigh(model.hamiltonian)
+        energies, vectors = np.linalg.eigh(model.hamiltonian)
         pairs = ((4, 3), (4, 2), (3, 2), (3, 1))
         for (i, j), ch in zip(pairs, model.channels):
             omega = energies[i - 1] - energies[j - 1]
             assert omega > 0
             assert ch.rate == pytest.approx(4.0 * omega**3 * 100.0 / 3.0, rel=1e-12)
             np.testing.assert_allclose(
-                ch.jump, outer(vectors[:, j - 1], vectors[:, i - 1]), atol=1e-12
+                ch.jump, np.outer(vectors[:, j - 1], vectors[:, i - 1].conj()), atol=1e-12
             )
 
     def test_two_spin_small_bx_gap_limit(self):
         # diagonal limit: spectrum -> {-1, -1, 0.4, 1.6} at b_z = 0.3, so the
         # (3,1) gap approaches 0.4 - (-1) = 1.4
-        energies, _ = eigh(two_spin_hamiltonian(0.3, 1e-4))
+        energies, _ = np.linalg.eigh(two_spin_hamiltonian(0.3, 1e-4))
         assert energies[2] - energies[0] == pytest.approx(1.4, abs=1e-3)
 
     def test_unitary_baseline_has_no_channels(self):
@@ -297,16 +331,16 @@ class TestAnalyticState:
         # to |g><g| is ~cos(theta)/2 e^{-gamma t/2}: 1.1e-7 at gamma*t = 30,
         # below 1e-10 only once gamma*t >= 46
         spec = ScenarioSpec(kind="coop-spont", **FIG2)
-        ground = eigh(build_model(spec).hamiltonian)[1][:, 0]
+        ground = np.linalg.eigh(build_model(spec).hamiltonian)[1][:, 0]
         rho = analytic_coop_spont_state(0.1, 0.1, 0.5, 60.0)  # gamma*t = 30
-        assert np.max(np.abs(rho - outer(ground, ground))) <= 1e-6
+        assert np.max(np.abs(rho - np.outer(ground, ground.conj()))) <= 1e-6
         rho = analytic_coop_spont_state(0.1, 0.1, 0.5, 100.0)  # gamma*t = 50
-        assert np.max(np.abs(rho - outer(ground, ground))) <= 1e-10
+        assert np.max(np.abs(rho - np.outer(ground, ground.conj()))) <= 1e-10
 
     def test_eigenbasis_excited_population(self):
         # <e|rho(t)|e> = (1 + sin(pi/4)) e^{-1/2} / 2 at the fig2 parameters, t = 1
         rho = analytic_coop_spont_state(0.1, 0.1, 0.5, 1.0)
-        e = eigh(build_model(ScenarioSpec(kind="coop-spont", **FIG2)).hamiltonian)[1][:, 1]
+        e = np.linalg.eigh(build_model(ScenarioSpec(kind="coop-spont", **FIG2)).hamiltonian)[1][:, 1]
         population = (e.conj() @ rho @ e).real
         expected = 0.5 * (1.0 + math.sin(math.pi / 4.0)) * math.exp(-0.5)
         assert population == pytest.approx(expected, rel=1e-12)
@@ -415,7 +449,7 @@ class TestExactDerivative:
         # The ground level and the singlet are 2.7e-10 apart, but sigma_z^1 +
         # sigma_z^2 does not couple them, so no gap enters a denominator.
         spec = ScenarioSpec(kind="two-spin-coop", b_z=0.5, b_x=1e-5, dipole=10.0)
-        values, _ = eigh(two_spin_hamiltonian(spec.b_z, spec.b_x))
+        values, _ = np.linalg.eigh(two_spin_hamiltonian(spec.b_z, spec.b_x))
         assert values[1] - values[0] < GROUND_DEGENERACY_TOL
         value = qfi_at(spec, 1.0).value
         family = state_family(spec, 1.0)
@@ -603,7 +637,7 @@ class TestExactGroundQfi:
             "coupled levels degenerate: gap 0.000e+00 <= 1e-9 max|E| = 1.000e-09, so the b_z derivative is undefined"
         )
         with pytest.raises(DegeneracyError, match=f"^{re.escape(message)}$"):
-            scenarios._eigen_derivative(np.eye(2, dtype=complex), pauli("x"))
+            scenarios._eigen_derivative(np.eye(2, dtype=complex), SIGMA_X)
 
     def test_requires_positive_bx(self):
         with pytest.raises(InvalidScenarioError):

@@ -263,12 +263,15 @@ def _validate(config: RunConfig, given: set[str]):
         raise UsageError(f"key '{_key(unread[0])}' is not read by command '{config.command}' (it reads {listed})")
     if config.command == "tradeoff" and not config.b_x > 0:
         raise UsageError(f"'b_x' must be > 0 for command 'tradeoff', got {config.b_x}")
-    # No probe time is negative.  At t = 0 every QFI is 0: a region's
+    # No probe time is negative, nor is a maximizer's time range (a t sweep
+    # keeps its per-point errors).  At t = 0 every QFI is 0: a region's
     # threshold, a trade-off width and a maximizer over a field need t > 0.
     positive = config.command in ("region", "tradeoff", "maximize")
     if config.t is not None and (config.t < 0 or positive and config.t == 0):
         bound = "> 0" if positive else ">= 0"
         raise UsageError(f"'t' must be {bound} for command '{config.command}', got {config.t}")
+    if config.command == "maximize" and config.axis == "t" and config.from_ < 0:
+        raise UsageError(f"'from' must be >= 0 for command 'maximize' over t, got {config.from_}")
 
 
 def report_bound(f_q: float, m: int = 1) -> float:

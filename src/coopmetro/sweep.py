@@ -65,7 +65,8 @@ class SweepPoint:
 @dataclass(frozen=True)
 class RegionResult:
     """Endpoints of the contiguous region where the objective exceeds the
-    threshold; unresolved when no pre-scan point does."""
+    threshold; unresolved when no prescan point does, or when every prescan
+    value lies within rounding of the threshold (see `find_region`)."""
 
     lower: float
     upper: float
@@ -146,32 +147,45 @@ def _check_xtol(xtol: float) -> None:
         raise ValueError(f"xtol must be finite and >= 0, got {xtol}")
 
 
-def _interpolate(points, threshold: float) -> float:
-    """Inverse interpolation of a threshold crossing: the polynomial x(y)
-    through the (x, y) points, at y = threshold; NaN where two y are equal.
-    Through two points it is regula falsi."""
-    estimate = 0.0
-    for k, (x_k, y_k) in enumerate(points):
-        term = x_k
-        for m, (_, y_m) in enumerate(points):
-            if m != k:
-                if y_m == y_k:
-                    return math.nan
-                term *= (threshold - y_m) / (y_k - y_m)
-        estimate += term
-    return estimate
+def _lagrange(points, x: float) -> float:
+    """The polynomial through the (x, y) points (distinct x), at x, in
+    Lagrange form: exactly y at each point's x."""
+    return sum(y_k * math.prod((x - x_m) / (x_k - x_m) for x_m, _ in points if x_m != x_k) for x_k, y_k in points)
 
 
-def _edge(outside, inside, threshold: float, neighbours=()) -> tuple:
+def _root(points, outside, inside, threshold: float) -> float:
+    """Where the polynomial through the points (the (x, y) ends among them)
+    crosses the threshold between the ends, by Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 168 (1971)) until its next point is not
+    strictly between them, or for 64 points; NaN where the polynomial is
+    not finite."""
+    (a, f_a), (b, f_b) = outside, inside
+    f_a, f_b, kept = f_a - threshold, f_b - threshold, 0
+    for _ in range(64):
+        c = b - f_b * (b - a) / (f_b - f_a)
+        if not min(a, b) < c < max(a, b):
+            break
+        f_c = _lagrange(points, c) - threshold
+        # c replaces the end on its side; the value at an end kept twice running is halved
+        if f_c >= 0:
+            b, f_b, f_a, kept = c, f_c, f_a * (0.5 if kept == -1 else 1.0), -1
+        elif f_c < 0:
+            a, f_a, f_b, kept = c, f_c, f_b * (0.5 if kept == 1 else 1.0), 1
+        else:
+            return math.nan
+    return c
+
+
+def _edge(outside, inside, threshold: float, points=()) -> tuple:
     """An edge (outside, inside, estimate): the (x, y) ends of an interval,
     y below the threshold at the outside end and not at the inside end, and
-    an estimate of the crossing between them.  The estimate is the inverse
-    interpolation through the neighbouring points, if given; regula falsi
-    on the ends where that is not inside the interval (or NaN); the midpoint
-    where neither is."""
+    an estimate of the crossing between them (see `_root`): that of the
+    cubic through the four prescan `points` nearest the interval, if given;
+    of the line through the ends (regula falsi) where that is not finite;
+    the midpoint where neither lies in the interval."""
     lo, hi = sorted((outside[0], inside[0]))
-    for points in filter(None, (neighbours, (outside, inside))):
-        estimate = _interpolate(points, threshold)
+    for through in filter(None, (points, (outside, inside))):
+        estimate = _root(through, outside, inside, threshold)
         if lo <= estimate <= hi:
             return outside, inside, estimate
     return outside, inside, 0.5 * (lo + hi)
@@ -237,11 +251,14 @@ def find_region(
     A prescan grid over the bracket (one grid evaluation for an
     objective of `scenario_objective`) finds the block of above-threshold
     points containing the maximum.  Each edge crossing starts from the
-    inverse cubic through its four prescan neighbours (see `_edge`), and
-    both are then narrowed in lockstep by guarded interpolation to
-    |delta| <= xtol/2 (xtol finite, >= 0), or to adjacent floats (see
-    `_refine`).  Returns resolved=False (NaN endpoints) when no prescan
-    point reaches the threshold.
+    crossing of the cubic through the four prescan points nearest its cell,
+    one-sided at the bracket's ends (see `_edge`), and both are then
+    narrowed in lockstep by guarded interpolation to |delta| <= xtol/2
+    (xtol finite, >= 0), or to adjacent floats (see `_refine`).  Returns
+    resolved=False (NaN endpoints) when no prescan point reaches the
+    threshold, or when all lie within 64 ulps of it: rounding alone
+    scatters an objective equal to the threshold (the unitary baseline's
+    QFI against the Heisenberg limit) by about 6 ulps.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -252,7 +269,7 @@ def find_region(
     xs = np.linspace(lo, hi, prescan)
     vals = _scan(objective, xs)
     above = vals >= threshold
-    if not above.any():
+    if not above.any() or np.all(abs(vals - threshold) <= 64 * np.spacing(threshold)):
         return RegionResult(lower=math.nan, upper=math.nan, threshold=threshold, resolved=False)
     peak = int(np.argmax(vals))
     i = peak
@@ -264,9 +281,8 @@ def find_region(
     points = [(float(x), float(y)) for x, y in zip(xs, vals)]
 
     def edge(outside: int, inside: int) -> tuple:
-        cell = min(outside, inside)
-        neighbours = points[cell - 1 : cell + 3] if 1 <= cell <= prescan - 3 else ()
-        return _edge(points[outside], points[inside], threshold, neighbours)
+        first = min(max(min(outside, inside) - 1, 0), prescan - 4)  # one-sided at the bracket's ends
+        return _edge(points[outside], points[inside], threshold, points[first : first + 4] if prescan >= 4 else ())
 
     edges = []  # each crossing inside the bracket, the lower first
     if i > 0:

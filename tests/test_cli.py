@@ -184,6 +184,15 @@ class TestCommands:
         assert main([*argv, "--t", t]) == 2
         assert capsys.readouterr().err == f"usage error: 't' must be {bound} 0 for command '{argv[0]}', got {float(t)}\n"
 
+    def test_maximize_negative_time_range_is_usage_error(self, capsys):
+        # A maximizer's t range is a range of probe times; a t sweep instead
+        # records the error at each negative point.
+        argv = ["--kind", "std-spont", "--b_z", "0.1", "--gamma", "0.5", "--axis", "t", "--from", "-1", "--to", "1"]
+        assert main(["maximize", *argv]) == 2
+        assert capsys.readouterr().err == "usage error: 'from' must be >= 0 for command 'maximize' over t, got -1.0\n"
+        assert main(["sweep", *argv, "--points", "3"]) == 1
+        assert "time must be >= 0, got -1.0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", [
         ["run", "--kind", "std-spont", "--b_z", "0.1", "--gamma", "0.5"],
         ["sweep", *TWO_SPIN, "--axis", "b_z", "--from", "0.5", "--to", "1.5", "--points", "3"],

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import random
 from dataclasses import replace
 from unittest import mock
 
@@ -24,6 +25,7 @@ from coopmetro.scenarios import (
     ScenarioSpec,
     analytic_coop_spont_qfi,
     effective_two_spin_ground_qfi,
+    heisenberg_limit,
     qfi_at,
     qfi_grid,
     tradeoff_width,
@@ -232,6 +234,20 @@ FIELD_SPECS = [
 FIELD_CASES = [(spec, axis) for spec in FIELD_SPECS for axis in ("b_z", "b_x") if axis in spec.parameters]
 TWO_SPIN = FIELD_SPECS[5]
 
+
+def searches_like(seed: int) -> tuple:
+    """(spec, t, bracket) of a two-spin region search, drawn from the
+    parameter ranges of the bench's `searches` requests."""
+    rng = random.Random(seed)
+    spec = replace(TWO_SPIN, b_x=rng.uniform(0.05, 0.12), dipole=rng.uniform(9.0, 11.0))
+    return spec, rng.uniform(0.8, 1.2), (rng.uniform(0.5, 0.7), rng.uniform(1.3, 1.5))
+
+
+# The fig. 5 region (the `region` example of the README) and five like it.
+REGION_CASES = [pytest.param(TWO_SPIN, 1.0, (0.5, 1.5), id="fig5")] + [
+    pytest.param(*searches_like(seed), id=f"searches-{seed}") for seed in range(5)
+]
+
 # Grids that mix values that the array screen of `qfi_grid` rejects with
 # values that it passes, for each cooperative kind; the last is a time grid.
 _REJECTED_B_Z = [0.4, 0.0, -0.0, 1.1, -0.3, math.nan, math.inf, -math.inf, 0.9]
@@ -383,6 +399,28 @@ class TestFieldGrid:
         steps = itertools.zip_longest(lower, upper, fillvalue=[])
         assert sizes == [101] + [len(at_lower) + len(at_upper) for at_lower, at_upper in steps]
 
+    @pytest.mark.parametrize(("spec", "t", "bracket"), REGION_CASES)
+    def test_region_two_grid_calls_at_default_xtol(self, monkeypatch, spec, t, bracket):
+        # Each edge starts within xtol/4 of its crossing, so one step of three
+        # points per edge closes both.
+        sizes = []
+        grid = SWEEP.qfi_grid
+
+        def counted(spec, values, **kwargs):
+            sizes.append(len(values))
+            return grid(spec, values, **kwargs)
+
+        monkeypatch.setattr(SWEEP, "qfi_grid", counted)
+        assert find_region(scenario_objective(spec, t, "b_z"), heisenberg_limit(2, t), bracket).resolved
+        assert sizes == [101, 6]
+
+    @pytest.mark.parametrize(("spec", "t", "bracket"), REGION_CASES)
+    def test_region_edges_within_a_quarter_xtol(self, spec, t, bracket):
+        objective = scenario_objective(spec, t, "b_z")
+        region, crossings = (find_region(objective, heisenberg_limit(2, t), bracket, xtol=xtol) for xtol in (1e-4, 1e-13))
+        assert abs(region.lower - crossings.lower) <= 0.25e-4
+        assert abs(region.upper - crossings.upper) <= 0.25e-4
+
     def test_maximize_coarse_scan_equals_plain_callable(self):
         objective = scenario_objective(TWO_SPIN, 1.0, "b_z")
         assert maximize_qfi(objective, [(0.5, 1.5)]) == maximize_qfi(lambda b: objective(b), [(0.5, 1.5)])
@@ -496,13 +534,13 @@ def bumps(draw):
 
 
 class TestFindRegion:
-    # At xtol = 1e-9 each edge of the effective model takes three steps of
-    # three points searched alone.
+    # At xtol = 1e-9 each edge of the effective model takes four steps
+    # searched alone: three of three points and a last of two.
     XTOL = 1e-9
 
     def test_lockstep_edges_see_their_midpoints_alone(self):
         (lower, lower_end), (upper, upper_end) = edges_searched_alone(effective_objective()[0], 16.0, (0.5, 1.5), self.XTOL)
-        assert [len(step) for step in lower] == [len(step) for step in upper] == [3, 3, 3]
+        assert [len(step) for step in lower] == [len(step) for step in upper] == [3, 3, 3, 2]
         objective, points = effective_objective()
         region = find_region(objective, 16.0, (0.5, 1.5), xtol=self.XTOL)
         assert points == {"lower": flat(lower), "upper": flat(upper)}
@@ -548,6 +586,31 @@ class TestFindRegion:
         region = find_region(objective, 100.0, (0.5, 1.5))
         assert not region.resolved
         assert math.isnan(region.lower) and math.isnan(region.upper)
+
+    @pytest.mark.parametrize(("n_spins", "t"), [(1, 0.5), (2, 0.5), (1, 3.0)])
+    def test_flat_objective_unresolved(self, n_spins, t):
+        # The unitary baseline's QFI is the Heisenberg limit at every b_z: its
+        # values scatter about 6 ulps around it and locate no crossing.
+        objective = scenario_objective(replace(UNITARY, n_spins=n_spins), t, "b_z")
+        region = find_region(objective, heisenberg_limit(n_spins, t), (0.1, 1.0))
+        assert not region.resolved
+        assert math.isnan(region.lower) and math.isnan(region.upper)
+
+    def test_crossings_in_the_end_cells_start_one_sided(self):
+        # A cubic objective crossing the threshold in the first and the last
+        # prescan cell: the cubic through the four prescan points nearest
+        # each end cell is the objective itself, so each edge starts at its
+        # crossing and one step of three points closes it there.
+        c1, c2 = 0.004, 0.996
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return 1.0 + (x - c1) * (c2 - x) * (x + 1.0)
+
+        region = find_region(objective, 1.0, (0.0, 1.0))
+        assert len(calls) == 101 + 2 * 3
+        assert abs(region.lower - c1) <= 1e-12 and abs(region.upper - c2) <= 1e-12
 
     def test_region_touching_bracket_edges(self):
         region = find_region(lambda x: 1.0, 0.5, (0.0, 1.0))

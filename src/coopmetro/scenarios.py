@@ -10,7 +10,8 @@ b_x = Delta sin(theta) with Delta = sqrt(b_z^2 + b_x^2).  Ground state |g>
 is the eigenvector of the smaller eigenvalue.  Basis convention:
 sigma_z|0> = +|0> and sigma_z|1> = -|1> (`SIGMA_Z`), so the spontaneous
 emission jump (sigma_x + i sigma_y)/2 is |0><1|.  The spin operators are
-read-only numpy constants, and the eigenframes come from `np.linalg.eigh`.
+real, read-only numpy constants, and the eigenframes come from
+`np.linalg.eigh` of the real symmetric Hamiltonians: real frames.
 
 Each kind's model builder is written once, over stacks of field values:
 given b_z and b_x as floats it states one model, given them as arrays the
@@ -76,11 +77,13 @@ __all__ = [
 # E_1 < E_2 < E_3 < E_4: the jump |E_j><E_i| de-excites i -> j.
 TWO_SPIN_DECAY_PAIRS = ((4, 3), (4, 2), (3, 2), (3, 1))
 
-# Two levels are degenerate within this fraction of the spectrum's largest
+# Two levels are close within this fraction of the spectrum's largest
 # |level|: see `_eigen_derivative`.
-GROUND_DEGENERACY_TOL = 1e-9
-# Below this, <j|dH|k> between two eigenvectors is rounding: see `_eigen_derivative`.
+GROUND_DEGENERACY_TOL = 1e-6
+# Below this fraction of ||dH||, <j|dH|k> is rounding; below this ratio to
+# its partner's, dH leaves a vector of a close pair alone (`_check_close_pairs`).
 _COUPLING_TOL = 1e-12
+_MIXING_TOL = 1e-4
 
 # Fields that no kind may read with a negative value.
 _NONNEGATIVE = ("b_x", "gamma", "eta", "dipole", "t_e")
@@ -166,10 +169,7 @@ def _read_only(*operators: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 # sigma_z (sigma_z|0> = +|0>) and sigma_x.
-SIGMA_Z, SIGMA_X = _read_only(
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-)
+SIGMA_Z, SIGMA_X = _read_only(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def controlled_hamiltonian(b_z: ArrayLike, b_x: ArrayLike) -> np.ndarray:
@@ -178,7 +178,7 @@ def controlled_hamiltonian(b_z: ArrayLike, b_x: ArrayLike) -> np.ndarray:
 
 
 def _two_spin_operators() -> tuple[np.ndarray, ...]:
-    i2 = np.eye(2, dtype=complex)
+    i2 = np.eye(2)
     sz1, sz2 = np.kron(SIGMA_Z, i2), np.kron(i2, SIGMA_Z)
     sx1, sx2 = np.kron(SIGMA_X, i2), np.kron(i2, SIGMA_X)
     return _read_only(sz1 @ sz2, sz1 + sz2, sx1 + sx2)
@@ -196,40 +196,83 @@ def two_spin_hamiltonian(b_z: ArrayLike, b_x: ArrayLike) -> np.ndarray:
 
 def _eigen_derivative(h: np.ndarray, dh: np.ndarray) -> tuple[np.ndarray, ...]:
     """(values, vectors, d values, V† dV) of a Hamiltonian (or a stack) whose
-    derivative is dh, from one batched `np.linalg.eigh`.
+    derivative is dh, from one batched `np.linalg.eigh`.  Every Hamiltonian
+    here is real symmetric, so V, V† dH V and V† dV are real, with real
+    products; the same code takes a complex V.
 
     Hellmann-Feynman gives d lam_k = <k|dH|k>, first-order perturbation
     theory d v_k = sum_{j != k} v_j <j|dH|k> / (lam_k - lam_j), so
     (V† dV)_jk = <j|dH|k> / (lam_k - lam_j) off the diagonal, an
     anti-Hermitian matrix.  Its zero diagonal leaves out a phase of each
-    v_k, which a jump between eigenstates does not see; a phase that LAPACK
-    gives v_k multiplies row and column k of V† dV alike, so V (V† dV) V†
-    and every quantity built from it are gauge-free.  Two levels of a matrix
-    are degenerate where their gap is at most 1e-9 max|lam|, relative to its
-    spectrum: such a pair raises DegeneracyError if dH couples it, and adds
-    nothing if it does not (beyond rounding, 1e-12).  A quotient that
-    overflows (a subnormal gap) raises NumericalFailureError.
+    v_k, which a jump between eigenstates does not see; a phase (or, for a
+    real V, a sign) that LAPACK gives v_k multiplies row and column k of
+    V† dV alike, so V (V† dV) V† and every quantity built from it are
+    gauge-free.
+
+    eigh's vectors of two levels a gap g apart are good only to about
+    eps max|lam| / g (Davis & Kahan, SIAM J. Numer. Anal. 7, 1 (1970)), and
+    V† dV divides their coupling by g again, so two levels are close where
+    their gap is at most 1e-6 max|lam|, relative to the spectrum (a tiny
+    field is not a degeneracy).  A close pair adds nothing to V† dV if it
+    passes `_check_close_pairs`, and raises DegeneracyError otherwise.  A
+    quotient that overflows (a subnormal gap) raises NumericalFailureError.
     """
     values, vectors = np.linalg.eigh(h)
     coupling = vectors.conj().mT @ dh @ vectors  # <j|dH|k> at [..., j, k]
+    slopes = np.diagonal(coupling, axis1=-2, axis2=-1).real
     gaps = values[..., None, :] - values[..., :, None]  # lam_k - lam_j at [..., j, k]
     level = np.abs(values).max(axis=-1)[..., None, None]
     close = np.abs(gaps) <= GROUND_DEGENERACY_TOL * level
-    coupled = close & (np.abs(coupling) > _COUPLING_TOL) & ~np.eye(h.shape[-1], dtype=bool)
-    if coupled.any():
-        worst = np.unravel_index(np.argmin(np.where(coupled, np.abs(gaps) / level, np.inf)), coupled.shape)
-        raise DegeneracyError(
-            f"coupled levels degenerate: gap {abs(gaps[worst]):.3e} <= 1e-9 max|E| = "
-            f"{GROUND_DEGENERACY_TOL * level[worst[:-2]].item():.3e}, so the b_z derivative is undefined"
-        )
-    # The real and imaginary parts are divided by the real gaps one at a
-    # time: numpy's complex division forms 1 / gap, which overflows at a
-    # subnormal gap where a quotient may not.
+    pairs = close & ~np.eye(h.shape[-1], dtype=bool)
+    if pairs.any():
+        _check_close_pairs(coupling, slopes, gaps, level, pairs, dh)
+    # A complex coupling's real and imaginary parts are divided by the real
+    # gaps one at a time: numpy's complex division forms 1 / gap, which
+    # overflows at a subnormal gap where a quotient may not.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rotation = np.where(close, 0.0, coupling.real / gaps + 1j * (coupling.imag / gaps))
+        quotient = coupling.real / gaps
+        if np.iscomplexobj(coupling):
+            quotient = quotient + 1j * (coupling.imag / gaps)
+        rotation = np.where(close, 0.0, quotient)
     if not np.isfinite(rotation).all():
         raise NumericalFailureError("the b_z derivative of the Liouvillian has non-finite entries")
-    return values, vectors, np.diagonal(coupling, axis1=-2, axis2=-1).real, rotation
+    return values, vectors, slopes, rotation
+
+
+def _check_close_pairs(coupling, slopes, gaps, level, pairs, dh) -> None:
+    """Raise DegeneracyError at the closest of `_eigen_derivative`'s close
+    pairs (a mask, off the diagonal) whose frame eigh cannot resolve.  A
+    pair passes if two of these hold:
+
+    - its gap g resolves it: eigh mixes the pair's vectors by up to
+      d eps max|lam| / g, at most 1/2 here;
+    - dH neither couples nor splits it: |<j|dH|k>| and |d lam_j - d lam_k|
+      are at most 1e-12 ||dH||;
+    - dH leaves one of its vectors alone: its residual r_k = ||dH v_k -
+      (v_k† dH v_k) v_k|| is at most 1e-4 of its partner's r_j.  The ratio
+      is the mixing that eigh made of a vector that symmetry decouples
+      exactly (the two-spin singlet); the QFI moves by about its square.
+
+    An unresolved pair's vectors, and the channels that tell its levels
+    apart, are arbitrary unless the other two vouch for them.  Residuals
+    that are only both small (the upper two-spin levels at a tiny field)
+    leave no vector alone.
+    """
+    d = coupling.shape[-1]
+    tol = _COUPLING_TOL * np.linalg.norm(dh, 2)
+    off = np.where(np.eye(d, dtype=bool), 0.0, coupling)
+    residual = np.linalg.norm(off, axis=-2)  # r_k of a unitary V
+    r_k, r_j = residual[..., None, :], residual[..., :, None]
+    inert = (np.abs(off) <= tol) & (np.abs(slopes[..., :, None] - slopes[..., None, :]) <= tol)
+    alone = np.minimum(r_j, r_k) <= _MIXING_TOL * np.maximum(r_j, r_k)
+    resolved = 2.0 * d * np.finfo(float).eps * level <= np.abs(gaps)
+    unresolved = pairs & ~((resolved & inert) | (resolved & alone) | (inert & alone))
+    if unresolved.any():
+        worst = np.unravel_index(np.argmin(np.where(unresolved, np.abs(gaps) / level, np.inf)), unresolved.shape)
+        raise DegeneracyError(
+            f"coupled levels degenerate: gap {abs(gaps[worst]):.3e} <= 1e-6 max|E| = "
+            f"{GROUND_DEGENERACY_TOL * level[worst[:-2]].item():.3e}, so the b_z derivative is undefined"
+        )
 
 
 class _Channel(NamedTuple):
@@ -379,8 +422,9 @@ def _lab_jump(vectors: np.ndarray | None, jump, d: int) -> np.ndarray:
 def build_model(spec: ScenarioSpec) -> LindbladModel:
     """Assemble the Lindblad model of the given scenario from the one-model
     case of its kind's frame statement, which also differentiates it in b_z
-    and so raises DegeneracyError where levels that dH couples lie within
-    1e-9 max|E|, and NumericalFailureError where the derivative overflows."""
+    and so raises DegeneracyError where two levels within 1e-6 max|E| fail
+    `_check_close_pairs`, and NumericalFailureError where the derivative
+    overflows."""
     frame = _KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
     d = frame.energies.shape[-1]
     return LindbladModel(
@@ -390,9 +434,9 @@ def build_model(spec: ScenarioSpec) -> LindbladModel:
 
 
 def _checked_probe(dim: int) -> np.ndarray:
-    rho = np.zeros((dim, dim), dtype=complex)
+    rho = np.zeros((dim, dim))
     rho[np.ix_((0, -1), (0, -1))] = 0.5
-    rho = validate_density_matrix(rho)
+    validate_density_matrix(rho)
     rho.setflags(write=False)
     return rho
 
@@ -487,8 +531,9 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
         d_rho = _times(d_rho0, evolution) + _times(rho0, (evolution * times) * d_lam)
         rho[..., level, level] = p
         d_rho[..., level, level] = dp
-        if rotation is not None:
-            d_rho = d_rho + rotation @ rho - rho @ rotation
+        if rotation is not None:  # A rho - rho A from rho's real and imaginary parts: real products
+            re, im = rho.real, rho.imag
+            d_rho = d_rho + (rotation @ re - re @ rotation) + 1j * (rotation @ im - im @ rotation)
         rho, d_rho = hermitize(rho), hermitize(d_rho)
     # Multiples of one power of two, the largest below 2^50 of them (so
     # rounded by at most 4 ulps of it), whose partial sums are all exact.
@@ -850,7 +895,7 @@ def exact_two_spin_ground_qfi(b_z: ArrayLike, b_x: float) -> float | np.ndarray:
     F = 4 sum_{k>0} |<k|dH|0>|^2 / (E_k - E_0)^2 (Zanardi & Paunković,
     PRE 74, 031123 (2006)), dH = sigma_z^1 + sigma_z^2, read off the frame
     rotation V† dV of one batched `np.linalg.eigh` (`_eigen_derivative`).  Raises
-    DegeneracyError where levels that dH couples are degenerate.
+    DegeneracyError where close levels fail `_check_close_pairs`.
     """
     if not b_x > 0.0:
         raise InvalidScenarioError(f"b_x must be > 0, got {b_x}")

@@ -73,6 +73,15 @@ POINTS = [
     # the closed-form populations
     *(("two-spin-coop", b_z, "0.22", "0", "1", "0", "0.05") for b_z in ("0.130026", "0.13")),
     ("two-spin-coop", "1", "0.1", "0", "1e-3", "0", "1"),
+    # tiny two-spin fields, b_x = b_z / 2, b_z and 2 b_z: the smallest b_z
+    # whose upper levels' gap (~4 b_z) passes the 1e-6 max|E| degeneracy
+    # rule, and b_z = 1e-6
+    *(("two-spin-coop", b_z, b_x, "0", "1", "0", "1") for b_z, b_x in (
+        ("2.6e-7", "1.3e-7"), ("2.6e-7", "2.6e-7"), ("2.6e-7", "5.2e-7"),
+        ("1e-6", "5e-7"), ("1e-6", "1e-6"), ("1e-6", "2e-6"),
+    )),
+    # ground level and singlet 2.7e-12 apart, which eigh mixes by ~6e-5
+    ("two-spin-coop", "0.5", "1e-6", "0", "10", "0", "1"),
 ]
 
 # figA1's ground-state QFI (b_x 0.1): the grid's ends, its peak at b_z = 1

@@ -22,6 +22,7 @@ from coopmetro.scenarios import (
     ScenarioSpec,
     analytic_coop_spont_qfi,
     build_model,
+    controlled_hamiltonian,
     effective_two_spin_ground_qfi,
     exact_two_spin_ground_qfi,
     heisenberg_limit,
@@ -170,12 +171,15 @@ class TestBuildModel:
 
     def test_spin_operators_read_only_in_the_basis_convention(self):
         # sigma_z|0> = +|0>, so (sigma_x + i sigma_y)/2 = |0><1| is the jump of std-spont.
+        # The operators, and so every Hamiltonian built from them, are real.
         np.testing.assert_array_equal(SIGMA_Z @ np.array([1.0, 0.0]), [1.0, 0.0])
         np.testing.assert_array_equal(SIGMA_X, [[0.0, 1.0], [1.0, 0.0]])
-        for op in (SIGMA_Z, SIGMA_X):
-            assert op.dtype == complex and not op.flags.writeable
+        for op in (SIGMA_Z, SIGMA_X, scenarios.SZZ, scenarios.SZ_SUM, scenarios.SX_SUM):
+            assert op.dtype == np.float64 and not op.flags.writeable
             with pytest.raises(ValueError):
                 op[0, 0] = 0.0
+        assert controlled_hamiltonian(np.array([0.1, 0.2]), 0.1).dtype == np.float64
+        assert two_spin_hamiltonian(np.array([0.1, 0.2]), 0.1).dtype == np.float64
 
     def test_two_spin_diagonal_spectrum(self):
         # b_x = 0 makes the two-spin Hamiltonian diagonal; read off
@@ -215,13 +219,19 @@ class TestBuildModel:
         assert len(model.channels) == 4
         energies, vectors = np.linalg.eigh(model.hamiltonian)
         pairs = ((4, 3), (4, 2), (3, 2), (3, 1))
+        # Compared gauge-free: a sign or phase on an eigenvector changes the
+        # jump |E_j><E_i| but not L†L = |E_i><E_i| nor L rho L† =
+        # <E_i|rho|E_i> |E_j><E_j|, which are what the dissipator reads.
+        rho = np.random.default_rng(3).standard_normal((4, 4)) + 1j * np.random.default_rng(4).standard_normal((4, 4))
+        rho = rho @ rho.conj().T
         for (i, j), ch in zip(pairs, model.channels):
             omega = energies[i - 1] - energies[j - 1]
             assert omega > 0
             assert ch.rate == pytest.approx(4.0 * omega**3 * 100.0 / 3.0, rel=1e-12)
-            np.testing.assert_allclose(
-                ch.jump, np.outer(vectors[:, j - 1], vectors[:, i - 1].conj()), atol=1e-12
-            )
+            upper, lower = vectors[:, i - 1], vectors[:, j - 1]
+            np.testing.assert_allclose(ch.jump.conj().T @ ch.jump, np.outer(upper, upper.conj()), atol=1e-12)
+            landed = (upper.conj() @ rho @ upper) * np.outer(lower, lower.conj())
+            np.testing.assert_allclose(ch.jump @ rho @ ch.jump.conj().T, landed, atol=1e-12)
 
     def test_two_spin_small_bx_gap_limit(self):
         # diagonal limit: spectrum -> {-1, -1, 0.4, 1.6} at b_z = 0.3, so the
@@ -299,6 +309,22 @@ class TestFrames:
             else:
                 expected = np.diag(stated.jump)
             np.testing.assert_allclose(rotate(channel.jump), expected, rtol=0.0, atol=1e-12)
+
+    def test_real_hamiltonians_give_a_real_frame(self):
+        # Every Hamiltonian here is real symmetric: LAPACK's real solver
+        # gives a real V, so V† dH V and the rotation A = V† dV are real, an
+        # antisymmetric matrix.
+        b = np.linspace(0.5, 1.5, 7)
+        values, vectors, slopes, rotation = scenarios._eigen_derivative(
+            two_spin_hamiltonian(b, 0.1), scenarios.SZ_SUM
+        )
+        for array in (values, vectors, slopes, rotation):
+            assert array.dtype == np.float64
+        assert vectors.shape == rotation.shape == (7, 4, 4)
+        np.testing.assert_allclose(rotation, -rotation.mT, rtol=0.0, atol=1e-12)
+        for spec in STACK_SPECS:
+            frame = scenarios._KINDS[spec.kind].build(spec, b, 0.1)
+            assert all(part is None or part.dtype == np.float64 for part in frame[:5])  # H, E, V, dE, A
 
 
 class TestProbeState:
@@ -456,6 +482,16 @@ class TestExactDerivative:
         richardson = qfi_sld(family.evaluate(spec.b_z), differentiate_state(family)).value
         assert math.isfinite(value)
         assert value == pytest.approx(richardson, rel=1e-7)
+
+    @pytest.mark.parametrize("b_z, b_x", ((0.5, 1e-9), (2.4, 1e-8), (0.99999, 1e-11)))
+    def test_unresolved_singlet_raises(self, b_z, b_x):
+        # The ground level and the singlet within 2 d eps max|E| of each
+        # other: eigh's vectors of the pair may be any rotation of them, and
+        # the channels that tell the two levels apart are then undefined (at
+        # b_z = 2.4, b_x = 1.7e-8, t = 5 two solvers' frames gave QFIs 17x
+        # apart).
+        with pytest.raises(DegeneracyError, match="^coupled levels degenerate"):
+            qfi_at(ScenarioSpec(kind="two-spin-coop", b_z=b_z, b_x=b_x, dipole=10.0), 1.0)
 
     def test_coupled_degenerate_levels_raise(self):
         # The gap 2 sqrt(2) b is the whole spectrum's scale, not a
@@ -634,10 +670,36 @@ class TestExactGroundQfi:
         # Two levels at 1, which dH = sigma_x couples and splits: the frame
         # has no derivative there.
         message = (
-            "coupled levels degenerate: gap 0.000e+00 <= 1e-9 max|E| = 1.000e-09, so the b_z derivative is undefined"
+            "coupled levels degenerate: gap 0.000e+00 <= 1e-6 max|E| = 1.000e-06, so the b_z derivative is undefined"
         )
         with pytest.raises(DegeneracyError, match=f"^{re.escape(message)}$"):
             scenarios._eigen_derivative(np.eye(2, dtype=complex), SIGMA_X)
+
+    # Levels 0 and 1 of h are 1e-8 apart, within the 1e-6 max|E| rule;
+    # level 2 is far.  dH decides whether eigh's frame of the pair is good.
+    CLOSE = np.diag([1.0, 1.0 + 1e-8, 5.0])
+
+    def test_close_pair_with_a_vector_that_dh_leaves_alone_adds_nothing(self):
+        # dH couples level 0 to level 2 and leaves level 1 alone (as it does
+        # the two-spin singlet): the pair adds nothing, and the far coupling
+        # gives <0|dH|2> / (E_2 - E_0).
+        dh = np.array([[1.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
+        rotation = scenarios._eigen_derivative(self.CLOSE, dh)[3]
+        assert rotation[0, 1] == rotation[1, 0] == 0.0
+        assert abs(rotation[2, 0]) == pytest.approx(0.5 / 4.0, rel=1e-15)
+
+    def test_close_pair_that_dh_neither_couples_nor_splits_adds_nothing(self):
+        dh = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.5, 0.5, 0.0]])
+        rotation = scenarios._eigen_derivative(self.CLOSE, dh)[3]
+        assert rotation[0, 1] == rotation[1, 0] == 0.0
+
+    def test_close_pair_that_dh_splits_raises(self):
+        # Uncoupled but with unequal slopes, and both vectors coupled to
+        # level 2: eigh's vectors of the pair are only good to eps / 1e-8,
+        # and that mixing would couple them through the split.
+        dh = np.array([[1.0, 0.0, 0.5], [0.0, -1.0, 0.5], [0.5, 0.5, 0.0]])
+        with pytest.raises(DegeneracyError, match="^coupled levels degenerate: gap 1.000e-08 <= 1e-6 max"):
+            scenarios._eigen_derivative(self.CLOSE, dh)
 
     def test_requires_positive_bx(self):
         with pytest.raises(InvalidScenarioError):

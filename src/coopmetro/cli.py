@@ -378,7 +378,9 @@ def _cmd_maximize(config: RunConfig) -> tuple[list[dict], int]:
     spec = _scenario(config)
     objective = scenario_objective(spec, config.t, config.axis)
     argmax, value = maximize_qfi(objective, [(config.from_, config.to)])
-    return [{config.axis: argmax, "qfi": value}], 0
+    # A flat objective determines no argmax: its cell is empty, as an
+    # unresolved region's bounds are.
+    return [{config.axis: None if math.isnan(argmax) else argmax, "qfi": value}], 0
 
 
 def _cmd_tradeoff(config: RunConfig) -> tuple[list[dict], int]:

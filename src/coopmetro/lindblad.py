@@ -77,12 +77,12 @@ def _herm_deviation(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().mT).max())
 
 
-def _invariant_errors(flat: np.ndarray, finite: np.ndarray, min_eig: np.ndarray) -> np.ndarray:
+def _invariant_errors(flat: np.ndarray, finite: np.ndarray, min_eig: np.ndarray) -> dict[int, str]:
     """The density-matrix check of a stack (n, d, d), given which matrices
-    are finite and the smallest eigenvalue of each (0 where not finite): an
-    object array (n,) holding, per matrix, the message of the first failed
-    invariant (finite entries, Hermiticity 1e-10, unit trace 1e-10,
-    positivity -1e-9), or None where all of them hold."""
+    are finite and the smallest eigenvalue of each (0 where not finite):
+    the message of the first failed invariant (finite entries, Hermiticity
+    1e-10, unit trace 1e-10, positivity -1e-9) of each matrix that fails
+    one, by its index."""
     dev = np.abs(flat - flat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     tr = np.trace(flat, axis1=-2, axis2=-1)
     ok = (
@@ -91,8 +91,8 @@ def _invariant_errors(flat: np.ndarray, finite: np.ndarray, min_eig: np.ndarray)
         & (np.abs(tr - 1.0) <= DENSITY_TRACE_TOL)
         & (min_eig >= DENSITY_EIG_TOL)
     )
-    errors = np.full(flat.shape[0], None, dtype=object)
-    for i in np.flatnonzero(~ok):
+    errors = {}
+    for i in np.flatnonzero(~ok).tolist():
         if not finite[i]:
             errors[i] = "density matrix has non-finite entries"
         elif dev[i] > DENSITY_HERM_TOL:
@@ -116,9 +116,9 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     finite = np.isfinite(flat).all(axis=(-2, -1))
     # A non-finite matrix is replaced by 0 so the eigensolver cannot fail on it.
     min_eig = np.linalg.eigvalsh(np.where(finite[:, None, None], hermitize(flat), 0.0))[:, 0]
-    (error,) = _invariant_errors(flat, finite, min_eig)
-    if error is not None:
-        raise InvalidStateError(error)
+    errors = _invariant_errors(flat, finite, min_eig)
+    if errors:
+        raise InvalidStateError(errors[0])
     return rho
 
 

@@ -101,35 +101,42 @@ def _recorded(formula: Callable, *args):
         return exc
 
 
-def _sld_outcomes(rho: np.ndarray, drho: np.ndarray, spectrum: tuple | None = None) -> list:
-    """`qfi_sld` at each state of a stack (n, d, d) with its derivative, or
-    the ValueError of a derivative that fails its check: one Hermiticity
+def _sld_outcomes(rho: np.ndarray, drho: np.ndarray, spectrum: tuple | None = None) -> tuple[np.ndarray, dict]:
+    """`qfi_sld` at each state of a stack (n, d, d) with its derivative:
+    the values (n,), NaN where a state fails, and the ValueError of each
+    state that fails, by index, as `qfi_sld` raises it.  One Hermiticity
     screen of the derivative stack, one batched `np.linalg.eigh` of the
-    hermitized states, one stacked product V† drho V and one masked sum
-    over the whole stack.  Each state's sum
-    runs over all d x d pairs, with an exact 0.0 at every masked pair, so a
-    state gives the same bits alone as in any stack.  A caller that has the
-    (values, vectors) of the Hermitian stack rho passes them as `spectrum`."""
+    hermitized states, one stacked product V† drho V, one masked sum and
+    one clamp over the whole stack; `_check_derivative` and `_clamp` run
+    alone only at a state that the screen or the clamp fails, to name its
+    error.  Each state's sum runs over all d x d pairs, with an exact 0.0
+    at every masked pair, so a state gives the same bits alone as in any
+    stack.  A caller that has the (values, vectors) of the Hermitian stack
+    rho passes them as `spectrum`."""
     drho = np.asarray(drho, dtype=complex)
-    # `_check_derivative`'s deviation, for the whole stack; it runs alone
-    # only where that screen fails or is NaN, to give its own outcome.
+    # `_check_derivative`'s deviation, for the whole stack; NaN fails it too.
     passes = np.abs(drho - drho.conj().mT).max(axis=(-2, -1)) <= DERIV_HERM_TOL
-    outcomes: list = [None] * len(drho)
-    for k in np.flatnonzero(~passes):
-        outcomes[k] = _recorded(_check_derivative, drho[k])
-    ok = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, ValueError)]
-    if not ok:
-        return outcomes
-    spectrum = spectrum or np.linalg.eigh(hermitize(np.asarray(rho, dtype=complex)))
-    values, vectors = (part[ok] for part in spectrum)
-    weights = np.abs(vectors.conj().mT @ drho[ok] @ vectors) ** 2
+    values, vectors = spectrum or np.linalg.eigh(hermitize(np.asarray(rho, dtype=complex)))
+    weights = np.abs(vectors.conj().mT @ drho @ vectors) ** 2
     denoms = values[:, :, None] + values[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sums = np.where(denoms > SLD_SPECTRAL_EPS, weights / denoms, 0.0).sum(axis=(-2, -1))
-    for k, total in zip(ok, sums.tolist()):
-        value = _recorded(_clamp, 2.0 * total)
-        outcomes[k] = value if isinstance(value, ValueError) else QfiResult(value=value, method=METHOD_SLD)
-    return outcomes
+    kept = np.divide(weights, denoms, out=np.zeros_like(weights), where=denoms > SLD_SPECTRAL_EPS)
+    qfi = 2.0 * kept.sum(axis=(-2, -1))
+    # `_clamp`'s rules, for the whole stack: NaN, inf and values below the
+    # tolerance fail, and values just below 0 are 0.
+    fails = ~(passes & (qfi >= QFI_NEGATIVE_TOL) & (qfi < math.inf))
+    errors = {}
+    for k in np.flatnonzero(fails).tolist():
+        error = None if passes[k] else _recorded(_check_derivative, drho[k])
+        if not isinstance(error, ValueError):  # a NaN deviation passes the check alone
+            error = _recorded(_clamp, qfi[k])
+        if isinstance(error, ValueError):
+            errors[k] = error
+        else:
+            fails[k] = False
+    values = np.maximum(qfi, 0.0)
+    if errors:
+        values[list(errors)] = math.nan
+    return values, errors
 
 
 def qfi_sld(rho: np.ndarray, drho: np.ndarray) -> QfiResult:
@@ -138,10 +145,10 @@ def qfi_sld(rho: np.ndarray, drho: np.ndarray) -> QfiResult:
     Diagonalize rho = sum_k lam_k |k><k| and sum
     2 |<i|drho|j>|^2 / (lam_i + lam_j) over pairs with lam_i + lam_j > 1e-12.
     """
-    (outcome,) = _sld_outcomes(np.asarray(rho)[None], np.asarray(drho)[None])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    values, errors = _sld_outcomes(np.asarray(rho)[None], np.asarray(drho)[None])
+    if errors:
+        raise errors[0]
+    return QfiResult(value=float(values[0]), method=METHOD_SLD)
 
 
 def differentiate_state(family: StateFamily, h: float | None = None) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qfi import QfiResult
-from .scenarios import ScenarioSpec, qfi_grid
+from .scenarios import ScenarioSpec, _grid_outcomes, qfi_grid
 
 __all__ = [
     "SweepGrid",
@@ -83,10 +83,10 @@ class _GridObjective:
         self.spec, self.t, self.axis = spec, t, axis
 
     def __call__(self, value: float) -> float:
-        (outcome,) = qfi_grid(self.spec, [value], axis=self.axis, t=self.t)
+        (score,), (outcome,) = _grid_outcomes(self.spec, [value], self.axis, self.t)
         if isinstance(outcome, Exception):
             raise outcome
-        return outcome.value
+        return float(score)
 
 
 def scenario_objective(spec: ScenarioSpec, t: float | None, axis: str = "b_z") -> Callable[[float], float]:
@@ -102,8 +102,8 @@ def _outcomes(objective: Callable[[float], float], xs):
     grid evaluation for an objective of `scenario_objective`, else one call
     per value read."""
     if isinstance(objective, _GridObjective):
-        outcomes = qfi_grid(objective.spec, xs, axis=objective.axis, t=objective.t)
-        yield from (o if isinstance(o, Exception) else o.value for o in outcomes)
+        values, outcomes = _grid_outcomes(objective.spec, xs, objective.axis, objective.t)
+        yield from (o if isinstance(o, Exception) else v for v, o in zip(values.tolist(), outcomes))
         return
     for x in xs:
         try:
@@ -113,13 +113,21 @@ def _outcomes(objective: Callable[[float], float], xs):
 
 
 def _scan(objective: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """The objective at each value; raises the first failure, as calling it value by value would."""
-    values = []
-    for outcome in _outcomes(objective, xs):
-        if isinstance(outcome, Exception):
-            raise outcome
-        values.append(outcome)
-    return np.array(values)
+    """The objective at each value; raises the first failure, as calling it
+    value by value would.  An objective of `scenario_objective` gives its
+    values as one array, with no QfiResult made."""
+    if isinstance(objective, _GridObjective):
+        values, outcomes = _grid_outcomes(objective.spec, xs, objective.axis, objective.t)
+    else:
+        values = outcomes = []
+        for outcome in _outcomes(objective, xs):
+            outcomes.append(outcome)
+            if isinstance(outcome, Exception):
+                break
+    error = next((o for o in outcomes if isinstance(o, Exception)), None)
+    if error is not None:
+        raise error
+    return np.asarray(values)
 
 
 def _point(value: float, outcome) -> SweepPoint:
@@ -309,6 +317,11 @@ def maximize_qfi(
     Returns (argmax, value), the best point scanned, replaced only by a
     strictly larger value: the value is never below the best coarse-scan
     value, and a maximum at an end of the bracket comes back exactly.
+    Where every value of the first scan lies within 64 ulps of its best
+    (`find_region`'s flat rule: rounding alone scatters the unitary
+    baseline's constant QFI by about 6 ulps), the data determine no argmax:
+    it returns (NaN, best value).  Only the first scan is held to that
+    rule, so a zoom down to adjacent floats still returns its argmax.
     """
     _check_xtol(xtol)
     if len(bounds) != 1:
@@ -317,12 +330,16 @@ def maximize_qfi(
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bounds must be finite with lower < upper, got ({lo}, {hi})")
     argmax, value = math.nan, -math.inf
+    first = True
     while True:
         xs = np.linspace(lo, hi, _SCAN)
         vals = _scan(objective, xs)
         if np.isnan(vals).any():
             raise ValueError(f"the objective is NaN at {float(xs[np.isnan(vals)][0])!r}")
         k = int(np.argmax(vals))
+        if first and vals[k] - vals.min() <= 64 * np.spacing(abs(vals[k])):
+            return math.nan, float(vals[k])
+        first = False
         if vals[k] > value:
             argmax, value = float(xs[k]), float(vals[k])
         cell = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, _SCAN - 1)])

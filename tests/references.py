@@ -1,7 +1,8 @@
 """Reference routes that only the tests use: the pure-state QFI, the
 one-point finite-difference state family of a scenario, the closed-form
 evolved state of the cooperative spontaneous-emission scenario with its
-b_z derivative, and the propagated state and derivative in the lab frame."""
+b_z derivative, the propagated state and derivative in the lab frame, and
+the dense rate matrices of a frame assembled channel by channel."""
 
 import math
 from dataclasses import replace
@@ -104,3 +105,33 @@ def lab_propagated(spec: ScenarioSpec, t: float) -> tuple[np.ndarray, np.ndarray
     if vectors is None:
         return rho, drho
     return hermitize(vectors @ rho @ vectors.conj().T), hermitize(vectors @ drho @ vectors.conj().T)
+
+
+def frame_rates(frame) -> tuple[np.ndarray, ...]:
+    """(W, dW, lam, d lam) of a frame of `scenarios`, assembled channel by
+    channel from its jumps and rates: the rate matrix W (..., d, d) of the
+    populations, dp/dt = W p, and the rate lam_ab (..., d, d) of each
+    coherence, d rho_ab/dt = lam_ab rho_ab (a != b), with their b_z
+    derivatives.  A transition i -> j at rate r moves population from i to
+    j and damps every coherence of level i at r/2; a diagonal jump diag(w)
+    damps coherence ab at r (w_a - w_b)^2 / 2 and leaves the populations.
+    The reference for the kinds' channel tables (`scenarios._frame_rates`)."""
+    *shape, d = np.broadcast_shapes(frame.energies.shape, frame.d_energies.shape)
+    w, dw = np.zeros((2, *shape, d, d))
+    decay, d_decay = np.zeros((2, *shape, d, d))
+    for k, jump in enumerate(frame.channels.jumps):
+        rate, d_rate = frame.rates[..., 0, k], frame.rates[..., 1, k]
+        if isinstance(jump, tuple):
+            i, j = jump
+            for m, r in ((w, rate), (dw, d_rate)):
+                m[..., j, i] += r
+                m[..., i, i] -= r
+            damped = np.zeros(d)
+            damped[i] = 0.5
+            damping = damped[:, None] + damped[None, :]
+        else:
+            damping = 0.5 * (jump[:, None] - jump[None, :]) ** 2
+        decay += np.asarray(rate)[..., None, None] * damping
+        d_decay += np.asarray(d_rate)[..., None, None] * damping
+    gaps = lambda e: e[..., :, None] - e[..., None, :]  # E_a - E_b at [..., a, b]
+    return w, dw, -(decay + 1j * gaps(frame.energies)), -(d_decay + 1j * gaps(frame.d_energies))

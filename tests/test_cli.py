@@ -355,6 +355,18 @@ class TestCommands:
         assert record["t"] == pytest.approx(2.0, abs=1e-6)
         assert record["qfi"] == pytest.approx(16.0, rel=1e-8)
 
+    @pytest.mark.parametrize("n_spins, t", [("1", "1"), ("2", "0.5")])
+    def test_flat_maximize_reports_no_argmax(self, capsys, n_spins, t):
+        # The unitary QFI 4 n^2 t^2 = 4 is the same at every b_z: the
+        # argmax cell is empty (JSON null), as an unresolved region's are.
+        argv = ["maximize", "--kind", "unitary-baseline", "--b_z", "0.1", "--n_spins", n_spins, "--t", t,
+                "--axis", "b_z", "--from", "0.1", "--to", "1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "b_z,qfi\n,4\n"
+        assert main([*argv, "--format", "json"]) == 0
+        (record,) = json.loads(capsys.readouterr().out)
+        assert record["b_z"] is None and record["qfi"] == pytest.approx(4.0, rel=1e-14)
+
     def test_tradeoff_command(self, capsys):
         assert main(["tradeoff", "--b_x", "0.1", "--t", "1"]) == 0
         row = capsys.readouterr().out.strip().split("\n")[1]

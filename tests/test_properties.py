@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 import coopmetro.scenarios as scenarios
 from conftest import outcome
-from references import lab_propagated, qfi_pure, state_family
-from coopmetro.lindblad import propagate
+from references import frame_rates, lab_propagated, qfi_pure, state_family
+from coopmetro.lindblad import hermitize, propagate
 from coopmetro.qfi import differentiate_state, qfi_qubit, qfi_sld
 from coopmetro.scenarios import (
     GROUND_DEGENERACY_TOL,
@@ -174,11 +174,40 @@ def test_bloch_states_match_propagate(spec, t):
     assert np.abs(state - propagate(build_model(spec), probe_state(spec), t)).max() <= 1e-10
 
 
+def _rate_matrix(q) -> np.ndarray:
+    """W (..., d, d) of the rates q (..., d) of the transitions that the
+    closed forms read (`scenarios._SLOTS`; for two spins (a, b, c, e): 3 ->
+    2, 3 -> 1, 2 -> 1 and 2 -> 0, 0-based), as the channel-by-channel
+    reference `references.frame_rates` assembles it."""
+    *shape, d = np.shape(q)
+    w = np.zeros((*shape, d, d))
+    for k, (i, j) in enumerate(scenarios._SLOTS[d]):
+        w[..., j, i] += q[..., k]
+        w[..., i, i] -= q[..., k]
+    return w
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model_points(), st.booleans())
+def test_channel_tables_give_the_dense_rates(spec, stacked):
+    # The one product of a kind's rates with its table, and the closed
+    # forms' transition rates, against the rate matrices and coherence
+    # rates assembled channel by channel: bit for bit, at one point and on
+    # a stack of three.
+    b_z = spec.b_z * np.array([1.0, 1.0 + 1e-3, 1.0 - 1e-3]) if stacked else spec.b_z
+    frame = scenarios._KINDS[spec.kind].build(spec, b_z, spec.b_x)
+    q, lam = scenarios._frame_rates(frame)
+    w, dw, lam_ref, d_lam_ref = frame_rates(frame)
+    for table, dense in zip((_rate_matrix(q[..., 0, :]), _rate_matrix(q[..., 1, :]),
+                             lam[..., 0, :, :], lam[..., 1, :, :]), (w, dw, lam_ref, d_lam_ref)):
+        assert np.array_equal(np.broadcast_to(table, dense.shape), dense)
+
+
 def _relaxation_rate(spec: ScenarioSpec) -> float:
     """kappa = r + u of a one-spin model: the rate at which its populations
     relax to their stationary state (0 where they do not move)."""
-    w = scenarios._frame_rates(scenarios._KINDS[spec.kind].build(spec, spec.b_z, spec.b_x))[0]
-    return float(-np.trace(w))
+    rates = scenarios._frame_rates(scenarios._KINDS[spec.kind].build(spec, spec.b_z, spec.b_x))[0][0]
+    return float(rates.sum())
 
 
 ONE_SPIN = tuple(kind for kind in KINDS if kind != "two-spin-coop")
@@ -232,31 +261,22 @@ def test_qfi_is_flat_past_relaxation(spec, start, fraction):
         assert qfi_at(spec, t1).value == pytest.approx(qfi_at(spec, t0).value, rel=1e-12, abs=0.0)
 
 
-def _two_spin_rate_matrix(rates) -> np.ndarray:
-    """W of the two-spin decay pairs at rates (a, b, c, e): 3 -> 2, 3 -> 1,
-    2 -> 1 and 2 -> 0, 0-based, as `scenarios._frame_rates` assembles it."""
-    w = np.zeros((4, 4))
-    for (i, j), rate in zip(np.array(scenarios.TWO_SPIN_DECAY_PAIRS) - 1, rates):
-        w[j, i] += rate
-        w[i, i] -= rate
-    return w
-
-
 @st.composite
 def four_level_points(draw):
-    """(W, dW, p0, dp0) of the two-spin pattern: rates in 1e-3 ... 2.3e4 (the
-    fig. 5 block's reach), each exactly 0 one time in four, and at times
-    (c, e) a permutation of (a, b), so that k2 = c + e equals k3 = a + b
-    bit for bit.  Each rate's derivative is the rate times 1e-3 ... 1e2 of
-    either sign (the model's is 3 r d omega / omega), so 0 where the rate
-    is 0; p0 is a distribution and dp0 any vector in [-1, 1]."""
+    """(rates, d rates, p0, dp0) of the two-spin pattern: rates (a, b, c, e)
+    in 1e-3 ... 2.3e4 (the fig. 5 block's reach), each exactly 0 one time in
+    four, and at times (c, e) a permutation of (a, b), so that k2 = c + e
+    equals k3 = a + b bit for bit.  Each rate's derivative is the rate
+    times 1e-3 ... 1e2 of either sign (the model's is 3 r d omega / omega),
+    so 0 where the rate is 0; p0 is a distribution and dp0 any vector in
+    [-1, 1]."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rates = 10.0 ** rng.uniform(-3.0, math.log10(2.3e4), 4) * (rng.random(4) < 0.75)
     if draw(st.booleans()):
         rates[2:] = rates[rng.permutation(2)]
     d_rates = rates * rng.choice((-1.0, 1.0), 4) * 10.0 ** rng.uniform(-3.0, 2.0, 4)
     p0 = rng.random(4)
-    return _two_spin_rate_matrix(rates), _two_spin_rate_matrix(d_rates), p0 / p0.sum(), rng.uniform(-1.0, 1.0, 4)
+    return rates, d_rates, p0 / p0.sum(), rng.uniform(-1.0, 1.0, 4)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -268,24 +288,21 @@ def test_four_level_matches_the_block_exponential(point, t):
     # squarings.  A derivative far larger than its rate (unphysical) put
     # scipy up to 7 times past this bound, 4.4e-9 off a 50-digit mpmath
     # exponential where the closed form was 1.2e-13 off.
-    w, dw, p0, dp0 = point
+    rates, d_rates, p0, dp0 = point
+    w, dw = _rate_matrix(rates), _rate_matrix(d_rates)
     blocks = np.block([[w, np.zeros((4, 4))], [dw, w]])
     reference = scipy.linalg.expm(blocks * t) @ np.concatenate([p0, dp0])
-    p, dp = scenarios._four_level(w, dw, p0, dp0, np.array([t]))
+    p, dp = scenarios._four_level(np.stack((rates, d_rates)), np.stack((p0, dp0)), np.array([t]))
     error = np.abs(np.concatenate([p, dp]) - reference).max() / np.abs(reference).max()
     assert error <= 1e-13 + 1e-16 * np.abs(w * t).sum(axis=0).max()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(four_level_points(), st.floats(0.0, 308.0))
-@example((np.zeros((4, 4)), np.zeros((4, 4)), np.array([0.5, 0.0, 0.0, 0.5]), np.zeros(4)), 300.0)
-@example(
-    (_two_spin_rate_matrix([1, 2, 2, 1]), _two_spin_rate_matrix([3, -6, 6, 3]), np.full(4, 0.25), np.zeros(4)), 300.0
-)
-@example(
-    (_two_spin_rate_matrix([2.3e4, 1e-3, 0, 0]), _two_spin_rate_matrix([2.3e6, 0, 0, 0]), np.full(4, 0.25), np.zeros(4)), 308.0
-)
-@example((_two_spin_rate_matrix([1e-160, 3e-160, 2e-160, 5e-161]), _two_spin_rate_matrix([1e-159, -3e-160, 5e-160, 0]),
+@example((np.zeros(4), np.zeros(4), np.array([0.5, 0.0, 0.0, 0.5]), np.zeros(4)), 300.0)
+@example((np.array([1.0, 2, 2, 1]), np.array([3.0, -6, 6, 3]), np.full(4, 0.25), np.zeros(4)), 300.0)
+@example((np.array([2.3e4, 1e-3, 0, 0]), np.array([2.3e6, 0, 0, 0]), np.full(4, 0.25), np.zeros(4)), 308.0)
+@example((np.array([1e-160, 3e-160, 2e-160, 5e-161]), np.array([1e-159, -3e-160, 5e-160, 0]),
           np.full(4, 0.25), np.array([0.1, -0.2, 0.3, -0.2])), 300.0)
 def test_four_level_is_finite_out_to_t_1e300(point, decades):
     # Past t ~ 1e154, t^2 / 2 (the integral G of a rate 0, or H and G of
@@ -295,10 +312,10 @@ def test_four_level_is_finite_out_to_t_1e300(point, decades):
     # rate derivative or decay is 0 is still exactly 0, with no NaN and no
     # warning.  Rates ~1e-160 (a dipole ~1e-80) would put 1 / k^2 past the
     # float range too, unless scaled (the last example).
-    w, dw, p0, dp0 = point
+    rates, d_rates, p0, dp0 = point
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        p, dp = scenarios._four_level(w, dw, p0, dp0, np.array([10.0**decades]))
+        p, dp = scenarios._four_level(np.stack((rates, d_rates)), np.stack((p0, dp0)), np.array([10.0**decades]))
     assert np.isfinite(p).all() and np.isfinite(dp).all()
     assert abs(p.sum() - 1.0) <= 1e-14
 
@@ -389,3 +406,55 @@ def test_pure_qubit_and_sld_routes_agree(family):
         qubit = qfi_qubit(rho, drho)
         assert qubit.method == "sld-spectral"
         assert abs(qubit.value - pure) <= bound
+
+
+def _random_isometry(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:
+    """A Haar-random isometry (rows, d), V† V = I: a unitary where rows = d."""
+    q, r = np.linalg.qr(rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@st.composite
+def full_rank_points(draw, dims):
+    """(rho, drho, rng): a random state of a dimension in dims whose every
+    eigenvalue is at least 1e-3, so that the SLD sum masks no pair, a
+    random traceless Hermitian derivative of it, and a generator for the
+    map applied to both."""
+    d = draw(st.sampled_from(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(d)
+    levels = 1e-3 + (1.0 - d * 1e-3) * weights / weights.sum()
+    u = _random_isometry(rng, d, d)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    drho = m + m.conj().T
+    return hermitize((u * levels) @ u.conj().T), hermitize(drho - np.trace(drho) / d * np.eye(d)), rng
+
+
+QFI_FORMULAS = [pytest.param(qfi_sld, (2, 3, 4), id="qfi_sld"), pytest.param(qfi_qubit, (2,), id="qfi_qubit")]
+
+
+@pytest.mark.parametrize("formula, dims", QFI_FORMULAS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_b_z_independent_unitary_leaves_the_qfi_unchanged(formula, dims, data):
+    # A unitary U that does not depend on b_z maps the family rho(b_z) to
+    # U rho U†, whose QFI is rho's (Braunstein & Caves, PRL 72, 3439 (1994)).
+    rho, drho, rng = data.draw(full_rank_points(dims))
+    u = _random_isometry(rng, len(rho), len(rho))
+    rotated = formula(hermitize(u @ rho @ u.conj().T), hermitize(u @ drho @ u.conj().T))
+    assert rotated.value == pytest.approx(formula(rho, drho).value, rel=1e-9)
+
+
+@pytest.mark.parametrize("formula, dims", QFI_FORMULAS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), kraus=st.integers(1, 4))
+def test_a_b_z_independent_channel_never_raises_the_qfi(formula, dims, data, kraus):
+    # A channel sum_k K_k rho K_k† with Kraus operators that do not depend
+    # on b_z (the blocks of a random isometry, sum_k K_k† K_k = I) is a
+    # coarse-graining: the QFI of its output is at most rho's (Braunstein &
+    # Caves 1994).  One Kraus operator is a unitary, which keeps it.
+    rho, drho, rng = data.draw(full_rank_points(dims))
+    d = len(rho)
+    blocks = _random_isometry(rng, kraus * d, d).reshape(kraus, d, d)
+    channel = lambda m: hermitize(sum(k @ m @ k.conj().T for k in blocks))
+    assert formula(channel(rho), channel(drho)).value <= formula(rho, drho).value * (1.0 + 1e-9)

@@ -8,6 +8,8 @@ from conftest import controlled_ground_state, random_mixed_qubit, random_tracele
 from references import analytic_coop_spont_state, analytic_coop_spont_state_deriv, qfi_pure, state_family
 from coopmetro.lindblad import hermitize
 from coopmetro.qfi import (
+    METHOD_SLD,
+    QfiResult,
     StateFamily,
     _sld_outcomes,
     differentiate_state,
@@ -118,13 +120,19 @@ def random_state(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def stacked_outcomes(rho: np.ndarray, drho: np.ndarray) -> list:
+    """`_sld_outcomes` of a stack as one outcome per state: its ValueError or its QfiResult."""
+    values, errors = _sld_outcomes(rho, drho)
+    return [errors[k] if k in errors else QfiResult(value, METHOD_SLD) for k, value in enumerate(values.tolist())]
+
+
 class TestStackedSld:
     def test_stack_equals_states_alone(self):
         rng = np.random.default_rng(41)
         # ranks 1 to 4; a rank-1 state has pairs that the 1e-12 mask drops
         rho = np.array([random_state(rng, 4, 1 + k % 4) for k in range(40)])
         drho = np.array([random_traceless_hermitian(rng, 4) for _ in range(40)])
-        outcomes = _sld_outcomes(rho, drho)
+        outcomes = stacked_outcomes(rho, drho)
         assert outcomes == [qfi_sld(r, d) for r, d in zip(rho, drho)]
         assert [o.value for o in outcomes] == [reference_sld(r, d) for r, d in zip(rho, drho)]
 
@@ -133,7 +141,7 @@ class TestStackedSld:
         rho = np.array([random_state(rng, 4, 2) for _ in range(5)])
         drho = np.array([random_traceless_hermitian(rng, 4) for _ in range(5)])
         drho[2, 0, 1] += 1e-6
-        outcomes = _sld_outcomes(rho, drho)
+        outcomes = stacked_outcomes(rho, drho)
         with pytest.raises(ValueError) as alone:
             qfi_sld(rho[2], drho[2])
         assert str(alone.value).startswith("state derivative not Hermitian within 1e-8: deviation 1.000e-06")
@@ -147,7 +155,7 @@ class TestStackedSld:
         drho = np.array([random_traceless_hermitian(rng, 4) for _ in range(5)])
         drho[1, 2, 3] = math.nan
         with np.errstate(invalid="ignore"):
-            outcomes = _sld_outcomes(rho, drho)
+            outcomes = stacked_outcomes(rho, drho)
             with pytest.raises(ValueError) as alone:
                 qfi_sld(rho[1], drho[1])
         assert str(alone.value) == "QFI computed as nan, which is not finite"
@@ -174,7 +182,7 @@ class TestStackedSld:
         drho = np.array([random_traceless_hermitian(rng, 4) for _ in range(3)])
         drho[1] *= 1e200
         with np.errstate(over="ignore"):
-            outcomes = _sld_outcomes(rho, drho)
+            outcomes = stacked_outcomes(rho, drho)
         assert isinstance(outcomes[1], ValueError) and "not finite" in str(outcomes[1])
         assert outcomes[::2] == [qfi_sld(r, d) for r, d in zip(rho[::2], drho[::2])]
 

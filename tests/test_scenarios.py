@@ -156,7 +156,7 @@ class TestBuildModel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             frames = [scenarios._KINDS[spec.kind].build(spec, spec.b_z, spec.b_x) for spec in (cold, zero)]
-            assert [ch[:2] for ch in frames[0].channels] == [ch[:2] for ch in frames[1].channels]  # rate, d_rate
+            assert np.array_equal(frames[0].rates, frames[1].rates)  # each rate and its b_z derivative
             assert [ch.rate for ch in build_model(cold).channels] == [ch.rate for ch in build_model(zero).channels]
             assert qfi_at(cold, 1.0).value == qfi_at(zero, 1.0).value
 
@@ -273,11 +273,8 @@ class TestStackedBuilders:
                     assert stacked is None
                 else:
                     np.testing.assert_array_equal(np.broadcast_to(stacked, (*b_z.shape, *single.shape))[index], single)
-            assert len(stack.channels) == len(alone.channels)
-            for stacked, channel in zip(stack.channels, alone.channels):
-                assert np.broadcast_to(stacked.rate, b_z.shape)[index] == channel.rate
-                assert np.broadcast_to(stacked.d_rate, b_z.shape)[index] == channel.d_rate
-                np.testing.assert_array_equal(stacked.jump, channel.jump)
+            assert stack.channels is alone.channels
+            np.testing.assert_array_equal(np.broadcast_to(stack.rates, (*b_z.shape, *alone.rates.shape))[index], alone.rates)
         model = build_model(replace(spec, b_z=float(b_z[0, 0]), b_x=float(b_x[0])))
         np.testing.assert_array_equal(model.hamiltonian, stack.hamiltonian[0, 0])
 
@@ -299,15 +296,15 @@ class TestFrames:
         v = np.eye(d) if frame.vectors is None else frame.vectors
         rotate = lambda m: v.conj().T @ m @ v
         np.testing.assert_allclose(rotate(model.hamiltonian), np.diag(frame.energies), rtol=0.0, atol=1e-12)
-        assert len(model.channels) == len(frame.channels)
-        for channel, stated in zip(model.channels, frame.channels):
-            assert channel.rate == stated.rate
-            if isinstance(stated.jump, tuple):
-                i, j = stated.jump
+        assert len(model.channels) == len(frame.channels.jumps)
+        for channel, jump, rate in zip(model.channels, frame.channels.jumps, frame.rates[0]):
+            assert channel.rate == rate
+            if isinstance(jump, tuple):
+                i, j = jump
                 expected = np.zeros((d, d))
                 expected[j, i] = 1.0
             else:
-                expected = np.diag(stated.jump)
+                expected = np.diag(jump)
             np.testing.assert_allclose(rotate(channel.jump), expected, rtol=0.0, atol=1e-12)
 
     def test_real_hamiltonians_give_a_real_frame(self):

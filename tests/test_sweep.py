@@ -388,13 +388,13 @@ class TestFieldGrid:
         objective = scenario_objective(TWO_SPIN, 1.0, "b_z")
         (lower, _), (upper, _) = edges_searched_alone(objective, 16.0, (0.5, 1.5), xtol=0.0)
         assert len(lower) != len(upper)
-        grid = SWEEP.qfi_grid
+        grid = SWEEP._grid_outcomes
 
-        def counted(spec, values, **kwargs):
+        def counted(spec, values, axis, t):
             sizes.append(len(values))
-            return grid(spec, values, **kwargs)
+            return grid(spec, values, axis, t)
 
-        monkeypatch.setattr(SWEEP, "qfi_grid", counted)  # a point evaluated alone would add a 1
+        monkeypatch.setattr(SWEEP, "_grid_outcomes", counted)  # a point evaluated alone would add a 1
         assert find_region(objective, 16.0, (0.5, 1.5), xtol=0.0).resolved
         steps = itertools.zip_longest(lower, upper, fillvalue=[])
         assert sizes == [101] + [len(at_lower) + len(at_upper) for at_lower, at_upper in steps]
@@ -404,13 +404,13 @@ class TestFieldGrid:
         # Each edge starts within xtol/4 of its crossing, so one step of three
         # points per edge closes both.
         sizes = []
-        grid = SWEEP.qfi_grid
+        grid = SWEEP._grid_outcomes
 
-        def counted(spec, values, **kwargs):
+        def counted(spec, values, axis, t):
             sizes.append(len(values))
-            return grid(spec, values, **kwargs)
+            return grid(spec, values, axis, t)
 
-        monkeypatch.setattr(SWEEP, "qfi_grid", counted)
+        monkeypatch.setattr(SWEEP, "_grid_outcomes", counted)
         assert find_region(scenario_objective(spec, t, "b_z"), heisenberg_limit(2, t), bracket).resolved
         assert sizes == [101, 6]
 
@@ -428,13 +428,13 @@ class TestFieldGrid:
     @pytest.mark.parametrize("axis", ["b_z", "t"])
     def test_maximize_one_grid_call_per_scan(self, monkeypatch, axis):
         sizes = []
-        grid = SWEEP.qfi_grid
+        grid = SWEEP._grid_outcomes
 
-        def counted(spec, values, **kwargs):
+        def counted(spec, values, axis, t):
             sizes.append(len(values))
-            return grid(spec, values, **kwargs)
+            return grid(spec, values, axis, t)
 
-        monkeypatch.setattr(SWEEP, "qfi_grid", counted)  # a point evaluated alone would add a 1
+        monkeypatch.setattr(SWEEP, "_grid_outcomes", counted)  # a point evaluated alone would add a 1
         maximize_qfi(scenario_objective(TWO_SPIN, 1.0, axis), [(0.5, 1.5)])
         assert len(sizes) > 1
         assert set(sizes) == {33}
@@ -735,6 +735,28 @@ class TestMaximize:
         argmax, value = maximize_qfi(objective, [(0.0, 2.0)])
         assert argmax == 2.0
         assert value == pytest.approx(16.0, rel=1e-9)
+
+    @pytest.mark.parametrize("n_spins", [1, 2])
+    def test_flat_objective_reports_no_argmax(self, n_spins):
+        # The unitary QFI 4 n^2 t^2 is the same at every b_z; rounding
+        # scatters its 33 scanned values by a few ulps, which determine no
+        # argmax.  At t = 1/n the value is 4.
+        t = 1.0 / n_spins
+        spec = replace(UNITARY, n_spins=n_spins)
+        objective = scenario_objective(spec, t, "b_z")
+        values = [objective(x) for x in np.linspace(0.1, 1.0, 33)]
+        assert max(values) - min(values) <= 64 * np.spacing(4.0)
+        argmax, value = maximize_qfi(objective, [(0.1, 1.0)])
+        assert math.isnan(argmax)
+        assert value == max(values)
+        assert value == pytest.approx(4.0, rel=1e-14)
+
+    @pytest.mark.parametrize("level", [2.5, -2.5, 0.0])
+    def test_constant_objective_reports_no_argmax(self, level):
+        # Only the first scan is held to the flat rule: a zoom that ends at
+        # adjacent floats keeps its argmax (test_zero_xtol_terminates).
+        argmax, value = maximize_qfi(lambda x: level, [(0.0, 1.0)])
+        assert math.isnan(argmax) and value == level
 
     def test_refinement_soundness(self):
         objective = lambda b: effective_two_spin_ground_qfi(b, 0.1)

@@ -78,7 +78,10 @@ def qfi_qubit(rho: np.ndarray, drho: np.ndarray) -> QfiResult:
 
     F = Tr[(drho)^2] + Tr[(rho drho)^2] / Det[rho].  Near-pure states
     (Det < 1e-10) make the division explosive; those fall back to the
-    spectral SLD route and are tagged accordingly.
+    spectral SLD route and are tagged accordingly.  A grid decides this
+    route for its whole stack of qubit states (`scenarios._scores`): one
+    batched det, then one `_sld_outcomes` call over the near-pure states,
+    which gives each the bits that this function gives it alone.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):

@@ -46,8 +46,11 @@ from .lindblad import (
     validate_density_matrix,
 )
 from .qfi import (
+    DERIV_HERM_TOL,
     METHOD_SLD,
+    NEAR_PURE_DET_TOL,
     QfiResult,
+    _check_derivative,
     _recorded,
     _sld_outcomes,
     qfi_qubit,
@@ -731,9 +734,21 @@ def _scores(states: np.ndarray, drho: np.ndarray, t: ArrayLike) -> tuple[np.ndar
     derivatives (n, d, d) in the Hamiltonian's eigenframe at times t, NaN
     where a point fails, and each point's outcome: its exception, its
     QfiResult where the qubit closed form scored it alone, or None where
-    the SLD sum over the stack, whose eigh the state check shares, gave its
-    value.  The state check comes first; a derivative that is not finite
-    (overflowing as the QFI does) fails its point, named."""
+    the SLD sum over the stack gave its value.  The state check comes
+    first; a derivative that is not finite (overflowing as the QFI does)
+    fails its point, named.
+
+    Two spins: one SLD sum over the stack, whose eigh the state check
+    shares.  One spin: each point takes `qfi_qubit`'s route, decided here
+    once per stack.  One batched det, the LAPACK call that `qfi_qubit`
+    makes per state, marks the near-pure states (det < 1e-10).  Every
+    other point runs `qfi_qubit` alone, the closed form.  One
+    `_sld_outcomes` call over the near-pure points gives each the bits of
+    its one-state `qfi_sld` fallback, after the checks that `qfi_qubit`
+    makes first: its screen holds the derivatives Hermitian within 1e-8,
+    and an array screen here holds them traceless within 1e-8.  A point
+    that fails either is checked alone, by `_check_derivative`, so that it
+    reports the check's own message."""
     n, d = len(states), drho.shape[-1]
     finite = np.isfinite(states).all(axis=(-2, -1))
     # 0 for a non-finite state, which LAPACK rejects; qubits need no vectors (eigvalsh is cheaper).
@@ -747,8 +762,19 @@ def _scores(states: np.ndarray, drho: np.ndarray, t: ArrayLike) -> tuple[np.ndar
     # the formula names, so numpy's warnings are silenced, once per grid.
     with np.errstate(over="ignore", invalid="ignore"):
         if d == 2:
-            outcomes = [None if j in failed else _recorded(qfi_qubit, states[j], drho[j]) for j in range(n)]
+            pure = [j for j in (np.linalg.det(safe).real < NEAR_PURE_DET_TOL).nonzero()[0].tolist() if j not in failed]
+            skipped = failed.keys() | pure
+            outcomes = [None if j in skipped else _recorded(qfi_qubit, states[j], drho[j]) for j in range(n)]
             values = np.array([o.value if isinstance(o, QfiResult) else math.nan for o in outcomes])
+            if pure:
+                pure = np.array(pure)
+                traced = np.abs(np.trace(drho[pure], axis1=-2, axis2=-1)) > DERIV_HERM_TOL
+                for j in pure[traced].tolist():
+                    outcomes[j] = _recorded(_check_derivative, drho[j], True)
+                pure = pure[~traced]
+                values[pure], errors = _sld_outcomes(states[pure], drho[pure])
+                for k, error in errors.items():
+                    outcomes[pure[k]] = error
         else:
             values, errors = _sld_outcomes(states, drho, spectrum)
             outcomes = [errors.get(j) for j in range(n)]
@@ -793,6 +819,8 @@ def _grid_outcomes(spec: ScenarioSpec, values: ArrayLike, axis: str, t: float | 
         raise ValueError(f"grid axis must be 't', 'b_z' or 'b_x', got {axis!r}")
     if axis != "t" and t is None:
         raise ValueError(f"a grid over {axis!r} requires the probe time t")
+    if axis != "t" and axis not in spec.parameters:
+        raise ValueError(f"axis {axis!r} is not read by kind {spec.kind!r} (it reads {', '.join(spec.parameters)})")
     t = None if axis == "t" else float(t)
     values = np.atleast_1d(np.asarray(values, dtype=float))
     # The screen above: a field value > 0 is a nonzero b_z and a b_x > 0.
@@ -829,7 +857,8 @@ def qfi_grid(
 ) -> list[QfiResult | Exception]:
     """QFI with respect to b_z of the propagated probe at each value of a
     grid over one axis: probe times in any order (axis "t"), or values of
-    the field b_z or b_x at probe time t.
+    the field b_z or b_x at probe time t.  A field that the kind does not
+    read is a ValueError, as it is a usage error of the CLI.
 
     Returns one entry per value: a QfiResult, or the exception that failed
     that point, so one bad point does not lose the others.  One array

@@ -8,7 +8,9 @@ derivatives with Richardson differences of it; one spin's closed-form
 populations agree with `propagate` out to t = 50 and hold the QFI flat past
 relaxation out to t = 1e300; two spins' agree with scipy's exponential of
 their Van Loan block out to t = 50 and stay finite out to t = 1e300; and the
-pure-state, qubit and SLD routes give one QFI on pure families."""
+pure-state, qubit and SLD routes give one QFI on pure families; and
+`propagate` of a random Lindblad model is completely positive and trace
+preserving."""
 
 import math
 import warnings
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 import coopmetro.scenarios as scenarios
 from conftest import outcome
 from references import frame_rates, lab_propagated, qfi_pure, state_family
-from coopmetro.lindblad import hermitize, propagate
+from coopmetro.lindblad import LindbladChannel, LindbladModel, hermitize, propagate
 from coopmetro.qfi import differentiate_state, qfi_qubit, qfi_sld
 from coopmetro.scenarios import (
     GROUND_DEGENERACY_TOL,
@@ -458,3 +460,49 @@ def test_a_b_z_independent_channel_never_raises_the_qfi(formula, dims, data, kra
     blocks = _random_isometry(rng, kraus * d, d).reshape(kraus, d, d)
     channel = lambda m: hermitize(sum(k @ m @ k.conj().T for k in blocks))
     assert formula(channel(rho), channel(drho)).value <= formula(rho, drho).value * (1.0 + 1e-9)
+
+
+@st.composite
+def lindblad_models(draw):
+    """A random Lindblad model of dimension 2 or 4: a random Hermitian H and
+    one to three random jumps, at rates in [0, 2]."""
+    d = draw(st.sampled_from((2, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex_normal = lambda: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rates = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3))
+    return LindbladModel(hermitize(complex_normal()), tuple(LindbladChannel(rate, complex_normal()) for rate in rates))
+
+
+def _choi(model: LindbladModel, t: float) -> np.ndarray:
+    """The Choi matrix sum_ij |i><j| (x) E(|i><j|) of the map E = `propagate`
+    to time t, which takes only density matrices: by linearity, from its
+    images of the projectors P_i and of |+><+| and |y><y|, |+> = (|i> + |j>)
+    / sqrt 2 and |y> = (|i> + i |j>) / sqrt 2, since |i><j| = |+><+| +
+    i |y><y| - (1 + i)(P_i + P_j) / 2."""
+    d = model.dim
+    basis = np.eye(d)
+    image = lambda v: propagate(model, np.outer(v, v.conj()), t)
+    diagonal = [image(e) for e in basis]
+    choi = np.zeros((d, d, d, d), dtype=complex)  # choi[i, :, j, :] = E(|i><j|)
+    for i, j in np.ndindex(d, d):
+        if i == j:
+            choi[i, :, i, :] = diagonal[i]
+        else:
+            plus, y = (basis[i] + basis[j]) / math.sqrt(2.0), (basis[i] + 1j * basis[j]) / math.sqrt(2.0)
+            choi[i, :, j, :] = image(plus) + 1j * image(y) - (1 + 1j) / 2 * (diagonal[i] + diagonal[j])
+    return choi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lindblad_models(), st.floats(0.0, 5.0))
+def test_propagate_is_completely_positive_and_trace_preserving(model, t):
+    # A Lindblad generator with rates >= 0 gives a CPTP map at every t >= 0
+    # (Lindblad, Commun. Math. Phys. 48, 119 (1976)): its Choi matrix is
+    # positive semidefinite, here within rounding, and the trace over the
+    # output of E(|i><j|) is delta_ij.
+    choi = _choi(model, t)
+    d = model.dim
+    flat = choi.reshape(d * d, d * d)
+    assert np.abs(flat - flat.conj().T).max() <= 1e-12
+    assert np.linalg.eigvalsh(hermitize(flat))[0] >= -1e-12
+    assert np.abs(np.trace(choi, axis1=1, axis2=3) - np.eye(d)).max() <= 1e-12

@@ -450,6 +450,24 @@ class TestQfiAt:
         assert qfi_at(spec, 1.0).value == pytest.approx(9.9999999999999990481e-21, rel=1e-5, abs=0.0)
 
 
+class TestQfiGrid:
+    @pytest.mark.parametrize(
+        "spec, reads",
+        [
+            (ScenarioSpec(kind="std-spont", b_z=0.1, gamma=0.5), "b_z, gamma"),
+            (ScenarioSpec(kind="std-deph", b_z=0.1, eta=0.5), "b_z, eta"),
+            (ScenarioSpec(kind="unitary-baseline", b_z=0.1), "b_z, n_spins"),
+        ],
+        ids=["std-spont", "std-deph", "unitary-baseline"],
+    )
+    def test_axis_the_kind_does_not_read_is_named(self, monkeypatch, spec, reads):
+        # The CLI's usage error, raised before any stack is built.
+        monkeypatch.setattr(scenarios, "_propagated", None)
+        message = f"axis 'b_x' is not read by kind '{spec.kind}' (it reads {reads})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qfi_grid(spec, [0.03, 0.05], axis="b_x", t=1.0)
+
+
 class TestExactDerivative:
     """Inputs where the old five-point b_z stencil failed or was off."""
 

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coopmetro.scenarios as scenarios
-from conftest import controlled_ground_state
+from conftest import controlled_ground_state, outcome
 from references import qfi_pure, state_family
 from coopmetro.qfi import (
     QfiResult,
+    _check_derivative,
     differentiate_state,
     qfi_qubit,
     qfi_sld,
@@ -33,6 +34,7 @@ from coopmetro.scenarios import (
 from coopmetro.sweep import SweepGrid, find_region, maximize_qfi, scenario_objective, sweep
 
 SWEEP = importlib.import_module("coopmetro.sweep")  # the package attribute is the function
+QFI = importlib.import_module("coopmetro.qfi")
 UNITARY = ScenarioSpec(kind="unitary-baseline", b_z=0.1, n_spins=1)
 COOP = ScenarioSpec(kind="coop-spont", b_z=0.1, b_x=0.1, gamma=0.5)
 
@@ -134,6 +136,21 @@ def exponential_calls(monkeypatch) -> list:
     return calls
 
 
+# Time grids of one spin whose states pass det rho = 1e-10, where qfi_qubit
+# leaves its closed form for the SLD sum: the t_e = 0 thermal state is pure
+# at t = 0, mixed until t ~ 20 and near-pure again once it has relaxed to
+# the ground state; the unitary state is pure at every t, and its QFI 4 t^2
+# overflows at t = 1e160.
+ROUTE_CASES = [
+    (
+        ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=2.0, t_e=0.0),
+        [*np.linspace(0.0, 30.0, 31).tolist(), 1e3, 1e300],
+        {"qubit-closed-form", "sld-spectral"},
+    ),
+    (UNITARY, [*np.linspace(0.0, 5.0, 11).tolist(), 1e150, 1e160], {"sld-spectral"}),
+]
+
+
 class TestTimeGrid:
     @pytest.mark.parametrize("spec, grid, rtol", GRID_CASES, ids=lambda c: getattr(c, "kind", ""))
     def test_matches_pointwise_propagation(self, spec, grid, rtol):
@@ -156,6 +173,53 @@ class TestTimeGrid:
     def test_uneven_or_descending_times_equal_qfi_at(self):
         for times in ([0.1, 0.2, 0.5], [1.0, 0.5, 0.0]):
             assert qfi_grid(COOP, times) == [qfi_at(COOP, t) for t in times]
+
+    @pytest.mark.parametrize("spec, times, methods", ROUTE_CASES, ids=["coop-thermal-cold", "unitary-baseline"])
+    def test_qubit_points_take_the_route_of_qfi_qubit_alone(self, spec, times, methods):
+        # Each point of one stack gets the value bits and tag, or the error,
+        # that qfi_qubit gives its state alone and that qfi_at gives.
+        states, drho = scenarios._propagated(spec, spec.b_z, spec.b_x, scenarios._PROBES[2], np.asarray(times))
+        grid = [outcome(lambda: o) for o in qfi_grid(spec, times)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = [outcome(lambda: qfi_qubit(rho, d_rho)) for rho, d_rho in zip(states, drho)]
+        assert repr(grid) == repr(alone)
+        assert repr(grid) == repr([outcome(lambda: qfi_at(spec, t)) for t in times])
+        assert {o.method for o in grid if isinstance(o, QfiResult)} == methods
+
+    def test_near_pure_points_make_one_stacked_sld_call(self, monkeypatch):
+        spec, times, _ = ROUTE_CASES[0]
+        sizes, alone = [], []
+        stacked, one_state = scenarios._sld_outcomes, QFI.qfi_sld
+        monkeypatch.setattr(scenarios, "_sld_outcomes", lambda rho, *args: sizes.append(len(rho)) or stacked(rho, *args))
+        monkeypatch.setattr(QFI, "qfi_sld", lambda *args: alone.append(args) or one_state(*args))
+        grid = qfi_grid(spec, times)
+        assert sizes == [sum(o.method == "sld-spectral" for o in grid)]
+        assert sizes[0] > 1
+        assert alone == []
+
+    @pytest.mark.parametrize(
+        "entry, check", [((0, 1), "not Hermitian"), ((0, 0), "not traceless")], ids=["non-hermitian", "non-traceless"]
+    )
+    def test_bad_derivative_at_a_near_pure_point_fails_only_it(self, monkeypatch, entry, check):
+        spec, times, _ = ROUTE_CASES[0]
+        clean = qfi_grid(spec, times)
+        k = 25  # t = 25, where the state has relaxed to near-pure
+        assert clean[k].method == "sld-spectral"
+        propagated, corrupted = scenarios._propagated, []
+
+        def corrupting(*args):
+            states, drho = propagated(*args)
+            drho[k][entry] += 1e-6
+            corrupted.append(drho[k].copy())
+            return states, drho
+
+        monkeypatch.setattr(scenarios, "_propagated", corrupting)
+        grid = qfi_grid(spec, times)
+        (bad,) = corrupted
+        expected = outcome(lambda: _check_derivative(bad, traceless=True))
+        assert expected[0] is ValueError and check in expected[1]
+        assert outcome(lambda: grid[k]) == expected
+        assert grid[:k] + grid[k + 1:] == clean[:k] + clean[k + 1:]
 
     def test_invariant_failure_fails_only_its_point(self, monkeypatch):
         grid = SweepGrid("t", 0.5, 2.5, 5)

@@ -199,11 +199,11 @@ def two_spin_hamiltonian(b_z: ArrayLike, b_x: ArrayLike) -> np.ndarray:
     return SZZ + _scale(b_z, SZ_SUM) + _scale(b_x, SX_SUM)
 
 
-def _eigen_derivative(h: np.ndarray, dh: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(values, vectors, d values, V† dV) of a Hamiltonian (or a stack) whose
-    derivative is dh, from one batched `np.linalg.eigh`.  Every Hamiltonian
-    here is real symmetric, so V, V† dH V and V† dV are real, with real
-    products; the same code takes a complex V.
+def _eigen_derivative(h: np.ndarray, dh: np.ndarray) -> tuple:
+    """(values, vectors, d values, V† dV, errors) of a Hamiltonian (or a
+    stack) whose derivative is dh, from one batched `np.linalg.eigh`.  Every
+    Hamiltonian here is real symmetric, so V, V† dH V and V† dV are real,
+    with real products; the same code takes a complex V.
 
     Hellmann-Feynman gives d lam_k = <k|dH|k>, first-order perturbation
     theory d v_k = sum_{j != k} v_j <j|dH|k> / (lam_k - lam_j), so
@@ -219,35 +219,38 @@ def _eigen_derivative(h: np.ndarray, dh: np.ndarray) -> tuple[np.ndarray, ...]:
     V† dV divides their coupling by g again, so two levels are close where
     their gap is at most 1e-6 max|lam|, relative to the spectrum (a tiny
     field is not a degeneracy).  A close pair adds nothing to V† dV if it
-    passes `_check_close_pairs`, and raises DegeneracyError otherwise.  A
-    quotient that overflows (a subnormal gap) raises NumericalFailureError.
+    passes `_check_close_pairs`; otherwise its model fails with
+    DegeneracyError.  A V† dV that overflows (a subnormal gap, levels near
+    the float range) is set to 0 and fails its model with
+    NumericalFailureError: `errors` holds each failure by its stack index.
     """
     values, vectors = np.linalg.eigh(h)
     coupling = vectors.conj().mT @ dh @ vectors  # <j|dH|k> at [..., j, k]
     slopes = np.diagonal(coupling, axis1=-2, axis2=-1).real
-    gaps = values[..., None, :] - values[..., :, None]  # lam_k - lam_j at [..., j, k]
-    level = np.abs(values).max(axis=-1)[..., None, None]
-    close = np.abs(gaps) <= GROUND_DEGENERACY_TOL * level
-    pairs = close & ~np.eye(h.shape[-1], dtype=bool)
-    if pairs.any():
-        _check_close_pairs(coupling, slopes, gaps, level, pairs, dh)
     # A complex coupling's real and imaginary parts are divided by the real
     # gaps one at a time: numpy's complex division forms 1 / gap, which
     # overflows at a subnormal gap where a quotient may not.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gaps = values[..., None, :] - values[..., :, None]  # lam_k - lam_j at [..., j, k]
         rotation = coupling.real / gaps
         if np.iscomplexobj(coupling):
             rotation = rotation + 1j * (coupling.imag / gaps)
+    level = np.abs(values).max(axis=-1)[..., None, None]
+    close = np.abs(gaps) <= GROUND_DEGENERACY_TOL * level
+    pairs = close & ~np.eye(h.shape[-1], dtype=bool)
+    errors = _check_close_pairs(coupling, slopes, gaps, level, pairs, dh) if pairs.any() else {}
     rotation[close] = 0.0
     if not np.isfinite(rotation).all():
-        raise NumericalFailureError("the b_z derivative of the Liouvillian has non-finite entries")
-    return values, vectors, slopes, rotation
+        for index in map(tuple, np.argwhere(~np.isfinite(rotation).all(axis=(-2, -1))).tolist()):
+            errors.setdefault(index, NumericalFailureError("the b_z derivative of the Liouvillian has non-finite entries"))
+            rotation[index] = 0.0
+    return values, vectors, slopes, rotation, errors
 
 
-def _check_close_pairs(coupling, slopes, gaps, level, pairs, dh) -> None:
-    """Raise DegeneracyError at the closest of `_eigen_derivative`'s close
-    pairs (a mask, off the diagonal) whose frame eigh cannot resolve.  A
-    pair passes if two of these hold:
+def _check_close_pairs(coupling, slopes, gaps, level, pairs, dh) -> dict:
+    """The DegeneracyError, by stack index, of each model with a close pair
+    (`_eigen_derivative`'s mask, off the diagonal) whose frame eigh cannot
+    resolve, naming its closest such pair.  A pair passes if two of these hold:
 
     - its gap g resolves it: eigh mixes the pair's vectors by up to
       d eps max|lam| / g, at most 1/2 here;
@@ -272,12 +275,15 @@ def _check_close_pairs(coupling, slopes, gaps, level, pairs, dh) -> None:
     alone = np.minimum(r_j, r_k) <= _MIXING_TOL * np.maximum(r_j, r_k)
     resolved = 2.0 * d * np.finfo(float).eps * level <= np.abs(gaps)
     unresolved = pairs & ~((resolved & inert) | (resolved & alone) | (inert & alone))
-    if unresolved.any():
-        worst = np.unravel_index(np.argmin(np.where(unresolved, np.abs(gaps) / level, np.inf)), unresolved.shape)
-        raise DegeneracyError(
+    errors = {}
+    for index in map(tuple, np.argwhere(unresolved.any(axis=(-2, -1))).tolist()):
+        ratio = np.where(unresolved[index], np.abs(gaps[index]) / level[index], np.inf)
+        worst = index + np.unravel_index(np.argmin(ratio), (d, d))
+        errors[index] = DegeneracyError(
             f"coupled levels degenerate: gap {abs(gaps[worst]):.3e} <= 1e-6 max|E| = "
-            f"{GROUND_DEGENERACY_TOL * level[worst[:-2]].item():.3e}, so the b_z derivative is undefined"
+            f"{GROUND_DEGENERACY_TOL * level[index].item():.3e}, so the b_z derivative is undefined"
         )
+    return errors
 
 
 # The transitions whose rates the closed-form populations read, in their
@@ -326,6 +332,7 @@ class _Frame(NamedTuple):
     vectors: np.ndarray | None  # V (..., d, d), unitary; None where H is diagonal (V = I)
     d_energies: np.ndarray  # dE (..., d)
     rotation: np.ndarray | None  # A = V† dV (..., d, d), anti-Hermitian; None where V = I
+    errors: dict  # stack index -> error of each failed model, whose non-finite A or rates are 0
     channels: _Channels
     rates: np.ndarray  # (..., 2, C): each channel's rate, then its b_z derivative; finite
 
@@ -334,18 +341,21 @@ def _diagonal_frame(h: np.ndarray, dh: np.ndarray, channels: _Channels, rates: n
     """The frame of a diagonal Hamiltonian h with diagonal derivative dh:
     the identity, with no eigensolver."""
     diagonal = lambda m: np.diagonal(m, axis1=-2, axis2=-1).real
-    return _Frame(h, diagonal(h), None, diagonal(dh), None, channels, rates)
+    return _Frame(h, diagonal(h), None, diagonal(dh), None, {}, channels, rates)
 
 
-def _checked(names: tuple[str, ...], rates: np.ndarray) -> np.ndarray:
-    """Rates (..., 2, C) that the levels set, checked finite at once;
-    NumericalFailureError names the first rate or b_z derivative, in channel
-    order, that is not."""
+def _checked(names: tuple[str, ...], rates: np.ndarray, errors: dict) -> np.ndarray:
+    """Rates (..., 2, C) that the levels set, checked finite at once.  A
+    model whose rates are not gets rates 0 and, unless `errors` (the
+    levels') has one, an error naming its first non-finite rate or b_z
+    derivative in channel order."""
     if not np.isfinite(rates).all():
-        for k, name in enumerate(names):
-            for label, value in ((name, rates[..., 0, k]), (f"b_z derivative of the {name}", rates[..., 1, k])):
-                if not np.isfinite(value).all():
-                    raise NumericalFailureError(f"the {label} is not finite: {np.asarray(value)[~np.isfinite(value)][0]}")
+        labels = [label for name in names for label in (name, f"b_z derivative of the {name}")]
+        ordered = rates.swapaxes(-1, -2).reshape(*rates.shape[:-2], -1)  # each rate, then its derivative
+        for index in map(tuple, np.argwhere(~np.isfinite(ordered).all(axis=-1)).tolist()):
+            first = np.argmin(np.isfinite(ordered[index]))
+            errors.setdefault(index, NumericalFailureError(f"the {labels[first]} is not finite: {ordered[index][first]}"))
+            rates[index] = 0.0
     return rates
 
 
@@ -392,8 +402,9 @@ def _coop_thermal(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
     with np.errstate(all="ignore"):
         omega = 2.0 * np.hypot(b_z, b_x)
         d_omega = 2.0 * (b_z / np.hypot(b_z, b_x))
-        gamma0 = 4.0 * omega * omega * omega * spec.dipole**2 / 3.0
-        d_gamma0 = 4.0 * (omega * omega) * d_omega * spec.dipole**2
+        dipole2 = np.float64(spec.dipole) ** 2  # numpy's power overflows to inf, where Python's raises
+        gamma0 = 4.0 * omega * omega * omega * dipole2 / 3.0
+        d_gamma0 = 4.0 * (omega * omega) * d_omega * dipole2
         # Bose occupation n = 1/(e^x - 1), written to underflow to 0 instead
         # of overflowing beyond x ~ 709, and with it the absorption rate
         # gamma0 n and gamma0 dn = -gamma0 n (n + 1) d_omega / t_e.  Where n
@@ -405,7 +416,7 @@ def _coop_thermal(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
             np.stack((gamma0 * (n + 1.0), up), axis=-1),
             np.stack((d_gamma0 * (n + 1.0) + d_n, d_gamma0 * n + d_n), axis=-1),
         ), axis=-2)
-    return _Frame(h, *levels, _THERMAL, _checked(("thermal decay rate", "thermal absorption rate"), rates))
+    return _Frame(h, *levels, _THERMAL, _checked(("thermal decay rate", "thermal absorption rate"), rates, levels[4]))
 
 
 def _two_spin_coop(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
@@ -416,10 +427,11 @@ def _two_spin_coop(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame
     # derivative 4 omega^2 d omega |d|^2 (an overflow is named, not warned).
     with np.errstate(all="ignore"):
         omega, d_omega = (e[..., upper] - e[..., lower] for e in (levels[0], levels[2]))
+        dipole2 = np.float64(spec.dipole) ** 2  # numpy's power overflows to inf, where Python's raises
         rates = np.empty((*omega.shape[:-1], 2, 4))
-        rates[..., 0, :] = 4.0 * omega * omega * omega * spec.dipole**2 / 3.0
-        rates[..., 1, :] = 4.0 * (omega * omega) * d_omega * spec.dipole**2
-    return _Frame(h, *levels, _TWO_SPIN, _checked(_TWO_SPIN_NAMES, rates))
+        rates[..., 0, :] = 4.0 * omega * omega * omega * dipole2 / 3.0
+        rates[..., 1, :] = 4.0 * (omega * omega) * d_omega * dipole2
+    return _Frame(h, *levels, _TWO_SPIN, _checked(_TWO_SPIN_NAMES, rates, levels[4]))
 
 
 def _unitary_baseline(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike) -> _Frame:
@@ -463,11 +475,13 @@ def _lab_jump(vectors: np.ndarray | None, jump, d: int) -> np.ndarray:
 
 def build_model(spec: ScenarioSpec) -> LindbladModel:
     """Assemble the Lindblad model of the given scenario from the one-model
-    case of its kind's frame statement, which also differentiates it in b_z
-    and so raises DegeneracyError where two levels within 1e-6 max|E| fail
-    `_check_close_pairs`, and NumericalFailureError where the derivative
-    overflows."""
+    case of its kind's frame statement, which also differentiates it in b_z.
+    Raises the error that the frame records: DegeneracyError where two
+    levels within 1e-6 max|E| fail `_check_close_pairs`, and
+    NumericalFailureError where the derivative or a rate is not finite."""
     frame = _KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
+    if frame.errors:
+        raise frame.errors[()]
     d = frame.energies.shape[-1]
     rates = frame.rates[0].tolist()
     return LindbladModel(
@@ -510,11 +524,13 @@ def _frame_rates(frame: _Frame) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.ndarray, t: ArrayLike):
-    """(states, d states / d b_z) of the probe at time t, in the eigenframe
-    of the Hamiltonian of the model at fields b_z and b_x: floats, or arrays
-    of points over whose broadcast shape (...) the states are stacked,
-    (..., d, d) each.  The fields' shape is the stack of models that the
-    kind's builder states; a time grid over one model builds it once.
+    """(states, d states / d b_z, the frame's errors) of the probe at time t,
+    in the eigenframe of the Hamiltonian of the model at fields b_z and b_x:
+    floats, or arrays of points over whose broadcast shape (...) the states
+    are stacked, (..., d, d) each.  The fields' shape is the stack of models
+    that the kind's builder states; a time grid over one model builds it
+    once.  numpy's warnings are silenced: a field near the float range
+    overflows H, its gaps or its rates, which fails a model or a state.
 
     The kind's builder states the model in the eigenframe of its
     Hamiltonian, H = V diag(E) V†, where every channel is a transition
@@ -545,18 +561,18 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     value.  At t = 0, where the frame terms cancel only to rounding, d rho
     is the exact zero of a probe that does not depend on b_z.
     """
-    frame = _KINDS[spec.kind].build(spec, b_z, b_x)
     d = probe.shape[0]
-    q, lam = _frame_rates(frame)
-    vectors, rotation = frame.vectors, frame.rotation
-    rho0 = probe if vectors is None else vectors.conj().mT @ probe @ vectors
-    initial = np.zeros((*rho0.shape[:-2], 2, d, d), dtype=rho0.dtype)  # rho~(0) and d rho~(0)
-    initial[..., 0, :, :] = rho0
-    if rotation is not None:
-        initial[..., 1, :, :] = rho0 @ rotation - rotation @ rho0
     times = np.asarray(t, dtype=float)[..., None, None]
     level = np.arange(d)
     with np.errstate(over="ignore", invalid="ignore"):
+        frame = _KINDS[spec.kind].build(spec, b_z, b_x)
+        q, lam = _frame_rates(frame)
+        vectors, rotation = frame.vectors, frame.rotation
+        rho0 = probe if vectors is None else vectors.conj().mT @ probe @ vectors
+        initial = np.zeros((*rho0.shape[:-2], 2, d, d), dtype=rho0.dtype)  # rho~(0) and d rho~(0)
+        initial[..., 0, :, :] = rho0
+        if rotation is not None:
+            initial[..., 1, :, :] = rho0 @ rotation - rotation @ rho0
         exponent = lam[..., 0, :, :] * times
         evolution = np.exp(exponent)
         evolution[np.exp(exponent.real) == 0] = 0.0
@@ -578,7 +594,7 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     diagonal = np.rint(diagonal / unit) * unit
     diagonal[..., -1] = -diagonal[..., :-1].sum(axis=-1)
     d_rho[..., level, level] = diagonal
-    return rho, np.where(times == 0, 0.0, d_rho)
+    return rho, np.where(times == 0, 0.0, d_rho), frame.errors
 
 
 def _two_level(q: np.ndarray, p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -796,22 +812,6 @@ def _scores(states: np.ndarray, drho: np.ndarray, t: ArrayLike) -> tuple[np.ndar
 _CHUNK = 128
 
 
-def _stack_outcomes(spec: ScenarioSpec, axis: str, values: np.ndarray, t: float | None) -> tuple[np.ndarray, list]:
-    """The values and outcomes (`_scores`) of grid points that passed
-    qfi_at's checks: one stacked build, propagation and scoring.  A stack
-    that raises (a model that fails to build or propagate) is run again
-    point by point, so that each point records its own error."""
-    fields = {"b_z": spec.b_z, "b_x": spec.b_x, "t": t, axis: values}
-    try:
-        states, drho = _propagated(spec, fields["b_z"], fields["b_x"], _PROBES[2 ** spin_count(spec)], fields["t"])
-        return _scores(states, drho, fields["t"])
-    except Exception as exc:  # recorded, not raised: keep the other points
-        if len(values) == 1:
-            return np.full(1, math.nan), [exc]
-        alone = [_stack_outcomes(spec, axis, values[k:k + 1], t) for k in range(len(values))]
-        return np.concatenate([scores for scores, _ in alone]), [outcome for _, (outcome,) in alone]
-
-
 def _grid_outcomes(spec: ScenarioSpec, values: ArrayLike, axis: str, t: float | None) -> tuple[np.ndarray, list]:
     """`qfi_grid` as its values (NaN where a point fails) and outcomes
     (`_scores`), with no QfiResult made of a stack's SLD values."""
@@ -844,11 +844,16 @@ def _grid_outcomes(spec: ScenarioSpec, values: ArrayLike, axis: str, t: float | 
         else:
             passes[k] = True
     ready = np.flatnonzero(passes)  # the indices of the points that pass qfi_at's checks
-    for start in range(0, len(ready), _CHUNK):
+    for start in range(0, len(ready), _CHUNK):  # one stacked build, propagation and scoring each
         chunk = ready[start:start + _CHUNK]
-        scores[chunk], stack = _stack_outcomes(spec, axis, values[chunk], t)
+        fields = {"b_z": spec.b_z, "b_x": spec.b_x, "t": t, axis: values[chunk]}
+        states, drho, errors = _propagated(spec, fields["b_z"], fields["b_x"], _PROBES[2 ** spin_count(spec)], fields["t"])
+        scores[chunk], stack = _scores(states, drho, fields["t"])
         for k, outcome in zip(chunk.tolist(), stack):
             outcomes[k] = outcome
+        for index, error in errors.items():  # a model that fails: () is a time grid's one model
+            for k in np.atleast_1d(chunk[index]).tolist():
+                scores[k], outcomes[k] = math.nan, error
     return scores, outcomes
 
 
@@ -868,16 +873,16 @@ def qfi_grid(
     value through the spec's rules, then its time, which must be finite and
     >= 0.  A point that passes is one (b_z, b_x, t) of a stack; a state that
     breaks an invariant, a QFI below tolerance or a model that cannot be
-    built fails only its points.
+    built fails only its points: the builder names each failed model with
+    the error it gives alone.  Any other exception propagates.
 
     The state and its exact b_z derivative, with no b_z step and no matrix
     exponential, are propagated and scored in the Hamiltonian's eigenframe
     (`_propagated`, `_scores`).  The state check is what holds rho to unit
     trace: a point whose populations drift off it fails with
-    NumericalFailureError.  _CHUNK (128) points at a time go as one stack
-    (`_stack_outcomes`).  The probe is not checked again: it is validated
-    once per dimension, at import.  Each point gets, bit for bit, what
-    `qfi_at` gives at it.
+    NumericalFailureError.  _CHUNK (128) points at a time go as one stack.
+    The probe is not checked again: it is validated once per dimension, at
+    import.  Each point gets, bit for bit, what `qfi_at` gives at it.
     """
     scores, outcomes = _grid_outcomes(spec, values, axis, t)
     return [QfiResult(value, METHOD_SLD) if o is None else o for value, o in zip(scores.tolist(), outcomes)]
@@ -974,13 +979,16 @@ def exact_two_spin_ground_qfi(b_z: ArrayLike, b_x: float) -> float | np.ndarray:
     b_z of an array: the fidelity susceptibility
     F = 4 sum_{k>0} |<k|dH|0>|^2 / (E_k - E_0)^2 (Zanardi & Paunković,
     PRE 74, 031123 (2006)), dH = sigma_z^1 + sigma_z^2, read off the frame
-    rotation V† dV of one batched `np.linalg.eigh` (`_eigen_derivative`).  Raises
-    DegeneracyError where close levels fail `_check_close_pairs`.
+    rotation V† dV of one batched `np.linalg.eigh` (`_eigen_derivative`).
+    Raises the error of the first b_z that fails, as a loop of scalar calls
+    would (DegeneracyError where close levels fail `_check_close_pairs`).
     """
     if not b_x > 0.0:
         raise InvalidScenarioError(f"b_x must be > 0, got {b_x}")
     b_z = np.asarray(b_z, dtype=float)
-    rotation = _eigen_derivative(two_spin_hamiltonian(b_z, b_x), SZ_SUM)[3]
+    *_, rotation, errors = _eigen_derivative(two_spin_hamiltonian(b_z, b_x), SZ_SUM)
+    if errors:
+        raise errors[min(errors)]
     value = 4.0 * (np.abs(rotation[..., 1:, 0]) ** 2).sum(axis=-1)
     return value if b_z.ndim else float(value)
 

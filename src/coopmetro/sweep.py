@@ -83,10 +83,7 @@ class _GridObjective:
         self.spec, self.t, self.axis = spec, t, axis
 
     def __call__(self, value: float) -> float:
-        (score,), (outcome,) = _grid_outcomes(self.spec, [value], self.axis, self.t)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return float(score)
+        return float(_scan(self, [value])[0])
 
 
 def scenario_objective(spec: ScenarioSpec, t: float | None, axis: str = "b_z") -> Callable[[float], float]:
@@ -112,21 +109,14 @@ def _outcomes(objective: Callable[[float], float], xs):
             yield exc
 
 
-def _scan(objective: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """The objective at each value; raises the first failure, as calling it
-    value by value would.  An objective of `scenario_objective` gives its
-    values as one array, with no QfiResult made."""
-    if isinstance(objective, _GridObjective):
-        values, outcomes = _grid_outcomes(objective.spec, xs, objective.axis, objective.t)
-    else:
-        values = outcomes = []
-        for outcome in _outcomes(objective, xs):
-            outcomes.append(outcome)
-            if isinstance(outcome, Exception):
-                break
-    error = next((o for o in outcomes if isinstance(o, Exception)), None)
-    if error is not None:
-        raise error
+def _scan(objective: Callable[[float], float], xs) -> np.ndarray:
+    """The objective at each value (`_outcomes`); raises the first failure,
+    as calling it value by value would."""
+    values = []
+    for outcome in _outcomes(objective, xs):
+        if isinstance(outcome, Exception):
+            raise outcome
+        values.append(outcome)
     return np.asarray(values)
 
 

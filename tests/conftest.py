@@ -86,10 +86,10 @@ def nan_first_derivative(monkeypatch):
     propagated = scenarios._propagated
 
     def corrupted(*args):
-        states, drho = propagated(*args)
+        states, drho, errors = propagated(*args)
         drho = drho.copy()
         drho.reshape(-1, *drho.shape[-2:])[0] = np.nan
-        return states, drho
+        return states, drho, errors
 
     monkeypatch.setattr(scenarios, "_propagated", corrupted)
 

@@ -100,7 +100,7 @@ def lab_propagated(spec: ScenarioSpec, t: float) -> tuple[np.ndarray, np.ndarray
     `scenarios._propagated` in the Hamiltonian's eigenframe, rotated back to
     the computational basis with the V that the kind's builder states:
     (herm(V rho V†), herm(V d rho V†))."""
-    rho, drho = _propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t)
+    rho, drho, _ = _propagated(spec, spec.b_z, spec.b_x, probe_state(spec), t)
     vectors = _KINDS[spec.kind].build(spec, spec.b_z, spec.b_x).vectors
     if vectors is None:
         return rho, drho

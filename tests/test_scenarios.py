@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import coopmetro.scenarios as scenarios
-from conftest import figure_scenarios, random_hermitian
+from conftest import figure_scenarios, outcome, random_hermitian
 from references import analytic_coop_spont_state, state_family
 from coopmetro.lindblad import NumericalFailureError
 from coopmetro.qfi import differentiate_state, qfi_sld
@@ -312,9 +312,10 @@ class TestFrames:
         # gives a real V, so V† dH V and the rotation A = V† dV are real, an
         # antisymmetric matrix.
         b = np.linspace(0.5, 1.5, 7)
-        values, vectors, slopes, rotation = scenarios._eigen_derivative(
+        values, vectors, slopes, rotation, errors = scenarios._eigen_derivative(
             two_spin_hamiltonian(b, 0.1), scenarios.SZ_SUM
         )
+        assert errors == {}
         for array in (values, vectors, slopes, rotation):
             assert array.dtype == np.float64
         assert vectors.shape == rotation.shape == (7, 4, 4)
@@ -564,6 +565,52 @@ class TestExactDerivative:
             assert isinstance(outcome, NumericalFailureError) and re.match(message, str(outcome))
 
     @pytest.mark.parametrize(
+        "kind, rate", [("coop-thermal", "thermal decay rate"), ("two-spin-coop", "decay rate of levels 4 -> 3")]
+    )
+    def test_dipole_past_the_float_range_names_the_rate(self, kind, rate):
+        # |d|^2 overflows at |d| = 1e200: the rate that it makes infinite is
+        # named, as an overflowing field's is, in a grid too.
+        spec = ScenarioSpec(kind=kind, b_z=1.0, b_x=0.1, dipole=1e200, t_e=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match=f"^the {re.escape(rate)} is not finite: inf$"):
+                qfi_at(spec, 1.0)
+            grid = qfi_grid(spec, [0.5, 1.0], axis="b_z", t=1.0)
+        assert [str(outcome) for outcome in grid] == [f"the {rate} is not finite: inf"] * 2
+
+    # Each kind at b_z = 1e308 with the error that it fails with there.
+    LOST = "propagation to t=1.0 lost state invariants: density matrix has non-finite entries"
+
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            (ScenarioSpec(kind="std-spont", b_z=1e308, gamma=0.5), LOST),
+            (ScenarioSpec(kind="coop-spont", b_z=1e308, b_x=0.1, gamma=0.5), LOST),
+            (ScenarioSpec(kind="std-deph", b_z=1e308, eta=0.5), LOST),
+            (ScenarioSpec(kind="coop-deph", b_z=1e308, b_x=0.1, eta=0.5), LOST),
+            (
+                ScenarioSpec(kind="coop-thermal", b_z=1e308, b_x=0.1, dipole=2.0, t_e=0.1),
+                "the thermal decay rate is not finite: inf",
+            ),
+            (
+                ScenarioSpec(kind="two-spin-coop", b_z=1e308, b_x=0.1, dipole=10.0),
+                "the b_z derivative of the Liouvillian has non-finite entries",
+            ),
+            (ScenarioSpec(kind="unitary-baseline", b_z=1e308, n_spins=1), LOST),
+            (ScenarioSpec(kind="unitary-baseline", b_z=1e308, n_spins=2), LOST),
+        ],
+        ids=[*KINDS[:-1], "unitary-baseline-1", "unitary-baseline-2"],
+    )
+    def test_finite_field_near_the_float_range_fails_named_with_no_warning(self, spec, error):
+        # At b_z = 1e308 the Hamiltonian, its level gaps or the rates
+        # overflow: each kind fails with one named error, and numpy warns
+        # about none of it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalFailureError, match=f"^{re.escape(error)}$"):
+                qfi_at(spec, 1.0)
+
+    @pytest.mark.parametrize(
         "spec",
         [
             ScenarioSpec(kind="two-spin-coop", b_z=2.0, b_x=0.1, dipole=10.0),
@@ -681,14 +728,15 @@ class TestExactGroundQfi:
         with pytest.raises(DegeneracyError):
             exact_two_spin_ground_qfi(1.0, 1e-10)
 
-    def test_exactly_degenerate_coupled_pair_raises(self):
+    def test_exactly_degenerate_coupled_pair_fails(self):
         # Two levels at 1, which dH = sigma_x couples and splits: the frame
-        # has no derivative there.
+        # has no derivative there, and the model's error is recorded.
         message = (
             "coupled levels degenerate: gap 0.000e+00 <= 1e-6 max|E| = 1.000e-06, so the b_z derivative is undefined"
         )
-        with pytest.raises(DegeneracyError, match=f"^{re.escape(message)}$"):
-            scenarios._eigen_derivative(np.eye(2, dtype=complex), SIGMA_X)
+        errors = scenarios._eigen_derivative(np.eye(2, dtype=complex), SIGMA_X)[4]
+        assert list(errors) == [()]
+        assert type(errors[()]) is DegeneracyError and str(errors[()]) == message
 
     # Levels 0 and 1 of h are 1e-8 apart, within the 1e-6 max|E| rule;
     # level 2 is far.  dH decides whether eigh's frame of the pair is good.
@@ -708,13 +756,23 @@ class TestExactGroundQfi:
         rotation = scenarios._eigen_derivative(self.CLOSE, dh)[3]
         assert rotation[0, 1] == rotation[1, 0] == 0.0
 
-    def test_close_pair_that_dh_splits_raises(self):
+    def test_close_pair_that_dh_splits_fails(self):
         # Uncoupled but with unequal slopes, and both vectors coupled to
         # level 2: eigh's vectors of the pair are only good to eps / 1e-8,
         # and that mixing would couple them through the split.
         dh = np.array([[1.0, 0.0, 0.5], [0.0, -1.0, 0.5], [0.5, 0.5, 0.0]])
-        with pytest.raises(DegeneracyError, match="^coupled levels degenerate: gap 1.000e-08 <= 1e-6 max"):
-            scenarios._eigen_derivative(self.CLOSE, dh)
+        errors = scenarios._eigen_derivative(self.CLOSE, dh)[4]
+        assert type(errors[()]) is DegeneracyError
+        assert str(errors[()]).startswith("coupled levels degenerate: gap 1.000e-08 <= 1e-6 max")
+
+    def test_stack_raises_the_error_of_its_first_failing_field(self):
+        # Each of these b_z fails at b_x = 1e-10, each with its own closest
+        # pair: the stack raises what a loop over scalar calls raises first.
+        fields = [1.0, 1e-10, 1e-12]
+        first = outcome(lambda: exact_two_spin_ground_qfi(fields[0], 1e-10))
+        assert first[0] is DegeneracyError
+        assert len({outcome(lambda: exact_two_spin_ground_qfi(b, 1e-10)) for b in fields}) == 3
+        assert outcome(lambda: exact_two_spin_ground_qfi(fields, 1e-10)) == first
 
     def test_requires_positive_bx(self):
         with pytest.raises(InvalidScenarioError):

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import random
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -178,7 +179,7 @@ class TestTimeGrid:
     def test_qubit_points_take_the_route_of_qfi_qubit_alone(self, spec, times, methods):
         # Each point of one stack gets the value bits and tag, or the error,
         # that qfi_qubit gives its state alone and that qfi_at gives.
-        states, drho = scenarios._propagated(spec, spec.b_z, spec.b_x, scenarios._PROBES[2], np.asarray(times))
+        states, drho, _ = scenarios._propagated(spec, spec.b_z, spec.b_x, scenarios._PROBES[2], np.asarray(times))
         grid = [outcome(lambda: o) for o in qfi_grid(spec, times)]
         with np.errstate(over="ignore", invalid="ignore"):
             alone = [outcome(lambda: qfi_qubit(rho, d_rho)) for rho, d_rho in zip(states, drho)]
@@ -208,10 +209,10 @@ class TestTimeGrid:
         propagated, corrupted = scenarios._propagated, []
 
         def corrupting(*args):
-            states, drho = propagated(*args)
+            states, drho, errors = propagated(*args)
             drho[k][entry] += 1e-6
             corrupted.append(drho[k].copy())
-            return states, drho
+            return states, drho, errors
 
         monkeypatch.setattr(scenarios, "_propagated", corrupting)
         grid = qfi_grid(spec, times)
@@ -227,9 +228,9 @@ class TestTimeGrid:
         propagated = scenarios._propagated
 
         def corrupted(*args):
-            states, drho = propagated(*args)
+            states, drho, errors = propagated(*args)
             states[2] *= 1.5  # the state at t = 1.5: trace 1.5
-            return states, drho
+            return states, drho, errors
 
         monkeypatch.setattr(scenarios, "_propagated", corrupted)
         points = sweep(COOP, grid)
@@ -321,6 +322,29 @@ SCREEN_CASES = [(spec, "b_z", _REJECTED_B_Z) for spec in FIELD_SPECS if scenario
 ]
 
 
+# Grids whose models fail to build at some points or at all (a frame that
+# eigh cannot resolve, a rate or a rotation that overflows), with the number
+# of points that fail: each fails alone, with the error of its model.
+_TINY_CONTROL = ScenarioSpec(kind="two-spin-coop", b_z=1.0, b_x=1e-7, dipole=1.0)
+BUILD_FAILURE_CASES = [
+    pytest.param(_TINY_CONTROL, "b_z", np.geomspace(1e-7, 1e-5, 101), 20, id="two-spin-degenerate"),
+    pytest.param(replace(_TINY_CONTROL, b_x=5.46875e-11), "b_z", np.geomspace(1e-11, 1, 101), 101, id="two-spin-all-degenerate"),
+    pytest.param(
+        ScenarioSpec(kind="coop-thermal", b_z=1.0, b_x=0.1, dipole=1.0, t_e=0.1), "b_z", np.geomspace(1e100, 1e105, 101), 56,
+        id="thermal-rate-overflow",
+    ),
+    pytest.param(
+        ScenarioSpec(kind="coop-thermal", b_z=1e103, b_x=0.1, dipole=1.0), "t", [0.0, 1.0, 2.0], 3, id="thermal-time-grid"
+    ),
+    pytest.param(replace(TWO_SPIN, dipole=1.0), "b_z", np.geomspace(1e100, 1.7e308, 60), 60, id="two-spin-overflow"),
+    pytest.param(
+        ScenarioSpec(kind="coop-deph", b_z=1.0, b_x=1e-310, eta=0.5), "b_z", np.geomspace(1e-312, 1e-300, 40), 40,
+        id="deph-rotation-overflow",
+    ),
+    pytest.param(replace(TWO_SPIN, dipole=1.0), "b_x", np.geomspace(1e-12, 1e300, 80), 75, id="two-spin-b_x"),
+]
+
+
 def outcome_alone(spec: ScenarioSpec, axis: str, value: float, t: float):
     """qfi_at at one point of a grid over `axis` (at time t on a field
     axis), or the exception that it raises there, the spec's rules included."""
@@ -350,12 +374,41 @@ class TestFieldGrid:
         points = sweep(COOP, SweepGrid("b_z", 0.1, 0.2, 3), t=-1.0)
         assert [p.error for p in points] == ["ValueError: time must be >= 0, got -1.0"] * 3
 
-    @pytest.mark.parametrize("spec, axis, values", SCREEN_CASES, ids=lambda c: getattr(c, "kind", None))
+    @pytest.mark.parametrize(
+        "spec, axis, values",
+        SCREEN_CASES + [pytest.param(*case.values[:3], id=case.id) for case in BUILD_FAILURE_CASES],
+        ids=lambda c: getattr(c, "kind", None),
+    )
     def test_screened_points_equal_qfi_at(self, spec, axis, values):
         t = 0.7
         grid = qfi_grid(spec, values, axis=axis, t=None if axis == "t" else t)
         alone = [outcome_alone(spec, axis, v, t) for v in values]
         assert [repr(outcome) for outcome in grid] == [repr(outcome) for outcome in alone]
+
+    @pytest.mark.parametrize("spec, axis, values, failing", BUILD_FAILURE_CASES)
+    def test_model_failures_fail_only_their_points_from_one_build(self, monkeypatch, spec, axis, values, failing):
+        # One builder call for the stack, whose failing models fail only
+        # their own points, with no warning.
+        builds = []
+        kind = scenarios._KINDS[spec.kind]
+        build = kind.build
+        counted = kind._replace(build=lambda *args: builds.append(np.broadcast(args[1], args[2]).shape) or build(*args))
+        monkeypatch.setitem(scenarios._KINDS, spec.kind, counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            grid = qfi_grid(spec, values, axis=axis, t=None if axis == "t" else 1.0)
+        assert builds == [() if axis == "t" else (len(values),)]
+        assert sum(isinstance(outcome, Exception) for outcome in grid) == failing
+
+    def test_fault_outside_the_model_failures_propagates(self, monkeypatch):
+        # Only a model's named failure is recorded per point: any other
+        # exception from a stack is a fault, raised out of the grid.
+        def faulty(*args):
+            raise IndexError("index 3 is out of bounds")
+
+        monkeypatch.setattr(scenarios, "_propagated", faulty)
+        with pytest.raises(IndexError, match="^index 3 is out of bounds$"):
+            qfi_grid(TWO_SPIN, np.linspace(0.5, 1.5, 5), axis="b_z", t=1.0)
 
     # The field grids: on a time grid the spec's rules never run.
     @pytest.mark.parametrize("spec, axis, values", SCREEN_CASES[:-1], ids=lambda c: getattr(c, "kind", None))
@@ -371,9 +424,9 @@ class TestFieldGrid:
         propagated = scenarios._propagated
 
         def corrupted(*args):
-            states, drho = propagated(*args)
+            states, drho, errors = propagated(*args)
             states[3] *= 1.5  # trace 1.5 for point 3 of the one chunk
-            return states, drho
+            return states, drho, errors
 
         monkeypatch.setattr(scenarios, "_propagated", corrupted)
         points = sweep(TWO_SPIN, grid, t=1.0)
@@ -534,7 +587,8 @@ def edges_searched_alone(objective, threshold: float, bracket: tuple[float, floa
         outcomes = SWEEP._outcomes
 
         def recorded(objective_, xs):
-            steps.append(list(xs))
+            if objective_ is not objective:  # a call of the objective itself is no step of the search
+                steps.append(list(xs))
             return outcomes(objective_, xs)
 
         def alone(b, side=side):

@@ -149,8 +149,10 @@ class LindbladModel:
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise InvalidModelError(f"Hamiltonian must be square, got shape {h.shape}")
+        if not np.isfinite(h).all():
+            raise InvalidModelError("Hamiltonian has non-finite entries")
         deviation = _herm_deviation(h)
-        if not deviation <= HERM_TOL:  # a NaN deviation fails too
+        if not deviation <= HERM_TOL:
             raise InvalidModelError(f"Hamiltonian not Hermitian within 1e-10: deviation {deviation:.3e}")
         channels = tuple(self.channels)
         for ch in channels:
@@ -158,6 +160,8 @@ class LindbladModel:
                 raise InvalidModelError(
                     f"jump operator shape {ch.jump.shape} does not match Hamiltonian {h.shape}"
                 )
+            if not np.isfinite(ch.jump).all():
+                raise InvalidModelError("jump operator has non-finite entries")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "channels", channels)
 

@@ -2,7 +2,10 @@
 
 Two routes are provided and cross-checked against each other, and against
 the pure-state overlap formula, in the test suite: the qubit determinant
-closed form and the spectral SLD sum valid in any dimension.
+closed form and the spectral SLD sum valid in any dimension.  Each scores
+a stack of states at once, screening its derivatives as arrays and naming
+each state that fails by its index (`_qubit_outcomes`, `_sld_outcomes`);
+`qfi_qubit` and `qfi_sld` are their one-state cases.
 
 The scenario pipeline gets its state derivatives exactly, by propagating
 the b_z derivative with the state (`scenarios.qfi_grid`), and the ground-state
@@ -73,28 +76,6 @@ def _check_derivative(drho: np.ndarray, traceless: bool = False) -> np.ndarray:
     return drho
 
 
-def qfi_qubit(rho: np.ndarray, drho: np.ndarray) -> QfiResult:
-    """Qubit QFI via the determinant closed form.
-
-    F = Tr[(drho)^2] + Tr[(rho drho)^2] / Det[rho].  Near-pure states
-    (Det < 1e-10) make the division explosive; those fall back to the
-    spectral SLD route and are tagged accordingly.  A grid decides this
-    route for its whole stack of qubit states (`scenarios._scores`): one
-    batched det, then one `_sld_outcomes` call over the near-pure states,
-    which gives each the bits that this function gives it alone.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"qubit formula needs a 2x2 state, got shape {rho.shape}")
-    drho = _check_derivative(drho, traceless=True)
-    det = np.linalg.det(rho).real
-    if det < NEAR_PURE_DET_TOL:
-        return qfi_sld(rho, drho)
-    rd = rho @ drho
-    value = np.trace(drho @ drho).real + np.trace(rd @ rd).real / det
-    return QfiResult(value=_clamp(value), method=METHOD_QUBIT)
-
-
 def _recorded(formula: Callable, *args):
     """formula(*args), or the ValueError it raises: recorded, not raised, so
     that one bad state of a stack does not lose the others."""
@@ -140,6 +121,69 @@ def _sld_outcomes(rho: np.ndarray, drho: np.ndarray, spectrum: tuple | None = No
     if errors:
         values[list(errors)] = math.nan
     return values, errors
+
+
+def _qubit_outcomes(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, dict, np.ndarray]:
+    """`qfi_qubit` at each state of a qubit stack (n, 2, 2) with its
+    derivative: the values (n,), NaN where a state fails, the ValueError of
+    each state that fails, by index, as `qfi_qubit` raises it, and each
+    state's route, True where it is near-pure (Det < 1e-10) and the SLD sum
+    scored it.  One screen of the derivative stack, Hermitian and traceless
+    within 1e-8; `_check_derivative` runs alone only at a state that fails
+    it (or is NaN), to name its error.  One batched `np.linalg.det` both
+    picks the route and divides the closed form, so no state's determinant
+    is taken twice, and one `_sld_outcomes` call scores the near-pure
+    states.  The closed form runs state by state, as `qfi_qubit` always
+    wrote it, and `_clamp`'s rules run over the stack, with `_clamp` alone
+    only to name a failure."""
+    rho, drho = np.asarray(rho, dtype=complex), np.asarray(drho, dtype=complex)
+    if rho.shape[1:] != (2, 2):
+        raise ValueError(f"qubit formula needs a 2x2 state, got shape {rho.shape[1:]}")
+    # `_check_derivative`'s two checks, for the whole stack; NaN fails them too.
+    passes = np.abs(drho - drho.conj().mT).max(axis=(-2, -1)) <= DERIV_HERM_TOL
+    passes &= np.abs(np.trace(drho, axis1=-2, axis2=-1)) <= DERIV_HERM_TOL
+    errors = {}
+    for k in np.flatnonzero(~passes).tolist():
+        error = _recorded(_check_derivative, drho[k], True)
+        if isinstance(error, ValueError):  # a NaN deviation passes the check alone
+            errors[k] = error
+    det = np.linalg.det(rho).real
+    near_pure = det < NEAR_PURE_DET_TOL
+    sld, closed = [], []
+    for k, pure in enumerate(near_pure.tolist()):
+        if k not in errors:
+            (sld if pure else closed).append(k)
+    values = np.full(len(rho), math.nan)
+    if sld:
+        values[sld], sld_errors = _sld_outcomes(rho[sld], drho[sld])
+        errors.update((sld[j], error) for j, error in sld_errors.items())
+    for k in closed:
+        rd = rho[k] @ drho[k]
+        values[k] = np.trace(drho[k] @ drho[k]).real + np.trace(rd @ rd).real / det[k]
+    # `_clamp`'s rules over the closed-form values: NaN, inf and values
+    # below the tolerance fail, and values just below 0 are 0.  (Its
+    # `max(value, 0.0)` keeps a -0.0, which Tr[drho^2] >= +0.0 rules out.)
+    qfi = values[closed]
+    for j in np.flatnonzero(~((qfi >= QFI_NEGATIVE_TOL) & (qfi < math.inf))).tolist():
+        errors[closed[j]] = _recorded(_clamp, qfi[j])
+    values[closed] = np.maximum(qfi, 0.0)
+    if errors:
+        values[list(errors)] = math.nan
+    return values, errors, near_pure
+
+
+def qfi_qubit(rho: np.ndarray, drho: np.ndarray) -> QfiResult:
+    """Qubit QFI via the determinant closed form: the one-state case of
+    `_qubit_outcomes`.
+
+    F = Tr[(drho)^2] + Tr[(rho drho)^2] / Det[rho] (Liu et al., J. Phys. A
+    53, 023001 (2020)).  Near-pure states (Det < 1e-10) make the division
+    explosive; those take the spectral SLD route and are tagged accordingly.
+    """
+    values, errors, near_pure = _qubit_outcomes(np.asarray(rho)[None], np.asarray(drho)[None])
+    if errors:
+        raise errors[0]
+    return QfiResult(value=float(values[0]), method=METHOD_SLD if near_pure[0] else METHOD_QUBIT)
 
 
 def qfi_sld(rho: np.ndarray, drho: np.ndarray) -> QfiResult:

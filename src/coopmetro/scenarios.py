@@ -46,14 +46,11 @@ from .lindblad import (
     validate_density_matrix,
 )
 from .qfi import (
-    DERIV_HERM_TOL,
+    METHOD_QUBIT,
     METHOD_SLD,
-    NEAR_PURE_DET_TOL,
     QfiResult,
-    _check_derivative,
-    _recorded,
+    _qubit_outcomes,
     _sld_outcomes,
-    qfi_qubit,
 )
 
 __all__ = [
@@ -478,8 +475,12 @@ def build_model(spec: ScenarioSpec) -> LindbladModel:
     case of its kind's frame statement, which also differentiates it in b_z.
     Raises the error that the frame records: DegeneracyError where two
     levels within 1e-6 max|E| fail `_check_close_pairs`, and
-    NumericalFailureError where the derivative or a rate is not finite."""
-    frame = _KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
+    NumericalFailureError where the derivative or a rate is not finite.
+    numpy's warnings are silenced, as in `_propagated`: a field near the
+    float range overflows H, its gaps or its rates, which the frame or
+    the model names."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        frame = _KINDS[spec.kind].build(spec, spec.b_z, spec.b_x)
     if frame.errors:
         raise frame.errors[()]
     d = frame.energies.shape[-1]
@@ -749,22 +750,15 @@ def _scores(states: np.ndarray, drho: np.ndarray, t: ArrayLike) -> tuple[np.ndar
     """The QFI values (n,) of grid points from their states and state
     derivatives (n, d, d) in the Hamiltonian's eigenframe at times t, NaN
     where a point fails, and each point's outcome: its exception, its
-    QfiResult where the qubit closed form scored it alone, or None where
-    the SLD sum over the stack gave its value.  The state check comes
-    first; a derivative that is not finite (overflowing as the QFI does)
-    fails its point, named.
+    QfiResult where the qubit closed form scored it, or None where the SLD
+    sum gave its value.  The state check comes first; a derivative that is
+    not finite (overflowing as the QFI does) fails its point, named.
 
     Two spins: one SLD sum over the stack, whose eigh the state check
-    shares.  One spin: each point takes `qfi_qubit`'s route, decided here
-    once per stack.  One batched det, the LAPACK call that `qfi_qubit`
-    makes per state, marks the near-pure states (det < 1e-10).  Every
-    other point runs `qfi_qubit` alone, the closed form.  One
-    `_sld_outcomes` call over the near-pure points gives each the bits of
-    its one-state `qfi_sld` fallback, after the checks that `qfi_qubit`
-    makes first: its screen holds the derivatives Hermitian within 1e-8,
-    and an array screen here holds them traceless within 1e-8.  A point
-    that fails either is checked alone, by `_check_derivative`, so that it
-    reports the check's own message."""
+    shares.  One spin: one `_qubit_outcomes` call over the points that pass
+    the state check, which screens their derivatives once, takes one
+    batched det to route them and scores the near-pure ones in one SLD
+    sum; each point gets the bits, tag or error of `qfi_qubit` alone."""
     n, d = len(states), drho.shape[-1]
     finite = np.isfinite(states).all(axis=(-2, -1))
     # 0 for a non-finite state, which LAPACK rejects; qubits need no vectors (eigvalsh is cheaper).
@@ -778,19 +772,12 @@ def _scores(states: np.ndarray, drho: np.ndarray, t: ArrayLike) -> tuple[np.ndar
     # the formula names, so numpy's warnings are silenced, once per grid.
     with np.errstate(over="ignore", invalid="ignore"):
         if d == 2:
-            pure = [j for j in (np.linalg.det(safe).real < NEAR_PURE_DET_TOL).nonzero()[0].tolist() if j not in failed]
-            skipped = failed.keys() | pure
-            outcomes = [None if j in skipped else _recorded(qfi_qubit, states[j], drho[j]) for j in range(n)]
-            values = np.array([o.value if isinstance(o, QfiResult) else math.nan for o in outcomes])
-            if pure:
-                pure = np.array(pure)
-                traced = np.abs(np.trace(drho[pure], axis1=-2, axis2=-1)) > DERIV_HERM_TOL
-                for j in pure[traced].tolist():
-                    outcomes[j] = _recorded(_check_derivative, drho[j], True)
-                pure = pure[~traced]
-                values[pure], errors = _sld_outcomes(states[pure], drho[pure])
-                for k, error in errors.items():
-                    outcomes[pure[k]] = error
+            scored = [j for j in range(n) if j not in failed]
+            values = np.full(n, math.nan)
+            values[scored], errors, near_pure = _qubit_outcomes(states[scored], drho[scored])
+            outcomes = [None] * n
+            for k, j in enumerate(scored):
+                outcomes[j] = errors.get(k) or (None if near_pure[k] else QfiResult(values[j].item(), METHOD_QUBIT))
         else:
             values, errors = _sld_outcomes(states, drho, spectrum)
             outcomes = [errors.get(j) for j in range(n)]
@@ -807,8 +794,8 @@ def _scores(states: np.ndarray, drho: np.ndarray, t: ArrayLike) -> tuple[np.ndar
 # pays one builder call and one batched eigh of its Hamiltonians and, with
 # two spins, of its states; its working memory grows with its size.  128
 # holds a whole 101-point region prescan: on the bench's two-spin
-# `searches` workload (2-vCPU VM) it gave 76-80 requests per second against
-# 65-67 at 32, for 1.4 MB more peak RSS, and 256 gave no more.
+# `searches` workload (two 15 s runs each, 2-vCPU VM) it gave 423-439
+# requests per second against 290-304 at 32, for 0.9-2.0 MB more peak RSS.
 _CHUNK = 128
 
 
@@ -848,9 +835,10 @@ def _grid_outcomes(spec: ScenarioSpec, values: ArrayLike, axis: str, t: float | 
         chunk = ready[start:start + _CHUNK]
         fields = {"b_z": spec.b_z, "b_x": spec.b_x, "t": t, axis: values[chunk]}
         states, drho, errors = _propagated(spec, fields["b_z"], fields["b_x"], _PROBES[2 ** spin_count(spec)], fields["t"])
-        scores[chunk], stack = _scores(states, drho, fields["t"])
-        for k, outcome in zip(chunk.tolist(), stack):
-            outcomes[k] = outcome
+        if () not in errors:  # a time grid whose one model failed has nothing to score
+            scores[chunk], stack = _scores(states, drho, fields["t"])
+            for k, outcome in zip(chunk.tolist(), stack):
+                outcomes[k] = outcome
         for index, error in errors.items():  # a model that fails: () is a time grid's one model
             for k in np.atleast_1d(chunk[index]).tolist():
                 scores[k], outcomes[k] = math.nan, error
@@ -981,12 +969,15 @@ def exact_two_spin_ground_qfi(b_z: ArrayLike, b_x: float) -> float | np.ndarray:
     PRE 74, 031123 (2006)), dH = sigma_z^1 + sigma_z^2, read off the frame
     rotation V† dV of one batched `np.linalg.eigh` (`_eigen_derivative`).
     Raises the error of the first b_z that fails, as a loop of scalar calls
-    would (DegeneracyError where close levels fail `_check_close_pairs`).
+    would (DegeneracyError where close levels fail `_check_close_pairs`,
+    NumericalFailureError where a b_z near the float range overflows the
+    frame rotation), with numpy's warnings silenced, as in `_propagated`.
     """
     if not b_x > 0.0:
         raise InvalidScenarioError(f"b_x must be > 0, got {b_x}")
     b_z = np.asarray(b_z, dtype=float)
-    *_, rotation, errors = _eigen_derivative(two_spin_hamiltonian(b_z, b_x), SZ_SUM)
+    with np.errstate(over="ignore", invalid="ignore"):
+        *_, rotation, errors = _eigen_derivative(two_spin_hamiltonian(b_z, b_x), SZ_SUM)
     if errors:
         raise errors[min(errors)]
     value = 4.0 * (np.abs(rotation[..., 1:, 0]) ** 2).sum(axis=-1)

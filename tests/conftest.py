@@ -100,14 +100,17 @@ def nan_first_qfi(monkeypatch):
     scores, from a NaN copy of that point's derivative: the derivative that
     the grids' scoring checks stays finite, so the formula's own check of
     its value names the failure."""
-    formula = scenarios.qfi_qubit
+    formula = scenarios._qubit_outcomes
     calls = []
 
     def corrupted(rho, drho):
         calls.append(None)
-        return formula(rho, np.full_like(drho, np.nan) if len(calls) == 1 else drho)
+        if len(calls) == 1:
+            drho = drho.copy()
+            drho[0] = np.nan
+        return formula(rho, drho)
 
-    monkeypatch.setattr(scenarios, "qfi_qubit", corrupted)
+    monkeypatch.setattr(scenarios, "_qubit_outcomes", corrupted)
 
 
 def outcome(evaluate):

@@ -1,5 +1,5 @@
 """Reference routes that only the tests use: the pure-state QFI, the
-one-point finite-difference state family of a scenario, the closed-form
+qubit closed form written state by state, the one-point finite-difference state family of a scenario, the closed-form
 evolved state of the cooperative spontaneous-emission scenario with its
 b_z derivative, the propagated state and derivative in the lab frame, and
 the dense rate matrices of a frame assembled channel by channel."""
@@ -10,7 +10,15 @@ from dataclasses import replace
 import numpy as np
 
 from coopmetro.lindblad import hermitize, propagate
-from coopmetro.qfi import QfiResult, StateFamily, _clamp
+from coopmetro.qfi import (
+    METHOD_QUBIT,
+    NEAR_PURE_DET_TOL,
+    QfiResult,
+    StateFamily,
+    _check_derivative,
+    _clamp,
+    qfi_sld,
+)
 from coopmetro.scenarios import _KINDS, ScenarioSpec, _angle_delta, _propagated, build_model, probe_state
 
 METHOD_PURE = "pure"
@@ -22,6 +30,25 @@ def qfi_pure(psi: np.ndarray, dpsi: np.ndarray) -> QfiResult:
     dpsi = np.asarray(dpsi, dtype=complex)
     value = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(dpsi, psi)) ** 2)
     return QfiResult(value=_clamp(value), method=METHOD_PURE)
+
+
+def qfi_qubit_per_point(rho: np.ndarray, drho: np.ndarray) -> QfiResult:
+    """The qubit closed form F = Tr[(drho)^2] + Tr[(rho drho)^2] / Det[rho]
+    of one state, with each check made for that state alone: the shape,
+    `_check_derivative` (Hermitian and traceless within 1e-8), its own
+    determinant, the SLD fallback below Det 1e-10 and `_clamp`.  The
+    reference for the stacked `qfi._qubit_outcomes`, which must give each
+    state these bits, this tag or this error."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError(f"qubit formula needs a 2x2 state, got shape {rho.shape}")
+    drho = _check_derivative(drho, traceless=True)
+    det = np.linalg.det(rho).real
+    if det < NEAR_PURE_DET_TOL:
+        return qfi_sld(rho, drho)
+    rd = rho @ drho
+    value = np.trace(drho @ drho).real + np.trace(rd @ rd).real / det
+    return QfiResult(value=_clamp(value), method=METHOD_QUBIT)
 
 
 def state_family(spec: ScenarioSpec, t: float) -> StateFamily:

@@ -108,6 +108,15 @@ class TestModelValidation:
         with pytest.raises(InvalidModelError):
             LindbladChannel(-0.1, LOWER)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_entries_named_before_hermiticity(self, bad):
+        # inf - inf is a NaN Hermiticity deviation: the entry is named instead.
+        h = np.array([[bad, 0.0], [0.0, -bad]], dtype=complex)
+        with pytest.raises(InvalidModelError, match="^Hamiltonian has non-finite entries$"):
+            LindbladModel(hamiltonian=h)
+        with pytest.raises(InvalidModelError, match="^jump operator has non-finite entries$"):
+            LindbladModel(hamiltonian=np.zeros((2, 2)), channels=(LindbladChannel(1.0, np.array([[0.0, bad], [0.0, 0.0]])),))
+
 
 class TestDensityValidation:
     def test_accepts_probe(self):

@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 import coopmetro.qfi as qfi_module
-from conftest import controlled_ground_state, random_mixed_qubit, random_traceless_hermitian
-from references import analytic_coop_spont_state, analytic_coop_spont_state_deriv, qfi_pure, state_family
+from conftest import controlled_ground_state, outcome, random_mixed_qubit, random_traceless_hermitian
+from references import (
+    analytic_coop_spont_state,
+    analytic_coop_spont_state_deriv,
+    qfi_pure,
+    qfi_qubit_per_point,
+    state_family,
+)
 from coopmetro.lindblad import hermitize
 from coopmetro.qfi import (
+    METHOD_QUBIT,
     METHOD_SLD,
+    NEAR_PURE_DET_TOL,
     QfiResult,
     StateFamily,
+    _qubit_outcomes,
     _sld_outcomes,
     differentiate_state,
     qfi_qubit,
@@ -185,6 +194,84 @@ class TestStackedSld:
             outcomes = stacked_outcomes(rho, drho)
         assert isinstance(outcomes[1], ValueError) and "not finite" in str(outcomes[1])
         assert outcomes[::2] == [qfi_sld(r, d) for r, d in zip(rho[::2], drho[::2])]
+
+
+def boundary_states() -> list[np.ndarray]:
+    """Qubit states whose batched det is 1e-10 exactly, and one step below and
+    above it.  The complex det is exp(log|det|) times a phase, and no float's
+    exp is 1e-10: the exact value needs the phase of a slightly
+    non-Hermitian state, 7.8e-8 on its first entry."""
+    exact = np.array([[np.exp(7.8143e-08j), 0.0], [0.0, 1.0000000000000015e-10]])
+    below = np.diag([1.0, 1e-10]).astype(complex)
+    above = np.diag([1.0, 1.0000000000000015e-10]).astype(complex)
+    dets = [np.linalg.det(rho).real for rho in (exact, below, above)]
+    assert dets[0] == NEAR_PURE_DET_TOL and dets[1] < NEAR_PURE_DET_TOL < dets[2]
+    return [exact, below, above]
+
+
+def random_qubit_case(rng: np.random.Generator, boundary: list) -> tuple[np.ndarray, np.ndarray]:
+    """A (rho, drho) pair of one of the kinds that `qfi_qubit` tells apart:
+    full-rank, near-pure (det 1e-20 to 1e-8), pure, det at the 1e-10 route
+    boundary, or a random complex matrix (either route, and QFI values
+    below -1e-9); a traceless Hermitian derivative, or one that is off
+    Hermitian or traceless (by 5e-9, within the 1e-8 screen, or by 1e-6),
+    NaN, inf, overflowing or zero."""
+    kind = rng.choice(5, p=[0.45, 0.12, 0.05, 0.08, 0.3])
+    if kind == 0:
+        rho = random_mixed_qubit(rng, max_bloch=0.999)
+    elif kind in (1, 2):
+        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        psi /= np.linalg.norm(psi)
+        perp = np.array([-psi[1].conj(), psi[0].conj()])
+        e = 0.0 if kind == 2 else 10.0 ** rng.uniform(-20, -8)
+        rho = hermitize((1.0 - e) * np.outer(psi, psi.conj()) + e * np.outer(perp, perp.conj()))
+    elif kind == 3:
+        rho = boundary[rng.integers(3)]
+    else:
+        rho = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    drho = random_traceless_hermitian(rng, 2) * 10.0 ** rng.uniform(-3, 3)
+    flaw = rng.choice(7, p=[0.55, 0.1, 0.1, 0.06, 0.06, 0.08, 0.05])
+    if flaw in (1, 2):
+        drho[(0, 1) if flaw == 1 else (0, 0)] += rng.choice([5e-9, 1e-6])
+    elif flaw in (3, 4):
+        drho[tuple(rng.integers(2, size=2))] = math.nan if flaw == 3 else math.inf
+    elif flaw == 5:
+        drho *= 1e200
+    elif flaw == 6:
+        drho[:] = 0.0
+    return rho, drho
+
+
+class TestStackedQubit:
+    def test_stacks_equal_the_per_point_formula(self):
+        # 20,000 seeded stacks of 1 to 4 states, drawn from a pool of 4,000
+        # cases: each state gets the value bits and tag, or the error type
+        # and message, of the closed form with every check made for it alone.
+        rng = np.random.default_rng(61)
+        boundary = boundary_states()
+        cases = [random_qubit_case(rng, boundary) for _ in range(4_000)]
+        rho, drho = np.array([c[0] for c in cases]), np.array([c[1] for c in cases])
+
+        def bits(result):
+            return (result.value.hex(), result.method) if isinstance(result, QfiResult) else result
+
+        with np.errstate(all="ignore"):
+            alone = [bits(outcome(lambda: qfi_qubit_per_point(r, d))) for r, d in cases]
+            assert [bits(outcome(lambda: qfi_qubit(r, d))) for r, d in cases[:500]] == alone[:500]
+            for _ in range(20_000):
+                stack = rng.integers(len(cases), size=rng.integers(1, 5)).tolist()
+                values, errors, near_pure = _qubit_outcomes(rho[stack], drho[stack])
+                stacked = [
+                    (type(errors[k]), str(errors[k])) if k in errors
+                    else (value.hex(), METHOD_SLD if near_pure[k] else METHOD_QUBIT)
+                    for k, value in enumerate(values.tolist())
+                ]
+                assert stacked == [alone[j] for j in stack]
+                assert all(math.isnan(values[k]) for k in errors)
+        messages = {o[1] for o in alone}  # the tag of each value, the message of each error
+        assert {METHOD_QUBIT, METHOD_SLD} <= messages
+        for text in ("not Hermitian within", "not traceless within", "which is not finite", "below the -1e-9 tolerance"):
+            assert any(text in m for m in messages), text
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

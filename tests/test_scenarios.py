@@ -9,7 +9,7 @@ import pytest
 import coopmetro.scenarios as scenarios
 from conftest import figure_scenarios, outcome, random_hermitian
 from references import analytic_coop_spont_state, state_family
-from coopmetro.lindblad import NumericalFailureError
+from coopmetro.lindblad import InvalidModelError, NumericalFailureError
 from coopmetro.qfi import differentiate_state, qfi_sld
 from coopmetro.scenarios import (
     GROUND_DEGENERACY_TOL,
@@ -609,6 +609,40 @@ class TestExactDerivative:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalFailureError, match=f"^{re.escape(error)}$"):
                 qfi_at(spec, 1.0)
+
+    # The one-model callers at b_z = 1e308: each kind's model, with finite
+    # entries, or the error that names what overflowed.
+    DERIVATIVE = (NumericalFailureError, "the b_z derivative of the Liouvillian has non-finite entries")
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: build_model(ScenarioSpec(kind="std-spont", b_z=1e308, gamma=0.5)), None),
+            (lambda: build_model(ScenarioSpec(kind="coop-spont", b_z=1e308, b_x=0.1, gamma=0.5)), None),
+            (lambda: build_model(ScenarioSpec(kind="std-deph", b_z=1e308, eta=0.5)), None),
+            (lambda: build_model(ScenarioSpec(kind="coop-deph", b_z=1e308, b_x=0.1, eta=0.5)), None),
+            (
+                lambda: build_model(ScenarioSpec(kind="coop-thermal", b_z=1e308, b_x=0.1, dipole=2.0, t_e=0.1)),
+                (NumericalFailureError, "the thermal decay rate is not finite: inf"),
+            ),
+            (lambda: build_model(ScenarioSpec(kind="two-spin-coop", b_z=1e308, b_x=0.1, dipole=1.0)), DERIVATIVE),
+            (lambda: exact_two_spin_ground_qfi(1e308, 0.1), DERIVATIVE),
+            (lambda: build_model(ScenarioSpec(kind="unitary-baseline", b_z=1e308, n_spins=1)), None),
+            (
+                lambda: build_model(ScenarioSpec(kind="unitary-baseline", b_z=1e308, n_spins=2)),
+                (InvalidModelError, "Hamiltonian has non-finite entries"),
+            ),
+        ],
+        ids=[*KINDS[:-2], "two-spin-coop", "two-spin-ground-qfi", "unitary-baseline-1", "unitary-baseline-2"],
+    )
+    def test_one_model_near_the_float_range_fails_named_with_no_warning(self, call, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = outcome(call)
+        if error is None:
+            assert all(np.isfinite(m).all() for m in (result.hamiltonian, *(c.jump for c in result.channels)))
+        else:
+            assert result == error
 
     @pytest.mark.parametrize(
         "spec",

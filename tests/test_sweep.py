@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import coopmetro.scenarios as scenarios
 from conftest import controlled_ground_state, outcome
 from references import qfi_pure, state_family
+from coopmetro.lindblad import NumericalFailureError
 from coopmetro.qfi import (
     QfiResult,
     _check_derivative,
@@ -190,13 +191,28 @@ class TestTimeGrid:
     def test_near_pure_points_make_one_stacked_sld_call(self, monkeypatch):
         spec, times, _ = ROUTE_CASES[0]
         sizes, alone = [], []
-        stacked, one_state = scenarios._sld_outcomes, QFI.qfi_sld
-        monkeypatch.setattr(scenarios, "_sld_outcomes", lambda rho, *args: sizes.append(len(rho)) or stacked(rho, *args))
+        stacked, one_state = QFI._sld_outcomes, QFI.qfi_sld
+        monkeypatch.setattr(QFI, "_sld_outcomes", lambda rho, *args: sizes.append(len(rho)) or stacked(rho, *args))
         monkeypatch.setattr(QFI, "qfi_sld", lambda *args: alone.append(args) or one_state(*args))
         grid = qfi_grid(spec, times)
         assert sizes == [sum(o.method == "sld-spectral" for o in grid)]
         assert sizes[0] > 1
         assert alone == []
+
+    def test_a_clean_qubit_stack_is_screened_and_routed_once(self, monkeypatch):
+        # One `_qubit_outcomes` call and one batched det per stack, over
+        # both routes; no state is checked, routed, clamped or scored alone.
+        spec, times, methods = ROUTE_CASES[0]
+        clean = qfi_grid(spec, times)
+        assert {o.method for o in clean} == methods
+        calls = []
+        for module, name in (
+            (scenarios, "_qubit_outcomes"), (np.linalg, "det"), (QFI, "_check_derivative"), (QFI, "_clamp"), (QFI, "qfi_qubit")
+        ):
+            function = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, f=function, name=name: calls.append(name) or f(*args))
+        assert qfi_grid(spec, times) == clean
+        assert calls == ["_qubit_outcomes", "det"]
 
     @pytest.mark.parametrize(
         "entry, check", [((0, 1), "not Hermitian"), ((0, 0), "not traceless")], ids=["non-hermitian", "non-traceless"]
@@ -221,6 +237,20 @@ class TestTimeGrid:
         assert expected[0] is ValueError and check in expected[1]
         assert outcome(lambda: grid[k]) == expected
         assert grid[:k] + grid[k + 1:] == clean[:k] + clean[k + 1:]
+
+    def test_a_time_grid_whose_model_failed_is_not_scored(self, monkeypatch):
+        # At b_z = 1e103 the thermal rate overflows: the grid's one model
+        # fails, so each point gets its error and no stack is scored.
+        scored = []
+        scores = scenarios._scores
+        monkeypatch.setattr(scenarios, "_scores", lambda *args: scored.append(len(args[0])) or scores(*args))
+        times = np.linspace(0.0, 5.0, 200)
+        spec = ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=1.0, t_e=0.0)
+        assert all(isinstance(o, QfiResult) for o in qfi_grid(spec, times))
+        assert scored == [128, 72]
+        grid = qfi_grid(replace(spec, b_z=1e103), times)
+        assert scored == [128, 72]
+        assert {outcome(lambda: o) for o in grid} == {(NumericalFailureError, "the thermal decay rate is not finite: inf")}
 
     def test_invariant_failure_fails_only_its_point(self, monkeypatch):
         grid = SweepGrid("t", 0.5, 2.5, 5)

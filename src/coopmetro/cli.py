@@ -13,9 +13,11 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args
 
+from .qfi import METHOD_QUBIT, METHOD_SLD
 from .scenarios import (
     InvalidScenarioError,
     ScenarioSpec,
+    _grid_outcomes,
     build_model,
     effective_two_spin_ground_qfi,
     exact_two_spin_ground_qfi,
@@ -25,7 +27,7 @@ from .scenarios import (
     standard_limit_formulas,
     tradeoff_width,
 )
-from .sweep import SWEEP_AXES, SweepGrid, find_region, maximize_qfi, scenario_objective, sweep
+from .sweep import SWEEP_AXES, SweepGrid, _diagnostic, find_region, maximize_qfi, scenario_objective
 
 __all__ = ["UsageError", "RunConfig", "parse_config", "report_bound", "main"]
 
@@ -54,13 +56,12 @@ _BZ_GRID = SweepGrid("b_z", 0.5, 1.5, 201)  # step 0.005
 
 
 def _figure_sweep(spec: ScenarioSpec, grid: SweepGrid, t: float | None = None) -> list[float]:
-    """QFI values of one figure column; a failed point fails the figure."""
-    values = []
-    for point in sweep(spec, grid, t=t):
-        if point.result is None:
-            raise RuntimeError(f"{spec.kind} point {grid.axis}={point.value} failed: {point.error}")
-        values.append(point.result.value)
-    return values
+    """QFI values of one figure column, from its grid's record; a failed point fails the figure."""
+    values, errors, _ = _grid_outcomes(spec, grid.values(), grid.axis, t)
+    if errors:
+        k = min(errors)
+        raise RuntimeError(f"{spec.kind} point {grid.axis}={grid.values()[k].item()} failed: {_diagnostic(errors[k])}")
+    return values.tolist()
 
 
 def _time_figure_rows(coop: ScenarioSpec, std: ScenarioSpec, formula_kind: str, rate: float) -> list[dict]:
@@ -289,23 +290,27 @@ def report_bound(f_q: float, m: int = 1) -> float:
 
 
 def _format_cell(value) -> str:
+    if isinstance(value, float):  # the most common cell first
+        return format(value, ".12g")
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
     return str(value)
 
 
-def _render(rows: list[dict], fmt: str) -> str:
-    """CSV (columns in the key order of the first row) or JSON text of the rows."""
+def _render(table: dict[str, list], fmt: str) -> str:
+    """CSV (one column per key, in order) or JSON text (one object per row)
+    of a table given as its columns, lists of one cell per row."""
     if fmt == "csv":
-        header = list(rows[0])
-        lines = [",".join(header)]
-        lines.extend(",".join(_format_cell(row.get(col)) for col in header) for row in rows)
-        return "\n".join(lines) + "\n"
-    return json.dumps(rows, indent=2) + "\n"
+        rows = zip(*(map(_format_cell, column) for column in table.values()))
+        return "\n".join([",".join(table), *map(",".join, rows)]) + "\n"
+    return json.dumps([dict(zip(table, row)) for row in zip(*table.values())], indent=2) + "\n"
+
+
+def _row(**cells) -> dict[str, list]:
+    """The table of one row."""
+    return {key: [value] for key, value in cells.items()}
 
 
 def _emit(text: str, out: str | None):
@@ -324,79 +329,61 @@ def _emit(text: str, out: str | None):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_run(config: RunConfig) -> tuple[list[dict], int]:
+def _cmd_run(config: RunConfig) -> tuple[dict, int]:
     spec = _scenario(config)
     result = qfi_at(spec, config.t)
     bound = report_bound(result.value, config.m) if result.value > 0 else None
-    row = {
-        "kind": spec.kind,
-        "b_z": spec.b_z,
-        "t": config.t,
-        "qfi": result.value,
-        "method": result.method,
-        "fd_step": None,  # no step: the state derivative is exact
-        "m": config.m,
-        "bound": bound,
-    }
-    return [row], 0
+    # fd_step is empty: the state derivative is exact, with no step.
+    return _row(
+        kind=spec.kind, b_z=spec.b_z, t=config.t, qfi=result.value, method=result.method, fd_step=None, m=config.m, bound=bound
+    ), 0
 
 
-def _cmd_sweep(config: RunConfig) -> tuple[list[dict], int]:
+def _cmd_sweep(config: RunConfig) -> tuple[dict, int]:
+    """The sweep's table, straight from its grid's record; each failed point's row and stderr line name its error."""
     spec = _scenario(config)
-    grid = SweepGrid(config.axis, config.from_, config.to, config.points)
-    points = sweep(spec, grid, t=config.t)
-    rows = [
-        {
-            grid.axis: point.value,
-            "qfi": point.result and point.result.value,
-            "method": point.result and point.result.method,
-            "fd_step": None,
-            "error": point.error,
-        }
-        for point in points
-    ]
-    for point in points:
-        if point.error:
-            print(f"point {grid.axis}={point.value}: {point.error}", file=sys.stderr)
-    return rows, int(any(point.result is None for point in points))
+    values = SweepGrid(config.axis, config.from_, config.to, config.points).values().tolist()
+    qfi, errors, sld = _grid_outcomes(spec, values, config.axis, config.t)
+    qfi, methods, messages = qfi.tolist(), [METHOD_SLD if s else METHOD_QUBIT for s in sld.tolist()], [None] * len(values)
+    for k in sorted(errors):
+        qfi[k] = methods[k] = None
+        messages[k] = _diagnostic(errors[k])
+        print(f"point {config.axis}={values[k]}: {messages[k]}", file=sys.stderr)
+    table = {config.axis: values, "qfi": qfi, "method": methods, "fd_step": [None] * len(values), "error": messages}
+    return table, int(bool(errors))
 
 
-def _cmd_region(config: RunConfig) -> tuple[list[dict], int]:
+def _cmd_region(config: RunConfig) -> tuple[dict, int]:
     spec = _scenario(config)
     threshold = heisenberg_limit(spin_count(spec), config.t)
-    region = find_region(
-        scenario_objective(spec, config.t, "b_z"),
-        threshold,
-        (config.from_, config.to),
-    )
+    region = find_region(scenario_objective(spec, config.t, "b_z"), threshold, (config.from_, config.to))
     bounds = (region.lower, region.upper, region.upper - region.lower) if region.resolved else (None, None, None)
-    row = dict(zip(("lower", "upper", "width"), bounds), threshold=region.threshold, resolved=region.resolved)
-    return [row], 0
+    return _row(**dict(zip(("lower", "upper", "width"), bounds)), threshold=region.threshold, resolved=region.resolved), 0
 
 
-def _cmd_maximize(config: RunConfig) -> tuple[list[dict], int]:
+def _cmd_maximize(config: RunConfig) -> tuple[dict, int]:
     spec = _scenario(config)
     objective = scenario_objective(spec, config.t, config.axis)
     argmax, value = maximize_qfi(objective, [(config.from_, config.to)])
     # A flat objective determines no argmax: its cell is empty, as an
     # unresolved region's bounds are.
-    return [{config.axis: None if math.isnan(argmax) else argmax, "qfi": value}], 0
+    return _row(**{config.axis: None if math.isnan(argmax) else argmax}, qfi=value), 0
 
 
-def _cmd_tradeoff(config: RunConfig) -> tuple[list[dict], int]:
+def _cmd_tradeoff(config: RunConfig) -> tuple[dict, int]:
     f_max = 1.0 / (2.0 * config.b_x**2)
-    width = tradeoff_width(f_max, config.t)
-    return [{"b_x": config.b_x, "t": config.t, "f_max": f_max, "width": width}], 0
+    return _row(b_x=config.b_x, t=config.t, f_max=f_max, width=tradeoff_width(f_max, config.t)), 0
 
 
-def _cmd_figure(config: RunConfig) -> tuple[list[dict], int]:
-    return figure_rows(config.figure), 0
+def _cmd_figure(config: RunConfig) -> tuple[dict, int]:
+    rows = figure_rows(config.figure)
+    return {key: [row[key] for row in rows] for key in rows[0]}, 0
 
 
 # Each command's required keys, its optional keys and its handler; sweep and
 # maximize also require 't' unless they sweep it, and do not read it if they
-# do.  Any other key is a usage error.  A handler returns its rows and its
-# exit code.
+# do.  Any other key is a usage error.  A handler returns its table (see
+# `_render`) and its exit code.
 _OUTPUT = ("format", "out")
 _COMMANDS = {
     "run": (("kind", "t"), ("m", *_OUTPUT), _cmd_run),
@@ -417,8 +404,8 @@ def main(argv=None) -> int:
         return 2
     *_, handler = _COMMANDS[config.command]
     try:
-        rows, code = handler(config)
-        _emit(_render(rows, config.format), config.out)
+        table, code = handler(config)
+        _emit(_render(table, config.format), config.out)
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

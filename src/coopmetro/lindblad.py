@@ -130,6 +130,8 @@ class LindbladChannel:
     jump: np.ndarray
 
     def __post_init__(self):
+        if not math.isfinite(self.rate):  # NaN passes `rate < 0` and would fill the Liouvillian with NaN
+            raise InvalidModelError(f"channel rate is not finite: {self.rate}")
         if self.rate < 0:
             raise InvalidModelError(f"channel rate must be >= 0, got {self.rate}")
         object.__setattr__(self, "jump", np.asarray(self.jump, dtype=complex))

@@ -4,7 +4,7 @@ Two routes are provided and cross-checked against each other, and against
 the pure-state overlap formula, in the test suite: the qubit determinant
 closed form and the spectral SLD sum valid in any dimension.  Each scores
 a stack of states at once, screening its derivatives as arrays and naming
-each state that fails by its index (`_qubit_outcomes`, `_sld_outcomes`);
+each state that fails by its index, in one record (`_Outcomes`);
 `qfi_qubit` and `qfi_sld` are their one-state cases.
 
 The scenario pipeline gets its state derivatives exactly, by propagating
@@ -18,7 +18,7 @@ exactly Hermitian).
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +57,14 @@ class StateFamily:
     b0: float
 
 
+class _Outcomes(NamedTuple):
+    """The results of a stack of n points, from the formulas to the CLI."""
+
+    values: np.ndarray  # (n,) QFI values, NaN where a point fails
+    errors: dict  # point index -> the exception that failed it
+    sld: np.ndarray  # (n,) bool, True where the SLD sum scores the point
+
+
 def _clamp(value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -85,18 +93,17 @@ def _recorded(formula: Callable, *args):
         return exc
 
 
-def _sld_outcomes(rho: np.ndarray, drho: np.ndarray, spectrum: tuple | None = None) -> tuple[np.ndarray, dict]:
-    """`qfi_sld` at each state of a stack (n, d, d) with its derivative:
-    the values (n,), NaN where a state fails, and the ValueError of each
-    state that fails, by index, as `qfi_sld` raises it.  One Hermiticity
-    screen of the derivative stack, one batched `np.linalg.eigh` of the
-    hermitized states, one stacked product V† drho V, one masked sum and
-    one clamp over the whole stack; `_check_derivative` and `_clamp` run
-    alone only at a state that the screen or the clamp fails, to name its
-    error.  Each state's sum runs over all d x d pairs, with an exact 0.0
-    at every masked pair, so a state gives the same bits alone as in any
-    stack.  A caller that has the (values, vectors) of the Hermitian stack
-    rho passes them as `spectrum`."""
+def _sld_outcomes(rho: np.ndarray, drho: np.ndarray, spectrum: tuple | None = None) -> _Outcomes:
+    """`qfi_sld` at each state of a stack (n, d, d) with its derivative, as
+    a record whose states all take the SLD route, each error as `qfi_sld`
+    raises it.  One Hermiticity screen of the derivative stack, one batched
+    `np.linalg.eigh` of the hermitized states, one stacked product V† drho
+    V, one masked sum and one clamp over the whole stack; `_check_derivative`
+    and `_clamp` run alone only at a state that the screen or the clamp
+    fails, to name its error.  Each state's sum runs over all d x d pairs,
+    with an exact 0.0 at every masked pair, so a state gives the same bits
+    alone as in any stack.  A caller that has the (values, vectors) of the
+    Hermitian stack rho passes them as `spectrum`."""
     drho = np.asarray(drho, dtype=complex)
     # `_check_derivative`'s deviation, for the whole stack; NaN fails it too.
     passes = np.abs(drho - drho.conj().mT).max(axis=(-2, -1)) <= DERIV_HERM_TOL
@@ -120,22 +127,21 @@ def _sld_outcomes(rho: np.ndarray, drho: np.ndarray, spectrum: tuple | None = No
     values = np.maximum(qfi, 0.0)
     if errors:
         values[list(errors)] = math.nan
-    return values, errors
+    return _Outcomes(values, errors, np.ones(len(values), dtype=bool))
 
 
-def _qubit_outcomes(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, dict, np.ndarray]:
+def _qubit_outcomes(rho: np.ndarray, drho: np.ndarray) -> _Outcomes:
     """`qfi_qubit` at each state of a qubit stack (n, 2, 2) with its
-    derivative: the values (n,), NaN where a state fails, the ValueError of
-    each state that fails, by index, as `qfi_qubit` raises it, and each
-    state's route, True where it is near-pure (Det < 1e-10) and the SLD sum
-    scored it.  One screen of the derivative stack, Hermitian and traceless
-    within 1e-8; `_check_derivative` runs alone only at a state that fails
-    it (or is NaN), to name its error.  One batched `np.linalg.det` both
-    picks the route and divides the closed form, so no state's determinant
-    is taken twice, and one `_sld_outcomes` call scores the near-pure
-    states.  The closed form runs state by state, as `qfi_qubit` always
-    wrote it, and `_clamp`'s rules run over the stack, with `_clamp` alone
-    only to name a failure."""
+    derivative, as a record: each error as `qfi_qubit` raises it, and the
+    SLD route where a state is near-pure (Det < 1e-10).  One screen of the
+    derivative stack, Hermitian and traceless within 1e-8;
+    `_check_derivative` runs alone only at a state that fails it (or is
+    NaN), to name its error.  One batched `np.linalg.det` both picks the
+    route and divides the closed form, so no state's determinant is taken
+    twice, and one `_sld_outcomes` call scores the near-pure states.  The
+    closed form runs state by state, as `qfi_qubit` always wrote it, and
+    `_clamp`'s rules run over the stack, with `_clamp` alone only to name a
+    failure."""
     rho, drho = np.asarray(rho, dtype=complex), np.asarray(drho, dtype=complex)
     if rho.shape[1:] != (2, 2):
         raise ValueError(f"qubit formula needs a 2x2 state, got shape {rho.shape[1:]}")
@@ -155,7 +161,7 @@ def _qubit_outcomes(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, dict
             (sld if pure else closed).append(k)
     values = np.full(len(rho), math.nan)
     if sld:
-        values[sld], sld_errors = _sld_outcomes(rho[sld], drho[sld])
+        values[sld], sld_errors, _ = _sld_outcomes(rho[sld], drho[sld])
         errors.update((sld[j], error) for j, error in sld_errors.items())
     for k in closed:
         rd = rho[k] @ drho[k]
@@ -169,7 +175,7 @@ def _qubit_outcomes(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, dict
     values[closed] = np.maximum(qfi, 0.0)
     if errors:
         values[list(errors)] = math.nan
-    return values, errors, near_pure
+    return _Outcomes(values, errors, near_pure)
 
 
 def qfi_qubit(rho: np.ndarray, drho: np.ndarray) -> QfiResult:
@@ -192,7 +198,7 @@ def qfi_sld(rho: np.ndarray, drho: np.ndarray) -> QfiResult:
     Diagonalize rho = sum_k lam_k |k><k| and sum
     2 |<i|drho|j>|^2 / (lam_i + lam_j) over pairs with lam_i + lam_j > 1e-12.
     """
-    values, errors = _sld_outcomes(np.asarray(rho)[None], np.asarray(drho)[None])
+    values, errors, _ = _sld_outcomes(np.asarray(rho)[None], np.asarray(drho)[None])
     if errors:
         raise errors[0]
     return QfiResult(value=float(values[0]), method=METHOD_SLD)

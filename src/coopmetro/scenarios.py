@@ -45,13 +45,7 @@ from .lindblad import (
     hermitize,
     validate_density_matrix,
 )
-from .qfi import (
-    METHOD_QUBIT,
-    METHOD_SLD,
-    QfiResult,
-    _qubit_outcomes,
-    _sld_outcomes,
-)
+from .qfi import METHOD_QUBIT, METHOD_SLD, QfiResult, _Outcomes, _qubit_outcomes, _sld_outcomes
 
 __all__ = [
     "KINDS",
@@ -530,8 +524,8 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     floats, or arrays of points over whose broadcast shape (...) the states
     are stacked, (..., d, d) each.  The fields' shape is the stack of models
     that the kind's builder states; a time grid over one model builds it
-    once.  numpy's warnings are silenced: a field near the float range
-    overflows H, its gaps or its rates, which fails a model or a state.
+    once (and gives None states if it fails).  numpy's warnings are silenced:
+    a field near the float range overflows H, its gaps or rates.
 
     The kind's builder states the model in the eigenframe of its
     Hamiltonian, H = V diag(E) V†, where every channel is a transition
@@ -567,6 +561,8 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     level = np.arange(d)
     with np.errstate(over="ignore", invalid="ignore"):
         frame = _KINDS[spec.kind].build(spec, b_z, b_x)
+        if () in frame.errors:
+            return None, None, frame.errors
         q, lam = _frame_rates(frame)
         vectors, rotation = frame.vectors, frame.rotation
         rho0 = probe if vectors is None else vectors.conj().mT @ probe @ vectors
@@ -746,19 +742,17 @@ def _taylor(q: np.ndarray, p: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate(np.broadcast_arrays(p_t, dp_t), axis=-1).swapaxes(-1, -2)
 
 
-def _scores(states: np.ndarray, drho: np.ndarray, t: ArrayLike) -> tuple[np.ndarray, list]:
-    """The QFI values (n,) of grid points from their states and state
-    derivatives (n, d, d) in the Hamiltonian's eigenframe at times t, NaN
-    where a point fails, and each point's outcome: its exception, its
-    QfiResult where the qubit closed form scored it, or None where the SLD
-    sum gave its value.  The state check comes first; a derivative that is
-    not finite (overflowing as the QFI does) fails its point, named.
+def _scores(states: np.ndarray, drho: np.ndarray, t: ArrayLike) -> _Outcomes:
+    """The record (`qfi._Outcomes`) of grid points from their states and
+    state derivatives (n, d, d) in the Hamiltonian's eigenframe at times t.
+    A point's state check comes first, then a derivative that is not finite
+    (overflowing as the QFI does), named, then the formula.
 
     Two spins: one SLD sum over the stack, whose eigh the state check
     shares.  One spin: one `_qubit_outcomes` call over the points that pass
     the state check, which screens their derivatives once, takes one
     batched det to route them and scores the near-pure ones in one SLD
-    sum; each point gets the bits, tag or error of `qfi_qubit` alone."""
+    sum; each point gets the bits, route or error of `qfi_qubit` alone."""
     n, d = len(states), drho.shape[-1]
     finite = np.isfinite(states).all(axis=(-2, -1))
     # 0 for a non-finite state, which LAPACK rejects; qubits need no vectors (eigvalsh is cheaper).
@@ -771,23 +765,22 @@ def _scores(states: np.ndarray, drho: np.ndarray, t: ArrayLike) -> tuple[np.ndar
     # time) overflows either formula: its value is then non-finite, which
     # the formula names, so numpy's warnings are silenced, once per grid.
     with np.errstate(over="ignore", invalid="ignore"):
-        if d == 2:
+        if d == 4:
+            values, errors, sld = _sld_outcomes(states, drho, spectrum)
+        elif failed:
             scored = [j for j in range(n) if j not in failed]
-            values = np.full(n, math.nan)
-            values[scored], errors, near_pure = _qubit_outcomes(states[scored], drho[scored])
-            outcomes = [None] * n
-            for k, j in enumerate(scored):
-                outcomes[j] = errors.get(k) or (None if near_pure[k] else QfiResult(values[j].item(), METHOD_QUBIT))
+            values, sld = np.full(n, math.nan), np.zeros(n, dtype=bool)
+            values[scored], errors, sld[scored] = _qubit_outcomes(states[scored], drho[scored])
+            errors = {scored[k]: error for k, error in errors.items()}
         else:
-            values, errors = _sld_outcomes(states, drho, spectrum)
-            outcomes = [errors.get(j) for j in range(n)]
+            values, errors, sld = _qubit_outcomes(states, drho)
     for j, error in failed.items():
         time = np.broadcast_to(t, n)[j].item()
-        values[j], outcomes[j] = math.nan, NumericalFailureError(
+        values[j], errors[j] = math.nan, NumericalFailureError(
             f"propagation to t={time} {error}" if error is not None
             else f"the b_z derivative of the state at t={time} has non-finite entries"
         )
-    return values, outcomes
+    return _Outcomes(values, errors, sld)
 
 
 # Points of a grid per stacked build, propagation and scoring.  Each stack
@@ -799,9 +792,9 @@ def _scores(states: np.ndarray, drho: np.ndarray, t: ArrayLike) -> tuple[np.ndar
 _CHUNK = 128
 
 
-def _grid_outcomes(spec: ScenarioSpec, values: ArrayLike, axis: str, t: float | None) -> tuple[np.ndarray, list]:
-    """`qfi_grid` as its values (NaN where a point fails) and outcomes
-    (`_scores`), with no QfiResult made of a stack's SLD values."""
+def _grid_outcomes(spec: ScenarioSpec, values: ArrayLike, axis: str, t: float | None) -> _Outcomes:
+    """`qfi_grid` as one record (`qfi._Outcomes`), a point's error by this
+    precedence: its check where the screen rejects it, its model, `_scores`."""
     if axis not in ("t", "b_z", "b_x"):
         raise ValueError(f"grid axis must be 't', 'b_z' or 'b_x', got {axis!r}")
     if axis != "t" and t is None:
@@ -815,8 +808,8 @@ def _grid_outcomes(spec: ScenarioSpec, values: ArrayLike, axis: str, t: float | 
         passes = np.isfinite(values) & (values >= 0)
     else:
         passes = np.isfinite(values) & (values > 0) & (math.isfinite(t) and t >= 0)
-    scores, outcomes = np.full(len(values), math.nan), [None] * len(values)
-    for k in np.flatnonzero(~passes):
+    record = _Outcomes(np.full(len(values), math.nan), {}, np.zeros(len(values), dtype=bool))
+    for k in np.flatnonzero(~passes).tolist():
         value = float(values[k])
         time = value if axis == "t" else t
         try:
@@ -827,7 +820,7 @@ def _grid_outcomes(spec: ScenarioSpec, values: ArrayLike, axis: str, t: float | 
             if time < 0:
                 raise ValueError(f"time must be >= 0, got {time}")
         except ValueError as exc:  # recorded, not raised: keep the other points
-            outcomes[k] = exc
+            record.errors[k] = exc
         else:
             passes[k] = True
     ready = np.flatnonzero(passes)  # the indices of the points that pass qfi_at's checks
@@ -836,13 +829,12 @@ def _grid_outcomes(spec: ScenarioSpec, values: ArrayLike, axis: str, t: float | 
         fields = {"b_z": spec.b_z, "b_x": spec.b_x, "t": t, axis: values[chunk]}
         states, drho, errors = _propagated(spec, fields["b_z"], fields["b_x"], _PROBES[2 ** spin_count(spec)], fields["t"])
         if () not in errors:  # a time grid whose one model failed has nothing to score
-            scores[chunk], stack = _scores(states, drho, fields["t"])
-            for k, outcome in zip(chunk.tolist(), stack):
-                outcomes[k] = outcome
+            record.values[chunk], stack, record.sld[chunk] = _scores(states, drho, fields["t"])
+            record.errors.update((chunk[j].item(), error) for j, error in stack.items())
         for index, error in errors.items():  # a model that fails: () is a time grid's one model
             for k in np.atleast_1d(chunk[index]).tolist():
-                scores[k], outcomes[k] = math.nan, error
-    return scores, outcomes
+                record.values[k], record.errors[k] = math.nan, error
+    return record
 
 
 def qfi_grid(
@@ -872,8 +864,9 @@ def qfi_grid(
     The probe is not checked again: it is validated once per dimension, at
     import.  Each point gets, bit for bit, what `qfi_at` gives at it.
     """
-    scores, outcomes = _grid_outcomes(spec, values, axis, t)
-    return [QfiResult(value, METHOD_SLD) if o is None else o for value, o in zip(scores.tolist(), outcomes)]
+    scores, errors, sld = _grid_outcomes(spec, values, axis, t)
+    methods = [METHOD_SLD if s else METHOD_QUBIT for s in sld.tolist()]
+    return [errors[k] if k in errors else QfiResult(v, methods[k]) for k, v in enumerate(scores.tolist())]
 
 
 def qfi_at(spec: ScenarioSpec, t: float) -> QfiResult:

@@ -4,7 +4,7 @@ Every sweep is one `qfi_grid` call, which propagates its points in closed
 form and checks them as stacks: one model over a time grid, or the models
 of a b_z or b_x grid.  The region prescan, each step of the lockstep search for the
 region's edges and each scan of the zooming maximizer evaluate an
-objective of `scenario_objective` the same way.
+objective of `scenario_objective` the same way, as one record of arrays.
 """
 
 import itertools
@@ -77,7 +77,7 @@ class RegionResult:
 class _GridObjective:
     """value |-> QFI of the scenario at probe time value (axis "t"), or with
     the field `axis` set to value at probe time t: the one-point case of
-    `qfi_grid`, and `_outcomes` evaluates many values in one call."""
+    `qfi_grid`, whose record `_grid_outcomes` gives at many values at once."""
 
     def __init__(self, spec: ScenarioSpec, t: float | None, axis: str):
         self.spec, self.t, self.axis = spec, t, axis
@@ -95,13 +95,8 @@ def scenario_objective(spec: ScenarioSpec, t: float | None, axis: str = "b_z") -
 
 
 def _outcomes(objective: Callable[[float], float], xs):
-    """The objective, or the exception that failed it, at each value: one
-    grid evaluation for an objective of `scenario_objective`, else one call
-    per value read."""
-    if isinstance(objective, _GridObjective):
-        values, outcomes = _grid_outcomes(objective.spec, xs, objective.axis, objective.t)
-        yield from (o if isinstance(o, Exception) else v for v, o in zip(values.tolist(), outcomes))
-        return
+    """The objective, or the exception that failed it, at each value, one
+    call per value read: the path of an objective that is not a grid's."""
     for x in xs:
         try:
             yield objective(float(x))
@@ -110,8 +105,14 @@ def _outcomes(objective: Callable[[float], float], xs):
 
 
 def _scan(objective: Callable[[float], float], xs) -> np.ndarray:
-    """The objective at each value (`_outcomes`); raises the first failure,
-    as calling it value by value would."""
+    """The objective at each value: one grid evaluation for an objective of
+    `scenario_objective`, else `_outcomes`; raises the first failure, by
+    index, as calling it value by value would."""
+    if isinstance(objective, _GridObjective):
+        values, errors, _ = _grid_outcomes(objective.spec, xs, objective.axis, objective.t)
+        if errors:
+            raise errors[min(errors)]
+        return values
     values = []
     for outcome in _outcomes(objective, xs):
         if isinstance(outcome, Exception):
@@ -120,10 +121,25 @@ def _scan(objective: Callable[[float], float], xs) -> np.ndarray:
     return np.asarray(values)
 
 
-def _point(value: float, outcome) -> SweepPoint:
-    if isinstance(outcome, Exception):
-        return SweepPoint(value=value, result=None, error=f"{type(outcome).__name__}: {outcome}")
-    return SweepPoint(value=value, result=outcome)
+def _steps(objective, steps: list[list[float]]):
+    """Each step's values and its first exception (None if none), in turn:
+    one grid evaluation of every step's points for an objective of
+    `scenario_objective`, else `_outcomes`, read a step at a time."""
+    xs = [x for step in steps for x in step]
+    if isinstance(objective, _GridObjective):
+        values, errors, _ = _grid_outcomes(objective.spec, xs, objective.axis, objective.t)
+        for start, end in itertools.pairwise(itertools.accumulate(map(len, steps), initial=0)):
+            yield values[start:end].tolist(), errors.get(min(errors.keys() & range(start, end), default=None))
+        return
+    outcomes = _outcomes(objective, xs)
+    for step in steps:
+        values = list(itertools.islice(outcomes, len(step)))
+        yield values, next((v for v in values if isinstance(v, Exception)), None)
+
+
+def _diagnostic(error: Exception) -> str:
+    """A failed point's diagnostic, as `SweepPoint.error` and the CLI give it."""
+    return f"{type(error).__name__}: {error}"
 
 
 def sweep(spec: ScenarioSpec, grid: SweepGrid, t: float | None = None) -> list[SweepPoint]:
@@ -136,8 +152,9 @@ def sweep(spec: ScenarioSpec, grid: SweepGrid, t: float | None = None) -> list[S
     """
     if grid.axis != "t" and t is None:
         raise ValueError(f"sweeping over {grid.axis!r} requires the probe time t")
-    values = [float(v) for v in grid.values()]
-    return [_point(v, o) for v, o in zip(values, qfi_grid(spec, values, axis=grid.axis, t=t))]
+    values = grid.values().tolist()
+    points = zip(values, qfi_grid(spec, values, axis=grid.axis, t=t))
+    return [SweepPoint(v, None, _diagnostic(o)) if isinstance(o, Exception) else SweepPoint(v, o) for v, o in points]
 
 
 def _check_xtol(xtol: float) -> None:
@@ -214,10 +231,7 @@ def _refine(objective, edges: list, threshold: float, xtol: float) -> list[float
     failed: dict = {}  # edge index -> its exception, until the edges before it are done
     while active := [k for k, edge in enumerate(edges) if open_(edge) and k not in failed]:
         steps = [points(edges[k]) for k in active]
-        outcomes = _outcomes(objective, [x for step in steps for x in step])
-        for k, step in zip(active, steps):
-            values = list(itertools.islice(outcomes, len(step)))
-            error = next((v for v in values if isinstance(v, Exception)), None)
+        for k, step, (values, error) in zip(active, steps, _steps(objective, steps)):
             if error is not None:
                 if not any(map(open_, edges[:k])):
                     raise error
@@ -270,12 +284,9 @@ def find_region(
     if not above.any() or np.all(abs(vals - threshold) <= 64 * np.spacing(threshold)):
         return RegionResult(lower=math.nan, upper=math.nan, threshold=threshold, resolved=False)
     peak = int(np.argmax(vals))
-    i = peak
-    while i > 0 and above[i - 1]:
-        i -= 1
-    j = peak
-    while j < prescan - 1 and above[j + 1]:
-        j += 1
+    below = np.flatnonzero(~above)  # the block of points above it that holds the peak is i..j
+    i = int(below[below < peak].max(initial=-1)) + 1
+    j = int(below[below > peak].min(initial=prescan)) - 1
     points = [(float(x), float(y)) for x, y in zip(xs, vals)]
 
     def edge(outside: int, inside: int) -> tuple:

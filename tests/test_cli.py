@@ -1,4 +1,16 @@
+"""Tests of the command-line front end.
+
+`test_transcript` compares the CLI's exit code, stdout and stderr on each
+call of TRANSCRIPT_CALLS, in CSV and in JSON, byte for byte with
+tests/data/cli_transcripts.json.  Regenerate that file, once a change of
+output is meant, with
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -22,6 +34,48 @@ from coopmetro.cli import (
 
 RUN_FLAGS = ["run", "--kind", "coop-spont", "--b_z", "0.1", "--b_x", "0.1", "--gamma", "0.5", "--t", "1"]
 TWO_SPIN = ["--kind", "two-spin-coop", "--b_z", "1", "--b_x", "0.1", "--dipole", "10"]
+
+
+# CLI calls whose answers are frozen in tests/data/cli_transcripts.json, each
+# in CSV and in JSON: sweeps whose points fail alone (degenerate two-spin
+# models, b_z = 0, negative times), a time grid whose one model fails, a
+# time grid over both qubit routes, the fig. 5 region, the flat maximizer,
+# runs and a trade-off.
+TRANSCRIPT_CALLS = [
+    "sweep --kind two-spin-coop --b_z 1 --b_x 1e-7 --dipole 1 --t 1 --axis b_z --from 1e-7 --to 1e-6 --points 21",
+    "sweep --kind coop-thermal --b_z 1e103 --b_x 0.1 --dipole 1 --t_e 0 --axis t --from 0 --to 5 --points 50",
+    "sweep --kind coop-spont --b_z 0.1 --b_x 0.1 --gamma 0.5 --t 1 --axis b_z --from -0.5 --to 0.5 --points 21",
+    "sweep --kind coop-thermal --b_z 0.3 --b_x 0.1 --dipole 2 --t_e 0.1 --axis t --from -1 --to 2 --points 13",
+    "sweep --kind coop-thermal --b_z 0.3 --b_x 0.1 --dipole 2 --t_e 0 --axis t --from 0 --to 30 --points 31",
+    "region --kind two-spin-coop --b_z 1 --b_x 0.1 --dipole 10 --t 1 --from 0.5 --to 1.5",
+    "maximize --kind unitary-baseline --b_z 0.1 --n_spins 1 --t 1 --axis b_z --from 0.1 --to 1",
+    "run --kind coop-spont --b_z 0.1 --b_x 0.1 --gamma 0.5 --t 1 --m 4",
+    "run --kind coop-thermal --b_z 1e103 --b_x 0.1 --dipole 1 --t_e 0 --t 1",
+    "tradeoff --b_x 0.1 --t 1",
+]
+TRANSCRIPTS = Path(__file__).parent / "data" / "cli_transcripts.json"
+
+
+def answer(argv: list[str]) -> dict:
+    """The CLI's exit code, stdout and stderr on one call, in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def transcript_argvs() -> list[list[str]]:
+    return [call.split() + ["--format", fmt] for call in TRANSCRIPT_CALLS for fmt in ("csv", "json")]
+
+
+def test_transcripts_cover_the_calls():
+    assert [t["argv"] for t in json.loads(TRANSCRIPTS.read_text())] == transcript_argvs()
+
+
+@pytest.mark.parametrize("argv", transcript_argvs(), ids=" ".join)
+def test_transcript(argv):
+    frozen = {tuple(t["argv"]): t for t in json.loads(TRANSCRIPTS.read_text())}
+    assert answer(argv) == frozen[tuple(argv)]
 
 
 def config_keys(config: RunConfig) -> dict:
@@ -462,3 +516,7 @@ def test_cli_answers_without_scipy(tmp_path):
     assert "t,qfi" in done.stdout
     assert (tmp_path / "fig5.csv").exists()
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+if __name__ == "__main__":
+    TRANSCRIPTS.write_text(json.dumps([answer(argv) for argv in transcript_argvs()], indent=1) + "\n")

@@ -108,6 +108,11 @@ class TestModelValidation:
         with pytest.raises(InvalidModelError):
             LindbladChannel(-0.1, LOWER)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_non_finite_rate(self, rate):
+        with pytest.raises(InvalidModelError, match=f"^channel rate is not finite: {rate}$"):
+            LindbladChannel(rate, LOWER)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_entries_named_before_hermiticity(self, bad):
         # inf - inf is a NaN Hermiticity deviation: the entry is named instead.

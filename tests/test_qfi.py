@@ -131,7 +131,7 @@ def random_state(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
 
 def stacked_outcomes(rho: np.ndarray, drho: np.ndarray) -> list:
     """`_sld_outcomes` of a stack as one outcome per state: its ValueError or its QfiResult."""
-    values, errors = _sld_outcomes(rho, drho)
+    values, errors, _ = _sld_outcomes(rho, drho)
     return [errors[k] if k in errors else QfiResult(value, METHOD_SLD) for k, value in enumerate(values.tolist())]
 
 

@@ -240,16 +240,18 @@ class TestTimeGrid:
 
     def test_a_time_grid_whose_model_failed_is_not_scored(self, monkeypatch):
         # At b_z = 1e103 the thermal rate overflows: the grid's one model
-        # fails, so each point gets its error and no stack is scored.
-        scored = []
-        scores = scenarios._scores
+        # fails, so each point gets its error and no stack is propagated
+        # or scored.
+        scored, propagated = [], []
+        scores, two_level = scenarios._scores, scenarios._two_level
         monkeypatch.setattr(scenarios, "_scores", lambda *args: scored.append(len(args[0])) or scores(*args))
+        monkeypatch.setattr(scenarios, "_two_level", lambda *args: propagated.append(len(args[2])) or two_level(*args))
         times = np.linspace(0.0, 5.0, 200)
         spec = ScenarioSpec(kind="coop-thermal", b_z=0.3, b_x=0.1, dipole=1.0, t_e=0.0)
         assert all(isinstance(o, QfiResult) for o in qfi_grid(spec, times))
-        assert scored == [128, 72]
+        assert scored == propagated == [128, 72]
         grid = qfi_grid(replace(spec, b_z=1e103), times)
-        assert scored == [128, 72]
+        assert scored == propagated == [128, 72]
         assert {outcome(lambda: o) for o in grid} == {(NumericalFailureError, "the thermal decay rate is not finite: inf")}
 
     def test_invariant_failure_fails_only_its_point(self, monkeypatch):
@@ -375,6 +377,29 @@ BUILD_FAILURE_CASES = [
 ]
 
 
+# The failures injected at each point of one stack, each listed in the order
+# of precedence, and the type and text prefix of each failure's error.
+PRECEDENCE = [
+    (),
+    ("model",),
+    ("state",),
+    ("derivative",),
+    ("formula",),
+    ("model", "state", "derivative", "formula"),
+    ("state", "derivative", "formula"),
+    ("derivative", "formula"),
+    ("model", "formula"),
+    ("state", "formula"),
+    ("model", "derivative"),
+]
+FAILURE_TEXTS = {
+    "model": (NumericalFailureError, "model "),
+    "state": (NumericalFailureError, "propagation to t=1.0 lost state invariants: "),
+    "derivative": (NumericalFailureError, "the b_z derivative of the state at t=1.0 has non-finite entries"),
+    "formula": (ValueError, "state derivative not Hermitian within 1e-8"),
+}
+
+
 def outcome_alone(spec: ScenarioSpec, axis: str, value: float, t: float):
     """qfi_at at one point of a grid over `axis` (at time t on a field
     axis), or the exception that it raises there, the spec's rules included."""
@@ -465,6 +490,38 @@ class TestFieldGrid:
             "NumericalFailureError: propagation to t=1.0 lost state invariants: density matrix trace"
         )
         assert points[:3] + points[4:] == clean[:3] + clean[4:]
+
+    @pytest.mark.parametrize("spec", [COOP, TWO_SPIN], ids=lambda s: s.kind)
+    def test_overlapping_failures_report_the_first_by_precedence(self, monkeypatch, spec):
+        # Failures injected into one stack, several at a point: each point
+        # reports the first of its own in the order model, state check,
+        # non-finite derivative, formula; the clean point keeps its value.
+        values = np.linspace(0.5, 1.5, len(PRECEDENCE))
+        clean = qfi_grid(spec, values, axis="b_z", t=1.0)
+        propagated = scenarios._propagated
+
+        def failing(*args):
+            states, drho, errors = propagated(*args)
+            for k, failures in enumerate(PRECEDENCE):
+                if "model" in failures:
+                    errors[(k,)] = NumericalFailureError(f"model {k} failed")
+                if "state" in failures:
+                    states[k] *= 1.5  # trace 1.5
+                if "derivative" in failures:
+                    drho[k, 0, 0] = math.nan
+                if "formula" in failures:
+                    drho[k, 0, 1] += 1e-6  # not Hermitian: the formula names it
+            return states, drho, errors
+
+        monkeypatch.setattr(scenarios, "_propagated", failing)
+        grid = qfi_grid(spec, values, axis="b_z", t=1.0)
+        reported = [
+            "value" if isinstance(o, QfiResult)
+            else next(label for label, (kind, prefix) in FAILURE_TEXTS.items() if type(o) is kind and str(o).startswith(prefix))
+            for o in grid
+        ]
+        assert reported == [failures[0] if failures else "value" for failures in PRECEDENCE]
+        assert grid[0] == clean[0]
 
     def test_one_exponential_call_per_chunk(self, monkeypatch):
         # One builder call per chunk of a two-spin field grid, and no

@@ -524,8 +524,9 @@ def _propagated(spec: ScenarioSpec, b_z: ArrayLike, b_x: ArrayLike, probe: np.nd
     floats, or arrays of points over whose broadcast shape (...) the states
     are stacked, (..., d, d) each.  The fields' shape is the stack of models
     that the kind's builder states; a time grid over one model builds it
-    once (and gives None states if it fails).  numpy's warnings are silenced:
-    a field near the float range overflows H, its gaps or rates.
+    once, and gives None states where that model fails.  numpy's warnings
+    are silenced: a field near the float range overflows H, its gaps or its
+    rates, which fails a model or a state.
 
     The kind's builder states the model in the eigenframe of its
     Hamiltonian, H = V diag(E) V†, where every channel is a transition

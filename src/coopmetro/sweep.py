@@ -77,7 +77,7 @@ class RegionResult:
 class _GridObjective:
     """value |-> QFI of the scenario at probe time value (axis "t"), or with
     the field `axis` set to value at probe time t: the one-point case of
-    `qfi_grid`, whose record `_grid_outcomes` gives at many values at once."""
+    `qfi_grid`; `_scan` and `_steps` read the record of many values at once."""
 
     def __init__(self, spec: ScenarioSpec, t: float | None, axis: str):
         self.spec, self.t, self.axis = spec, t, axis

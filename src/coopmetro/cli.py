@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args
 
-from .qfi import METHOD_QUBIT, METHOD_SLD
 from .scenarios import (
     InvalidScenarioError,
     ScenarioSpec,
@@ -303,9 +302,11 @@ def _render(table: dict[str, list], fmt: str) -> str:
     """CSV (one column per key, in order) or JSON text (one object per row)
     of a table given as its columns, lists of one cell per row."""
     if fmt == "csv":
-        rows = zip(*(map(_format_cell, column) for column in table.values()))
-        return "\n".join([",".join(table), *map(",".join, rows)]) + "\n"
-    return json.dumps([dict(zip(table, row)) for row in zip(*table.values())], indent=2) + "\n"
+        cells = zip(*(map(_format_cell, column) for column in table.values()))
+        lines = [",".join(table), *map(",".join, cells)]
+        return "\n".join(lines) + "\n"
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def _row(**cells) -> dict[str, list]:
@@ -333,32 +334,51 @@ def _cmd_run(config: RunConfig) -> tuple[dict, int]:
     spec = _scenario(config)
     result = qfi_at(spec, config.t)
     bound = report_bound(result.value, config.m) if result.value > 0 else None
-    # fd_step is empty: the state derivative is exact, with no step.
-    return _row(
-        kind=spec.kind, b_z=spec.b_z, t=config.t, qfi=result.value, method=result.method, fd_step=None, m=config.m, bound=bound
-    ), 0
+    row = _row(
+        kind=spec.kind,
+        b_z=spec.b_z,
+        t=config.t,
+        qfi=result.value,
+        method=result.method,
+        fd_step=None,  # no step: the state derivative is exact
+        m=config.m,
+        bound=bound,
+    )
+    return row, 0
 
 
 def _cmd_sweep(config: RunConfig) -> tuple[dict, int]:
     """The sweep's table, straight from its grid's record; each failed point's row and stderr line name its error."""
     spec = _scenario(config)
     values = SweepGrid(config.axis, config.from_, config.to, config.points).values().tolist()
-    qfi, errors, sld = _grid_outcomes(spec, values, config.axis, config.t)
-    qfi, methods, messages = qfi.tolist(), [METHOD_SLD if s else METHOD_QUBIT for s in sld.tolist()], [None] * len(values)
-    for k in sorted(errors):
+    record = _grid_outcomes(spec, values, config.axis, config.t)
+    qfi, methods = record.values.tolist(), record.methods()
+    messages = [None] * len(values)
+    for k in sorted(record.errors):
         qfi[k] = methods[k] = None
-        messages[k] = _diagnostic(errors[k])
+        messages[k] = _diagnostic(record.errors[k])
         print(f"point {config.axis}={values[k]}: {messages[k]}", file=sys.stderr)
-    table = {config.axis: values, "qfi": qfi, "method": methods, "fd_step": [None] * len(values), "error": messages}
-    return table, int(bool(errors))
+    table = {
+        config.axis: values,
+        "qfi": qfi,
+        "method": methods,
+        "fd_step": [None] * len(values),
+        "error": messages,
+    }
+    return table, int(bool(record.errors))
 
 
 def _cmd_region(config: RunConfig) -> tuple[dict, int]:
     spec = _scenario(config)
     threshold = heisenberg_limit(spin_count(spec), config.t)
-    region = find_region(scenario_objective(spec, config.t, "b_z"), threshold, (config.from_, config.to))
+    region = find_region(
+        scenario_objective(spec, config.t, "b_z"),
+        threshold,
+        (config.from_, config.to),
+    )
     bounds = (region.lower, region.upper, region.upper - region.lower) if region.resolved else (None, None, None)
-    return _row(**dict(zip(("lower", "upper", "width"), bounds)), threshold=region.threshold, resolved=region.resolved), 0
+    row = _row(**dict(zip(("lower", "upper", "width"), bounds)), threshold=region.threshold, resolved=region.resolved)
+    return row, 0
 
 
 def _cmd_maximize(config: RunConfig) -> tuple[dict, int]:
@@ -372,7 +392,8 @@ def _cmd_maximize(config: RunConfig) -> tuple[dict, int]:
 
 def _cmd_tradeoff(config: RunConfig) -> tuple[dict, int]:
     f_max = 1.0 / (2.0 * config.b_x**2)
-    return _row(b_x=config.b_x, t=config.t, f_max=f_max, width=tradeoff_width(f_max, config.t)), 0
+    width = tradeoff_width(f_max, config.t)
+    return _row(b_x=config.b_x, t=config.t, f_max=f_max, width=width), 0
 
 
 def _cmd_figure(config: RunConfig) -> tuple[dict, int]:

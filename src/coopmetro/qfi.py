@@ -64,6 +64,10 @@ class _Outcomes(NamedTuple):
     errors: dict  # point index -> the exception that failed it
     sld: np.ndarray  # (n,) bool, True where the SLD sum scores the point
 
+    def methods(self) -> list[str]:
+        """Each point's method tag, as its QfiResult names its route."""
+        return [METHOD_SLD if s else METHOD_QUBIT for s in self.sld.tolist()]
+
 
 def _clamp(value: float) -> float:
     value = float(value)
@@ -186,10 +190,10 @@ def qfi_qubit(rho: np.ndarray, drho: np.ndarray) -> QfiResult:
     53, 023001 (2020)).  Near-pure states (Det < 1e-10) make the division
     explosive; those take the spectral SLD route and are tagged accordingly.
     """
-    values, errors, near_pure = _qubit_outcomes(np.asarray(rho)[None], np.asarray(drho)[None])
-    if errors:
-        raise errors[0]
-    return QfiResult(value=float(values[0]), method=METHOD_SLD if near_pure[0] else METHOD_QUBIT)
+    record = _qubit_outcomes(np.asarray(rho)[None], np.asarray(drho)[None])
+    if record.errors:
+        raise record.errors[0]
+    return QfiResult(value=float(record.values[0]), method=record.methods()[0])
 
 
 def qfi_sld(rho: np.ndarray, drho: np.ndarray) -> QfiResult:

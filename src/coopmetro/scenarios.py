@@ -45,7 +45,12 @@ from .lindblad import (
     hermitize,
     validate_density_matrix,
 )
-from .qfi import METHOD_QUBIT, METHOD_SLD, QfiResult, _Outcomes, _qubit_outcomes, _sld_outcomes
+from .qfi import (
+    QfiResult,
+    _Outcomes,
+    _qubit_outcomes,
+    _sld_outcomes,
+)
 
 __all__ = [
     "KINDS",
@@ -766,15 +771,13 @@ def _scores(states: np.ndarray, drho: np.ndarray, t: ArrayLike) -> _Outcomes:
     # time) overflows either formula: its value is then non-finite, which
     # the formula names, so numpy's warnings are silenced, once per grid.
     with np.errstate(over="ignore", invalid="ignore"):
-        if d == 4:
-            values, errors, sld = _sld_outcomes(states, drho, spectrum)
-        elif failed:
+        if d == 2:
             scored = [j for j in range(n) if j not in failed]
             values, sld = np.full(n, math.nan), np.zeros(n, dtype=bool)
             values[scored], errors, sld[scored] = _qubit_outcomes(states[scored], drho[scored])
             errors = {scored[k]: error for k, error in errors.items()}
         else:
-            values, errors, sld = _qubit_outcomes(states, drho)
+            values, errors, sld = _sld_outcomes(states, drho, spectrum)
     for j, error in failed.items():
         time = np.broadcast_to(t, n)[j].item()
         values[j], errors[j] = math.nan, NumericalFailureError(
@@ -865,9 +868,9 @@ def qfi_grid(
     The probe is not checked again: it is validated once per dimension, at
     import.  Each point gets, bit for bit, what `qfi_at` gives at it.
     """
-    scores, errors, sld = _grid_outcomes(spec, values, axis, t)
-    methods = [METHOD_SLD if s else METHOD_QUBIT for s in sld.tolist()]
-    return [errors[k] if k in errors else QfiResult(v, methods[k]) for k, v in enumerate(scores.tolist())]
+    record = _grid_outcomes(spec, values, axis, t)
+    methods = record.methods()
+    return [record.errors.get(k) or QfiResult(v, methods[k]) for k, v in enumerate(record.values.tolist())]
 
 
 def qfi_at(spec: ScenarioSpec, t: float) -> QfiResult:

@@ -284,9 +284,12 @@ def find_region(
     if not above.any() or np.all(abs(vals - threshold) <= 64 * np.spacing(threshold)):
         return RegionResult(lower=math.nan, upper=math.nan, threshold=threshold, resolved=False)
     peak = int(np.argmax(vals))
-    below = np.flatnonzero(~above)  # the block of points above it that holds the peak is i..j
-    i = int(below[below < peak].max(initial=-1)) + 1
-    j = int(below[below > peak].min(initial=prescan)) - 1
+    i = peak
+    while i > 0 and above[i - 1]:
+        i -= 1
+    j = peak
+    while j < prescan - 1 and above[j + 1]:
+        j += 1
     points = [(float(x), float(y)) for x, y in zip(xs, vals)]
 
     def edge(outside: int, inside: int) -> tuple:
